@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +26,17 @@ from .errors import ConfigError, StyleShiftError
 from .experiment import (
     DataConfig,
     ExperimentConfig,
-    _build,
-    assign_pseudo_domains,
+    default_alpha,
+    eval_stage,
+    evaluate_seed,
     generate_data,
     load_experiment_config,
     load_split,
     method_label,
     run_seed,
     shift_mode_from_name,
+    source_split,
+    train_stage,
 )
 
 EVAL_COLUMNS = ("method", "target", "seed", "accuracy", "shift_rate")
@@ -87,46 +91,27 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_from_config(workdir: Path, doc: dict):
-    manifest, root = _load_dataset(workdir, doc.get("dataset", "data"))
-    protocol = doc.get("protocol", "leave_one_out")
-    if protocol not in ("leave_one_out", "single_domain"):
-        raise ConfigError(f"unknown protocol {protocol!r}")
-    domains = manifest.source_domains
-    if protocol == "single_domain":
-        domains = domains[:1]
-    images, classes, doms = load_split(manifest, root, "train", domains)
-
-    pseudo = doc.get("pseudo_labels")
-    train_doc = dict(doc.get("train", {}))
-    for key in ("sb_hooks", "aug_hooks"):
-        if train_doc.get(key) is not None:
-            train_doc[key] = tuple(train_doc[key])
-    train_cfg = _build(mn.TrainConfig, train_doc)
-    if pseudo is not None:
-        doms = assign_pseudo_domains(images, int(pseudo), train_cfg.seed)
-        n_domains = int(pseudo)
-    else:
-        doms = np.searchsorted(np.unique(doms), doms)
-        n_domains = len(domains)
-
-    net_cfg = mn.NetConfig.from_dict(doc["net"]) if "net" in doc else mn.NetConfig(
-        in_channels=1, image_size=manifest.image_size, n_classes=manifest.n_classes)
-    net = mn.MicroNet.init(net_cfg, seed=doc.get("init_seed", train_cfg.seed))
-    metrics = mn.train(net, images, classes, doms, train_cfg, n_domains=n_domains)
-    return net, metrics, train_cfg
+def _load_checkpoint(path: Path) -> tuple[mn.MicroNet, dict]:
+    """The network and the train tags (sb, aug, seed) stored with it."""
+    return mn.MicroNet.load(path), _read_json(path).get("tags", {})
 
 
 def cmd_train(args) -> int:
     workdir = Path(args.workdir)
     doc = _read_json(workdir / args.config)
+    dataset = doc.pop("dataset", "data")
+    cfg = ExperimentConfig.from_dict(doc)
+    manifest, root = _load_dataset(workdir, dataset)
+    if "net" not in doc:
+        cfg = replace(cfg, net=mn.NetConfig(in_channels=1, image_size=manifest.image_size,
+                                            n_classes=manifest.n_classes))
     t0 = time.perf_counter()
-    net, metrics, train_cfg = _train_from_config(workdir, doc)
+    net, metrics, _ = train_stage(cfg, manifest, root, cfg.train.seed)
 
     ckpt = workdir / args.out_checkpoint
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     payload = net.to_dict()
-    payload["tags"] = {"sb": train_cfg.sb, "aug": train_cfg.aug, "seed": train_cfg.seed}
+    payload["tags"] = {"sb": cfg.train.sb, "aug": cfg.train.aug, "seed": cfg.train.seed}
     ckpt.write_text(json.dumps(payload, indent=1, sort_keys=True))
 
     audit = workdir / args.audit_log
@@ -146,21 +131,13 @@ def cmd_train(args) -> int:
 
 def cmd_stats(args) -> int:
     workdir = Path(args.workdir)
-    net = mn.MicroNet.load(workdir / args.checkpoint)
+    net, tags = _load_checkpoint(workdir / args.checkpoint)
     manifest, root = _load_dataset(workdir, args.dataset)
-    domains = manifest.source_domains
-    if args.single_domain:
-        domains = domains[:1]
-    images, _, doms = load_split(manifest, root, "train", domains)
-    if args.pseudo_labels is not None:
-        doms = assign_pseudo_domains(images, args.pseudo_labels, args.seed)
-        names = tuple(f"cluster{j}" for j in range(args.pseudo_labels))
-        alpha = args.alpha if args.alpha is not None else tts.PSEUDO_LABEL_ALPHA
-    else:
-        doms = np.searchsorted(np.unique(doms), doms)
-        names = tuple(manifest.styles[d].name for d in domains)
-        alpha = args.alpha if args.alpha is not None else tts.DEFAULT_ALPHA
-    registry = tts.build_registry(net, images, doms, args.layer, alpha=alpha, names=names)
+    protocol = "single_domain" if args.single_domain else "leave_one_out"
+    images, _, doms, names = source_split(manifest, root, protocol, args.pseudo_labels,
+                                          tags.get("seed", 0))
+    registry = tts.build_registry(net, images, doms, args.layer, names=names,
+                                  alpha=default_alpha(args.alpha, args.pseudo_labels))
     out = workdir / args.out_registry
     out.parent.mkdir(parents=True, exist_ok=True)
     tts.save_registry(registry, out)
@@ -173,27 +150,19 @@ def cmd_stats(args) -> int:
 
 def cmd_eval(args) -> int:
     workdir = Path(args.workdir)
-    net = mn.MicroNet.load(workdir / args.checkpoint)
-    tags = _read_json(workdir / args.checkpoint).get("tags", {})
+    net, tags = _load_checkpoint(workdir / args.checkpoint)
     registry = tts.load_registry(workdir / args.registry)
     manifest, root = _load_dataset(workdir, args.dataset)
-    images, classes, doms = load_split(manifest, root, "test")
     mode = shift_mode_from_name(args.mode, args.pool_size)
-    pool = None
-    rng = None
+    pool_images = None
     if mode.kind == "nearest_sample":
-        tr_images, _, tr_doms = load_split(manifest, root, "train", manifest.source_domains)
-        pool = net.style_vectors_at(tr_images, registry.layer)
-        rng = np.random.Generator(np.random.PCG64(args.seed))
-    t0 = time.perf_counter()
-    result = mn.evaluate(net, images, classes, doms, registry=registry, mode=mode,
-                         alpha=args.alpha, sample_pool=pool, rng=rng)
+        pool_images, _, _ = load_split(manifest, root, "train", manifest.source_domains)
     label = args.method_label or method_label(bool(tags.get("sb")), mode.kind,
                                               tags.get("aug", "none"))
-    rows = [{"method": label, "target": manifest.styles[dom].name,
-             "seed": tags.get("seed", 0), "accuracy": result.accuracy(dom),
-             "shift_rate": result.shift_rate(dom)}
-            for dom in sorted(result.domains)]
+    t0 = time.perf_counter()
+    rows = eval_stage(net, registry, manifest, root, mode, args.alpha, pool_images,
+                      np.random.Generator(np.random.PCG64(args.seed)), label,
+                      tags.get("seed", 0))
     out = workdir / args.out_csv
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, EVAL_COLUMNS, rows)
@@ -209,35 +178,27 @@ def cmd_eval(args) -> int:
 
 def apply_sweep_param(cfg: ExperimentConfig, param: str, value: float) -> ExperimentConfig:
     if param == "alpha":
-        new_eval = type(cfg.eval)(mode=cfg.eval.mode, alpha=value, layer=cfg.eval.layer,
-                                  pool_size=cfg.eval.pool_size)
-        return ExperimentConfig(data=cfg.data, net=cfg.net, train=cfg.train,
-                                eval=new_eval, protocol=cfg.protocol, seeds=cfg.seeds,
-                                pseudo_labels=cfg.pseudo_labels)
+        return replace(cfg, eval=replace(cfg.eval, alpha=value))
     if param == "keep_fraction":
-        new_data = DataConfig(
-            n_classes=cfg.data.n_classes, n_sources=cfg.data.n_sources,
-            per_cell_train=cfg.data.per_cell_train, per_cell_test=cfg.data.per_cell_test,
-            image_size=cfg.data.image_size, target_preset=cfg.data.target_preset,
-            imbalance=dd.ImbalanceSpec(kind="data", keep_fraction=value))
-        return ExperimentConfig(data=new_data, net=cfg.net, train=cfg.train,
-                                eval=cfg.eval, protocol=cfg.protocol, seeds=cfg.seeds,
-                                pseudo_labels=cfg.pseudo_labels)
+        imbalance = dd.ImbalanceSpec(kind="data", keep_fraction=value)
+        return replace(cfg, data=replace(cfg.data, imbalance=imbalance))
     raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
-def _sweep_point(task) -> list[dict]:
-    cfg_doc, param, value, seed, workdir = task
-    cfg = apply_sweep_param(ExperimentConfig.from_dict(cfg_doc), param, value)
-    point_dir = Path(workdir) / f"{param}_{value:g}"
-    outcome = run_seed(cfg, seed, point_dir)
-    return [{"param": param, "value": value, **row} for row in outcome.rows]
+def _sweep_task(task) -> list[dict]:
+    """Train one seed at the first value; evaluate every further value (alpha
+    only) on that trained seed."""
+    cfg, param, values, seed, workdir = task
+    outcome = run_seed(apply_sweep_param(cfg, param, values[0]), seed, workdir)
+    chunks = [outcome.rows] + [evaluate_seed(apply_sweep_param(cfg, param, value), outcome)
+                               for value in values[1:]]
+    return [{"param": param, "value": value, **row}
+            for value, rows in zip(values, chunks) for row in rows]
 
 
 def cmd_sweep(args) -> int:
     workdir = Path(args.workdir)
     cfg = load_experiment_config(workdir / args.config)
-    cfg_doc = _read_json(workdir / args.config)
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError as exc:
@@ -245,17 +206,20 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("--values is empty")
     sweep_dir = workdir / args.out_dir
-    tasks = [(cfg_doc, args.param, value, seed, sweep_dir)
-             for value in values for seed in cfg.seeds]
+    if args.param == "alpha":  # alpha changes only evaluation: train once per seed
+        tasks = [(cfg, args.param, values, seed, sweep_dir) for seed in cfg.seeds]
+    else:  # the data changes with the value: train once per point
+        tasks = [(cfg, args.param, [value], seed, sweep_dir / f"{args.param}_{value:g}")
+                 for value in values for seed in cfg.seeds]
     workers = int(os.environ.get("STYLESHIFT_THREADS", "1"))
     t0 = time.perf_counter()
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-            chunks = pool.map(_sweep_point, tasks)
+            chunks = pool.map(_sweep_task, tasks)
     else:
-        chunks = [_sweep_point(t) for t in tasks]
+        chunks = [_sweep_task(t) for t in tasks]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["param"], r["value"], r["seed"], r["target"]))
     out = workdir / args.out_csv
@@ -385,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-registry", required=True)
     p.add_argument("--pseudo-labels", type=int, default=None)
     p.add_argument("--single-domain", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint under a shift mode")

@@ -1,16 +1,17 @@
-"""Experiment orchestration shared by the command line and the test suite.
+"""Experiment pipeline stages shared by the command line, the sweep and the tests.
 
 One experiment seed runs the full pipeline: generate the synthetic dataset,
-optionally replace domain labels with pseudo labels, train the classifier,
-summarize source styles into a registry, then evaluate every test domain
-under the configured shift mode. Everything is deterministic given the seed.
+optionally replace domain labels with pseudo labels, train the classifier
+(``train_stage``), summarize source styles into a registry, then evaluate every
+test domain under the configured shift mode (``eval_stage``). Everything is
+deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,11 +108,7 @@ class ExperimentConfig:
         if "net" in doc:
             kwargs["net"] = mn.NetConfig.from_dict(doc["net"])
         if "train" in doc:
-            train_doc = dict(doc["train"])
-            for key in ("sb_hooks", "aug_hooks"):
-                if train_doc.get(key) is not None:
-                    train_doc[key] = tuple(train_doc[key])
-            kwargs["train"] = _build(mn.TrainConfig, train_doc)
+            kwargs["train"] = _build(mn.TrainConfig, doc["train"])
         if "eval" in doc:
             kwargs["eval"] = EvalConfig.from_dict(doc["eval"])
         for key in ("protocol", "pseudo_labels"):
@@ -164,10 +161,63 @@ def assign_pseudo_domains(images: np.ndarray, k: int, seed: int) -> np.ndarray:
     return tts.pseudo_domains(styles, k, rng)
 
 
+def source_split(manifest: dd.DatasetManifest, root, protocol: str,
+                 pseudo_labels: int | None, seed: int):
+    """A protocol's training images, class labels, 0-based domain ids and domain
+    names. Pseudo labels cluster with ``seed``, which must be the train seed."""
+    domains = manifest.source_domains
+    if protocol == "single_domain":
+        domains = domains[:1]
+    images, classes, doms = load_split(manifest, root, "train", domains)
+    if pseudo_labels is not None:
+        doms = assign_pseudo_domains(images, pseudo_labels, seed)
+        names = tuple(f"cluster{j}" for j in range(pseudo_labels))
+    else:
+        doms = np.searchsorted(np.unique(doms), doms)  # compact 0-based ids
+        names = tuple(manifest.styles[d].name for d in domains)
+    return images, classes, doms, names
+
+
+def default_alpha(alpha: float | None, pseudo_labels: int | None) -> float:
+    if alpha is not None:
+        return alpha
+    return tts.PSEUDO_LABEL_ALPHA if pseudo_labels is not None else tts.DEFAULT_ALPHA
+
+
+def train_stage(cfg: ExperimentConfig, manifest: dd.DatasetManifest, root, seed: int):
+    """Initialize and train cfg's network on the source split, with ``seed``
+    as the train seed. Returns (net, metrics, source split)."""
+    split = source_split(manifest, root, cfg.protocol, cfg.pseudo_labels, seed)
+    images, classes, doms, names = split
+    net = mn.MicroNet.init(cfg.net, seed=seed)
+    metrics = mn.train(net, images, classes, doms, replace(cfg.train, seed=seed),
+                       n_domains=len(names))
+    return net, metrics, split
+
+
+def eval_stage(net: mn.MicroNet, registry: tts.DomainRegistry,
+               manifest: dd.DatasetManifest, root, mode: tts.ShiftMode,
+               alpha: float | None, pool_images, rng: np.random.Generator,
+               label: str, seed: int) -> list[dict]:
+    """One result row per test domain. Nearest-sample mode draws its pool from
+    the style vectors of ``pool_images`` at the registry's layer."""
+    pool = None
+    if mode.kind == "nearest_sample":
+        pool = net.style_vectors_at(pool_images, registry.layer)
+    xte, yte, dte = load_split(manifest, root, "test")
+    result = mn.evaluate(net, xte, yte, dte, registry=registry, mode=mode,
+                         alpha=alpha, sample_pool=pool, rng=rng)
+    return [{"method": label, "target": manifest.styles[dom].name, "seed": seed,
+             "accuracy": result.accuracy(dom), "shift_rate": result.shift_rate(dom)}
+            for dom in sorted(result.domains)]
+
+
 @dataclass
 class SeedOutcome:
     seed: int
     manifest: dd.DatasetManifest
+    data_dir: Path
+    train_images: np.ndarray
     net: mn.MicroNet
     registry: tts.DomainRegistry
     metrics: mn.TrainMetrics
@@ -175,57 +225,30 @@ class SeedOutcome:
     wall_time: float
 
 
-def run_seed(cfg: ExperimentConfig, seed: int, workdir) -> SeedOutcome:
-    start = time.perf_counter()
-    workdir = Path(workdir)
-    data_dir = workdir / f"data_seed{seed}"
-    manifest = generate_data(cfg.data, data_dir, seed)
-
-    if cfg.protocol == "single_domain":
-        train_domains = [manifest.source_domains[0]]
-    else:
-        train_domains = manifest.source_domains
-    xtr, ytr, dtr = load_split(manifest, data_dir, "train", train_domains)
-
-    if cfg.pseudo_labels is not None:
-        dtr = assign_pseudo_domains(xtr, cfg.pseudo_labels, seed)
-        n_domains = cfg.pseudo_labels
-    else:
-        dtr = np.searchsorted(np.unique(dtr), dtr)  # compact 0-based ids
-        n_domains = len(train_domains)
-
-    net = mn.MicroNet.init(cfg.net, seed=seed)
-    train_cfg = mn.TrainConfig(**{**cfg.train.__dict__, "seed": seed})
-    metrics = mn.train(net, xtr, ytr, dtr, train_cfg, n_domains=n_domains)
-
-    alpha = cfg.eval.alpha
-    if alpha is None:
-        alpha = tts.PSEUDO_LABEL_ALPHA if cfg.pseudo_labels is not None else tts.DEFAULT_ALPHA
-    registry = tts.build_registry(net, xtr, dtr, cfg.eval.layer, alpha=alpha)
-
+def evaluate_seed(cfg: ExperimentConfig, outcome: SeedOutcome) -> list[dict]:
+    """Rows of cfg's evaluation of a trained seed; only ``cfg.eval`` may differ
+    from the training config. An alpha of None is the registry's."""
     mode = shift_mode_from_name(cfg.eval.mode, cfg.eval.pool_size)
-    pool = None
-    rng = None
-    if mode.kind == "nearest_sample":
-        pool = net.style_vectors_at(xtr, cfg.eval.layer)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x9001])))
+    seed = outcome.seed
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x9001])))
+    return eval_stage(outcome.net, outcome.registry, outcome.manifest, outcome.data_dir,
+                      mode, cfg.eval.alpha, outcome.train_images, rng,
+                      method_label(cfg.train.sb, mode.kind, cfg.train.aug), seed)
 
-    xte, yte, dte = load_split(manifest, data_dir, "test")
-    result = mn.evaluate(net, xte, yte, dte, registry=registry, mode=mode,
-                         alpha=alpha, sample_pool=pool, rng=rng)
-    label = method_label(cfg.train.sb, mode.kind, cfg.train.aug)
-    rows = []
-    for dom in sorted(result.domains):
-        rows.append({
-            "method": label,
-            "target": manifest.styles[dom].name,
-            "seed": seed,
-            "accuracy": result.accuracy(dom),
-            "shift_rate": result.shift_rate(dom),
-        })
-    return SeedOutcome(seed=seed, manifest=manifest, net=net, registry=registry,
-                       metrics=metrics, rows=rows,
-                       wall_time=time.perf_counter() - start)
+
+def run_seed(cfg: ExperimentConfig, seed: int, workdir) -> SeedOutcome:
+    """One seed end to end: generate the data, train, summarize, evaluate."""
+    start = time.perf_counter()
+    data_dir = Path(workdir) / f"data_seed{seed}"
+    manifest = generate_data(cfg.data, data_dir, seed)
+    net, metrics, (xtr, _, dtr, names) = train_stage(cfg, manifest, data_dir, seed)
+    registry = tts.build_registry(net, xtr, dtr, cfg.eval.layer, names=names,
+                                  alpha=default_alpha(cfg.eval.alpha, cfg.pseudo_labels))
+    outcome = SeedOutcome(seed=seed, manifest=manifest, data_dir=data_dir, train_images=xtr,
+                          net=net, registry=registry, metrics=metrics, rows=[], wall_time=0.0)
+    outcome.rows = evaluate_seed(cfg, outcome)
+    outcome.wall_time = time.perf_counter() - start
+    return outcome
 
 
 def run_experiment(cfg: ExperimentConfig, workdir) -> list[dict]:

@@ -101,6 +101,10 @@ class TrainConfig:
     lambda_shape: float = DEFAULT_LAMBDA_SHAPE
 
     def __post_init__(self):
+        for key in ("sb_hooks", "aug_hooks"):
+            hooks = getattr(self, key)
+            if hooks is not None:
+                object.__setattr__(self, key, tuple(hooks))
         if self.aug not in AUG_KINDS:
             raise ConfigError(f"unknown augmentation {self.aug!r}")
         if not 0.0 <= self.sb_prob <= 1.0 or not 0.0 <= self.aug_prob <= 1.0:

@@ -221,6 +221,16 @@ def pick_style_carriers(meta: BatchMeta, dst: int, exclude: int,
     return int(candidates[pair[0]]), int(candidates[pair[1]]), False
 
 
+def _place_mix(f1: np.ndarray, f2: np.ndarray, lam: float, tau, kappa, eta) -> np.ndarray:
+    """lam * f1[kappa] + (1 - lam) * f2[eta], placed at the sort positions tau;
+    all arrays are (C, H*W)."""
+    mixed = lam * np.take_along_axis(f1, kappa, axis=-1) \
+        + (1.0 - lam) * np.take_along_axis(f2, eta, axis=-1)
+    out = np.empty_like(f1)
+    np.put_along_axis(out, tau, mixed, axis=-1)
+    return out
+
+
 def _sorted_mix(f_s: np.ndarray, f_s1: np.ndarray, f_s2: np.ndarray, lam: float):
     """Channel-wise mixed carrier values placed at f_s's sort positions.
 
@@ -233,10 +243,7 @@ def _sorted_mix(f_s: np.ndarray, f_s1: np.ndarray, f_s2: np.ndarray, lam: float)
     tau = sort_permutation(fs)
     kappa = sort_permutation(f1)
     eta = sort_permutation(f2)
-    mixed = lam * np.take_along_axis(f1, kappa, axis=-1) \
-        + (1.0 - lam) * np.take_along_axis(f2, eta, axis=-1)
-    out = np.empty_like(fs)
-    np.put_along_axis(out, tau, mixed, axis=-1)
+    out = _place_mix(f1, f2, lam, tau, kappa, eta)
     return out.reshape(f_s.shape), tau, kappa, eta
 
 
@@ -273,17 +280,12 @@ def sb_apply_var(x: Var, moves: list[Move], frozen=None):
                 x.value[mv.sample], x.value[mv.carrier1], x.value[mv.carrier2], mv.lam)
             base = x.value[mv.sample].copy()
             out[mv.sample] = mixed
-            state.append((tau, kappa, eta, base))
         else:
             tau, kappa, eta, base = frozen[idx]
-            f1 = x.value[mv.carrier1].reshape(c, -1)
-            f2 = x.value[mv.carrier2].reshape(c, -1)
-            mixed = mv.lam * np.take_along_axis(f1, kappa, axis=-1) \
-                + (1.0 - mv.lam) * np.take_along_axis(f2, eta, axis=-1)
-            placed = np.empty_like(f1)
-            np.put_along_axis(placed, tau, mixed, axis=-1)
+            placed = _place_mix(x.value[mv.carrier1].reshape(c, -1),
+                                x.value[mv.carrier2].reshape(c, -1), mv.lam, tau, kappa, eta)
             out[mv.sample] = placed.reshape(c, h, w) + x.value[mv.sample] - base
-            state.append((tau, kappa, eta, base))
+        state.append((tau, kappa, eta, base))
 
     perms = [st[:3] for st in state]
 

@@ -89,10 +89,6 @@ def style_vector(f, eps_std: float = EPS_STD) -> np.ndarray:
     return np.concatenate([channel_mean(f), channel_std(f, eps_std)])
 
 
-def stats_to_style_vector(stats: ChannelStats) -> np.ndarray:
-    return np.concatenate([stats.mu, stats.sigma])
-
-
 def style_vector_to_stats(phi) -> ChannelStats:
     phi = np.asarray(phi, dtype=np.float64).reshape(-1)
     if phi.shape[0] % 2 != 0:

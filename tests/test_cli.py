@@ -142,6 +142,33 @@ def test_stats_pseudo_labels_default_alpha(tmp_path):
     assert reg.names == ("cluster0", "cluster1")
 
 
+def test_stats_pseudo_labels_cluster_with_train_seed(tmp_path):
+    from styleshift import micro_net as mn
+    from styleshift.domain_data import load_manifest
+    from styleshift.experiment import assign_pseudo_domains, load_split
+    make_dataset(tmp_path)
+    train_seed, k = 1, 2
+    doc = {**TRAIN_CFG, "pseudo_labels": k, "train": {**TRAIN_CFG["train"], "seed": train_seed}}
+    cfg = write_cfg(tmp_path, "pseudo_train.json", doc)
+    assert run(tmp_path, "train", "--config", cfg, "--out-checkpoint", "pseudo.ckpt",
+               "--audit-log", "pseudo.jsonl") == 0
+    assert run(tmp_path, "stats", "--checkpoint", "pseudo.ckpt", "--dataset", "data",
+               "--layer", "block2", "--out-registry", "got.json",
+               "--pseudo-labels", str(k)) == 0
+
+    manifest = load_manifest(tmp_path / "data/manifest.json")
+    x, _, _ = load_split(manifest, tmp_path / "data", "train", manifest.source_domains)
+    doms = assign_pseudo_domains(x, k, train_seed)
+    # precondition: seed 0 numbers the clusters differently, so the check below
+    # tells the train seed from seed 0
+    assert not np.array_equal(doms, assign_pseudo_domains(x, k, 0))
+    want = ts.build_registry(mn.MicroNet.load(tmp_path / "pseudo.ckpt"), x, doms, "block2",
+                             alpha=ts.PSEUDO_LABEL_ALPHA,
+                             names=tuple(f"cluster{j}" for j in range(k)))
+    ts.save_registry(want, tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 # -- eval ------------------------------------------------------------------------
 
 def _eval_setup(tmp_path):
@@ -258,11 +285,13 @@ def test_report_tolerates_column_reordering(tmp_path):
 
 def test_unknown_config_keys_exit_2(tmp_path):
     make_dataset(tmp_path)
-    bad = dict(TRAIN_CFG)
-    bad["train"] = {"epochs": 2, "learning_rate": 0.1}  # wrong field name
-    cfg = write_cfg(tmp_path, "bad_train.json", bad)
-    assert run(tmp_path, "train", "--config", cfg, "--out-checkpoint", "c.json",
-               "--audit-log", "a.jsonl") == 2
+    bad_field = dict(TRAIN_CFG)
+    bad_field["train"] = {"epochs": 2, "learning_rate": 0.1}  # wrong field name
+    bad_key = {**TRAIN_CFG, "init_seed": 7}  # not a train-document key
+    for i, bad in enumerate((bad_field, bad_key)):
+        cfg = write_cfg(tmp_path, f"bad_train{i}.json", bad)
+        assert run(tmp_path, "train", "--config", cfg, "--out-checkpoint", "c.json",
+                   "--audit-log", "a.jsonl") == 2
 
 
 def test_sweep_parallel_workers_match_serial_bytes(tmp_path, monkeypatch):
@@ -277,6 +306,36 @@ def test_sweep_parallel_workers_match_serial_bytes(tmp_path, monkeypatch):
                "--out-dir", "sw_parallel") == 0
     assert (tmp_path / "serial.csv").read_bytes() == \
            (tmp_path / "parallel.csv").read_bytes()
+
+
+def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch):
+    from styleshift import micro_net as mn
+    from styleshift.experiment import ExperimentConfig, run_seed
+    calls = []
+    train = mn.train
+
+    def counted_train(*args, **kwargs):
+        calls.append(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(mn, "train", counted_train)
+    monkeypatch.delenv("STYLESHIFT_THREADS", raising=False)
+    doc = {**SWEEP_CFG, "eval": {"mode": "nearest-sample", "layer": "block2", "pool_size": 5}}
+    cfg = write_cfg(tmp_path, "exp.json", doc)
+    alphas = (0.0, 1.5, 3.0)
+    assert run(tmp_path, "sweep", "--config", cfg, "--param", "alpha",
+               "--values", ",".join(map(str, alphas)), "--out-csv", "sweep.csv") == 0
+    assert len(calls) == len(doc["seeds"])
+
+    # each alpha alone through run_seed: one training per (alpha, seed) point
+    base = ExperimentConfig.from_dict(doc)
+    want = [{"param": "alpha", "value": alpha, **row}
+            for alpha in alphas for seed in base.seeds
+            for row in run_seed(cli.apply_sweep_param(base, "alpha", alpha), seed,
+                                tmp_path / f"alone_{alpha:g}").rows]
+    want.sort(key=lambda r: (r["value"], r["seed"], r["target"]))
+    cli.write_csv(tmp_path / "want.csv", ("param", "value") + cli.EVAL_COLUMNS, want)
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_train_plain_baseline_path_matches_library(tmp_path):
