@@ -16,18 +16,15 @@ from .tensor_core import (
     channel_mean,
     channel_std,
     channel_stats,
-    mean_style,
-    style_distance,
     style_vector,
 )
-from .style_ops import adain, dsu, efdm, efdmix, mixstyle, sample_lambda
+from .style_ops import adain, efdm, efdmix, sample_lambda
 from .style_balance import (
     BatchMeta,
     MovePlan,
     build_move_matrix,
     compute_targets,
     pick_style_carriers,
-    sb_transform,
     select_samples,
     style_balance_batch,
 )

@@ -28,10 +28,6 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    def detach(self) -> "Var":
-        """Value-identical copy with no gradient path."""
-        return Var(self.value.copy())
-
     def backward(self, seed=None):
         if seed is None:
             if self.value.size != 1:

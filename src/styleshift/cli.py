@@ -93,7 +93,8 @@ def cmd_gen_data(args) -> int:
 
 def _load_checkpoint(path: Path) -> tuple[mn.MicroNet, dict]:
     """The network and the train tags (sb, aug, seed) stored with it."""
-    return mn.MicroNet.load(path), _read_json(path).get("tags", {})
+    doc = _read_json(path)
+    return mn.MicroNet.from_dict(doc), doc.get("tags", {})
 
 
 def cmd_train(args) -> int:
@@ -151,7 +152,7 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     workdir = Path(args.workdir)
     net, tags = _load_checkpoint(workdir / args.checkpoint)
-    registry = tts.load_registry(workdir / args.registry)
+    registry = tts.registry_from_dict(_read_json(workdir / args.registry))
     manifest, root = _load_dataset(workdir, args.dataset)
     mode = shift_mode_from_name(args.mode, args.pool_size)
     pool_images = None

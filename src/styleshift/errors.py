@@ -9,10 +9,6 @@ class DimensionError(StyleShiftError, ValueError):
     """Operands have incompatible shapes or lengths."""
 
 
-class EmptySetError(StyleShiftError, ValueError):
-    """An aggregate was requested over an empty collection."""
-
-
 class InsufficientBatchError(StyleShiftError, ValueError):
     """An operation needs more samples in the batch than were provided."""
 

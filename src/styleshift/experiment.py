@@ -25,21 +25,19 @@ MODE_NAMES = {
     "off": tts.OFF,
     "proposed": tts.PROPOSED,
     "shift-all": tts.SHIFT_ALL,
-    "shift_all": tts.SHIFT_ALL,
     "nearest-sample": None,  # built with pool size
-    "nearest_sample": None,
     "single-domain": tts.SINGLE_DOMAIN,
-    "single_domain": tts.SINGLE_DOMAIN,
 }
 
 
 def shift_mode_from_name(name: str, pool_size: int = tts.DEFAULT_NEAREST_POOL) -> tts.ShiftMode:
-    if name not in MODE_NAMES:
-        raise ConfigError(f"unknown shift mode {name!r}; expected one of "
-                          f"{sorted(set(MODE_NAMES))}")
-    if name.replace("-", "_") == "nearest_sample":
+    """The shift mode spelled ``name``; ``_`` and ``-`` are interchangeable."""
+    key = str(name).replace("_", "-")
+    if key not in MODE_NAMES:
+        raise ConfigError(f"unknown shift mode {name!r}; expected one of {sorted(MODE_NAMES)}")
+    if key == "nearest-sample":
         return tts.nearest_sample(pool_size)
-    return MODE_NAMES[name]
+    return MODE_NAMES[key]
 
 
 def _build(cls, doc: dict):

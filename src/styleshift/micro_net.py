@@ -15,6 +15,7 @@ which is the function the stop-gradient contracts differentiate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,6 +69,18 @@ class NetConfig:
 
     def channels_at(self, hook: str) -> int:
         return self.blocks[self.hook_names.index(hook)].out_channels
+
+    @property
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of every parameter, in checkpoint order."""
+        shapes, cin = {}, self.in_channels
+        for i, blk in enumerate(self.blocks):
+            shapes[f"conv{i}_w"] = (blk.out_channels, cin, 3, 3)
+            shapes[f"conv{i}_b"] = (blk.out_channels,)
+            cin = blk.out_channels
+        shapes["head_w"] = (cin, self.n_classes)
+        shapes["head_b"] = (self.n_classes,)
+        return shapes
 
     def to_dict(self) -> dict:
         return {
@@ -256,15 +269,12 @@ class MicroNet:
     def init(cls, config: NetConfig, seed: int = 0) -> "MicroNet":
         rng = np.random.Generator(np.random.PCG64(seed))
         params: dict[str, np.ndarray] = {}
-        cin = config.in_channels
-        for i, blk in enumerate(config.blocks):
-            fan_in = cin * 9
-            params[f"conv{i}_w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                                              (blk.out_channels, cin, 3, 3))
-            params[f"conv{i}_b"] = np.zeros(blk.out_channels)
-            cin = blk.out_channels
-        params["head_w"] = rng.normal(0.0, np.sqrt(1.0 / cin), (cin, config.n_classes))
-        params["head_b"] = np.zeros(config.n_classes)
+        for name, shape in config.param_shapes.items():
+            if name.endswith("_b"):
+                params[name] = np.zeros(shape)
+            else:  # He init over the 3x3 fan-in for convs, 1/fan-in for the head
+                var = 1.0 / shape[0] if name == "head_w" else 2.0 / (shape[1] * 9)
+                params[name] = rng.normal(0.0, np.sqrt(var), shape)
         return cls(config, params)
 
     @property
@@ -273,10 +283,7 @@ class MicroNet:
 
     @property
     def param_order(self) -> list[str]:
-        names = []
-        for i in range(len(self.config.blocks)):
-            names += [f"conv{i}_w", f"conv{i}_b"]
-        return names + ["head_w", "head_b"]
+        return list(self.config.param_shapes)
 
     def forward(self, x, hook_ops=None, from_hook: str | None = None) -> ForwardResult:
         """Run the network, applying hook operations in their listed order.
@@ -340,14 +347,28 @@ class MicroNet:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True))
 
     @classmethod
-    def load(cls, path) -> "MicroNet":
-        doc = json.loads(Path(path).read_text())
-        config = NetConfig.from_dict(doc["config"])
-        params = {
-            name: np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
-            for name, spec in doc["params"].items()
-        }
+    def from_dict(cls, doc: dict) -> "MicroNet":
+        """Rebuild a network from ``to_dict`` output. Every parameter the
+        config implies must be present, of that shape and finite."""
+        params = {}
+        try:
+            config = NetConfig.from_dict(doc["config"])
+            for name, shape in config.param_shapes.items():
+                spec = doc["params"][name]
+                data = np.array(spec["data"], dtype=np.float64)
+                if tuple(spec["shape"]) != shape or data.shape != (math.prod(shape),):
+                    raise ConfigError(f"checkpoint parameter {name!r} has shape "
+                                      f"{spec['shape']} and {data.size} values, expected {shape}")
+                if not np.all(np.isfinite(data)):
+                    raise ConfigError(f"checkpoint parameter {name!r} is not finite")
+                params[name] = data.reshape(shape)
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
         return cls(config, params)
+
+    @classmethod
+    def load(cls, path) -> "MicroNet":
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 # -- training ------------------------------------------------------------------

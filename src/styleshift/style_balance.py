@@ -247,22 +247,6 @@ def _sorted_mix(f_s: np.ndarray, f_s1: np.ndarray, f_s2: np.ndarray, lam: float)
     return out.reshape(f_s.shape), tau, kappa, eta
 
 
-def sb_transform(f_s, f_s1, f_s2, lam: float) -> np.ndarray:
-    """Restyle f_s as a sorted-value mix of the two carriers.
-
-    Values are lam*f_s1[kappa_i] + (1-lam)*f_s2[eta_i] placed at f_s's sorted
-    positions; f_s itself contributes value only through the ordering.
-    """
-    f_s = np.asarray(f_s, dtype=np.float64)
-    f_s1 = np.asarray(f_s1, dtype=np.float64)
-    f_s2 = np.asarray(f_s2, dtype=np.float64)
-    if f_s.shape != f_s1.shape or f_s.shape != f_s2.shape:
-        raise DimensionError(
-            f"shape mismatch: {f_s.shape}, {f_s1.shape}, {f_s2.shape}")
-    out, _, _, _ = _sorted_mix(f_s, f_s1, f_s2, lam)
-    return out
-
-
 def sb_apply_var(x: Var, moves: list[Move], frozen=None):
     """Apply a move plan to a feature batch with the stop-gradient contract.
 
@@ -361,12 +345,9 @@ def style_balance_batch(batch, meta: BatchMeta, rng: np.random.Generator,
     unchanged.
     """
     x = np.asarray(batch, dtype=np.float64)
-    styles = batch_style_vectors(x, eps_std)
-    plan = build_balance_plan(styles, meta, rng, lambda_shape)
-    out = x.copy()
-    for mv in plan.moves:
-        out[mv.sample] = sb_transform(x[mv.sample], x[mv.carrier1], x[mv.carrier2], mv.lam)
-    return out, plan
+    plan = build_balance_plan(batch_style_vectors(x, eps_std), meta, rng, lambda_shape)
+    out, _ = sb_apply_var(Var(x), plan.moves)
+    return out.value, plan
 
 
 def effective_counts(meta: BatchMeta, plan: MovePlan) -> np.ndarray:

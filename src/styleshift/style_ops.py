@@ -4,33 +4,22 @@ Five transforms are provided: stat renormalization (adain), stat mixing with
 a shuffled partner (mixstyle), Gaussian stat perturbation (dsu), and exact
 sorted-value matching / mixing (efdm / efdmix).
 
-Plain-array functions define the forward values. The ``*_var`` functions are
-the differentiable forms used as training hooks; sorting permutations are
-constants of the forward pass, and efdm routes gradient only through its
-content argument (value-identical straight-through).
+adain, efdm and efdmix act on plain arrays: adain renormalizes test-time
+features, and the 1-D efdm / efdmix are the reference definitions that the
+batched hooks are checked against. The training hooks ``mixstyle_var``,
+``dsu_var`` and ``efdmix_hook`` are the only implementations of their
+transforms; they return Vars, and ``.value`` is the forward result. Sorting
+permutations are constants of the forward pass.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import DimensionError, InsufficientBatchError
-from .tensor_core import (
-    EPS_STD,
-    ChannelStats,
-    as_feature_batch,
-    as_feature_map,
-    batch_channel_mean,
-    batch_channel_std,
-    channel_mean,
-    channel_std,
-)
-
-logger = logging.getLogger(__name__)
+from .tensor_core import EPS_STD, ChannelStats, as_feature_map, channel_mean, channel_std
 
 DEFAULT_LAMBDA_SHAPE = 0.1  # Beta(0.1, 0.1), heavily bimodal mixing weights
 
@@ -77,26 +66,13 @@ def adain(content, style_stats: ChannelStats, eps_std: float = EPS_STD) -> np.nd
 
 # -- mixstyle ----------------------------------------------------------------
 
-def mixstyle(batch, lambdas, partner, eps_std: float = EPS_STD) -> np.ndarray:
+def mixstyle_var(x: Var, lambdas, partner, eps_std: float = EPS_STD) -> Var:
     """Renormalize each sample to stats interpolated with its partner's.
 
     lambdas is one coefficient per sample; partner is a permutation of the
-    batch indices pairing each sample with a style donor.
+    batch indices pairing each sample with a style donor. Gradients flow
+    through the channel stats.
     """
-    x = as_feature_batch(batch)
-    b = x.shape[0]
-    lam = _check_lambda(lambdas).reshape(b, 1)
-    partner = _check_permutation(partner, b)
-    mu = batch_channel_mean(x)
-    sig = batch_channel_std(x, eps_std)
-    beta = lam * mu + (1.0 - lam) * mu[partner]
-    gamma = lam * sig + (1.0 - lam) * sig[partner]
-    normed = (x - mu[:, :, None, None]) / sig[:, :, None, None]
-    return gamma[:, :, None, None] * normed + beta[:, :, None, None]
-
-
-def mixstyle_var(x: Var, lambdas, partner, eps_std: float = EPS_STD) -> Var:
-    """Differentiable mixstyle; gradients flow through the channel stats."""
     b = x.value.shape[0]
     lam = _check_lambda(lambdas).reshape(b, 1, 1, 1)
     partner = _check_permutation(partner, b)
@@ -109,38 +85,10 @@ def mixstyle_var(x: Var, lambdas, partner, eps_std: float = EPS_STD) -> Var:
 
 # -- dsu ---------------------------------------------------------------------
 
-def _dsu_noise(rng: np.random.Generator, b: int, c: int):
-    return rng.standard_normal((b, c)), rng.standard_normal((b, c))
-
-
-def dsu(batch, rng: np.random.Generator | None, eps_std: float = EPS_STD,
-        noise=None) -> np.ndarray:
-    """Perturb each sample's stats with Gaussian noise scaled by the batch
-    spread of those stats. ``noise`` overrides the rng draws (test hook)."""
-    x = as_feature_batch(batch)
-    b, c = x.shape[0], x.shape[1]
-    if b < 2:
-        raise InsufficientBatchError("dsu needs a batch of at least 2 samples")
-    mu = batch_channel_mean(x)
-    sig = batch_channel_std(x, eps_std)
-    spread_mu = mu.std(axis=0)
-    spread_sig = sig.std(axis=0)
-    if noise is None:
-        eps_mu, eps_sig = _dsu_noise(rng, b, c)
-    else:
-        eps_mu, eps_sig = (np.asarray(n, dtype=np.float64) for n in noise)
-    beta = mu + eps_mu * spread_mu
-    gamma = sig + eps_sig * spread_sig
-    clamped = gamma < eps_std
-    if np.any(clamped):
-        logger.warning("dsu: clamped %d gamma entries at eps_std", int(clamped.sum()))
-        gamma = np.maximum(gamma, eps_std)
-    normed = (x - mu[:, :, None, None]) / sig[:, :, None, None]
-    return gamma[:, :, None, None] * normed + beta[:, :, None, None]
-
-
 def dsu_var(x: Var, eps_mu, eps_sig, eps_std: float = EPS_STD) -> Var:
-    """Differentiable dsu with explicit noise draws."""
+    """Perturb each sample's channel stats with the Gaussian draws eps_mu /
+    eps_sig (each (B, C)) scaled by the batch spread of those stats; the
+    perturbed std is floored at eps_std."""
     b, c = x.value.shape[0], x.value.shape[1]
     if b < 2:
         raise InsufficientBatchError("dsu needs a batch of at least 2 samples")
@@ -189,28 +137,6 @@ def efdmix(x, y, lam: float) -> np.ndarray:
     out = np.empty_like(x)
     out[tau] = lam * x[tau] + (1.0 - lam) * y[kappa]
     return out
-
-
-def efdm_var(x: Var, y: Var) -> Var:
-    """efdm with straight-through gradient: identity to x, none to y."""
-    out = efdm(x.value, y.value)
-    return Var(out, (x, y), lambda g: (g.copy(), None))
-
-
-def efdmix_var(x: Var, y: Var, lam: float) -> Var:
-    """efdmix with gradient lam to x (own positions) and 1-lam to y (matched)."""
-    xv, yv = x.value, y.value
-    tau = sort_permutation(xv)
-    kappa = sort_permutation(yv)
-    out = np.empty_like(xv)
-    out[tau] = lam * xv[tau] + (1.0 - lam) * yv[kappa]
-
-    def vjp(g):
-        dy = np.zeros_like(yv)
-        dy[kappa] = (1.0 - lam) * g[tau]
-        return (lam * g, dy)
-
-    return Var(out, (x, y), vjp)
 
 
 def efdmix_hook(x: Var, partner, lambdas, frozen=None):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptySetError
+from .errors import DimensionError
 
 EPS_STD = 1e-6
 
@@ -95,31 +95,6 @@ def style_vector_to_stats(phi) -> ChannelStats:
         raise DimensionError(f"style vector length must be even, got {phi.shape[0]}")
     c = phi.shape[0] // 2
     return ChannelStats(mu=phi[:c], sigma=phi[c:])
-
-
-def style_distance(a, b) -> float:
-    """Euclidean distance between two style vectors of equal length."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise DimensionError(f"style vector length mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def mean_style(samples) -> np.ndarray:
-    """Element-wise arithmetic mean of a non-empty list of style vectors."""
-    vectors = [np.asarray(s, dtype=np.float64).reshape(-1) for s in samples]
-    if not vectors:
-        raise EmptySetError("mean_style over an empty set")
-    length = vectors[0].shape[0]
-    for v in vectors[1:]:
-        if v.shape[0] != length:
-            raise DimensionError(f"style vector length mismatch: {v.shape[0]} vs {length}")
-    # Fixed left-to-right accumulation keeps parallel callers bit-reproducible.
-    acc = np.zeros(length, dtype=np.float64)
-    for v in vectors:
-        acc += v
-    return acc / len(vectors)
 
 
 def batch_channel_mean(x) -> np.ndarray:

@@ -281,16 +281,22 @@ def registry_to_dict(reg: DomainRegistry) -> dict:
 
 
 def registry_from_dict(doc: dict) -> DomainRegistry:
-    centroids = np.array([d["mu"] + d["sigma"] for d in doc["domains"]], dtype=np.float64)
-    global_phi = np.array(doc["global"]["mu"] + doc["global"]["sigma"], dtype=np.float64)
-    return DomainRegistry(
-        layer=doc["layer"],
-        names=tuple(d["name"] for d in doc["domains"]),
-        centroids=centroids,
-        global_phi=global_phi,
-        spread=float(doc["spread"]),
-        alpha_default=float(doc["alpha"]),
-    )
+    try:
+        entries = [*doc["domains"], doc["global"]]
+        if len({len(e[key]) for e in entries for key in ("mu", "sigma")}) != 1:
+            raise ConfigError("registry mu/sigma lists differ in length")
+        return DomainRegistry(
+            layer=doc["layer"],
+            names=tuple(d["name"] for d in doc["domains"]),
+            centroids=np.array([d["mu"] + d["sigma"] for d in doc["domains"]],
+                               dtype=np.float64),
+            global_phi=np.array(doc["global"]["mu"] + doc["global"]["sigma"],
+                                dtype=np.float64),
+            spread=float(doc["spread"]),
+            alpha_default=float(doc["alpha"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed registry ({type(exc).__name__}: {exc})") from exc
 
 
 def save_registry(reg: DomainRegistry, path) -> None:

@@ -203,27 +203,60 @@ def test_eval_alpha_zero_matches_shift_all(tmp_path):
     assert run(tmp_path, "eval", "--checkpoint", "ckpt.json", "--registry", "reg.json",
                "--mode", "proposed", "--alpha", "0.0", "--dataset", "data",
                "--out-csv", "z.csv", "--method-label", "m") == 0
-    assert run(tmp_path, "eval", "--checkpoint", "ckpt.json", "--registry", "reg.json",
-               "--mode", "shift-all", "--dataset", "data",
-               "--out-csv", "s.csv", "--method-label", "m") == 0
     za = [(r["target"], r["accuracy"]) for r in read_rows(tmp_path / "z.csv")]
-    sa = [(r["target"], r["accuracy"]) for r in read_rows(tmp_path / "s.csv")]
-    assert za == sa
+    for mode in ("shift-all", "shift_all"):
+        assert run(tmp_path, "eval", "--checkpoint", "ckpt.json", "--registry", "reg.json",
+                   "--mode", mode, "--dataset", "data",
+                   "--out-csv", f"{mode}.csv", "--method-label", "m") == 0
+        sa = [(r["target"], r["accuracy"]) for r in read_rows(tmp_path / f"{mode}.csv")]
+        assert za == sa
 
 
 def test_eval_nearest_sample_mode_runs(tmp_path):
     _eval_setup(tmp_path)
-    assert run(tmp_path, "eval", "--checkpoint", "ckpt.json", "--registry", "reg.json",
-               "--mode", "nearest-sample", "--alpha", "0.0", "--dataset", "data",
-               "--out-csv", "n.csv", "--pool-size", "5", "--seed", "1") == 0
-    rows = read_rows(tmp_path / "n.csv")
-    assert all(float(r["shift_rate"]) >= 0.99 for r in rows)
+    for mode in ("nearest-sample", "nearest_sample"):
+        assert run(tmp_path, "eval", "--checkpoint", "ckpt.json", "--registry", "reg.json",
+                   "--mode", mode, "--alpha", "0.0", "--dataset", "data",
+                   "--out-csv", f"{mode}.csv", "--pool-size", "5", "--seed", "1") == 0
+        rows = read_rows(tmp_path / f"{mode}.csv")
+        assert all(float(r["shift_rate"]) >= 0.99 for r in rows)
 
 
 def test_eval_bad_mode_exits_2(tmp_path):
     _eval_setup(tmp_path)
     assert run(tmp_path, "eval", "--checkpoint", "ckpt.json", "--registry", "reg.json",
                "--mode", "sideways", "--dataset", "data", "--out-csv", "x.csv") == 2
+
+
+@pytest.mark.parametrize("corruption", ["missing_param", "wrong_shape", "nan"])
+def test_eval_corrupt_checkpoint_exits_2(tmp_path, corruption):
+    _eval_setup(tmp_path)
+    doc = json.loads((tmp_path / "ckpt.json").read_text())
+    params = doc["params"]
+    if corruption == "missing_param":
+        del params["head_b"]
+    elif corruption == "wrong_shape":  # same number of values, transposed shape
+        params["head_w"]["shape"].reverse()
+    else:
+        params["head_w"]["data"][0] = float("nan")
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    assert run(tmp_path, "eval", "--checkpoint", "bad.json", "--registry", "reg.json",
+               "--mode", "off", "--dataset", "data", "--out-csv", "x.csv") == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("corruption", ["missing_key", "ragged_mu"])
+def test_eval_malformed_registry_exits_2(tmp_path, corruption):
+    _eval_setup(tmp_path)
+    doc = json.loads((tmp_path / "reg.json").read_text())
+    if corruption == "missing_key":
+        del doc["spread"]
+    else:
+        doc["domains"][0]["mu"].pop()
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    assert run(tmp_path, "eval", "--checkpoint", "ckpt.json", "--registry", "bad.json",
+               "--mode", "proposed", "--dataset", "data", "--out-csv", "x.csv") == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 # -- sweep / report ----------------------------------------------------------------

@@ -8,7 +8,7 @@ from styleshift import style_balance as sb
 from styleshift import style_ops as so
 from styleshift import tensor_core as tc
 from styleshift.autodiff import Var
-from styleshift.errors import CarrierUnavailableError, DimensionError, StyleShiftError
+from styleshift.errors import CarrierUnavailableError, StyleShiftError
 
 RNG = lambda seed: np.random.Generator(np.random.PCG64(seed))
 
@@ -204,18 +204,25 @@ def test_pick_style_carriers_uniform_over_pairs():
         assert abs(count / draws - 1 / 6) < 0.02
 
 
-# -- sb_transform -----------------------------------------------------------------
+# -- the SB transform (sb_apply_var) --------------------------------------------
+
+def _restyle(f, f1, f2, lam):
+    """Forward value of sample f after one move with carriers f1 and f2."""
+    move = sb.Move(sample=0, src=0, dst=1, cls=0, lam=lam, carrier1=1, carrier2=2)
+    out, _ = sb.sb_apply_var(Var(np.stack([f, f1, f2])), [move])
+    return out.value[0]
+
 
 def test_sb_transform_identity_carriers():
     rng = RNG(9)
     f = rng.normal(size=(2, 3, 3))
-    np.testing.assert_allclose(sb.sb_transform(f, f, f, 0.37), f, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(_restyle(f, f, f, 0.37), f, rtol=1e-12, atol=1e-12)
 
 
 def test_sb_transform_lambda_one_is_efdm():
     rng = RNG(10)
     f, f1, f2 = rng.normal(size=(3, 2, 3, 3))
-    out = sb.sb_transform(f, f1, f2, 1.0)
+    out = _restyle(f, f1, f2, 1.0)
     for c in range(2):
         np.testing.assert_array_equal(out[c].ravel(),
                                       so.efdm(f[c].ravel(), f1[c].ravel()))
@@ -225,13 +232,8 @@ def test_sb_transform_hand_case():
     f = np.array([[[3.0, 1.0, 2.0]]])
     f1 = np.array([[[10.0, 30.0, 20.0]]])
     f2 = np.array([[[100.0, 300.0, 200.0]]])
-    out = sb.sb_transform(f, f1, f2, 0.5)
+    out = _restyle(f, f1, f2, 0.5)
     np.testing.assert_allclose(out.ravel(), [165.0, 55.0, 110.0])
-
-
-def test_sb_transform_shape_mismatch():
-    with pytest.raises(DimensionError):
-        sb.sb_transform(np.ones((1, 2, 2)), np.ones((1, 2, 2)), np.ones((1, 3, 3)), 0.5)
 
 
 def test_sb_transform_gradient_contract():
@@ -350,7 +352,7 @@ def test_style_balance_stats_transplant():
 def test_style_balance_pure_efdm_case_stats():
     rng = RNG(22)
     x = rng.normal(size=(4, 2, 3, 3))
-    out = sb.sb_transform(x[0], x[2], x[2], 0.7)
+    out = _restyle(x[0], x[2], x[2], 0.7)
     np.testing.assert_allclose(tc.style_vector(out), tc.style_vector(x[2]), atol=1e-6)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from styleshift import tensor_core as tc
-from styleshift.errors import DimensionError, EmptySetError
+from styleshift.errors import DimensionError
 
 SQRT_1_25 = np.sqrt(1.25)  # population std of [1,2,3,4]
 
@@ -61,64 +61,6 @@ def test_style_vector_length_is_2c():
     rng = np.random.Generator(np.random.PCG64(1))
     for c in (1, 3, 8):
         assert tc.style_vector(rng.normal(size=(c, 4, 4))).shape == (2 * c,)
-
-
-def test_style_distance_identity():
-    v = np.array([1.0, 2.0, 3.0])
-    assert tc.style_distance(v, v) == 0.0
-
-
-def test_style_distance_345():
-    assert tc.style_distance([0.0, 1.0], [3.0, 5.0]) == pytest.approx(5.0)
-
-
-def test_style_distance_symmetric():
-    rng = np.random.Generator(np.random.PCG64(2))
-    a, b = rng.normal(size=(2, 6))
-    assert tc.style_distance(a, b) == tc.style_distance(b, a)
-
-
-def test_style_distance_length_mismatch():
-    with pytest.raises(DimensionError):
-        tc.style_distance([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_style_distance_triangle_inequality():
-    rng = np.random.Generator(np.random.PCG64(3))
-    for _ in range(200):
-        a, b, c = rng.normal(size=(3, 5))
-        assert tc.style_distance(a, c) <= tc.style_distance(a, b) + tc.style_distance(b, c) + 1e-12
-
-
-def test_mean_style_single_element():
-    v = np.array([4.0, 5.0])
-    np.testing.assert_allclose(tc.mean_style([v]), v)
-
-
-def test_mean_style_midpoint():
-    np.testing.assert_allclose(tc.mean_style([[0.0, 0.0], [2.0, 4.0]]), [1.0, 2.0])
-
-
-def test_mean_style_permutation_invariant():
-    rng = np.random.Generator(np.random.PCG64(4))
-    vs = [rng.normal(size=4) for _ in range(7)]
-    ref = tc.mean_style(vs)
-    perm = [vs[i] for i in rng.permutation(7)]
-    np.testing.assert_allclose(tc.mean_style(perm), ref)
-
-
-def test_mean_style_empty_set():
-    with pytest.raises(EmptySetError):
-        tc.mean_style([])
-
-
-def test_mean_style_of_disjoint_union():
-    rng = np.random.Generator(np.random.PCG64(5))
-    a = [rng.normal(size=3) for _ in range(4)]
-    b = [rng.normal(size=3) for _ in range(4)]
-    union = tc.mean_style(a + b)
-    of_means = tc.mean_style([tc.mean_style(a), tc.mean_style(b)])
-    np.testing.assert_allclose(union, of_means, atol=1e-12)
 
 
 def test_channel_mean_affine_equivariance():
