@@ -174,7 +174,7 @@ def sum_axes(a, axes, keepdims: bool = True) -> Var:
 def relu(a) -> Var:
     a = as_var(a)
     mask = a.value > 0
-    return Var(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
+    return Var(np.maximum(a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
 def clamp_min(a, floor: float) -> Var:
@@ -206,16 +206,22 @@ def reshape(a, shape) -> Var:
 # -- network layers -------------------------------------------------------
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    b, c = xp.shape[0], xp.shape[1]
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=np.float64)
+    """Channel-major padded input (Cin, B, Hp, Wp) -> patch matrix (Cin*kh*kw, B*OH*OW)."""
+    c, b = xp.shape[0], xp.shape[1]
+    cols = np.empty((c, kh, kw, b, oh, ow), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols
+            cols[:, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(c * kh * kw, b * oh * ow)
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
-    """2-D convolution, NCHW layout, square stride/pad."""
+    """2-D convolution, NCHW layout, square stride/pad.
+
+    The input is padded into a channel-major buffer so that the forward, the
+    weight gradient and the patch gradient are each one 2-D GEMM over the
+    (Cin*kh*kw, B*OH*OW) patch matrix.
+    """
     x, w, b = as_var(x), as_var(w), as_var(b)
     bs, cin, h, wd = x.value.shape
     cout, cin_w, kh, kw = w.value.shape
@@ -223,23 +229,25 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
         raise ValueError(f"conv channel mismatch: input {cin}, weight {cin_w}")
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
-    xp = np.pad(x.value, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    padded = (cin, bs, h + 2 * pad, wd + 2 * pad)
+    xp = np.zeros(padded)
+    xp[:, :, pad:pad + h, pad:pad + wd] = x.value.transpose(1, 0, 2, 3)
     cols = _im2col(xp, kh, kw, stride, oh, ow)
-    cols2 = cols.reshape(bs, cin * kh * kw, oh * ow)
     w2 = w.value.reshape(cout, cin * kh * kw)
-    out = np.matmul(w2[None], cols2).reshape(bs, cout, oh, ow) + b.value[None, :, None, None]
+    y = w2 @ cols
+    y += b.value[:, None]
+    out = np.ascontiguousarray(y.reshape(cout, bs, oh, ow).transpose(1, 0, 2, 3))
 
     def vjp(g):
-        g2 = g.reshape(bs, cout, oh * ow)
-        dw = np.einsum("bop,bfp->of", g2, cols2).reshape(w.value.shape)
+        g2 = g.transpose(1, 0, 2, 3).reshape(cout, bs * oh * ow)
+        dw = (g2 @ cols.T).reshape(w.value.shape)
         db = g.sum(axis=(0, 2, 3))
-        dcols2 = np.matmul(w2.T[None], g2)
-        dcols = dcols2.reshape(bs, cin, kh, kw, oh, ow)
-        dxp = np.zeros_like(xp)
+        dcols = (w2.T @ g2).reshape(cin, kh, kw, bs, oh, ow)
+        dxp = np.zeros(padded)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, i, j]
-        dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
+                dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
+        dx = np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3))
         return (dx, dw, db)
 
     return Var(out, (x, w, b), vjp)
@@ -248,13 +256,20 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
 def avg_pool2(x) -> Var:
     """2x2 average pooling; spatial dims must be even."""
     x = as_var(x)
-    b, c, h, w = x.value.shape
+    v = x.value
+    h, w = v.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool2 needs even spatial dims, got {h}x{w}")
-    out = x.value.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    out = (v[:, :, 0::2, 0::2] + v[:, :, 0::2, 1::2]
+           + v[:, :, 1::2, 0::2] + v[:, :, 1::2, 1::2]) * 0.25
 
     def vjp(g):
-        return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0,)
+        quarter = g * 0.25
+        dx = np.empty_like(v)
+        for i in (0, 1):
+            for j in (0, 1):
+                dx[:, :, i::2, j::2] = quarter
+        return (dx,)
 
     return Var(out, (x,), vjp)
 

@@ -34,4 +34,4 @@ class PnmParseError(StyleShiftError, ValueError):
 
 
 class DivergenceError(StyleShiftError, RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training or evaluation produced non-finite values."""

@@ -479,7 +479,8 @@ def evaluate(net: MicroNet, images, class_labels, domain_labels,
              rng: np.random.Generator | None = None,
              batch_size: int = 128) -> EvalResult:
     """Top-1 accuracy and shift rate per domain, with the shifter at the
-    registry's layer when a mode other than off is requested."""
+    registry's layer when a mode other than off is requested. Non-finite
+    logits raise ``DivergenceError`` instead of being scored."""
     x = np.asarray(images, dtype=np.float64)
     y = np.asarray(class_labels, dtype=np.intp)
     doms = np.asarray(domain_labels, dtype=np.intp)
@@ -502,6 +503,9 @@ def evaluate(net: MicroNet, images, class_labels, domain_labels,
             ts_op = TsHookOp(registry, alpha, mode, sample_pool, rng)
             ops.append((registry.layer, ts_op))
         res = net.forward(x[sl], ops)
+        if not np.all(np.isfinite(res.logits.value)):
+            raise DivergenceError(f"non-finite logits in the evaluation batch "
+                                  f"starting at sample {start}")
         preds = res.logits.value.argmax(axis=1)
         for i, (p, truth, dom) in enumerate(zip(preds, y[sl], doms[sl])):
             rec = stats[int(dom)]

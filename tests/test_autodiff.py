@@ -1,0 +1,140 @@
+"""Reference tests for the autodiff conv, pool and relu layers.
+
+Each op is checked against a direct implementation written for clarity, not
+speed: a nested-loop convolution, a reshape-mean pool and ``max(x, 0)``.
+Shapes are drawn with hypothesis so strided, unpadded, odd-sized and
+multi-channel cases are covered, not only the network's 3x3/stride-1/pad-1.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from styleshift import autodiff as ad
+from styleshift.autodiff import Var
+
+from helpers import fd_grad, rel_err, weighted_sum
+
+RNG = lambda seed: np.random.Generator(np.random.PCG64(seed))
+
+
+def conv_reference(x, w, b, stride, pad):
+    """Direct NCHW convolution: one dot product per output element."""
+    bs, _, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (wd + 2 * pad - kw) // stride + 1
+    out = np.empty((bs, cout, oh, ow))
+    for n in range(bs):
+        for o in range(cout):
+            for i in range(oh):
+                for j in range(ow):
+                    patch = xp[n, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                    out[n, o, i, j] = np.sum(patch * w[o]) + b[o]
+    return out
+
+
+@st.composite
+def conv_cases(draw):
+    stride = draw(st.sampled_from([1, 2]))
+    pad = draw(st.sampled_from([0, 1]))
+    k = draw(st.sampled_from([1, 3]))
+    cin = draw(st.sampled_from([1, 3]))
+    cout = draw(st.integers(1, 3))
+    batch = draw(st.sampled_from([1, 2, 3]))
+    h = draw(st.integers(max(k - 2 * pad, 1), 7))
+    wd = draw(st.integers(max(k - 2 * pad, 1), 7))
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(batch, cin, h, wd))
+    w = rng.normal(size=(cout, cin, k, k))
+    b = rng.normal(size=cout)
+    return x, w, b, stride, pad, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(conv_cases())
+def test_conv2d_forward_matches_nested_loops(case):
+    x, w, b, stride, pad, _ = case
+    out = ad.conv2d(Var(x), Var(w), Var(b), stride=stride, pad=pad).value
+    np.testing.assert_allclose(out, conv_reference(x, w, b, stride, pad),
+                               rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(conv_cases())
+def test_conv2d_gradients_match_finite_differences(case):
+    x, w, b, stride, pad, rng = case
+    probe = rng.normal(size=conv_reference(x, w, b, stride, pad).shape)
+    xv, wv, bv = Var(x), Var(w), Var(b)
+    weighted_sum(ad.conv2d(xv, wv, bv, stride=stride, pad=pad), probe).backward()
+
+    def loss(xx, ww, bb):
+        return float(np.sum(probe * conv_reference(xx, ww, bb, stride, pad)))
+
+    # the loss is linear in each argument, so central differences have no
+    # truncation error and a large step keeps rounding noise far below 1e-4
+    step = 1e-2
+    assert rel_err(xv.grad, fd_grad(lambda v: loss(v, w, b), x.copy(), step)) <= 1e-4
+    assert rel_err(wv.grad, fd_grad(lambda v: loss(x, v, b), w.copy(), step)) <= 1e-4
+    assert rel_err(bv.grad, fd_grad(lambda v: loss(x, w, v), b.copy(), step)) <= 1e-4
+
+
+def test_conv2d_rejects_channel_mismatch():
+    with pytest.raises(ValueError):
+        ad.conv2d(Var(np.zeros((1, 2, 4, 4))), Var(np.zeros((1, 3, 3, 3))), Var(np.zeros(1)))
+
+
+def pool_reference(x):
+    b, c, h, w = x.shape
+    return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+
+even = st.integers(1, 4).map(lambda n: 2 * n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), even, even, st.integers(0, 2**32 - 1))
+def test_avg_pool2_matches_reshape_mean_and_its_adjoint(batch, ch, h, w, seed):
+    rng = RNG(seed)
+    x = rng.uniform(-1.0, 1.0, size=(batch, ch, h, w))
+    xv = Var(x)
+    out = ad.avg_pool2(xv)
+    assert np.max(np.abs(out.value - pool_reference(x))) <= 1e-15
+    # the backward is the exact adjoint: <pool(x), g> = <x, pool*(g)>
+    g = rng.uniform(-1.0, 1.0, size=out.shape)
+    out.backward(seed=g)
+    lhs, rhs = np.sum(out.value * g), np.sum(x * xv.grad)
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(x * xv.grad))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3, 4), (2, 1, 4, 5), (1, 2, 5, 5)])
+def test_avg_pool2_rejects_odd_sizes(shape):
+    with pytest.raises(ValueError):
+        ad.avg_pool2(Var(np.zeros(shape)))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 6)), elements=finite))
+def test_relu_forward_is_max_with_zero(x):
+    np.testing.assert_array_equal(ad.relu(Var(x)).value, np.maximum(x, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 6)), elements=finite))
+def test_relu_gradient_is_zero_at_nonpositive_inputs(x):
+    xv = Var(x)
+    g = np.arange(1.0, x.size + 1.0).reshape(x.shape)
+    ad.relu(xv).backward(seed=g)
+    np.testing.assert_array_equal(xv.grad, np.where(x > 0, g, 0.0))
+
+
+def test_relu_gradient_at_exact_zero():
+    xv = Var(np.array([-1.0, -0.0, 0.0, 1e-300, 2.0]))
+    ad.relu(xv).backward(seed=np.ones(5))
+    np.testing.assert_array_equal(xv.grad, [0.0, 0.0, 0.0, 1.0, 1.0])

@@ -245,6 +245,24 @@ def test_eval_corrupt_checkpoint_exits_2(tmp_path, corruption):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_eval_overflowing_logits_exit_3(tmp_path):
+    """A finite checkpoint whose head overflows to ±inf logits is a runtime
+    error, not a set of predictions (argmax would pick the first inf)."""
+    _eval_setup(tmp_path)
+    doc = json.loads((tmp_path / "ckpt.json").read_text())
+    params = doc["params"]
+    params["conv1_b"]["data"] = [1e3] * len(params["conv1_b"]["data"])
+    n_classes = params["head_w"]["shape"][1]
+    params["head_w"]["data"] = [1e308 if i % n_classes == 0 else -1e308
+                                for i in range(len(params["head_w"]["data"]))]
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(tmp_path, "eval", "--checkpoint", "big.json", "--registry", "reg.json",
+                   "--mode", "off", "--dataset", "data", "--out-csv", "x.csv")
+    assert code == 3
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("corruption", ["missing_key", "ragged_mu"])
 def test_eval_malformed_registry_exits_2(tmp_path, corruption):
     _eval_setup(tmp_path)

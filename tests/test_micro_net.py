@@ -126,6 +126,22 @@ def test_finite_difference_bare_network():
     assert mn.finite_difference_check(net, x, y, n_coords=120, seed=0) < 1e-4
 
 
+def test_strided_block_forward_and_finite_difference():
+    # 13 -> 7 (stride 2, no pool) -> 4 (stride 2) -> 2 (pool)
+    cfg = mn.NetConfig(in_channels=2, image_size=13,
+                       blocks=(mn.BlockSpec(3, stride=2, pool=False),
+                               mn.BlockSpec(4, stride=2)), n_classes=3)
+    net = mn.MicroNet.init(cfg, seed=40)
+    x = RNG(41).normal(size=(5, 2, 13, 13))
+    y = RNG(42).integers(0, 3, size=5)
+    res = net.forward(x)
+    assert res.hook_inputs["block1"].shape == (5, 3, 7, 7)
+    assert res.hook_inputs["block2"].shape == (5, 4, 2, 2)
+    assert res.logits.shape == (5, 3)
+    assert np.all(np.isfinite(res.logits.value))
+    assert mn.finite_difference_check(net, x, y, n_coords=120, seed=4) < 1e-4
+
+
 def test_finite_difference_with_sb_hook():
     net = mn.MicroNet.init(TINY, seed=13)
     rng = RNG(14)
