@@ -3,8 +3,9 @@
 Just enough machinery for a small convolutional classifier and the
 differentiable style transforms that hook into it: elementwise arithmetic
 with broadcasting, axis reductions, conv/pool/linear layers and a fused
-softmax cross-entropy. Gradients accumulate on leaf variables after calling
-``backward`` on a scalar.
+softmax cross-entropy. Gradients accumulate on leaf variables (those without
+a vjp) after calling ``backward`` on a scalar; intermediate gradients are not
+kept.
 """
 
 from __future__ import annotations
@@ -56,11 +57,8 @@ class Var:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.grad is None:
-                node.grad = g.copy()
-            else:
-                node.grad = node.grad + g
-            if node._vjp is None:
+            if node._vjp is None:  # a leaf: the only nodes that keep .grad
+                node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None:
@@ -220,8 +218,10 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
 
     The input is padded into a channel-major buffer so that the forward, the
     weight gradient and the patch gradient are each one 2-D GEMM over the
-    (Cin*kh*kw, B*OH*OW) patch matrix.
+    (Cin*kh*kw, B*OH*OW) patch matrix. An input that is not a Var is a
+    constant: the backward forms no gradient for it.
     """
+    needs_dx = isinstance(x, Var)
     x, w, b = as_var(x), as_var(w), as_var(b)
     bs, cin, h, wd = x.value.shape
     cout, cin_w, kh, kw = w.value.shape
@@ -242,6 +242,8 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
         g2 = g.transpose(1, 0, 2, 3).reshape(cout, bs * oh * ow)
         dw = (g2 @ cols.T).reshape(w.value.shape)
         db = g.sum(axis=(0, 2, 3))
+        if not needs_dx:
+            return (None, dw, db)
         dcols = (w2.T @ g2).reshape(cin, kh, kw, bs, oh, ow)
         dxp = np.zeros(padded)
         for i in range(kh):

@@ -417,12 +417,13 @@ def read_pnm(path) -> np.ndarray:
 
     def token() -> bytes:
         nonlocal pos
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
+        while True:  # skip whitespace and comment lines
+            while pos < len(data) and data[pos:pos + 1].isspace():
+                pos += 1
+            if data[pos:pos + 1] != b"#":
+                break
             while pos < len(data) and data[pos] != 0x0A:
                 pos += 1
-            return token()
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
@@ -436,12 +437,15 @@ def read_pnm(path) -> np.ndarray:
     try:
         width = int(token())
         height = int(token())
+        size_end = pos
         maxval = int(token())
     except ValueError:
         raise PnmParseError("non-numeric header field", pos) from None
+    if width < 1 or height < 1:
+        raise PnmParseError(f"image size must be positive, got {width}x{height}", size_end)
     if maxval != 255:
         raise PnmParseError(f"unsupported maxval {maxval}", pos)
-    pos += 1  # single whitespace byte after maxval
+    pos = min(pos + 1, len(data))  # single whitespace byte after maxval
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
     body = data[pos:pos + need]

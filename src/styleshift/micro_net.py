@@ -6,10 +6,11 @@ channel statistics observed at the hooks are unconfounded. Style transforms
 attach at hooks during training (balancing first, then augmentation); the
 test-time shifter attaches at one hook during evaluation.
 
-Gradients come from the package's reverse-mode engine. Hook operations record
-the randomness and sorting permutations they used, and can be replayed with
-that state frozen; finite-difference checks difference the replayed forward,
-which is the function the stop-gradient contracts differentiate.
+Gradients come from the package's reverse-mode engine. A hook operation fixes
+its randomness when it is drawn and records its plan and sorting permutations
+on its first call; every later call replays that state. Finite-difference
+checks difference those later calls, which are the function the
+stop-gradient contracts differentiate.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class TrainConfig:
 # -- hook operations ---------------------------------------------------------
 
 class SbHookOp:
-    """Style balancing at one hook; keeps the executed plan for audit."""
+    """Style balancing at one hook; keeps the executed plan for audit. The
+    first call plans and records its permutations; later calls replay them."""
 
     kind = "sb"
 
@@ -139,23 +141,15 @@ class SbHookOp:
         self.eps_std = eps_std
         self.plan: MovePlan | None = None
         self._state = None
-        self._frozen = False
 
     def __call__(self, v: Var) -> Var:
-        if self._frozen:
-            out, _ = sb_apply_var(v, self.plan.moves, frozen=self._state)
-            return out
-        styles = batch_style_vectors(v.value, self.eps_std)
-        self.plan = build_balance_plan(styles, self.meta, self.rng, self.lambda_shape)
-        out, self._state = sb_apply_var(v, self.plan.moves)
+        if self.plan is None:
+            styles = batch_style_vectors(v.value, self.eps_std)
+            self.plan = build_balance_plan(styles, self.meta, self.rng, self.lambda_shape)
+        out, state = sb_apply_var(v, self.plan.moves, frozen=self._state)
+        if self._state is None:
+            self._state = state
         return out
-
-    def replay(self) -> "SbHookOp":
-        clone = SbHookOp(self.meta, self.rng, self.lambda_shape, self.eps_std)
-        clone.plan = self.plan
-        clone._state = self._state
-        clone._frozen = True
-        return clone
 
 
 class MixstyleHookOp:
@@ -175,9 +169,6 @@ class MixstyleHookOp:
     def __call__(self, v: Var) -> Var:
         return mixstyle_var(v, self.lambdas, self.perm, self.eps_std)
 
-    def replay(self) -> "MixstyleHookOp":
-        return self  # fully determined by the recorded draws
-
 
 class DsuHookOp:
     kind = "dsu"
@@ -195,9 +186,6 @@ class DsuHookOp:
 
     def __call__(self, v: Var) -> Var:
         return dsu_var(v, self.eps_mu, self.eps_sig, self.eps_std)
-
-    def replay(self) -> "DsuHookOp":
-        return self
 
 
 class EfdmixHookOp:
@@ -218,11 +206,6 @@ class EfdmixHookOp:
         if self._state is None:
             self._state = state
         return out
-
-    def replay(self) -> "EfdmixHookOp":
-        clone = EfdmixHookOp(self.perm, self.lambdas)
-        clone._state = self._state
-        return clone
 
 
 class TsHookOp:
@@ -288,8 +271,9 @@ class MicroNet:
     def forward(self, x, hook_ops=None, from_hook: str | None = None) -> ForwardResult:
         """Run the network, applying hook operations in their listed order.
 
-        ``from_hook`` treats x as the raw hook input at that point and runs
-        only the remainder of the network (used by gradient checks).
+        Images enter as a constant, so no gradient is formed for them unless
+        x is a Var. ``from_hook`` treats x as the raw hook input at that point
+        and runs only the remainder of the network (used by gradient checks).
         """
         by_hook: dict[str, list] = {}
         for name, op in hook_ops or []:
@@ -297,7 +281,7 @@ class MicroNet:
                 raise ConfigError(f"unknown hook {name!r}")
             by_hook.setdefault(name, []).append(op)
         pv = {name: Var(val) for name, val in self.params.items()}
-        h = x if isinstance(x, Var) else Var(np.asarray(x, dtype=np.float64))
+        h = x if from_hook is None else ad.as_var(x)
         hook_inputs: dict[str, Var] = {}
         started = from_hook is None
         for i, blk in enumerate(self.config.blocks):
@@ -362,7 +346,9 @@ class MicroNet:
                 if not np.all(np.isfinite(data)):
                     raise ConfigError(f"checkpoint parameter {name!r} is not finite")
                 params[name] = data.reshape(shape)
-        except (KeyError, TypeError) as exc:
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
         return cls(config, params)
 
@@ -522,9 +508,10 @@ def finite_difference_check(net: MicroNet, x, y, hook_ops=None, n_coords: int = 
                             step: float = 1e-5, seed: int = 0) -> float:
     """Max relative error between backprop gradients and central differences.
 
-    The recorded hook operations are replayed with their randomness, sorting
-    permutations and detached copies frozen, so the differenced function is
-    exactly the one the gradients are defined against.
+    The hook operations record their state on the first forward pass, so
+    every perturbed pass replays their randomness, sorting permutations and
+    detached copies: the differenced function is exactly the one the
+    gradients are defined against.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
@@ -533,10 +520,9 @@ def finite_difference_check(net: MicroNet, x, y, hook_ops=None, n_coords: int = 
     loss = ad.softmax_cross_entropy(res.logits, y)
     loss.backward()
     grads = {name: res.param_vars[name].grad for name in net.params}
-    replay_ops = [(h, op.replay()) for h, op in hook_ops]
 
     def loss_at() -> float:
-        r = net.forward(x, replay_ops)
+        r = net.forward(x, hook_ops)
         return float(ad.softmax_cross_entropy(r.logits, y).value)
 
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -231,44 +231,28 @@ def _place_mix(f1: np.ndarray, f2: np.ndarray, lam: float, tau, kappa, eta) -> n
     return out
 
 
-def _sorted_mix(f_s: np.ndarray, f_s1: np.ndarray, f_s2: np.ndarray, lam: float):
-    """Channel-wise mixed carrier values placed at f_s's sort positions.
-
-    Returns (out, tau, kappa, eta) with each permutation of shape (C, H*W).
-    """
-    c = f_s.shape[0]
-    fs = f_s.reshape(c, -1)
-    f1 = f_s1.reshape(c, -1)
-    f2 = f_s2.reshape(c, -1)
-    tau = sort_permutation(fs)
-    kappa = sort_permutation(f1)
-    eta = sort_permutation(f2)
-    out = _place_mix(f1, f2, lam, tau, kappa, eta)
-    return out.reshape(f_s.shape), tau, kappa, eta
-
-
 def sb_apply_var(x: Var, moves: list[Move], frozen=None):
     """Apply a move plan to a feature batch with the stop-gradient contract.
 
     Backward routes the full upstream gradient to each moved sample (identity)
-    and lam / 1-lam to its carriers along the matched sort positions. Passing
-    the returned state back as ``frozen`` replays the transform with the
-    original permutations and detached copies held fixed.
+    and lam / 1-lam to its carriers along the matched sort positions. Returns
+    (output, state); passing ``state`` back as ``frozen`` replays the
+    transform with the original permutations and detached copies held fixed,
+    so a replay on the same input reproduces the output bit for bit.
     """
     b, c, h, w = x.value.shape
     out = x.value.copy()
     state = []
     for idx, mv in enumerate(moves):
+        f1 = x.value[mv.carrier1].reshape(c, -1)
+        f2 = x.value[mv.carrier2].reshape(c, -1)
         if frozen is None:
-            mixed, tau, kappa, eta = _sorted_mix(
-                x.value[mv.sample], x.value[mv.carrier1], x.value[mv.carrier2], mv.lam)
             base = x.value[mv.sample].copy()
-            out[mv.sample] = mixed
+            tau, kappa, eta = (sort_permutation(f) for f in (base.reshape(c, -1), f1, f2))
         else:
             tau, kappa, eta, base = frozen[idx]
-            placed = _place_mix(x.value[mv.carrier1].reshape(c, -1),
-                                x.value[mv.carrier2].reshape(c, -1), mv.lam, tau, kappa, eta)
-            out[mv.sample] = placed.reshape(c, h, w) + x.value[mv.sample] - base
+        placed = _place_mix(f1, f2, mv.lam, tau, kappa, eta).reshape(c, h, w)
+        out[mv.sample] = placed if frozen is None else placed + (x.value[mv.sample] - base)
         state.append((tau, kappa, eta, base))
 
     perms = [st[:3] for st in state]

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import DimensionError, InsufficientBatchError
-from .tensor_core import EPS_STD, ChannelStats, as_feature_map, channel_mean, channel_std
+from .tensor_core import EPS_STD, ChannelStats, _moments, as_feature_map
 
 DEFAULT_LAMBDA_SHAPE = 0.1  # Beta(0.1, 0.1), heavily bimodal mixing weights
 
@@ -59,9 +59,16 @@ def adain(content, style_stats: ChannelStats, eps_std: float = EPS_STD) -> np.nd
     if style_stats.channels != c:
         raise DimensionError(
             f"style has {style_stats.channels} channels, content has {c}")
-    mu = channel_mean(content)[:, None, None]
-    sig = channel_std(content, eps_std)[:, None, None]
-    return style_stats.sigma[:, None, None] * (content - mu) / sig + style_stats.mu[:, None, None]
+    mu, sig = _moments(content, eps_std)
+    return (style_stats.sigma[:, None, None] * (content - mu[:, None, None])
+            / sig[:, None, None] + style_stats.mu[:, None, None])
+
+
+def _var_moments(x: Var, eps_std: float) -> tuple[Var, Var]:
+    """Differentiable per-channel mean and stabilized std of a (B, C, H, W) Var."""
+    mu = ad.mean(x, (2, 3))
+    sig = ad.sqrt(ad.mean((x - mu) * (x - mu), (2, 3)) + eps_std * eps_std)
+    return mu, sig
 
 
 # -- mixstyle ----------------------------------------------------------------
@@ -76,8 +83,7 @@ def mixstyle_var(x: Var, lambdas, partner, eps_std: float = EPS_STD) -> Var:
     b = x.value.shape[0]
     lam = _check_lambda(lambdas).reshape(b, 1, 1, 1)
     partner = _check_permutation(partner, b)
-    mu = ad.mean(x, (2, 3))
-    sig = ad.sqrt(ad.mean((x - mu) * (x - mu), (2, 3)) + eps_std * eps_std)
+    mu, sig = _var_moments(x, eps_std)
     beta = lam * mu + (1.0 - lam) * ad.take_batch(mu, partner)
     gamma = lam * sig + (1.0 - lam) * ad.take_batch(sig, partner)
     return gamma * ((x - mu) / sig) + beta
@@ -94,8 +100,7 @@ def dsu_var(x: Var, eps_mu, eps_sig, eps_std: float = EPS_STD) -> Var:
         raise InsufficientBatchError("dsu needs a batch of at least 2 samples")
     eps_mu = np.asarray(eps_mu, dtype=np.float64).reshape(b, c, 1, 1)
     eps_sig = np.asarray(eps_sig, dtype=np.float64).reshape(b, c, 1, 1)
-    mu = ad.mean(x, (2, 3))
-    sig = ad.sqrt(ad.mean((x - mu) * (x - mu), (2, 3)) + eps_std * eps_std)
+    mu, sig = _var_moments(x, eps_std)
     mu_c = ad.mean(mu, (0,))
     sig_c = ad.mean(sig, (0,))
     # clamp keeps sqrt differentiable when the batch stats are degenerate

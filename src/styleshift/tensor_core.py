@@ -17,28 +17,27 @@ from .errors import DimensionError
 EPS_STD = 1e-6
 
 
+def _as_features(x, rank: int, what: str) -> np.ndarray:
+    """The one validator: float64 array of the given rank, positive
+    dimensions, finite values."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != rank:
+        raise DimensionError(f"{what} must be rank {rank}, got shape {arr.shape}")
+    if min(arr.shape) < 1:
+        raise DimensionError(f"{what} dimensions must be positive, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite values")
+    return arr
+
+
 def as_feature_map(f) -> np.ndarray:
     """Validate and return a (C, H, W) float64 feature map."""
-    arr = np.asarray(f, dtype=np.float64)
-    if arr.ndim != 3:
-        raise DimensionError(f"feature map must be rank 3 (C,H,W), got shape {arr.shape}")
-    if min(arr.shape) < 1:
-        raise DimensionError(f"feature map dimensions must be positive, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("feature map contains non-finite values")
-    return arr
+    return _as_features(f, 3, "feature map (C,H,W)")
 
 
 def as_feature_batch(x) -> np.ndarray:
     """Validate and return a (B, C, H, W) float64 feature batch."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 4:
-        raise DimensionError(f"feature batch must be rank 4 (B,C,H,W), got shape {arr.shape}")
-    if min(arr.shape) < 1:
-        raise DimensionError(f"feature batch dimensions must be positive, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("feature batch contains non-finite values")
-    return arr
+    return _as_features(x, 4, "feature batch (B,C,H,W)")
 
 
 @dataclass(frozen=True)
@@ -63,30 +62,41 @@ class ChannelStats:
         return self.mu.shape[0]
 
 
+def _moments(arr: np.ndarray, eps_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and stabilized std over the trailing (H, W) axes of an
+    already validated map or batch. The mean is taken once and reused for the
+    population variance, which gives ``arr.var``'s value bit for bit."""
+    if eps_std <= 0:
+        raise ValueError("eps_std must be > 0")
+    mu = arr.mean(axis=(-2, -1), keepdims=True)
+    dev = arr - mu
+    var = np.multiply(dev, dev, out=dev).sum(axis=(-2, -1)) / (arr.shape[-2] * arr.shape[-1])
+    return mu[..., 0, 0], np.sqrt(var + eps_std * eps_std)
+
+
 def channel_mean(f) -> np.ndarray:
     """Per-channel mean over the spatial dimensions of a (C, H, W) map."""
-    f = as_feature_map(f)
-    return f.mean(axis=(1, 2))
+    return _moments(as_feature_map(f), EPS_STD)[0]
 
 
 def channel_std(f, eps_std: float = EPS_STD) -> np.ndarray:
     """Per-channel stabilized std: sqrt(population variance + eps_std**2)."""
-    if eps_std <= 0:
-        raise ValueError("eps_std must be > 0")
-    f = as_feature_map(f)
-    var = f.var(axis=(1, 2))
-    return np.sqrt(var + eps_std * eps_std)
+    return _moments(as_feature_map(f), eps_std)[1]
 
 
 def channel_stats(f, eps_std: float = EPS_STD) -> ChannelStats:
-    f = as_feature_map(f)
-    return ChannelStats(mu=channel_mean(f), sigma=channel_std(f, eps_std))
+    return ChannelStats(*_moments(as_feature_map(f), eps_std))
 
 
 def style_vector(f, eps_std: float = EPS_STD) -> np.ndarray:
     """Concatenated [mu, sigma] style vector (length 2C) of a feature map."""
-    f = as_feature_map(f)
-    return np.concatenate([channel_mean(f), channel_std(f, eps_std)])
+    return np.concatenate(_moments(as_feature_map(f), eps_std), axis=-1)
+
+
+def batch_style_vectors(x, eps_std: float = EPS_STD) -> np.ndarray:
+    """(B, 2C) per-sample style vectors of a feature batch; row b equals
+    ``style_vector(x[b])`` bit for bit."""
+    return np.concatenate(_moments(as_feature_batch(x), eps_std), axis=-1)
 
 
 def style_vector_to_stats(phi) -> ChannelStats:
@@ -95,23 +105,3 @@ def style_vector_to_stats(phi) -> ChannelStats:
         raise DimensionError(f"style vector length must be even, got {phi.shape[0]}")
     c = phi.shape[0] // 2
     return ChannelStats(mu=phi[:c], sigma=phi[c:])
-
-
-def batch_channel_mean(x) -> np.ndarray:
-    """(B, C) per-sample channel means of a feature batch."""
-    x = as_feature_batch(x)
-    return x.mean(axis=(2, 3))
-
-
-def batch_channel_std(x, eps_std: float = EPS_STD) -> np.ndarray:
-    """(B, C) per-sample stabilized channel stds of a feature batch."""
-    if eps_std <= 0:
-        raise ValueError("eps_std must be > 0")
-    x = as_feature_batch(x)
-    return np.sqrt(x.var(axis=(2, 3)) + eps_std * eps_std)
-
-
-def batch_style_vectors(x, eps_std: float = EPS_STD) -> np.ndarray:
-    """(B, 2C) per-sample style vectors of a feature batch."""
-    x = as_feature_batch(x)
-    return np.concatenate([batch_channel_mean(x), batch_channel_std(x, eps_std)], axis=1)

@@ -161,11 +161,10 @@ def ts_apply(f_t, reg: DomainRegistry, alpha: float | None = None,
     candidates from ``sample_pool`` per call and shifts to the closest one.
     """
     f_t = np.asarray(f_t, dtype=np.float64)
+    phi = style_vector(f_t, eps_std)
     if mode.kind == "off":
-        phi = style_vector(f_t, eps_std)
         d = decide(phi, reg, alpha)
         return f_t, ShiftDecision(False, None, d.avg_distance, d.threshold)
-    phi = style_vector(f_t, eps_std)
     if mode.kind == "single_domain":
         if reg.n_domains != 1:
             raise ConfigError("single_domain mode requires a one-domain registry")
@@ -281,21 +280,25 @@ def registry_to_dict(reg: DomainRegistry) -> dict:
 
 
 def registry_from_dict(doc: dict) -> DomainRegistry:
+    """Rebuild a registry from ``registry_to_dict`` output. Every value must
+    be finite, every sigma positive and alpha non-negative; anything
+    malformed is a ConfigError."""
     try:
         entries = [*doc["domains"], doc["global"]]
         if len({len(e[key]) for e in entries for key in ("mu", "sigma")}) != 1:
             raise ConfigError("registry mu/sigma lists differ in length")
-        return DomainRegistry(
-            layer=doc["layer"],
-            names=tuple(d["name"] for d in doc["domains"]),
-            centroids=np.array([d["mu"] + d["sigma"] for d in doc["domains"]],
-                               dtype=np.float64),
-            global_phi=np.array(doc["global"]["mu"] + doc["global"]["sigma"],
-                                dtype=np.float64),
-            spread=float(doc["spread"]),
-            alpha_default=float(doc["alpha"]),
-        )
-    except (KeyError, TypeError) as exc:
+        rows = np.array([e["mu"] + e["sigma"] for e in entries], dtype=np.float64)
+        spread, alpha = float(doc["spread"]), float(doc["alpha"])
+        if not np.all(np.isfinite(np.append(rows, (spread, alpha)))):
+            raise ConfigError("registry holds a non-finite value")
+        if np.any(rows[:, rows.shape[1] // 2:] <= 0) or alpha < 0:
+            raise ConfigError("registry sigma entries must be positive and alpha >= 0")
+        return DomainRegistry(layer=doc["layer"], names=tuple(d["name"] for d in doc["domains"]),
+                              centroids=rows[:-1], global_phi=rows[-1], spread=spread,
+                              alpha_default=alpha)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed registry ({type(exc).__name__}: {exc})") from exc
 
 

@@ -228,7 +228,7 @@ def test_eval_bad_mode_exits_2(tmp_path):
                "--mode", "sideways", "--dataset", "data", "--out-csv", "x.csv") == 2
 
 
-@pytest.mark.parametrize("corruption", ["missing_param", "wrong_shape", "nan"])
+@pytest.mark.parametrize("corruption", ["missing_param", "wrong_shape", "nan", "string_data"])
 def test_eval_corrupt_checkpoint_exits_2(tmp_path, corruption):
     _eval_setup(tmp_path)
     doc = json.loads((tmp_path / "ckpt.json").read_text())
@@ -237,6 +237,8 @@ def test_eval_corrupt_checkpoint_exits_2(tmp_path, corruption):
         del params["head_b"]
     elif corruption == "wrong_shape":  # same number of values, transposed shape
         params["head_w"]["shape"].reverse()
+    elif corruption == "string_data":
+        params["head_w"]["data"][0] = "x"
     else:
         params["head_w"]["data"][0] = float("nan")
     (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -263,14 +265,31 @@ def test_eval_overflowing_logits_exit_3(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("corruption", ["missing_key", "ragged_mu"])
+@pytest.mark.parametrize("corruption", ["missing_key", "ragged_mu", "string_mu", "negative_sigma",
+                                        "spread_doubled", "nan_mu", "no_domains",
+                                        "string_alpha", "negative_alpha"])
 def test_eval_malformed_registry_exits_2(tmp_path, corruption):
     _eval_setup(tmp_path)
     doc = json.loads((tmp_path / "reg.json").read_text())
     if corruption == "missing_key":
         del doc["spread"]
-    else:
+    elif corruption == "ragged_mu":
         doc["domains"][0]["mu"].pop()
+    elif corruption == "string_mu":
+        doc["domains"][0]["mu"][0] = "x"
+    elif corruption == "negative_sigma":  # global and spread stay consistent
+        for entry in [*doc["domains"], doc["global"]]:
+            entry["sigma"] = [-s for s in entry["sigma"]]
+    elif corruption == "spread_doubled":
+        doc["spread"] *= 2
+    elif corruption == "nan_mu":
+        doc["domains"][0]["mu"][0] = float("nan")
+    elif corruption == "no_domains":
+        doc["domains"] = []
+    elif corruption == "string_alpha":
+        doc["alpha"] = "three"
+    else:
+        doc["alpha"] = -1.0
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     assert run(tmp_path, "eval", "--checkpoint", "ckpt.json", "--registry", "bad.json",
                "--mode", "proposed", "--dataset", "data", "--out-csv", "x.csv") == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from styleshift import domain_data as dd
 from styleshift import test_time_shift as ts
@@ -151,6 +153,30 @@ def test_bad_magic_rejected(tmp_path):
     p.write_bytes(b"P3\n2 2\n255\n....")
     with pytest.raises(PnmParseError):
         dd.read_pnm(p)
+
+
+PNM_HEADERS = st.sampled_from([b"", b"P5", b"P6", b"P5\n", b"P6 #c\n", b"P5\n2 2\n255\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(PNM_HEADERS, st.binary(max_size=40)).map(b"".join))
+@example(b"P5\n2 -2\n255\n")
+@example(b"P5\n0 4\n255\n")
+@example(b"P5\n-1 -1\n255\nx")
+@example(b"P6\n1 1\n255\n" + b"#\n" * 3000)
+@example(b"P5\n" + b"#\n" * 3000 + b"1 1\n255\nx")
+def test_read_pnm_parses_or_raises_pnm_parse_error(tmp_path_factory, data):
+    """Every byte string is either an image of positive size or a PnmParseError."""
+    p = tmp_path_factory.getbasetemp() / "fuzz.pnm"
+    p.write_bytes(data)
+    try:
+        img = dd.read_pnm(p)
+    except PnmParseError as exc:
+        assert 0 <= exc.offset <= len(data)
+        return
+    assert img.dtype == np.uint8
+    assert img.ndim in (2, 3) and min(img.shape[:2]) >= 1
+    assert img.ndim == 2 or img.shape[2] == 3
 
 
 def test_write_pnm_validates_dtype_and_shape(tmp_path):

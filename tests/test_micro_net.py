@@ -119,6 +119,40 @@ def test_zero_upstream_gradient_gives_zero_param_grads():
         np.testing.assert_array_equal(pv.grad, np.zeros_like(pv.grad))
 
 
+def test_images_as_constant_or_leaf_give_identical_param_grads():
+    net = mn.MicroNet.init(TINY, seed=50)
+    x = RNG(51).normal(size=(4, 1, 8, 8))
+    y = RNG(52).integers(0, 3, size=4)
+    grads, leaf = [], Var(x.copy())
+    for images in (x, leaf):
+        res = net.forward(images)
+        ad.softmax_cross_entropy(res.logits, y).backward()
+        grads.append({name: pv.grad for name, pv in res.param_vars.items()})
+    for name in net.param_order:
+        np.testing.assert_array_equal(grads[0][name], grads[1][name])
+    assert leaf.grad is not None and leaf.grad.shape == x.shape
+
+
+def test_backward_keeps_grads_on_leaves_only():
+    net = mn.MicroNet.init(TINY, seed=53)
+    x = RNG(54).normal(size=(5, 1, 8, 8))
+    y = RNG(55).integers(0, 3, size=5)
+    res = net.forward(x, hook_ops=[("block1", lambda v: v * 2.0)])
+    loss = ad.softmax_cross_entropy(res.logits, y)
+    loss.backward()
+    assert res.hook_inputs["block1"].grad is None
+    assert res.logits.grad is None and loss.grad is None
+    # the head's leaf grads in closed form: d loss / d logits = (softmax - onehot) / B
+    z = res.logits.value - res.logits.value.max(axis=1, keepdims=True)
+    d = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    d[np.arange(5), y] -= 1.0
+    d /= 5
+    feats = res.hook_inputs["block2"].value.mean(axis=(2, 3))
+    np.testing.assert_allclose(res.param_vars["head_b"].grad, d.sum(axis=0), atol=1e-15)
+    np.testing.assert_allclose(res.param_vars["head_w"].grad, feats.T @ d, atol=1e-15)
+    assert all(pv.grad is not None for pv in res.param_vars.values())
+
+
 def test_finite_difference_bare_network():
     net = mn.MicroNet.init(TINY, seed=10)
     x = RNG(11).normal(size=(6, 1, 8, 8))
@@ -198,16 +232,27 @@ def test_sb_hook_gradient_to_moved_sample_is_identity_path():
     assert op.plan.moves
     moved = op.plan.moves[0].sample
 
-    # replay the transform but freeze the moved row's carriers by treating the
-    # mixed value as a constant: the identity-path gradient is what a plain
-    # tail pass produces on the transformed features
-    frozen = op.replay()
+    # a second call replays the transform with the moved row's carriers frozen,
+    # treating the mixed value as a constant: the identity-path gradient is
+    # what a plain tail pass produces on the transformed features
     leaf2 = Var(feats.copy())
-    res2 = net.forward(frozen(leaf2), from_hook="block1")
+    res2 = net.forward(op(leaf2), from_hook="block1")
     ad.softmax_cross_entropy(res2.logits, y).backward()
     carriers = {op.plan.moves[0].carrier1, op.plan.moves[0].carrier2}
     assert moved not in carriers
     np.testing.assert_allclose(leaf.grad[moved], leaf2.grad[moved], atol=1e-12)
+
+
+def test_sb_hook_second_call_replays_first_output():
+    rng = RNG(56)
+    x = Var(rng.normal(size=(8, 3, 4, 4)))
+    meta = BatchMeta(np.array([0, 0, 0, 0, 1, 1, 2, 2]), rng.integers(0, 2, size=8), 3, 2)
+    op = mn.SbHookOp(meta, RNG(57))
+    first = op(x).value
+    plan = op.plan
+    assert plan.moves
+    np.testing.assert_array_equal(op(x).value, first)
+    assert op.plan is plan
 
 
 # -- training ---------------------------------------------------------------------

@@ -1,20 +1,55 @@
 """The benchmark tracer wraps package functions by attribute name, so every
-name it wraps has to exist and has to be put back afterwards."""
+name it wraps has to exist, has to still be called where the tracer expects,
+and has to be put back afterwards."""
 
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from styleshift import micro_net as mn
+from styleshift import test_time_shift as ts
 from styleshift.micro_net import NetConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch):
+@pytest.fixture
+def tracer_module(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    from tracer import Tracer
+    import tracer
+    return tracer
 
-    tracer = Tracer(NetConfig())
+
+def test_tracer_installs_and_restores_every_wrapped_name(tracer_module):
+    tracer = tracer_module.Tracer(NetConfig())
     try:
         tracer.install()
     finally:
         lost = tracer.restore()
     assert lost == []
+
+
+def test_traced_sb_training_and_shifted_eval_reach_the_wrapped_names(tracer_module):
+    cfg = NetConfig(in_channels=1, image_size=8, n_classes=2,
+                    blocks=(mn.BlockSpec(2), mn.BlockSpec(3), mn.BlockSpec(4)))
+    rng = np.random.Generator(np.random.PCG64(0))
+    x = rng.normal(size=(12, 1, 8, 8))
+    y = np.tile([0, 1], 6)
+    d = np.repeat([0, 0, 0, 1, 1, 2], 2)
+    tracer = tracer_module.Tracer(cfg)
+    try:
+        tracer.install()
+        net = mn.MicroNet.init(cfg, seed=0)
+        mn.train(net, x, y, d, mn.TrainConfig(epochs=1, batch_size=6, lr=0.01, sb=True,
+                                              sb_prob=1.0))
+        reg = ts.build_registry(net, x, d, "block1")
+        mn.evaluate(net, x, y, d, reg, ts.PROPOSED, alpha=0.0)
+    finally:
+        lost = tracer.restore()
+    assert lost == []
+    m = tracer_module.layer_metrics(tracer)
+    for key in ("tensor_core.style_vector.calls", "test_time_shift.ts_apply.calls",
+                "style_ops.adain_s", "tensor_core.batch_style_vectors_s",
+                "autodiff.conv2d.block1.bwd_s"):
+        assert m[key] > 0, key

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import fd_grad, rel_err, weighted_sum
 from styleshift import style_ops as so
@@ -14,6 +16,12 @@ def dsu_draw(x, rng):
     """dsu_var's forward value with both (B, C) noise draws taken from rng."""
     b, c = x.shape[:2]
     return so.dsu_var(Var(x), rng.standard_normal((b, c)), rng.standard_normal((b, c))).value
+
+
+def batch_stats(x, eps_std=tc.EPS_STD):
+    """(B, C) channel means and stds: the two halves of batch_style_vectors."""
+    phi = tc.batch_style_vectors(x, eps_std)
+    return phi[:, :x.shape[1]], phi[:, x.shape[1]:]
 
 
 # -- adain --------------------------------------------------------------------
@@ -32,6 +40,19 @@ def test_adain_forces_target_stats():
     out = so.adain(content, target, eps_std=1e-9)
     np.testing.assert_allclose(tc.channel_mean(out), target.mu, atol=1e-6)
     np.testing.assert_allclose(tc.channel_std(out, 1e-9), target.sigma, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_adain_output_has_the_target_stats(c, h, w, seed):
+    rng = RNG(seed)
+    content = (rng.normal(size=(c, h, w)) * rng.uniform(0.1, 10.0, size=(c, 1, 1))
+               + rng.uniform(-5.0, 5.0, size=(c, 1, 1)))
+    target = tc.ChannelStats(mu=rng.uniform(-5.0, 5.0, c), sigma=rng.uniform(0.05, 5.0, c))
+    out = so.adain(content, target, eps_std=1e-12)
+    # float64 rounding only: the eps term is ~1e-24 against variances >~1e-12
+    np.testing.assert_allclose(tc.channel_mean(out), target.mu, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(tc.channel_std(out, 1e-12), target.sigma, rtol=1e-9)
 
 
 def test_adain_hand_case():
@@ -80,12 +101,12 @@ def test_mixstyle_output_stats_are_interpolated():
     lam = rng.uniform(size=5)
     partner = rng.permutation(5)
     out = so.mixstyle_var(Var(x), lam, partner, eps_std=1e-9).value
-    mu = tc.batch_channel_mean(x)
-    sig = tc.batch_channel_std(x, 1e-9)
+    mu, sig = batch_stats(x, 1e-9)
     want_mu = lam[:, None] * mu + (1 - lam[:, None]) * mu[partner]
     want_sig = lam[:, None] * sig + (1 - lam[:, None]) * sig[partner]
-    np.testing.assert_allclose(tc.batch_channel_mean(out), want_mu, atol=1e-6)
-    np.testing.assert_allclose(tc.batch_channel_std(out, 1e-9), want_sig, atol=1e-6)
+    out_mu, out_sig = batch_stats(out, 1e-9)
+    np.testing.assert_allclose(out_mu, want_mu, atol=1e-6)
+    np.testing.assert_allclose(out_sig, want_sig, atol=1e-6)
 
 
 def test_mixstyle_rejects_bad_partner():
@@ -119,12 +140,12 @@ def test_dsu_monte_carlo_spread():
     # over many draws, the std of the output means equals the batch spread
     rng = RNG(10)
     x = rng.normal(size=(6, 2, 3, 3)) * rng.uniform(0.5, 2.0, size=(6, 1, 1, 1))
-    spread_mu = tc.batch_channel_mean(x).std(axis=0)
+    spread_mu = batch_stats(x)[0].std(axis=0)
     draws = 10_000
     mus = np.empty((draws, 6, 2))
     gen = RNG(11)
     for t in range(draws):
-        mus[t] = tc.batch_channel_mean(dsu_draw(x, gen))
+        mus[t] = batch_stats(dsu_draw(x, gen))[0]
     observed = mus.std(axis=0)  # (B, C); every sample shares the same spread
     np.testing.assert_allclose(observed, np.broadcast_to(spread_mu, (6, 2)), rtol=0.05)
 
@@ -272,7 +293,7 @@ def test_dsu_clamps_negative_gamma():
     huge_negative = np.full((4, 2), -100.0)
     out = so.dsu_var(Var(x), np.zeros((4, 2)), huge_negative).value
     # every channel's std collapses to the floor instead of going negative
-    assert np.all(tc.batch_channel_std(out, 1e-9) < 1e-4)
+    assert np.all(batch_stats(out, 1e-9)[1] < 1e-4)
     assert np.all(np.isfinite(out))
 
 

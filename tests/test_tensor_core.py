@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from styleshift import tensor_core as tc
 from styleshift.errors import DimensionError
@@ -88,9 +91,13 @@ def test_feature_validation_rejects_nan_and_bad_rank():
         tc.as_feature_batch(np.ones((2, 2, 2)))
 
 
-def test_batch_helpers_match_per_sample_ops():
-    rng = np.random.Generator(np.random.PCG64(8))
-    x = rng.normal(size=(4, 3, 5, 5))
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(1, 5)] * 4).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-1e6, 1e6))))
+def test_batch_helpers_match_per_sample_ops(x):
     phis = tc.batch_style_vectors(x)
-    for b in range(4):
+    # the single-pass moments equal numpy's mean and var bit for bit
+    np.testing.assert_array_equal(phis, np.concatenate(
+        [x.mean(axis=(2, 3)), np.sqrt(x.var(axis=(2, 3)) + tc.EPS_STD ** 2)], axis=1))
+    for b in range(x.shape[0]):
         np.testing.assert_array_equal(phis[b], tc.style_vector(x[b]))
