@@ -5,12 +5,29 @@ differentiable style transforms that hook into it: elementwise arithmetic
 with broadcasting, axis reductions, conv/pool/linear layers and a fused
 softmax cross-entropy. Gradients accumulate on leaf variables (those without
 a vjp) after calling ``backward`` on a scalar; intermediate gradients are not
-kept.
+kept. Inside ``no_grad()`` the same ops record nothing: every Var they return
+is a leaf, so no vjp closure keeps its inputs or intermediates alive.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording the graph; the previous state is restored on
+    exit, also when the block raises."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Var:
@@ -22,6 +39,8 @@ class Var:
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
+        if not _recording:
+            parents, vjp = (), None
         self._parents = parents
         self._vjp = vjp  # maps upstream grad -> tuple of parent grads
 
@@ -171,8 +190,11 @@ def sum_axes(a, axes, keepdims: bool = True) -> Var:
 
 def relu(a) -> Var:
     a = as_var(a)
+    out = np.maximum(a.value, 0.0)
+    if not _recording:
+        return Var(out)
     mask = a.value > 0
-    return Var(np.maximum(a.value, 0.0), (a,), lambda g: (g * mask,))
+    return Var(out, (a,), lambda g: (g * mask,))
 
 
 def clamp_min(a, floor: float) -> Var:

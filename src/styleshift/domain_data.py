@@ -431,16 +431,19 @@ def read_pnm(path) -> np.ndarray:
             raise PnmParseError("unexpected end of header", start)
         return data[start:pos]
 
+    def number() -> int:  # ASCII digits only: int() would also take "+3" and "1_0"
+        field = token()
+        if not field.isdigit():
+            raise PnmParseError(f"non-numeric header field {field!r}", pos)
+        return int(field)
+
     magic = token()
     if magic not in (b"P5", b"P6"):
         raise PnmParseError(f"unsupported magic {magic!r}", 0)
-    try:
-        width = int(token())
-        height = int(token())
-        size_end = pos
-        maxval = int(token())
-    except ValueError:
-        raise PnmParseError("non-numeric header field", pos) from None
+    width = number()
+    height = number()
+    size_end = pos
+    maxval = number()
     if width < 1 or height < 1:
         raise PnmParseError(f"image size must be positive, got {width}x{height}", size_end)
     if maxval != 255:

@@ -10,7 +10,8 @@ Gradients come from the package's reverse-mode engine. A hook operation fixes
 its randomness when it is drawn and records its plan and sorting permutations
 on its first call; every later call replays that state. Finite-difference
 checks difference those later calls, which are the function the
-stop-gradient contracts differentiate.
+stop-gradient contracts differentiate. Evaluation and style extraction run
+the same ops under ``autodiff.no_grad`` and record no graph.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .autodiff import Var
 from .errors import ConfigError, DivergenceError
 from .style_balance import BatchMeta, MovePlan, build_balance_plan, sb_apply_var
 from .style_ops import DEFAULT_LAMBDA_SHAPE, dsu_var, efdmix_hook, mixstyle_var
-from .tensor_core import EPS_STD, batch_style_vectors
+from .tensor_core import EPS_STD, batch_style_vectors, json_floats
 from .test_time_shift import OFF, DomainRegistry, ShiftMode, ts_apply
 
 AUG_KINDS = ("none", "mixstyle", "dsu", "efdmix")
@@ -238,7 +239,7 @@ class TsHookOp:
 
 @dataclass
 class ForwardResult:
-    logits: Var
+    logits: Var | None          # None when the pass stopped at ``to_hook``
     hook_inputs: dict[str, Var]
     param_vars: dict[str, Var]
 
@@ -268,13 +269,18 @@ class MicroNet:
     def param_order(self) -> list[str]:
         return list(self.config.param_shapes)
 
-    def forward(self, x, hook_ops=None, from_hook: str | None = None) -> ForwardResult:
+    def forward(self, x, hook_ops=None, from_hook: str | None = None,
+                to_hook: str | None = None) -> ForwardResult:
         """Run the network, applying hook operations in their listed order.
 
         Images enter as a constant, so no gradient is formed for them unless
         x is a Var. ``from_hook`` treats x as the raw hook input at that point
         and runs only the remainder of the network (used by gradient checks).
+        ``to_hook`` stops as soon as that hook's raw input exists, before its
+        hook operations run; the result then has no logits.
         """
+        if to_hook is not None and to_hook not in self.hook_names:
+            raise ConfigError(f"unknown hook {to_hook!r}")
         by_hook: dict[str, list] = {}
         for name, op in hook_ops or []:
             if name not in self.hook_names:
@@ -296,6 +302,8 @@ class MicroNet:
             else:
                 continue
             hook_inputs[name] = h
+            if name == to_hook:
+                return ForwardResult(logits=None, hook_inputs=hook_inputs, param_vars=pv)
             for op in by_hook.get(name, []):
                 h = op(h)
         feats = ad.global_avg_pool(h)
@@ -304,14 +312,16 @@ class MicroNet:
 
     def style_vectors_at(self, x, layer: str, batch_size: int = 256,
                          eps_std: float = EPS_STD) -> np.ndarray:
-        """Per-sample style vectors at one hook from clean forward passes."""
+        """Per-sample style vectors at one hook from clean forward passes that
+        record no graph and stop at that hook."""
         if layer not in self.hook_names:
             raise ConfigError(f"unknown hook {layer!r}")
         x = np.asarray(x, dtype=np.float64)
         out = []
-        for start in range(0, x.shape[0], batch_size):
-            res = self.forward(x[start:start + batch_size])
-            out.append(batch_style_vectors(res.hook_inputs[layer].value, eps_std))
+        with ad.no_grad():
+            for start in range(0, x.shape[0], batch_size):
+                res = self.forward(x[start:start + batch_size], to_hook=layer)
+                out.append(batch_style_vectors(res.hook_inputs[layer].value, eps_std))
         return np.concatenate(out, axis=0)
 
     # -- persistence ------------------------------------------------------
@@ -333,13 +343,14 @@ class MicroNet:
     @classmethod
     def from_dict(cls, doc: dict) -> "MicroNet":
         """Rebuild a network from ``to_dict`` output. Every parameter the
-        config implies must be present, of that shape and finite."""
+        config implies must be present, of that shape and a list of finite
+        JSON numbers."""
         params = {}
         try:
             config = NetConfig.from_dict(doc["config"])
             for name, shape in config.param_shapes.items():
                 spec = doc["params"][name]
-                data = np.array(spec["data"], dtype=np.float64)
+                data = json_floats(spec["data"], f"checkpoint parameter {name!r}")
                 if tuple(spec["shape"]) != shape or data.shape != (math.prod(shape),):
                     raise ConfigError(f"checkpoint parameter {name!r} has shape "
                                       f"{spec['shape']} and {data.size} values, expected {shape}")
@@ -481,24 +492,25 @@ def evaluate(net: MicroNet, images, class_labels, domain_labels,
             raise ConfigError("registry channel count does not match the hook")
     stats: dict[int, dict] = {int(d): {"n": 0, "correct": 0, "shifted": 0}
                               for d in np.unique(doms)}
-    for start in range(0, x.shape[0], batch_size):
-        sl = slice(start, start + batch_size)
-        ops = []
-        ts_op = None
-        if use_ts:
-            ts_op = TsHookOp(registry, alpha, mode, sample_pool, rng)
-            ops.append((registry.layer, ts_op))
-        res = net.forward(x[sl], ops)
-        if not np.all(np.isfinite(res.logits.value)):
-            raise DivergenceError(f"non-finite logits in the evaluation batch "
-                                  f"starting at sample {start}")
-        preds = res.logits.value.argmax(axis=1)
-        for i, (p, truth, dom) in enumerate(zip(preds, y[sl], doms[sl])):
-            rec = stats[int(dom)]
-            rec["n"] += 1
-            rec["correct"] += int(p == truth)
-            if ts_op is not None and ts_op.decisions[i].shifted:
-                rec["shifted"] += 1
+    with ad.no_grad():  # inference: no vjp closure keeps a batch alive
+        for start in range(0, x.shape[0], batch_size):
+            sl = slice(start, start + batch_size)
+            ops = []
+            ts_op = None
+            if use_ts:
+                ts_op = TsHookOp(registry, alpha, mode, sample_pool, rng)
+                ops.append((registry.layer, ts_op))
+            res = net.forward(x[sl], ops)
+            if not np.all(np.isfinite(res.logits.value)):
+                raise DivergenceError(f"non-finite logits in the evaluation batch "
+                                      f"starting at sample {start}")
+            preds = res.logits.value.argmax(axis=1)
+            for i, (p, truth, dom) in enumerate(zip(preds, y[sl], doms[sl])):
+                rec = stats[int(dom)]
+                rec["n"] += 1
+                rec["correct"] += int(p == truth)
+                if ts_op is not None and ts_op.decisions[i].shifted:
+                    rec["shifted"] += 1
     return EvalResult(domains=stats)
 
 
@@ -521,9 +533,10 @@ def finite_difference_check(net: MicroNet, x, y, hook_ops=None, n_coords: int = 
     loss.backward()
     grads = {name: res.param_vars[name].grad for name in net.params}
 
-    def loss_at() -> float:
-        r = net.forward(x, hook_ops)
-        return float(ad.softmax_cross_entropy(r.logits, y).value)
+    def loss_at() -> float:  # reads only the value, so records no graph
+        with ad.no_grad():
+            r = net.forward(x, hook_ops)
+            return float(ad.softmax_cross_entropy(r.logits, y).value)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     names = sorted(net.params)

@@ -12,9 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 EPS_STD = 1e-6
+
+
+def json_floats(values, what: str) -> np.ndarray:
+    """float64 array of a list of JSON numbers. Strings (even numeric ones),
+    booleans, nulls, nested lists and ints beyond float64's range are a
+    ConfigError."""
+    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+        raise ConfigError(f"{what} must be a list of JSON numbers")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ConfigError(f"{what} holds a number beyond float64's range") from None
 
 
 def _as_features(x, rank: int, what: str) -> np.ndarray:

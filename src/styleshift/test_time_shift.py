@@ -17,11 +17,10 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, RegistryBuildError
 from .style_ops import adain
-from .tensor_core import EPS_STD, style_vector, style_vector_to_stats
+from .tensor_core import EPS_STD, json_floats, style_vector, style_vector_to_stats
 
 DEFAULT_ALPHA = 3.0
 PSEUDO_LABEL_ALPHA = 2.0
-RETRIEVAL_ALPHA = 5.0
 DEFAULT_NEAREST_POOL = 100
 
 
@@ -281,14 +280,17 @@ def registry_to_dict(reg: DomainRegistry) -> dict:
 
 def registry_from_dict(doc: dict) -> DomainRegistry:
     """Rebuild a registry from ``registry_to_dict`` output. Every value must
-    be finite, every sigma positive and alpha non-negative; anything
-    malformed is a ConfigError."""
+    be a finite JSON number, every sigma positive and alpha non-negative;
+    anything malformed is a ConfigError."""
     try:
         entries = [*doc["domains"], doc["global"]]
-        if len({len(e[key]) for e in entries for key in ("mu", "sigma")}) != 1:
+        halves = [json_floats(e[key], f"registry {key}")
+                  for e in entries for key in ("mu", "sigma")]
+        if len({h.size for h in halves}) != 1:
             raise ConfigError("registry mu/sigma lists differ in length")
-        rows = np.array([e["mu"] + e["sigma"] for e in entries], dtype=np.float64)
-        spread, alpha = float(doc["spread"]), float(doc["alpha"])
+        rows = np.stack(halves).reshape(len(entries), -1)  # row i: mu_i then sigma_i
+        spread, alpha = map(float, json_floats([doc["spread"], doc["alpha"]],
+                                               "registry spread and alpha"))
         if not np.all(np.isfinite(np.append(rows, (spread, alpha)))):
             raise ConfigError("registry holds a non-finite value")
         if np.any(rows[:, rows.shape[1] // 2:] <= 0) or alpha < 0:

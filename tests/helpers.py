@@ -1,8 +1,11 @@
 """Shared numerical oracles for the test suite."""
 
+import hashlib
+
 import numpy as np
 
-from styleshift.autodiff import Var, mul, sum_axes
+from styleshift.autodiff import Var, mul, softmax_cross_entropy, sum_axes
+from styleshift.micro_net import MicroNet, NetConfig
 
 
 def fd_grad(fn, x, step=1e-5):
@@ -34,3 +37,16 @@ def weighted_sum(out_var: Var, weights) -> Var:
     s = sum_axes(mul(out_var, np.asarray(weights, dtype=np.float64)),
                  tuple(range(out_var.value.ndim)), keepdims=False)
     return s
+
+
+def step_grad_digests(net_cfg: dict, net_seed: int, data_seed: int) -> dict:
+    """sha256 of every parameter gradient of one recorded training step on
+    random images; None for a parameter that got no gradient."""
+    cfg = NetConfig.from_dict(net_cfg)
+    net = MicroNet.init(cfg, seed=net_seed)
+    rng = np.random.Generator(np.random.PCG64(data_seed))
+    x = rng.normal(size=(6, cfg.in_channels, cfg.image_size, cfg.image_size))
+    res = net.forward(x)
+    softmax_cross_entropy(res.logits, np.arange(6) % cfg.n_classes).backward()
+    return {name: None if v.grad is None else hashlib.sha256(v.grad.tobytes()).hexdigest()
+            for name, v in res.param_vars.items()}

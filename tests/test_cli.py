@@ -228,7 +228,8 @@ def test_eval_bad_mode_exits_2(tmp_path):
                "--mode", "sideways", "--dataset", "data", "--out-csv", "x.csv") == 2
 
 
-@pytest.mark.parametrize("corruption", ["missing_param", "wrong_shape", "nan", "string_data"])
+@pytest.mark.parametrize("corruption", ["missing_param", "wrong_shape", "nan", "string_data",
+                                        "numeric_string_data", "bool_data"])
 def test_eval_corrupt_checkpoint_exits_2(tmp_path, corruption):
     _eval_setup(tmp_path)
     doc = json.loads((tmp_path / "ckpt.json").read_text())
@@ -239,6 +240,10 @@ def test_eval_corrupt_checkpoint_exits_2(tmp_path, corruption):
         params["head_w"]["shape"].reverse()
     elif corruption == "string_data":
         params["head_w"]["data"][0] = "x"
+    elif corruption == "numeric_string_data":
+        params["head_w"]["data"][0] = "0.5"
+    elif corruption == "bool_data":
+        params["head_b"]["data"][0] = True
     else:
         params["head_w"]["data"][0] = float("nan")
     (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -265,13 +270,34 @@ def test_eval_overflowing_logits_exit_3(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def _set_first_everywhere(doc, key, value):
+    """Put ``value`` first in every domain's and the global ``key`` list and
+    recompute the spread, so the registry stays consistent if ``value`` is
+    read as the number it spells."""
+    entries = [*doc["domains"], doc["global"]]
+    for entry in entries:
+        entry[key][0] = value
+    rows = np.array([[float(v) for v in e["mu"] + e["sigma"]] for e in entries])
+    doc["spread"] = float(np.linalg.norm(rows[-1][None, :] - rows[:-1], axis=1).mean())
+
+
 @pytest.mark.parametrize("corruption", ["missing_key", "ragged_mu", "string_mu", "negative_sigma",
                                         "spread_doubled", "nan_mu", "no_domains",
-                                        "string_alpha", "negative_alpha"])
+                                        "string_alpha", "negative_alpha", "numeric_string_mu",
+                                        "numeric_string_alpha", "bool_sigma",
+                                        "numeric_string_spread"])
 def test_eval_malformed_registry_exits_2(tmp_path, corruption):
     _eval_setup(tmp_path)
     doc = json.loads((tmp_path / "reg.json").read_text())
-    if corruption == "missing_key":
+    if corruption == "numeric_string_mu":
+        _set_first_everywhere(doc, "mu", "0.5")
+    elif corruption == "numeric_string_alpha":
+        doc["alpha"] = "3"
+    elif corruption == "bool_sigma":
+        _set_first_everywhere(doc, "sigma", True)
+    elif corruption == "numeric_string_spread":
+        doc["spread"] = repr(doc["spread"])
+    elif corruption == "missing_key":
         del doc["spread"]
     elif corruption == "ragged_mu":
         doc["domains"][0]["mu"].pop()

@@ -165,6 +165,8 @@ PNM_HEADERS = st.sampled_from([b"", b"P5", b"P6", b"P5\n", b"P6 #c\n", b"P5\n2 2
 @example(b"P5\n-1 -1\n255\nx")
 @example(b"P6\n1 1\n255\n" + b"#\n" * 3000)
 @example(b"P5\n" + b"#\n" * 3000 + b"1 1\n255\nx")
+@example(b"P5\n+2 1_0\n255\n" + b"x" * 20)
+@example(b"P5\n2 2\n+255\n" + b"x" * 4)
 def test_read_pnm_parses_or_raises_pnm_parse_error(tmp_path_factory, data):
     """Every byte string is either an image of positive size or a PnmParseError."""
     p = tmp_path_factory.getbasetemp() / "fuzz.pnm"
@@ -177,6 +179,18 @@ def test_read_pnm_parses_or_raises_pnm_parse_error(tmp_path_factory, data):
     assert img.dtype == np.uint8
     assert img.ndim in (2, 3) and min(img.shape[:2]) >= 1
     assert img.ndim == 2 or img.shape[2] == 3
+
+
+@pytest.mark.parametrize("header", [b"P5\n+2 1_0\n255\n", b"P5\n2 2\n+255\n",
+                                    b"P5\n2 \xd9\xa2\n255\n"])
+def test_read_pnm_header_fields_are_ascii_digits(tmp_path, header):
+    """Width, height and maxval are digit strings in the PNM grammar; a sign,
+    an underscore or a non-ASCII digit is a parse error even when enough
+    pixel bytes follow."""
+    p = tmp_path / "h.pnm"
+    p.write_bytes(header + b"x" * 60)
+    with pytest.raises(PnmParseError, match="non-numeric header field"):
+        dd.read_pnm(p)
 
 
 def test_write_pnm_validates_dtype_and_shape(tmp_path):

@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from styleshift import autodiff as ad
 from styleshift import micro_net as mn
@@ -7,6 +15,9 @@ from styleshift import test_time_shift as ts
 from styleshift.autodiff import Var
 from styleshift.errors import ConfigError, DivergenceError
 from styleshift.style_balance import BatchMeta
+from styleshift.tensor_core import batch_style_vectors
+
+from helpers import step_grad_digests
 
 RNG = lambda seed: np.random.Generator(np.random.PCG64(seed))
 
@@ -371,6 +382,82 @@ def test_evaluate_checks_registry_layer():
     reg = ts.registry_from_styles(styles, d, "block7")
     with pytest.raises(ConfigError):
         mn.evaluate(net, x, y, d, registry=reg, mode=ts.PROPOSED, alpha=1.0)
+
+
+# -- tape-free inference ------------------------------------------------------------
+
+THREE = mn.NetConfig(in_channels=1, image_size=8,
+                     blocks=(mn.BlockSpec(2), mn.BlockSpec(3), mn.BlockSpec(4)), n_classes=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 7), layer=st.sampled_from(THREE.hook_names))
+def test_style_vectors_at_equals_recorded_forward(seed, n, layer):
+    """The tape-free pass that stops at its hook gives the recorded full
+    forward's style vectors bit for bit, for a batch size below, at and above
+    the sample count. Below it, the reference is the recorded forward of each
+    chunk: BLAS may round a tiny GEMM differently when its column count
+    changes (block3 here is 1x1), so a whole-batch forward is no reference
+    for a chunked one."""
+    net = mn.MicroNet.init(THREE, seed=seed)
+    x = RNG(seed).normal(size=(n, 1, 8, 8))
+    for k in {max(n - 1, 1), n, n + 1}:
+        expected = np.concatenate([
+            batch_style_vectors(net.forward(x[s:s + k]).hook_inputs[layer].value)
+            for s in range(0, n, k)])
+        got = net.style_vectors_at(x, layer, batch_size=k)
+        assert got.tobytes() == expected.tobytes(), k
+
+
+def test_forward_to_hook_stops_there():
+    net = mn.MicroNet.init(THREE, seed=0)
+    x = RNG(0).normal(size=(2, 1, 8, 8))
+    res = net.forward(x, [("block2", lambda v: pytest.fail("hook op ran"))], to_hook="block2")
+    assert res.logits is None
+    assert list(res.hook_inputs) == ["block1", "block2"]
+    with pytest.raises(ConfigError):
+        net.forward(x, to_hook="block9")
+
+
+@pytest.mark.parametrize("mode", [ts.OFF, ts.PROPOSED])
+def test_evaluate_creates_only_leaf_vars(monkeypatch, mode):
+    net, x, y, d = _trained_toy()
+    reg = ts.registry_from_styles(net.style_vectors_at(x, "block1"), d, "block1")
+    created = []
+    init = Var.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(Var, "__init__", spy)
+    mn.evaluate(net, x, y, d, reg, mode, alpha=0.0)
+    assert len(created) > 10
+    assert all(v._vjp is None and v._parents == () for v in created)
+    created.clear()
+    net.forward(x)  # outside evaluate the graph is recorded again
+    assert any(v._vjp is not None for v in created)
+
+
+def test_evaluate_divergence_restores_recording():
+    """DivergenceError leaves evaluate from inside the no-record block; the
+    next training step must still record and give a fresh process's grads."""
+    net = mn.MicroNet.init(TINY, seed=70)
+    net.params["conv1_b"][:] = 1e3
+    net.params["head_w"][:] = 1e308
+    x = RNG(71).normal(size=(6, 1, 8, 8))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        mn.evaluate(net, x, np.zeros(6, dtype=int), np.zeros(6, dtype=int))
+    here = step_grad_digests(TINY.to_dict(), net_seed=72, data_seed=73)
+    tests_dir = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")])}
+    code = ("import json, sys; from helpers import step_grad_digests; "
+            "print(json.dumps(step_grad_digests(json.loads(sys.argv[1]), 72, 73)))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(TINY.to_dict())],
+                         env=env, capture_output=True, text=True, check=True)
+    assert here == json.loads(out.stdout)
+    assert all(here.values())
 
 
 # -- checkpoints -------------------------------------------------------------------

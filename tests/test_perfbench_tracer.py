@@ -53,3 +53,44 @@ def test_traced_sb_training_and_shifted_eval_reach_the_wrapped_names(tracer_modu
                 "style_ops.adain_s", "tensor_core.batch_style_vectors_s",
                 "autodiff.conv2d.block1.bwd_s"):
         assert m[key] > 0, key
+
+
+def _tiny_net_and_images():
+    cfg = NetConfig(in_channels=1, image_size=8, n_classes=2,
+                    blocks=(mn.BlockSpec(2), mn.BlockSpec(3), mn.BlockSpec(4)))
+    x = np.random.Generator(np.random.PCG64(1)).normal(size=(6, 1, 8, 8))
+    return cfg, mn.MicroNet.init(cfg, seed=0), x
+
+
+def test_traced_style_vectors_at_stops_at_its_hook(tracer_module):
+    """The tape-free path still calls the wrapped conv, relu and pool, and
+    runs no block past the requested hook."""
+    cfg, net, x = _tiny_net_and_images()
+    tracer = tracer_module.Tracer(cfg)
+    try:
+        tracer.install()
+        net.style_vectors_at(x, "block1")
+    finally:
+        lost = tracer.restore()
+    assert lost == []
+    m = tracer_module.layer_metrics(tracer)
+    for key in ("autodiff.conv2d.block1.fwd_s", "autodiff.relu.fwd_s",
+                "autodiff.avg_pool2.fwd_s"):
+        assert m[key] > 0, key
+    assert m["autodiff.conv2d.block2.fwd_s"] == 0
+
+
+def test_traced_evaluate_records_no_backward_nodes(tracer_module):
+    cfg, net, x = _tiny_net_and_images()
+    d = np.repeat([0, 1], 3)
+    tracer = tracer_module.Tracer(cfg)
+    try:
+        tracer.install()
+        reg = ts.build_registry(net, x, d, "block2")
+        mn.evaluate(net, x, d, d, reg, ts.PROPOSED, alpha=0.0)
+    finally:
+        lost = tracer.restore()
+    assert lost == []
+    m = tracer_module.layer_metrics(tracer)
+    assert m["autodiff.conv2d.block3.fwd_s"] > 0 and m["test_time_shift.ts_apply.calls"] == 6
+    assert m["autodiff.backward.nodes"] == 0
