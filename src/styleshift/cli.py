@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -186,10 +185,9 @@ def apply_sweep_param(cfg: ExperimentConfig, param: str, value: float) -> Experi
     raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
-def _sweep_task(task) -> list[dict]:
+def _sweep_task(cfg: ExperimentConfig, param: str, values, seed: int, workdir) -> list[dict]:
     """Train one seed at the first value; evaluate every further value (alpha
     only) on that trained seed."""
-    cfg, param, values, seed, workdir = task
     outcome = run_seed(apply_sweep_param(cfg, param, values[0]), seed, workdir)
     chunks = [outcome.rows] + [evaluate_seed(apply_sweep_param(cfg, param, value), outcome)
                                for value in values[1:]]
@@ -212,16 +210,8 @@ def cmd_sweep(args) -> int:
     else:  # the data changes with the value: train once per point
         tasks = [(cfg, args.param, [value], seed, sweep_dir / f"{args.param}_{value:g}")
                  for value in values for seed in cfg.seeds]
-    workers = int(os.environ.get("STYLESHIFT_THREADS", "1"))
     t0 = time.perf_counter()
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-            chunks = pool.map(_sweep_task, tasks)
-    else:
-        chunks = [_sweep_task(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for task in tasks for row in _sweep_task(*task)]
     rows.sort(key=lambda r: (r["param"], r["value"], r["seed"], r["target"]))
     out = workdir / args.out_csv
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -21,23 +21,10 @@ from . import micro_net as mn
 from . import test_time_shift as tts
 from .errors import ConfigError
 
-MODE_NAMES = {
-    "off": tts.OFF,
-    "proposed": tts.PROPOSED,
-    "shift-all": tts.SHIFT_ALL,
-    "nearest-sample": None,  # built with pool size
-    "single-domain": tts.SINGLE_DOMAIN,
-}
-
 
 def shift_mode_from_name(name: str, pool_size: int = tts.DEFAULT_NEAREST_POOL) -> tts.ShiftMode:
     """The shift mode spelled ``name``; ``_`` and ``-`` are interchangeable."""
-    key = str(name).replace("_", "-")
-    if key not in MODE_NAMES:
-        raise ConfigError(f"unknown shift mode {name!r}; expected one of {sorted(MODE_NAMES)}")
-    if key == "nearest-sample":
-        return tts.nearest_sample(pool_size)
-    return MODE_NAMES[key]
+    return tts.ShiftMode(name, pool_size)
 
 
 def _build(cls, doc: dict):
@@ -247,10 +234,3 @@ def run_seed(cfg: ExperimentConfig, seed: int, workdir) -> SeedOutcome:
     outcome.rows = evaluate_seed(cfg, outcome)
     outcome.wall_time = time.perf_counter() - start
     return outcome
-
-
-def run_experiment(cfg: ExperimentConfig, workdir) -> list[dict]:
-    rows = []
-    for seed in cfg.seeds:
-        rows.extend(run_seed(cfg, seed, workdir).rows)
-    return rows

@@ -28,7 +28,7 @@ from .autodiff import Var
 from .errors import ConfigError, DivergenceError
 from .style_balance import BatchMeta, MovePlan, build_balance_plan, sb_apply_var
 from .style_ops import DEFAULT_LAMBDA_SHAPE, dsu_var, efdmix_hook, mixstyle_var
-from .tensor_core import EPS_STD, batch_style_vectors, json_floats
+from .tensor_core import batch_style_vectors, json_floats
 from .test_time_shift import OFF, DomainRegistry, ShiftMode, ts_apply
 
 AUG_KINDS = ("none", "mixstyle", "dsu", "efdmix")
@@ -135,17 +135,16 @@ class SbHookOp:
     kind = "sb"
 
     def __init__(self, meta: BatchMeta, rng: np.random.Generator,
-                 lambda_shape: float = DEFAULT_LAMBDA_SHAPE, eps_std: float = EPS_STD):
+                 lambda_shape: float = DEFAULT_LAMBDA_SHAPE):
         self.meta = meta
         self.rng = rng
         self.lambda_shape = lambda_shape
-        self.eps_std = eps_std
         self.plan: MovePlan | None = None
         self._state = None
 
     def __call__(self, v: Var) -> Var:
         if self.plan is None:
-            styles = batch_style_vectors(v.value, self.eps_std)
+            styles = batch_style_vectors(v.value)
             self.plan = build_balance_plan(styles, self.meta, self.rng, self.lambda_shape)
         out, state = sb_apply_var(v, self.plan.moves, frozen=self._state)
         if self._state is None:
@@ -156,37 +155,33 @@ class SbHookOp:
 class MixstyleHookOp:
     kind = "mixstyle"
 
-    def __init__(self, perm, lambdas, eps_std: float = EPS_STD):
+    def __init__(self, perm, lambdas):
         self.perm = perm
         self.lambdas = lambdas
-        self.eps_std = eps_std
 
     @classmethod
     def draw(cls, batch_size: int, rng: np.random.Generator,
-             lambda_shape: float, eps_std: float = EPS_STD) -> "MixstyleHookOp":
-        return cls(rng.permutation(batch_size), rng.beta(lambda_shape, lambda_shape, batch_size),
-                   eps_std)
+             lambda_shape: float) -> "MixstyleHookOp":
+        return cls(rng.permutation(batch_size), rng.beta(lambda_shape, lambda_shape, batch_size))
 
     def __call__(self, v: Var) -> Var:
-        return mixstyle_var(v, self.lambdas, self.perm, self.eps_std)
+        return mixstyle_var(v, self.lambdas, self.perm)
 
 
 class DsuHookOp:
     kind = "dsu"
 
-    def __init__(self, eps_mu, eps_sig, eps_std: float = EPS_STD):
+    def __init__(self, eps_mu, eps_sig):
         self.eps_mu = eps_mu
         self.eps_sig = eps_sig
-        self.eps_std = eps_std
 
     @classmethod
-    def draw(cls, batch_size: int, channels: int, rng: np.random.Generator,
-             eps_std: float = EPS_STD) -> "DsuHookOp":
+    def draw(cls, batch_size: int, channels: int, rng: np.random.Generator) -> "DsuHookOp":
         return cls(rng.standard_normal((batch_size, channels)),
-                   rng.standard_normal((batch_size, channels)), eps_std)
+                   rng.standard_normal((batch_size, channels)))
 
     def __call__(self, v: Var) -> Var:
-        return dsu_var(v, self.eps_mu, self.eps_sig, self.eps_std)
+        return dsu_var(v, self.eps_mu, self.eps_sig)
 
 
 class EfdmixHookOp:
@@ -207,32 +202,6 @@ class EfdmixHookOp:
         if self._state is None:
             self._state = state
         return out
-
-
-class TsHookOp:
-    """Evaluation-time shifter; applied per sample, blocks gradients."""
-
-    kind = "ts"
-
-    def __init__(self, reg: DomainRegistry, alpha: float | None, mode: ShiftMode,
-                 sample_pool=None, rng: np.random.Generator | None = None,
-                 eps_std: float = EPS_STD):
-        self.reg = reg
-        self.alpha = alpha
-        self.mode = mode
-        self.sample_pool = sample_pool
-        self.rng = rng
-        self.eps_std = eps_std
-        self.decisions = []
-
-    def __call__(self, v: Var) -> Var:
-        vals = v.value
-        out = np.empty_like(vals)
-        for i in range(vals.shape[0]):
-            out[i], decision = ts_apply(vals[i], self.reg, self.alpha, self.mode,
-                                        self.sample_pool, self.rng, self.eps_std)
-            self.decisions.append(decision)
-        return Var(out)
 
 
 # -- the network -------------------------------------------------------------
@@ -310,8 +279,7 @@ class MicroNet:
         logits = ad.linear(feats, pv["head_w"], pv["head_b"])
         return ForwardResult(logits=logits, hook_inputs=hook_inputs, param_vars=pv)
 
-    def style_vectors_at(self, x, layer: str, batch_size: int = 256,
-                         eps_std: float = EPS_STD) -> np.ndarray:
+    def style_vectors_at(self, x, layer: str, batch_size: int = 256) -> np.ndarray:
         """Per-sample style vectors at one hook from clean forward passes that
         record no graph and stop at that hook."""
         if layer not in self.hook_names:
@@ -321,7 +289,7 @@ class MicroNet:
         with ad.no_grad():
             for start in range(0, x.shape[0], batch_size):
                 res = self.forward(x[start:start + batch_size], to_hook=layer)
-                out.append(batch_style_vectors(res.hook_inputs[layer].value, eps_std))
+                out.append(batch_style_vectors(res.hook_inputs[layer].value))
         return np.concatenate(out, axis=0)
 
     # -- persistence ------------------------------------------------------
@@ -490,27 +458,32 @@ def evaluate(net: MicroNet, images, class_labels, domain_labels,
                 f"registry layer {registry.layer!r} is not a hook of this network")
         if registry.channels != net.config.channels_at(registry.layer):
             raise ConfigError("registry channel count does not match the hook")
+    decisions = []
+
+    def shift(v: Var) -> Var:  # the shifter: one ts_apply per sample, no gradient
+        out = np.empty_like(v.value)
+        for i, f in enumerate(v.value):
+            out[i], decision = ts_apply(f, registry, alpha, mode, sample_pool, rng)
+            decisions.append(decision)
+        return Var(out)
+
+    ops = [(registry.layer, shift)] if use_ts else []
     stats: dict[int, dict] = {int(d): {"n": 0, "correct": 0, "shifted": 0}
                               for d in np.unique(doms)}
     with ad.no_grad():  # inference: no vjp closure keeps a batch alive
         for start in range(0, x.shape[0], batch_size):
             sl = slice(start, start + batch_size)
-            ops = []
-            ts_op = None
-            if use_ts:
-                ts_op = TsHookOp(registry, alpha, mode, sample_pool, rng)
-                ops.append((registry.layer, ts_op))
             res = net.forward(x[sl], ops)
             if not np.all(np.isfinite(res.logits.value)):
                 raise DivergenceError(f"non-finite logits in the evaluation batch "
                                       f"starting at sample {start}")
             preds = res.logits.value.argmax(axis=1)
-            for i, (p, truth, dom) in enumerate(zip(preds, y[sl], doms[sl])):
+            for p, truth, dom in zip(preds, y[sl], doms[sl]):
                 rec = stats[int(dom)]
                 rec["n"] += 1
                 rec["correct"] += int(p == truth)
-                if ts_op is not None and ts_op.decisions[i].shifted:
-                    rec["shifted"] += 1
+    for dom, decision in zip(doms, decisions):
+        stats[int(dom)]["shifted"] += int(decision.shifted)
     return EvalResult(domains=stats)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Var
 from .errors import CarrierUnavailableError, DimensionError, StyleShiftError
 from .style_ops import DEFAULT_LAMBDA_SHAPE, sample_lambda, sort_permutation
-from .tensor_core import EPS_STD, batch_style_vectors
+from .tensor_core import batch_style_vectors
 
 logger = logging.getLogger(__name__)
 
@@ -321,15 +321,14 @@ def build_balance_plan(styles, meta: BatchMeta, rng: np.random.Generator,
 
 
 def style_balance_batch(batch, meta: BatchMeta, rng: np.random.Generator,
-                        lambda_shape: float = DEFAULT_LAMBDA_SHAPE,
-                        eps_std: float = EPS_STD):
+                        lambda_shape: float = DEFAULT_LAMBDA_SHAPE):
     """Balance per-class domain counts in a feature batch.
 
     Returns (new_batch, MovePlan); samples not scheduled to move pass through
     unchanged.
     """
     x = np.asarray(batch, dtype=np.float64)
-    plan = build_balance_plan(batch_style_vectors(x, eps_std), meta, rng, lambda_shape)
+    plan = build_balance_plan(batch_style_vectors(x), meta, rng, lambda_shape)
     out, _ = sb_apply_var(Var(x), plan.moves)
     return out.value, plan
 

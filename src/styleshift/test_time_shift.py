@@ -10,14 +10,14 @@ its own style. No parameters are updated at test time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, RegistryBuildError
 from .style_ops import adain
-from .tensor_core import EPS_STD, json_floats, style_vector, style_vector_to_stats
+from .tensor_core import json_floats, style_vector, style_vector_to_stats
 
 DEFAULT_ALPHA = 3.0
 PSEUDO_LABEL_ALPHA = 2.0
@@ -26,31 +26,27 @@ DEFAULT_NEAREST_POOL = 100
 
 @dataclass(frozen=True)
 class DomainRegistry:
-    """Per-domain style centroids at one layer, their mean, and the spread."""
+    """Per-domain style centroids at one layer and the default alpha. The
+    global vector (the mean of the centroids) and the spread (the mean
+    distance of the centroids from it) are derived from the centroids."""
 
     layer: str
     names: tuple[str, ...]
     centroids: np.ndarray        # (N, 2C)
-    global_phi: np.ndarray       # (2C,)
-    spread: float
     alpha_default: float = DEFAULT_ALPHA
+    global_phi: np.ndarray = field(init=False)   # (2C,)
+    spread: float = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=np.float64)
-        g = np.asarray(self.global_phi, dtype=np.float64).reshape(-1)
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] % 2 != 0:
             raise DimensionError(f"centroids must be (N, 2C), got {c.shape}")
-        if g.shape[0] != c.shape[1]:
-            raise DimensionError("global vector length mismatch")
         if len(self.names) != c.shape[0]:
             raise DimensionError("one name per domain required")
-        if not np.allclose(g, c.mean(axis=0), atol=1e-9):
-            raise ValueError("global style must equal the mean of the centroids")
-        expected = float(np.linalg.norm(g[None, :] - c, axis=1).mean())
-        if abs(expected - self.spread) > 1e-9:
-            raise ValueError("cached spread is inconsistent with the centroids")
+        g = c.mean(axis=0)
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "global_phi", g)
+        object.__setattr__(self, "spread", float(np.linalg.norm(g[None, :] - c, axis=1).mean()))
         object.__setattr__(self, "names", tuple(self.names))
 
     @property
@@ -70,16 +66,25 @@ class ShiftDecision:
     threshold: float
 
 
+MODE_NAMES = ("off", "proposed", "shift_all", "nearest_sample", "single_domain")
+
+
 @dataclass(frozen=True)
 class ShiftMode:
+    """One of ``MODE_NAMES``; ``-`` may stand for ``_``. ``pool_size`` is the
+    number of pool draws per shifted sample in nearest_sample mode."""
+
     kind: str
     pool_size: int = DEFAULT_NEAREST_POOL
 
     def __post_init__(self):
-        if self.kind not in ("off", "proposed", "shift_all", "nearest_sample", "single_domain"):
-            raise ConfigError(f"unknown shift mode {self.kind!r}")
-        if self.pool_size < 1:
+        kind = str(self.kind).replace("-", "_")
+        if kind not in MODE_NAMES:
+            raise ConfigError(f"unknown shift mode {self.kind!r}; expected one of "
+                              f"{list(MODE_NAMES)} (- may stand for _)")
+        if kind == "nearest_sample" and self.pool_size < 1:
             raise ConfigError("pool_size must be >= 1")
+        object.__setattr__(self, "kind", kind)
 
 
 OFF = ShiftMode("off")
@@ -114,10 +119,8 @@ def registry_from_styles(styles, domains, layer: str, alpha: float = DEFAULT_ALP
         if members.shape[0] == 0:
             raise RegistryBuildError(f"domain {names[d]!r} has no samples")
         centroids[d] = members.mean(axis=0)
-    global_phi = centroids.mean(axis=0)
-    spread = float(np.linalg.norm(global_phi[None, :] - centroids, axis=1).mean())
     return DomainRegistry(layer=layer, names=tuple(names), centroids=centroids,
-                          global_phi=global_phi, spread=spread, alpha_default=alpha)
+                          alpha_default=alpha)
 
 
 def build_registry(model, inputs, domains, layer: str,
@@ -152,50 +155,41 @@ def decide(phi_t, reg: DomainRegistry, alpha: float | None = None) -> ShiftDecis
 
 def ts_apply(f_t, reg: DomainRegistry, alpha: float | None = None,
              mode: ShiftMode = PROPOSED, sample_pool=None,
-             rng: np.random.Generator | None = None,
-             eps_std: float = EPS_STD):
+             rng: np.random.Generator | None = None):
     """Apply one shift mode to a single feature map.
 
-    Returns (features, ShiftDecision). ``nearest_sample`` draws ``pool_size``
-    candidates from ``sample_pool`` per call and shifts to the closest one.
+    Returns (features, ShiftDecision). Off, proposed and nearest_sample decide
+    with ``alpha``; shift_all and single_domain decide with 0, so they shift
+    every sample. Off reports its decision but keeps the sample. A shifted
+    sample is renormalized (adain) to the nearest centroid, or in
+    nearest_sample mode to the closest of ``pool_size`` styles drawn from
+    ``sample_pool`` with ``rng``.
     """
     f_t = np.asarray(f_t, dtype=np.float64)
-    phi = style_vector(f_t, eps_std)
-    if mode.kind == "off":
-        d = decide(phi, reg, alpha)
+    if mode.kind == "single_domain" and reg.n_domains != 1:
+        raise ConfigError("single_domain mode requires a one-domain registry")
+    always = mode.kind in ("shift_all", "single_domain")
+    phi = style_vector(f_t)
+    d = decide(phi, reg, 0.0 if always else alpha)
+    if mode.kind == "off" or not (d.shifted or always):
         return f_t, ShiftDecision(False, None, d.avg_distance, d.threshold)
-    if mode.kind == "single_domain":
-        if reg.n_domains != 1:
-            raise ConfigError("single_domain mode requires a one-domain registry")
-        stats = style_vector_to_stats(reg.centroids[0])
-        d = decide(phi, reg, alpha)
-        return adain(f_t, stats, eps_std), ShiftDecision(True, 0, d.avg_distance, d.threshold)
-    if mode.kind == "shift_all":
-        d = decide(phi, reg, alpha=0.0)
-        target = d.target if d.shifted else int(
-            np.argmin(np.linalg.norm(phi[None, :] - reg.centroids, axis=1)))
-        stats = style_vector_to_stats(reg.centroids[target])
-        return adain(f_t, stats, eps_std), ShiftDecision(True, target, d.avg_distance, 0.0)
-    decision = decide(phi, reg, alpha)
-    if not decision.shifted:
-        return f_t, decision
-    if mode.kind == "proposed":
-        stats = style_vector_to_stats(reg.centroids[decision.target])
-        return adain(f_t, stats, eps_std), decision
-    # nearest_sample: shift to the closest style among a random training pool
-    if sample_pool is None:
-        raise ConfigError("nearest_sample mode requires a sample_pool of style vectors")
-    pool = np.asarray(sample_pool, dtype=np.float64)
-    if pool.ndim != 2 or pool.shape[1] != reg.centroids.shape[1]:
-        raise DimensionError("sample_pool must be (M, 2C) matching the registry")
-    if rng is None:
-        raise ConfigError("nearest_sample mode requires an rng for pool draws")
-    take = min(mode.pool_size, pool.shape[0])
-    chosen = rng.choice(pool.shape[0], size=take, replace=False)
-    cand = pool[chosen]
-    best = int(np.argmin(np.linalg.norm(phi[None, :] - cand, axis=1)))
-    stats = style_vector_to_stats(cand[best])
-    return adain(f_t, stats, eps_std), decision
+    # decide keeps a sample only at distance 0 from every centroid, so for an
+    # always-shift mode centroid 0 is as near as any
+    target = 0 if d.target is None else d.target
+    phi_target = reg.centroids[target]
+    if mode.kind == "nearest_sample":
+        if sample_pool is None:
+            raise ConfigError("nearest_sample mode requires a sample_pool of style vectors")
+        pool = np.asarray(sample_pool, dtype=np.float64)
+        if pool.ndim != 2 or pool.shape[1] != reg.centroids.shape[1]:
+            raise DimensionError("sample_pool must be (M, 2C) matching the registry")
+        if rng is None:
+            raise ConfigError("nearest_sample mode requires an rng for pool draws")
+        cand = pool[rng.choice(pool.shape[0], size=min(mode.pool_size, pool.shape[0]),
+                               replace=False)]
+        phi_target = cand[int(np.argmin(np.linalg.norm(phi[None, :] - cand, axis=1)))]
+    return (adain(f_t, style_vector_to_stats(phi_target)),
+            ShiftDecision(True, target, d.avg_distance, d.threshold))
 
 
 # -- pseudo-domain labels ----------------------------------------------------
@@ -280,8 +274,9 @@ def registry_to_dict(reg: DomainRegistry) -> dict:
 
 def registry_from_dict(doc: dict) -> DomainRegistry:
     """Rebuild a registry from ``registry_to_dict`` output. Every value must
-    be a finite JSON number, every sigma positive and alpha non-negative;
-    anything malformed is a ConfigError."""
+    be a finite JSON number, every sigma positive and alpha non-negative, and
+    the stored global vector and spread must match the ones the centroids
+    give; anything malformed is a ConfigError."""
     try:
         entries = [*doc["domains"], doc["global"]]
         halves = [json_floats(e[key], f"registry {key}")
@@ -295,9 +290,13 @@ def registry_from_dict(doc: dict) -> DomainRegistry:
             raise ConfigError("registry holds a non-finite value")
         if np.any(rows[:, rows.shape[1] // 2:] <= 0) or alpha < 0:
             raise ConfigError("registry sigma entries must be positive and alpha >= 0")
-        return DomainRegistry(layer=doc["layer"], names=tuple(d["name"] for d in doc["domains"]),
-                              centroids=rows[:-1], global_phi=rows[-1], spread=spread,
-                              alpha_default=alpha)
+        reg = DomainRegistry(layer=doc["layer"], names=tuple(d["name"] for d in doc["domains"]),
+                             centroids=rows[:-1], alpha_default=alpha)
+        if not np.allclose(rows[-1], reg.global_phi, atol=1e-9):
+            raise ConfigError("registry global style is not the mean of its centroids")
+        if abs(reg.spread - spread) > 1e-9:
+            raise ConfigError("registry spread is inconsistent with its centroids")
+        return reg
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -285,7 +285,7 @@ def _set_first_everywhere(doc, key, value):
                                         "spread_doubled", "nan_mu", "no_domains",
                                         "string_alpha", "negative_alpha", "numeric_string_mu",
                                         "numeric_string_alpha", "bool_sigma",
-                                        "numeric_string_spread"])
+                                        "numeric_string_spread", "global_shifted"])
 def test_eval_malformed_registry_exits_2(tmp_path, corruption):
     _eval_setup(tmp_path)
     doc = json.loads((tmp_path / "reg.json").read_text())
@@ -308,6 +308,8 @@ def test_eval_malformed_registry_exits_2(tmp_path, corruption):
             entry["sigma"] = [-s for s in entry["sigma"]]
     elif corruption == "spread_doubled":
         doc["spread"] *= 2
+    elif corruption == "global_shifted":  # the spread is left as it was
+        doc["global"]["mu"][0] += 1.0
     elif corruption == "nan_mu":
         doc["domains"][0]["mu"][0] = float("nan")
     elif corruption == "no_domains":
@@ -390,20 +392,6 @@ def test_unknown_config_keys_exit_2(tmp_path):
                    "--audit-log", "a.jsonl") == 2
 
 
-def test_sweep_parallel_workers_match_serial_bytes(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, "exp.json", SWEEP_CFG)
-    monkeypatch.delenv("STYLESHIFT_THREADS", raising=False)
-    assert run(tmp_path, "sweep", "--config", cfg, "--param", "alpha",
-               "--values", "0,3", "--out-csv", "serial.csv",
-               "--out-dir", "sw_serial") == 0
-    monkeypatch.setenv("STYLESHIFT_THREADS", "2")
-    assert run(tmp_path, "sweep", "--config", cfg, "--param", "alpha",
-               "--values", "0,3", "--out-csv", "parallel.csv",
-               "--out-dir", "sw_parallel") == 0
-    assert (tmp_path / "serial.csv").read_bytes() == \
-           (tmp_path / "parallel.csv").read_bytes()
-
-
 def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch):
     from styleshift import micro_net as mn
     from styleshift.experiment import ExperimentConfig, run_seed
@@ -415,7 +403,6 @@ def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch):
         return train(*args, **kwargs)
 
     monkeypatch.setattr(mn, "train", counted_train)
-    monkeypatch.delenv("STYLESHIFT_THREADS", raising=False)
     doc = {**SWEEP_CFG, "eval": {"mode": "nearest-sample", "layer": "block2", "pool_size": 5}}
     cfg = write_cfg(tmp_path, "exp.json", doc)
     alphas = (0.0, 1.5, 3.0)
@@ -492,12 +479,3 @@ def test_sweep_keep_fraction_regenerates_data(tmp_path):
     counts = m.cell_counts("train")
     assert counts[0].sum() == 15 and counts[1].sum() == 9  # largest kept, other halved
 
-
-def test_run_experiment_collects_all_seed_rows(tmp_path):
-    from styleshift.experiment import ExperimentConfig, run_experiment
-    cfg = ExperimentConfig.from_dict({**SWEEP_CFG, "seeds": [0, 1],
-                                      "eval": {"mode": "off", "layer": "block2"}})
-    rows = run_experiment(cfg, tmp_path)
-    assert len(rows) == 2 * 3  # seeds x domains
-    assert {r["seed"] for r in rows} == {0, 1}
-    assert all(r["shift_rate"] == 0.0 for r in rows)

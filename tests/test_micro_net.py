@@ -384,6 +384,29 @@ def test_evaluate_checks_registry_layer():
         mn.evaluate(net, x, y, d, registry=reg, mode=ts.PROPOSED, alpha=1.0)
 
 
+@pytest.mark.parametrize("layer", ["block1", "block2"])
+def test_evaluate_shifts_match_decide_over_style_vectors_at(layer):
+    """The registry path and the eval path see one style vector per sample at
+    the CLI's shapes: with more than 128 test images, evaluate (chunks of 128)
+    and style_vectors_at (chunks of 256) split the batch differently, and each
+    sample's shift in evaluate (one domain id per sample) equals decide over
+    style_vectors_at."""
+    net = mn.MicroNet.init(mn.NetConfig(), seed=5)
+    rng = RNG(6)
+    x_src = rng.uniform(size=(60, 1, 32, 32)) * np.repeat([0.4, 1.0, 2.0], 20)[:, None, None, None]
+    reg = ts.build_registry(net, x_src, np.repeat([0, 1, 2], 20), layer)
+    n = 300
+    x = rng.uniform(size=(n, 1, 32, 32)) * rng.uniform(0.1, 3.0, size=(n, 1, 1, 1)) \
+        + rng.uniform(-0.5, 0.5, size=(n, 1, 1, 1))
+    phi = net.style_vectors_at(x, layer)
+    alpha = float(np.median([ts.decide(p, reg, 0.0).avg_distance for p in phi]) / reg.spread)
+    want = [ts.decide(p, reg, alpha).shifted for p in phi]
+    assert 0 < sum(want) < n
+    res = mn.evaluate(net, x, np.zeros(n, dtype=int), np.arange(n), registry=reg,
+                      mode=ts.PROPOSED, alpha=alpha)
+    assert [bool(res.domains[i]["shifted"]) for i in range(n)] == want
+
+
 # -- tape-free inference ------------------------------------------------------------
 
 THREE = mn.NetConfig(in_channels=1, image_size=8,

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from styleshift import tensor_core as tc
+from styleshift.style_ops import adain
 from styleshift import test_time_shift as ts
 from styleshift.errors import ConfigError, DimensionError, RegistryBuildError
 
@@ -62,13 +65,6 @@ def test_registry_empty_domain_errors():
                                 names=("domain0", "domain1", "domain2"))
 
 
-def test_registry_invariant_enforced():
-    with pytest.raises(ValueError):
-        ts.DomainRegistry(layer="block2", names=("a", "b"),
-                          centroids=np.array([[0.0, 1.0], [4.0, 1.0]]),
-                          global_phi=np.array([9.0, 9.0]), spread=2.0)
-
-
 # -- decide ---------------------------------------------------------------------
 
 def test_decide_hand_case_shift():
@@ -92,15 +88,21 @@ def test_decide_alpha_zero_shifts_everything_off_axis():
     assert d.shifted
 
 
-def test_decide_monotone_in_alpha():
-    rng = RNG(1)
-    reg = random_registry(rng, 3, 4)
-    phis = rng.normal(size=(200, 8))
-    shifted = {}
-    for alpha in (0.5, 1.0, 2.0):
-        shifted[alpha] = {i for i, p in enumerate(phis)
-                          if ts.decide(p, reg, alpha).shifted}
-    assert shifted[2.0] <= shifted[1.0] <= shifted[0.5]
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), n_domains=st.integers(1, 4), channels=st.integers(1, 4),
+       alphas=st.lists(st.floats(0.0, 8.0), min_size=2, max_size=2), scale=st.floats(0.1, 5.0))
+def test_decide_monotone_in_alpha(seed, n_domains, channels, alphas, scale):
+    """Raising alpha never shifts a sample that a lower alpha kept; the
+    distance and the target do not depend on alpha."""
+    lo, hi = sorted(alphas)
+    rng = RNG(seed)
+    reg = random_registry(rng, n_domains, channels)
+    for phi in rng.normal(scale=scale, size=(20, 2 * channels)):
+        a, b = ts.decide(phi, reg, lo), ts.decide(phi, reg, hi)
+        assert a.shifted or not b.shifted
+        assert a.avg_distance == b.avg_distance
+        if b.shifted:
+            assert a.target == b.target
 
 
 def test_decide_matches_reference_implementation():
@@ -225,6 +227,68 @@ def test_ts_apply_idempotent_for_alpha_ge_one():
         np.testing.assert_allclose(twice, once, rtol=1e-9, atol=1e-9)
 
 
+MODES = ("off", "proposed", "shift_all", "nearest_sample", "single_domain")
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16), kind=st.sampled_from(MODES), n_domains=st.integers(1, 4),
+       channels=st.integers(1, 3), hw=st.integers(1, 4), offset=st.floats(-30.0, 30.0),
+       alpha=st.one_of(st.none(), st.floats(0.0, 4.0)), pool_size=st.integers(1, 12),
+       degenerate=st.booleans())
+def test_ts_apply_every_mode_matches_restatement(seed, kind, n_domains, channels, hw,
+                                                 offset, alpha, pool_size, degenerate):
+    """Each mode against a restatement of its rule: off keeps the input bit for
+    bit; proposed follows decide; shift_all and single_domain shift to the
+    nearest centroid (the lowest id when every centroid is as near);
+    nearest_sample shifts to the closest of the pool members a hand re-draw
+    from the same seed picks. A shifted output is adain to the target's stats,
+    bit for bit. ``degenerate`` makes every source sample and the test sample
+    one map, so every distance is 0."""
+    rng = RNG(seed)
+    if kind == "single_domain":
+        n_domains = 1
+    feats = rng.normal(size=(n_domains * 3, channels, hw, hw)) \
+        + rng.normal(scale=2.0, size=(n_domains * 3, 1, 1, 1))
+    f = rng.normal(size=(channels, hw, hw)) * rng.uniform(0.5, 3.0) + offset
+    if degenerate:
+        feats[:] = feats[0]
+        f = feats[0].copy()
+    reg = ts.registry_from_styles(tc.batch_style_vectors(feats),
+                                  np.repeat(np.arange(n_domains), 3), "block2")
+    pool = tc.batch_style_vectors(rng.normal(size=(10, channels, hw, hw)) * 2.0)
+    mode = ts.nearest_sample(pool_size) if kind == "nearest_sample" else ts.ShiftMode(kind)
+    draw_seed = int(rng.integers(2**32))
+    draws = RNG(draw_seed)
+
+    out, got = ts.ts_apply(f, reg, alpha, mode, sample_pool=pool, rng=draws)
+
+    phi = tc.style_vector(f)
+    dists = [float(np.linalg.norm(phi - c)) for c in reg.centroids]
+    nearest = int(np.argmin(dists))
+    want = ts.decide(phi, reg, alpha)
+    assert got.avg_distance == want.avg_distance
+    redraw = RNG(draw_seed)
+    if kind == "off":
+        assert (got.shifted, got.target) == (False, None)
+        target = None
+    elif kind in ("proposed", "nearest_sample"):
+        assert got == want
+        target = reg.centroids[want.target] if want.shifted else None
+        if kind == "nearest_sample" and want.shifted:
+            chosen = redraw.choice(pool.shape[0], size=min(pool_size, pool.shape[0]),
+                                   replace=False)
+            cand = pool[chosen]
+            target = cand[int(np.argmin(np.linalg.norm(phi[None, :] - cand, axis=1)))]
+    else:
+        assert (got.shifted, got.target) == (True, nearest)
+        target = reg.centroids[nearest]
+    if target is None:
+        assert out.tobytes() == f.tobytes()
+    else:
+        assert out.tobytes() == adain(f, tc.style_vector_to_stats(target)).tobytes()
+    assert draws.bit_generator.state == redraw.bit_generator.state
+
+
 def test_shift_decision_vector_length_checked():
     reg = two_domain_registry()
     with pytest.raises(DimensionError):
@@ -255,6 +319,29 @@ def test_registry_roundtrip_file_stable(tmp_path):
     ts.save_registry(reg, p1)
     ts.save_registry(ts.load_registry(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n_domains=st.integers(1, 5), channels=st.integers(1, 6),
+       scale=st.floats(1e-3, 1e3), alpha=st.floats(0.0, 10.0))
+def test_registry_save_load_save_byte_stable(tmp_path_factory, seed, n_domains, channels,
+                                             scale, alpha):
+    """save -> load -> save writes the same bytes, and the loaded registry's
+    global vector and spread equal the saved one's bit for bit."""
+    rng = RNG(seed)
+    styles = rng.normal(scale=scale, size=(n_domains * 3, 2 * channels))
+    styles[:, channels:] = np.abs(styles[:, channels:]) + 1e-3
+    reg = ts.registry_from_styles(styles, np.repeat(np.arange(n_domains), 3), "block1",
+                                  alpha=alpha)
+    path = tmp_path_factory.mktemp("reg") / "r.json"
+    ts.save_registry(reg, path)
+    first = path.read_bytes()
+    loaded = ts.load_registry(path)
+    ts.save_registry(loaded, path)
+    assert path.read_bytes() == first
+    assert loaded.global_phi.tobytes() == reg.global_phi.tobytes()
+    assert np.float64(loaded.spread).tobytes() == np.float64(reg.spread).tobytes()
+    assert loaded.alpha_default == reg.alpha_default
 
 
 # -- pseudo domains ------------------------------------------------------------------
