@@ -5,17 +5,55 @@ differentiable style transforms that hook into it: elementwise arithmetic
 with broadcasting, axis reductions, conv/pool/linear layers and a fused
 softmax cross-entropy. Gradients accumulate on leaf variables (those without
 a vjp) after calling ``backward`` on a scalar; intermediate gradients are not
-kept. Inside ``no_grad()`` the same ops record nothing: every Var they return
-is a leaf, so no vjp closure keeps its inputs or intermediates alive.
+kept, and ``backward`` frees the graph as it sweeps it, so a graph can be
+differentiated once. Inside ``no_grad()`` the same ops record nothing: every
+Var they return is a leaf, so no vjp closure keeps its inputs or intermediates
+alive.
+
+Importing the module pins glibc's mmap and trim thresholds (see
+``_pin_allocator``).
 """
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 
 import numpy as np
 
 _recording = True
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameter ids
+
+
+def _pin_allocator() -> None:
+    """Keep freed heap pages in this process instead of returning them to the OS.
+
+    ``backward`` frees each training step's graph, tens of MB, and the next
+    step allocates it again. With glibc's dynamic thresholds the freed heap
+    top is trimmed back to the OS at every step (and arrays above the dynamic
+    mmap threshold are unmapped on free), so each step faults its pages in
+    anew: about 40% slower training. Both thresholds are set because setting
+    either turns the dynamic adjustment off; 32 MiB is the largest mmap
+    threshold glibc accepts on 64-bit. Where the C library has no
+    ``mallopt`` (not glibc) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_pin_allocator()
+
+
+def _spent(g):
+    raise RuntimeError("backward reached a node whose graph an earlier backward "
+                       "already freed; run the forward again")
 
 
 @contextmanager
@@ -49,6 +87,9 @@ class Var:
         return self.value.shape
 
     def backward(self, seed=None):
+        """Accumulate d(self)/d(leaf) into every leaf's ``.grad``, freeing each
+        node's closure and parents once its vjp has run. A later backward that
+        reaches a freed node raises ``RuntimeError``."""
         if seed is None:
             if self.value.size != 1:
                 raise ValueError("backward() without seed requires a scalar")
@@ -72,14 +113,19 @@ class Var:
 
         visit(self)
         grads = {id(self): np.asarray(seed, dtype=np.float64)}
-        for node in reversed(order):
+        while order:  # reverse topological order; popping drops the sweep's reference
+            node = order.pop()
             g = grads.pop(id(node), None)
+            if node._vjp is None:  # a leaf: the only nodes that keep .grad
+                if g is not None:
+                    node.grad = g.copy() if node.grad is None else node.grad + g
+                continue
+            parents, vjp = node._parents, node._vjp
+            # every consumer of this node has run: free its closure and inputs
+            node._parents, node._vjp = (), _spent
             if g is None:
                 continue
-            if node._vjp is None:  # a leaf: the only nodes that keep .grad
-                node.grad = g.copy() if node.grad is None else node.grad + g
-                continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
+            for parent, pg in zip(parents, vjp(g)):
                 if pg is None:
                     continue
                 if id(parent) in grads:

@@ -154,13 +154,15 @@ def cmd_eval(args) -> int:
     registry = tts.registry_from_dict(_read_json(workdir / args.registry))
     manifest, root = _load_dataset(workdir, args.dataset)
     mode = shift_mode_from_name(args.mode, args.pool_size)
-    pool_images = None
-    if mode.kind == "nearest_sample":
-        pool_images, _, _ = load_split(manifest, root, "train", manifest.source_domains)
     label = args.method_label or method_label(bool(tags.get("sb")), mode.kind,
                                               tags.get("aug", "none"))
     t0 = time.perf_counter()
-    rows = eval_stage(net, registry, manifest, root, mode, args.alpha, pool_images,
+    pool = None
+    if mode.kind == "nearest_sample":
+        pool_images, _, _ = load_split(manifest, root, "train", manifest.source_domains)
+        pool = net.style_vectors_at(pool_images, registry.layer)
+    test = load_split(manifest, root, "test")
+    rows = eval_stage(net, registry, manifest, test, mode, args.alpha, pool,
                       np.random.Generator(np.random.PCG64(args.seed)), label,
                       tags.get("seed", 0))
     out = workdir / args.out_csv

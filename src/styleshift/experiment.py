@@ -181,15 +181,13 @@ def train_stage(cfg: ExperimentConfig, manifest: dd.DatasetManifest, root, seed:
 
 
 def eval_stage(net: mn.MicroNet, registry: tts.DomainRegistry,
-               manifest: dd.DatasetManifest, root, mode: tts.ShiftMode,
-               alpha: float | None, pool_images, rng: np.random.Generator,
+               manifest: dd.DatasetManifest, test, mode: tts.ShiftMode,
+               alpha: float | None, pool, rng: np.random.Generator,
                label: str, seed: int) -> list[dict]:
-    """One result row per test domain. Nearest-sample mode draws its pool from
-    the style vectors of ``pool_images`` at the registry's layer."""
-    pool = None
-    if mode.kind == "nearest_sample":
-        pool = net.style_vectors_at(pool_images, registry.layer)
-    xte, yte, dte = load_split(manifest, root, "test")
+    """One result row per test domain of ``test`` (images, classes, domain
+    ids). Nearest-sample mode draws from ``pool``, style vectors at the
+    registry's layer; other modes ignore it."""
+    xte, yte, dte = test
     result = mn.evaluate(net, xte, yte, dte, registry=registry, mode=mode,
                          alpha=alpha, sample_pool=pool, rng=rng)
     return [{"method": label, "target": manifest.styles[dom].name, "seed": seed,
@@ -203,21 +201,26 @@ class SeedOutcome:
     manifest: dd.DatasetManifest
     data_dir: Path
     train_images: np.ndarray
+    test: tuple[np.ndarray, np.ndarray, np.ndarray]   # images, classes, domain ids
     net: mn.MicroNet
     registry: tts.DomainRegistry
     metrics: mn.TrainMetrics
     rows: list[dict]
     wall_time: float
+    pool: np.ndarray | None = None   # training style vectors, on first nearest-sample eval
 
 
 def evaluate_seed(cfg: ExperimentConfig, outcome: SeedOutcome) -> list[dict]:
     """Rows of cfg's evaluation of a trained seed; only ``cfg.eval`` may differ
     from the training config. An alpha of None is the registry's."""
     mode = shift_mode_from_name(cfg.eval.mode, cfg.eval.pool_size)
+    if mode.kind == "nearest_sample" and outcome.pool is None:
+        outcome.pool = outcome.net.style_vectors_at(outcome.train_images,
+                                                    outcome.registry.layer)
     seed = outcome.seed
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x9001])))
-    return eval_stage(outcome.net, outcome.registry, outcome.manifest, outcome.data_dir,
-                      mode, cfg.eval.alpha, outcome.train_images, rng,
+    return eval_stage(outcome.net, outcome.registry, outcome.manifest, outcome.test,
+                      mode, cfg.eval.alpha, outcome.pool, rng,
                       method_label(cfg.train.sb, mode.kind, cfg.train.aug), seed)
 
 
@@ -229,8 +232,10 @@ def run_seed(cfg: ExperimentConfig, seed: int, workdir) -> SeedOutcome:
     net, metrics, (xtr, _, dtr, names) = train_stage(cfg, manifest, data_dir, seed)
     registry = tts.build_registry(net, xtr, dtr, cfg.eval.layer, names=names,
                                   alpha=default_alpha(cfg.eval.alpha, cfg.pseudo_labels))
+    test = load_split(manifest, data_dir, "test")  # after training: not in its peak
     outcome = SeedOutcome(seed=seed, manifest=manifest, data_dir=data_dir, train_images=xtr,
-                          net=net, registry=registry, metrics=metrics, rows=[], wall_time=0.0)
+                          test=test, net=net, registry=registry, metrics=metrics, rows=[],
+                          wall_time=0.0)
     outcome.rows = evaluate_seed(cfg, outcome)
     outcome.wall_time = time.perf_counter() - start
     return outcome

@@ -33,6 +33,10 @@ from .test_time_shift import OFF, DomainRegistry, ShiftMode, ts_apply
 
 AUG_KINDS = ("none", "mixstyle", "dsu", "efdmix")
 
+# Samples per inference forward pass (evaluate and style_vectors_at): small
+# enough that block1's im2col matrix and output stay in L2 cache at 32 px.
+INFERENCE_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class BlockSpec:
@@ -279,7 +283,8 @@ class MicroNet:
         logits = ad.linear(feats, pv["head_w"], pv["head_b"])
         return ForwardResult(logits=logits, hook_inputs=hook_inputs, param_vars=pv)
 
-    def style_vectors_at(self, x, layer: str, batch_size: int = 256) -> np.ndarray:
+    def style_vectors_at(self, x, layer: str,
+                         batch_size: int = INFERENCE_CHUNK) -> np.ndarray:
         """Per-sample style vectors at one hook from clean forward passes that
         record no graph and stop at that hook."""
         if layer not in self.hook_names:
@@ -442,7 +447,7 @@ def evaluate(net: MicroNet, images, class_labels, domain_labels,
              registry: DomainRegistry | None = None, mode: ShiftMode = OFF,
              alpha: float | None = None, sample_pool=None,
              rng: np.random.Generator | None = None,
-             batch_size: int = 128) -> EvalResult:
+             batch_size: int = INFERENCE_CHUNK) -> EvalResult:
     """Top-1 accuracy and shift rate per domain, with the shifter at the
     registry's layer when a mode other than off is requested. Non-finite
     logits raise ``DivergenceError`` instead of being scored."""

@@ -164,3 +164,20 @@ def test_no_grad_nests_and_restores_after_an_exception():
     assert out._vjp is not None
     out.backward()
     assert v.grad == 4.0
+
+
+def test_second_backward_through_a_freed_graph_raises():
+    """backward frees the graph it sweeps; a second sweep that reaches a freed
+    node raises instead of treating it as a leaf, and leaf grads stay put."""
+    x, w = Var(np.array([1.0, -2.0, 3.0])), Var(np.array([0.5, 0.5, -1.0]))
+    hidden = ad.relu(ad.mul(x, w))
+    loss = ad.sum_axes(ad.mul(hidden, 2.0), (0,), keepdims=False)
+    loss.backward()
+    grads = (x.grad.copy(), w.grad.copy())
+    with pytest.raises(RuntimeError, match="freed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="freed"):
+        ad.sum_axes(hidden, (0,), keepdims=False).backward()  # a new root on a freed node
+    assert hidden.grad is None
+    np.testing.assert_array_equal(x.grad, grads[0])
+    np.testing.assert_array_equal(w.grad, grads[1])

@@ -1,7 +1,10 @@
+import ctypes
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +269,122 @@ def test_sb_hook_second_call_replays_first_output():
     assert op.plan is plan
 
 
+# -- tape release -------------------------------------------------------------------
+
+def _reference_sweep(root):
+    """The engine's sweep (same visit and accumulation order) with nothing
+    freed: every Var reachable from root, and id(leaf) -> grad."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents)
+    grads, leaves = {id(root): np.ones_like(root.value)}, {}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._vjp is None:
+            leaves[id(node)] = g
+            continue
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if pg is not None:
+                grads[id(parent)] = grads[id(parent)] + pg if id(parent) in grads else pg
+    return order, leaves
+
+
+def test_backward_frees_the_recorded_graph():
+    """After backward no inner node of the step keeps parents or a live vjp,
+    every vjp closure is collected, and the leaves hold the grads of a sweep
+    that frees nothing, bit for bit."""
+    net = mn.MicroNet.init(TINY, seed=80)
+    rng = RNG(81)
+    x = rng.normal(size=(6, 1, 8, 8))
+    y = rng.integers(0, 3, size=6)
+    meta = BatchMeta(np.array([0, 0, 0, 1, 1, 2]), y, 3, 3)
+    ops = [("block1", mn.SbHookOp(meta, RNG(82))), ("block1", mn.DsuHookOp.draw(6, 3, RNG(83)))]
+    res = net.forward(x, ops)
+    loss = ad.softmax_cross_entropy(res.logits, y)
+    nodes, want = _reference_sweep(loss)
+    inner = [v for v in nodes if v._vjp is not None]
+    closures = [weakref.ref(v._vjp) for v in inner]
+    loss.backward()
+    assert len(inner) > 30 and all(v._parents == () for v in inner)
+    for v in inner:
+        with pytest.raises(RuntimeError):
+            v._vjp(np.zeros_like(v.value))
+    assert all(ref() is None for ref in closures)
+    leaves = [v for v in nodes if v._vjp is None]
+    assert {id(v) for v in leaves if v.grad is not None} == set(want)
+    assert all(res.param_vars[name].grad is not None for name in net.params)
+    for v in leaves:
+        if v.grad is not None:
+            assert v.grad.tobytes() == want[id(v)].tobytes()
+
+
+def _dsu_batch(n):
+    rng = RNG(90)
+    return rng.uniform(size=(n, 1, 32, 32)), np.arange(n) % 7, np.arange(n) % 3
+
+
+DSU_TRAIN = dict(batch_size=63, lr=0.01, seed=0, aug="dsu", aug_prob=1.0,
+                 aug_hooks=("block1", "block2"))
+
+
+def test_training_peak_memory_is_one_step_graph():
+    """backward frees step k's graph before step k+1 records its own, so the
+    traced peak of three batch-63 DSU steps stays near that of one step
+    (holding two graphs at once made it about twice)."""
+    x, y, d = _dsu_batch(63)
+
+    def peak(epochs):
+        net = mn.MicroNet.init(mn.NetConfig(), seed=91)
+        tracemalloc.start()
+        try:
+            mn.train(net, x, y, d, mn.TrainConfig(epochs=epochs, **DSU_TRAIN))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(1), peak(3)
+    assert three <= 1.2 * one, (one, three)
+
+
+PAGE_FAULT_PROBE = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from test_micro_net import DSU_TRAIN, _dsu_batch
+from styleshift import micro_net as mn
+x, y, d = _dsu_batch(189)
+net = mn.MicroNet.init(mn.NetConfig(), seed=92)
+mn.train(net, x, y, d, mn.TrainConfig(epochs=1, **DSU_TRAIN))  # warm-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+mn.train(net, x, y, d, mn.TrainConfig(epochs=5, **DSU_TRAIN))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (5 * 3))
+"""
+
+
+def test_allocator_pin_keeps_training_steps_free_of_page_faults():
+    """Importing the package pins glibc's mmap and trim thresholds, so the
+    pages each step's freed graph leaves behind are reused by the next step
+    instead of being returned to the OS and faulted in again (thousands of
+    minor faults per step without the pin)."""
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        pytest.skip("this C library has no mallopt")
+    tests_dir = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tests_dir.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", PAGE_FAULT_PROBE, str(tests_dir)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert float(out.stdout) < 100
+
+
 # -- training ---------------------------------------------------------------------
 
 def test_train_separable_toy_task():
@@ -384,21 +503,32 @@ def test_evaluate_checks_registry_layer():
         mn.evaluate(net, x, y, d, registry=reg, mode=ts.PROPOSED, alpha=1.0)
 
 
-@pytest.mark.parametrize("layer", ["block1", "block2"])
-def test_evaluate_shifts_match_decide_over_style_vectors_at(layer):
-    """The registry path and the eval path see one style vector per sample at
-    the CLI's shapes: with more than 128 test images, evaluate (chunks of 128)
-    and style_vectors_at (chunks of 256) split the batch differently, and each
+THREE = mn.NetConfig(in_channels=1, image_size=8,
+                     blocks=(mn.BlockSpec(2), mn.BlockSpec(3), mn.BlockSpec(4)), n_classes=3)
+
+
+@pytest.mark.parametrize("config,layer,chunk", [
+    pytest.param(mn.NetConfig(), "block1", 256, id="block1"),
+    pytest.param(mn.NetConfig(), "block2", 256, id="block2"),
+    pytest.param(THREE, "block3", None, id="three-block3-default-chunk")])
+def test_evaluate_shifts_match_decide_over_style_vectors_at(config, layer, chunk):
+    """The registry path and the eval path see one style vector per sample.
+    At the CLI's 32 px shapes, evaluate (chunks of mn.INFERENCE_CHUNK) and
+    style_vectors_at (chunks of 256 here) split 300 samples differently. On
+    the 8 px three-block net, where block3's 1x1 GEMM rounds differently when
+    its column count changes, both run at the shared default chunk. Each
     sample's shift in evaluate (one domain id per sample) equals decide over
     style_vectors_at."""
-    net = mn.MicroNet.init(mn.NetConfig(), seed=5)
+    net = mn.MicroNet.init(config, seed=5)
     rng = RNG(6)
-    x_src = rng.uniform(size=(60, 1, 32, 32)) * np.repeat([0.4, 1.0, 2.0], 20)[:, None, None, None]
+    size = config.image_size
+    x_src = rng.uniform(size=(60, 1, size, size)) * np.repeat([0.4, 1.0, 2.0], 20)[:, None, None, None]
     reg = ts.build_registry(net, x_src, np.repeat([0, 1, 2], 20), layer)
     n = 300
-    x = rng.uniform(size=(n, 1, 32, 32)) * rng.uniform(0.1, 3.0, size=(n, 1, 1, 1)) \
+    x = rng.uniform(size=(n, 1, size, size)) * rng.uniform(0.1, 3.0, size=(n, 1, 1, 1)) \
         + rng.uniform(-0.5, 0.5, size=(n, 1, 1, 1))
-    phi = net.style_vectors_at(x, layer)
+    phi = net.style_vectors_at(x, layer) if chunk is None else \
+        net.style_vectors_at(x, layer, batch_size=chunk)
     alpha = float(np.median([ts.decide(p, reg, 0.0).avg_distance for p in phi]) / reg.spread)
     want = [ts.decide(p, reg, alpha).shifted for p in phi]
     assert 0 < sum(want) < n
@@ -408,10 +538,6 @@ def test_evaluate_shifts_match_decide_over_style_vectors_at(layer):
 
 
 # -- tape-free inference ------------------------------------------------------------
-
-THREE = mn.NetConfig(in_channels=1, image_size=8,
-                     blocks=(mn.BlockSpec(2), mn.BlockSpec(3), mn.BlockSpec(4)), n_classes=3)
-
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**16), n=st.integers(1, 7), layer=st.sampled_from(THREE.hook_names))
