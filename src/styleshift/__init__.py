@@ -22,8 +22,8 @@ from .style_ops import adain, efdm, efdmix, sample_lambda
 from .style_balance import (
     BatchMeta,
     MovePlan,
-    build_move_matrix,
     compute_targets,
+    move_slots,
     pick_style_carriers,
     select_samples,
     style_balance_batch,

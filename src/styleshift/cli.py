@@ -29,7 +29,6 @@ from .experiment import (
     eval_stage,
     evaluate_seed,
     generate_data,
-    load_experiment_config,
     load_split,
     method_label,
     run_seed,
@@ -60,11 +59,14 @@ def append_sidecar(path: Path, message: str) -> None:
 
 def _read_json(path: Path) -> dict:
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def _load_dataset(workdir: Path, dataset: str) -> tuple[dd.DatasetManifest, Path]:
@@ -199,7 +201,7 @@ def _sweep_task(cfg: ExperimentConfig, param: str, values, seed: int, workdir) -
 
 def cmd_sweep(args) -> int:
     workdir = Path(args.workdir)
-    cfg = load_experiment_config(workdir / args.config)
+    cfg = ExperimentConfig.from_dict(_read_json(workdir / args.config))
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError as exc:

@@ -9,7 +9,6 @@ deterministic given the seed.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -102,14 +101,6 @@ class ExperimentConfig:
         if "seeds" in doc:
             kwargs["seeds"] = tuple(doc["seeds"])
         return cls(**kwargs)
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read experiment config {path}: {exc}") from exc
-    return ExperimentConfig.from_dict(doc)
 
 
 def method_label(sb: bool, mode: str, aug: str) -> str:

@@ -131,30 +131,18 @@ def compute_targets(counts) -> BalanceTargets:
     return BalanceTargets(q=q, targets=targets)
 
 
-def build_move_matrix(counts, targets: BalanceTargets) -> dict[tuple[int, int], int]:
-    """Greedy per-pair move counts: surplus domains in ascending id feed
-    deficit domains in ascending id."""
+def move_slots(counts, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy per-sample moves for one class as parallel (src, dst) arrays:
+    one slot per surplus sample, ascending by source, paired with one slot
+    per deficit sample, ascending by destination."""
     counts = np.asarray(counts, dtype=np.intp)
-    tg = targets.targets
-    if counts.sum() != tg.sum():
-        raise StyleShiftError("move matrix invariant violated: totals differ")
-    deficits = {int(d): int(tg[d] - counts[d]) for d in range(len(counts)) if tg[d] > counts[d]}
-    matrix: dict[tuple[int, int], int] = {}
-    for src in range(len(counts)):
-        give = int(counts[src] - tg[src])
-        if give <= 0:
-            continue
-        for dst in sorted(deficits):
-            if give == 0:
-                break
-            take = min(give, deficits[dst])
-            if take > 0:
-                matrix[(src, dst)] = take
-                deficits[dst] -= take
-                give -= take
-    if any(v > 0 for v in deficits.values()):
-        raise StyleShiftError("move matrix invariant violated: unfilled deficit")
-    return matrix
+    gap = np.asarray(targets, dtype=np.intp) - counts
+    ids = np.arange(counts.shape[0])
+    src = np.repeat(ids, np.maximum(-gap, 0))
+    dst = np.repeat(ids, np.maximum(gap, 0))
+    if src.shape != dst.shape:
+        raise StyleShiftError("move plan invariant violated: totals differ")
+    return src, dst
 
 
 def select_samples(styles, m: int) -> SelectionResult:
@@ -205,13 +193,12 @@ def select_samples(styles, m: int) -> SelectionResult:
     return SelectionResult(selected=selected, capped=capped, distance_evals=evals)
 
 
-def pick_style_carriers(meta: BatchMeta, dst: int, exclude: int,
+def pick_style_carriers(meta: BatchMeta, dst: int,
                         rng: np.random.Generator) -> tuple[int, int, bool]:
     """Two batch indices from domain ``dst`` drawn uniformly without
     replacement (any class). A single candidate is returned twice with the
     degeneracy flag set; zero candidates raise."""
     candidates = np.flatnonzero(meta.domains == dst)
-    candidates = candidates[candidates != exclude]
     if candidates.size == 0:
         raise CarrierUnavailableError(f"no sample of domain {dst} in batch")
     if candidates.size == 1:
@@ -285,27 +272,20 @@ def build_balance_plan(styles, meta: BatchMeta, rng: np.random.Generator,
         counts = np.bincount(meta.domains[in_class], minlength=meta.n_domains)
         if counts.sum() == 0:
             continue
-        targets = compute_targets(counts)
-        matrix = build_move_matrix(counts, targets)
-        if not matrix:
-            continue
-        for src in range(meta.n_domains):
-            m = sum(v for (s, _), v in matrix.items() if s == src)
-            if m == 0:
-                continue
+        srcs, dsts = move_slots(counts, compute_targets(counts).targets)
+        for src in np.unique(srcs).tolist():
+            destinations = dsts[srcs == src].tolist()
+            m = len(destinations)
             cell_ids = np.flatnonzero(in_class & (meta.domains == src))
             result = select_samples(styles[cell_ids], m)
             plan.distance_evals += result.distance_evals
             if result.capped:
                 plan.warnings.append(
                     f"class {k} domain {src}: move count {m} capped at {len(result.selected)}")
-            destinations = []
-            for dst in sorted(d for (s, d) in matrix if s == src):
-                destinations.extend([dst] * matrix[(src, dst)])
             for local, dst in zip(result.selected, destinations):
                 sample = int(cell_ids[local])
                 try:
-                    c1, c2, degenerate = pick_style_carriers(meta, dst, sample, rng)
+                    c1, c2, degenerate = pick_style_carriers(meta, dst, rng)
                 except CarrierUnavailableError as exc:
                     logger.warning("skipping move of sample %d to domain %d: %s",
                                    sample, dst, exc)

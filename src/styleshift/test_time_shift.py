@@ -194,8 +194,12 @@ def ts_apply(f_t, reg: DomainRegistry, alpha: float | None = None,
 
 # -- pseudo-domain labels ----------------------------------------------------
 
-def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator,
-                 tol: float, max_iter: int):
+KMEANS_TOL = 1e-6      # Lloyd stops once no center coordinate moves this far
+KMEANS_MAX_ITER = 100
+KMEANS_RESTARTS = 8
+
+
+def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
     m = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(m))]
@@ -208,7 +212,7 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator,
         cut = rng.random() * total
         centers[j] = points[int(np.searchsorted(np.cumsum(d2), cut))]
 
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
         labels = d2.argmin(axis=1)
         new_centers = centers.copy()
@@ -216,7 +220,7 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator,
             members = points[labels == j]
             if members.shape[0]:
                 new_centers[j] = members.mean(axis=0)
-        if np.max(np.abs(new_centers - centers)) < tol:
+        if np.max(np.abs(new_centers - centers)) < KMEANS_TOL:
             centers = new_centers
             break
         centers = new_centers
@@ -226,15 +230,13 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator,
     return labels, inertia
 
 
-def pseudo_domains(styles, k: int, rng: np.random.Generator,
-                   tol: float = 1e-6, max_iter: int = 100,
-                   n_init: int = 8) -> np.ndarray:
+def pseudo_domains(styles, k: int, rng: np.random.Generator) -> np.ndarray:
     """Cluster style vectors into k pseudo domains (0-based labels).
 
     Standard k-means: k-means++ seeding from the supplied generator, Lloyd
-    iterations until the centers move less than ``tol``, and ``n_init``
-    restarts keeping the labeling with the lowest within-cluster sum of
-    squares. Deterministic given the seed.
+    iterations until the centers move less than ``KMEANS_TOL``, and
+    ``KMEANS_RESTARTS`` restarts keeping the labeling with the lowest
+    within-cluster sum of squares. Deterministic given the seed.
     """
     points = np.asarray(styles, dtype=np.float64)
     if points.ndim != 2:
@@ -245,8 +247,8 @@ def pseudo_domains(styles, k: int, rng: np.random.Generator,
         raise ValueError(
             f"need at least {k} samples to form {k} clusters, got {points.shape[0]}")
     best_labels, best_inertia = None, np.inf
-    for _ in range(max(1, n_init)):
-        labels, inertia = _kmeans_once(points, k, rng, tol, max_iter)
+    for _ in range(KMEANS_RESTARTS):
+        labels, inertia = _kmeans_once(points, k, rng)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels

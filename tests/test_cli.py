@@ -357,6 +357,18 @@ def test_sweep_row_count_and_report(tmp_path):
     assert all(r["n"] == "6" for r in means)  # 2 seeds x 3 domains per value
 
 
+@pytest.mark.parametrize("content", [None, "{not json", "null", "[{}]"],
+                         ids=["missing", "not_json", "null", "list"])
+def test_sweep_and_train_bad_config_exit_2(tmp_path, content):
+    if content is not None:
+        (tmp_path / "cfg.json").write_text(content)
+    assert run(tmp_path, "sweep", "--config", "cfg.json", "--param", "alpha",
+               "--values", "0", "--out-csv", "sweep.csv") == 2
+    assert run(tmp_path, "train", "--config", "cfg.json", "--out-checkpoint", "c.json",
+               "--audit-log", "a.jsonl") == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_report_hand_crafted_means(tmp_path):
     (tmp_path / "in.csv").write_text(
         "method,value,accuracy\nA,1,0.25\nA,1,0.75\nA,2,1.0\n")

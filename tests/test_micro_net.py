@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from styleshift import autodiff as ad
@@ -611,8 +611,23 @@ def test_evaluate_divergence_restores_recording():
 
 # -- checkpoints -------------------------------------------------------------------
 
-def test_checkpoint_roundtrip_byte_identical(tmp_path):
-    net = mn.MicroNet.init(TINY, seed=60)
+@st.composite
+def net_configs(draw):
+    blocks = draw(st.lists(st.builds(mn.BlockSpec, st.integers(1, 5), st.integers(1, 2),
+                                     st.booleans()), min_size=2, max_size=3))
+    try:
+        return mn.NetConfig(in_channels=draw(st.integers(1, 3)),
+                            image_size=draw(st.sampled_from([4, 6, 8, 12, 16])),
+                            blocks=tuple(blocks), n_classes=draw(st.integers(1, 5)))
+    except ConfigError:  # pooling met an odd size, or nothing is left
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=net_configs(), seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_roundtrip_byte_identical(tmp_path, config, seed):
+    net = mn.MicroNet.init(config, seed=seed)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     net.save(p1)
     loaded = mn.MicroNet.load(p1)

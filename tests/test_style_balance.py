@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import fd_grad, rel_err, weighted_sum
 from styleshift import style_balance as sb
@@ -81,41 +83,71 @@ def test_compute_targets_needs_two_domains():
         sb.compute_targets([4])
 
 
-# -- move matrix ------------------------------------------------------------------
+# -- move slots -------------------------------------------------------------------
 
-def test_build_move_matrix_hand_case():
-    t = sb.compute_targets([6, 2, 1])
-    assert sb.build_move_matrix([6, 2, 1], t) == {(0, 1): 1, (0, 2): 2}
+def greedy_move_matrix(counts, targets):
+    """Reference plan, the loop the planner used before ``move_slots``: each
+    surplus domain, in ascending id, fills the remaining deficits in
+    ascending id. Returns {(src, dst): count}."""
+    deficits = {d: int(targets[d] - counts[d]) for d in range(len(counts))
+                if targets[d] > counts[d]}
+    matrix = {}
+    for src in range(len(counts)):
+        give = int(counts[src] - targets[src])
+        if give <= 0:
+            continue
+        for dst in sorted(deficits):
+            if give == 0:
+                break
+            take = min(give, deficits[dst])
+            if take > 0:
+                matrix[(src, dst)] = take
+                deficits[dst] -= take
+                give -= take
+    return matrix
 
 
-def test_build_move_matrix_balanced_is_empty():
-    t = sb.compute_targets([3, 3, 3])
-    assert sb.build_move_matrix([3, 3, 3], t) == {}
+def slot_pairs(counts):
+    src, dst = sb.move_slots(counts, sb.compute_targets(counts).targets)
+    return list(zip(src.tolist(), dst.tolist()))
 
 
-def test_build_move_matrix_second_hand_case():
-    t = sb.compute_targets([4, 2, 1])
-    assert sb.build_move_matrix([4, 2, 1], t) == {(0, 2): 1}
+def test_move_slots_hand_case():
+    assert slot_pairs([6, 2, 1]) == [(0, 1), (0, 2), (0, 2)]
 
 
-def test_build_move_matrix_checks_totals():
+def test_move_slots_balanced_is_empty():
+    assert slot_pairs([3, 3, 3]) == []
+
+
+def test_move_slots_second_hand_case():
+    assert slot_pairs([4, 2, 1]) == [(0, 2)]
+
+
+def test_move_slots_checks_totals():
     with pytest.raises(StyleShiftError):
-        sb.build_move_matrix([4, 2], sb.compute_targets([5, 2]))
+        sb.move_slots([4, 2], sb.compute_targets([5, 2]).targets)
 
 
-def test_build_move_matrix_flow_conservation():
+def test_move_slots_flow_conservation():
     rng = RNG(1)
     for _ in range(100):
         counts = rng.integers(0, 10, size=int(rng.integers(2, 6)))
-        t = sb.compute_targets(counts)
-        matrix = sb.build_move_matrix(counts, t)
-        out = np.zeros(len(counts), dtype=int)
-        into = np.zeros(len(counts), dtype=int)
-        for (s, d), v in matrix.items():
-            assert v > 0
-            out[s] += v
-            into[d] += v
-        np.testing.assert_array_equal(counts - out + into, t.targets)
+        targets = sb.compute_targets(counts).targets
+        src, dst = sb.move_slots(counts, targets)
+        assert np.all(src != dst)
+        out = np.bincount(src, minlength=len(counts))
+        into = np.bincount(dst, minlength=len(counts))
+        np.testing.assert_array_equal(counts - out + into, targets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 7), min_size=2, max_size=5))
+def test_move_slots_equal_the_greedy_reference(counts):
+    targets = sb.compute_targets(counts).targets
+    want = [pair for pair, n in greedy_move_matrix(counts, targets).items()
+            for _ in range(n)]
+    assert slot_pairs(counts) == want
 
 
 # -- selection ----------------------------------------------------------------------
@@ -174,20 +206,20 @@ def _meta(domains, classes, n_domains=None, n_classes=None):
 
 def test_pick_style_carriers_two_candidates():
     meta = _meta([0, 1, 1], [0, 0, 0])
-    c1, c2, degenerate = sb.pick_style_carriers(meta, 1, 0, RNG(5))
+    c1, c2, degenerate = sb.pick_style_carriers(meta, 1, RNG(5))
     assert {c1, c2} == {1, 2} and not degenerate
 
 
 def test_pick_style_carriers_degenerate_single():
     meta = _meta([0, 1], [0, 0])
-    c1, c2, degenerate = sb.pick_style_carriers(meta, 1, 0, RNG(6))
+    c1, c2, degenerate = sb.pick_style_carriers(meta, 1, RNG(6))
     assert c1 == c2 == 1 and degenerate
 
 
 def test_pick_style_carriers_unavailable():
     meta = _meta([0, 0], [0, 0], n_domains=2)
     with pytest.raises(CarrierUnavailableError):
-        sb.pick_style_carriers(meta, 1, 0, RNG(7))
+        sb.pick_style_carriers(meta, 1, RNG(7))
 
 
 def test_pick_style_carriers_uniform_over_pairs():
@@ -196,7 +228,7 @@ def test_pick_style_carriers_uniform_over_pairs():
     freq = {}
     draws = 10_000
     for _ in range(draws):
-        c1, c2, _ = sb.pick_style_carriers(meta, 1, 0, rng)
+        c1, c2, _ = sb.pick_style_carriers(meta, 1, rng)
         key = tuple(sorted((c1, c2)))
         freq[key] = freq.get(key, 0) + 1
     assert len(freq) == 6
@@ -324,6 +356,32 @@ def test_style_balance_batch_counts_match_targets():
             target = sb.compute_targets(orig).targets
             np.testing.assert_array_equal(counts[:, k], target)
             assert counts[:, k].sum() == orig.sum()  # conservation
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16), n_domains=st.integers(2, 4), n_classes=st.integers(1, 3),
+       layout=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=24))
+def test_balance_plan_properties_over_random_layouts(seed, n_domains, n_classes, layout):
+    # domains and classes are drawn freely, so some domains miss the batch
+    # and moves into them are skipped
+    domains = np.array([d % n_domains for d, _ in layout])
+    classes = np.array([c % n_classes for _, c in layout])
+    meta = _meta(domains, classes, n_domains, n_classes)
+    styles = RNG(seed).normal(size=(len(layout), 4))
+    plan = sb.build_balance_plan(styles, meta, RNG(seed + 1))
+    for mv in plan.moves:
+        assert mv.src != mv.dst
+        assert meta.domains[mv.sample] == mv.src and meta.classes[mv.sample] == mv.cls
+        assert meta.domains[mv.carrier1] == mv.dst and meta.domains[mv.carrier2] == mv.dst
+    assert plan.warnings == []  # a surplus domain keeps a sample: no move is capped
+    counts = sb.effective_counts(meta, plan)
+    for skip in plan.skipped:
+        assert not np.any(meta.domains == skip["to"])
+        counts[skip["from"], skip["class"]] -= 1
+        counts[skip["to"], skip["class"]] += 1
+    for k in range(n_classes):
+        orig = np.bincount(domains[classes == k], minlength=n_domains)
+        np.testing.assert_array_equal(counts[:, k], sb.compute_targets(orig).targets)
 
 
 def test_style_balance_batch_untouched_rows_pass_through():
