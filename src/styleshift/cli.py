@@ -36,6 +36,7 @@ from .experiment import (
     source_split,
     train_stage,
 )
+from .tensor_core import from_json
 
 EVAL_COLUMNS = ("method", "target", "seed", "accuracy", "shift_rate")
 
@@ -71,17 +72,14 @@ def _read_json(path: Path) -> dict:
 
 def _load_dataset(workdir: Path, dataset: str) -> tuple[dd.DatasetManifest, Path]:
     root = workdir / dataset
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"no manifest at {manifest_path}")
-    return dd.load_manifest(manifest_path), root
+    return dd.DatasetManifest.from_dict(_read_json(root / "manifest.json")), root
 
 
 # -- commands -------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
     workdir = Path(args.workdir)
-    cfg = DataConfig.from_dict(_read_json(workdir / args.config))
+    cfg = from_json(DataConfig, _read_json(workdir / args.config))
     out = workdir / args.out
     t0 = time.perf_counter()
     manifest = generate_data(cfg, out, args.seed)
@@ -102,7 +100,9 @@ def cmd_train(args) -> int:
     workdir = Path(args.workdir)
     doc = _read_json(workdir / args.config)
     dataset = doc.pop("dataset", "data")
-    cfg = ExperimentConfig.from_dict(doc)
+    if type(dataset) is not str:
+        raise ConfigError(f"dataset must be a JSON string, got {dataset!r}")
+    cfg = from_json(ExperimentConfig, doc)
     manifest, root = _load_dataset(workdir, dataset)
     if "net" not in doc:
         cfg = replace(cfg, net=mn.NetConfig(in_channels=1, image_size=manifest.image_size,
@@ -189,33 +189,33 @@ def apply_sweep_param(cfg: ExperimentConfig, param: str, value: float) -> Experi
     raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
-def _sweep_task(cfg: ExperimentConfig, param: str, values, seed: int, workdir) -> list[dict]:
-    """Train one seed at the first value; evaluate every further value (alpha
-    only) on that trained seed."""
-    outcome = run_seed(apply_sweep_param(cfg, param, values[0]), seed, workdir)
-    chunks = [outcome.rows] + [evaluate_seed(apply_sweep_param(cfg, param, value), outcome)
-                               for value in values[1:]]
-    return [{"param": param, "value": value, **row}
-            for value, rows in zip(values, chunks) for row in rows]
+def _sweep_task(points, seed: int, workdir) -> list[dict]:
+    """Train one seed at the first (value, config) point; evaluate every
+    further point (alpha only) on that trained seed."""
+    outcome = run_seed(points[0][1], seed, workdir)
+    chunks = [outcome.rows] + [evaluate_seed(cfg, outcome) for _, cfg in points[1:]]
+    return [{"value": value, **row} for (value, _), rows in zip(points, chunks) for row in rows]
 
 
 def cmd_sweep(args) -> int:
     workdir = Path(args.workdir)
-    cfg = ExperimentConfig.from_dict(_read_json(workdir / args.config))
+    cfg = from_json(ExperimentConfig, _read_json(workdir / args.config))
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
     if not values:
         raise ConfigError("--values is empty")
+    # every point's config is built, and so checked, before the first training
+    points = [(value, apply_sweep_param(cfg, args.param, value)) for value in values]
     sweep_dir = workdir / args.out_dir
     if args.param == "alpha":  # alpha changes only evaluation: train once per seed
-        tasks = [(cfg, args.param, values, seed, sweep_dir) for seed in cfg.seeds]
+        tasks = [(points, seed, sweep_dir) for seed in cfg.seeds]
     else:  # the data changes with the value: train once per point
-        tasks = [(cfg, args.param, [value], seed, sweep_dir / f"{args.param}_{value:g}")
-                 for value in values for seed in cfg.seeds]
+        tasks = [([point], seed, sweep_dir / f"{args.param}_{point[0]:g}")
+                 for point in points for seed in cfg.seeds]
     t0 = time.perf_counter()
-    rows = [row for task in tasks for row in _sweep_task(*task)]
+    rows = [{"param": args.param, **row} for task in tasks for row in _sweep_task(*task)]
     rows.sort(key=lambda r: (r["param"], r["value"], r["seed"], r["target"]))
     out = workdir / args.out_csv
     out.parent.mkdir(parents=True, exist_ok=True)

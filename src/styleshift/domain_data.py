@@ -11,12 +11,13 @@ and order-independent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, PnmParseError
+from .tensor_core import from_json
 
 SHAPE_NAMES = ("circle", "square", "triangle", "cross", "ring", "bars", "checker")
 
@@ -32,17 +33,6 @@ class DomainStyle:
     invert: bool = False
     texture_freq: float = 0.0
     texture_amp: float = 0.15
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "brightness": self.brightness, "contrast": self.contrast,
-            "noise_std": self.noise_std, "invert": self.invert,
-            "texture_freq": self.texture_freq, "texture_amp": self.texture_amp,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DomainStyle":
-        return cls(**doc)
 
 
 def source_styles(n: int = 3) -> list[DomainStyle]:
@@ -182,6 +172,12 @@ class DatasetManifest:
     imbalance: dict
     samples: list[SampleRecord] = field(default_factory=list)
 
+    def __post_init__(self):
+        header = (self.seed, self.image_size, self.n_classes, self.target_domain)
+        if any(type(v) is not int for v in header) or min(header) < 0 or self.image_size < 1:
+            raise ConfigError(f"manifest seed, image_size, n_classes and target_domain must "
+                              f"be JSON integers >= 0, image_size >= 1; got {header}")
+
     @property
     def n_domains(self) -> int:
         return len(self.styles)
@@ -206,24 +202,17 @@ class DatasetManifest:
         return counts
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "image_size": self.image_size,
-            "n_classes": self.n_classes,
-            "target_domain": self.target_domain,
-            "styles": [s.to_dict() for s in self.styles],
-            "imbalance": self.imbalance,
-            "samples": [s.to_dict() for s in self.samples],
-        }
+        return {**vars(self), "styles": [asdict(s) for s in self.styles],
+                "samples": [s.to_dict() for s in self.samples]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DatasetManifest":
-        return cls(
-            seed=doc["seed"], image_size=doc["image_size"], n_classes=doc["n_classes"],
-            styles=[DomainStyle.from_dict(s) for s in doc["styles"]],
-            target_domain=doc["target_domain"], imbalance=doc["imbalance"],
-            samples=[SampleRecord.from_dict(s) for s in doc["samples"]],
-        )
+        """Rebuild a manifest from ``to_dict`` output, or raise a ConfigError."""
+        try:
+            return cls(**{**doc, "styles": [from_json(DomainStyle, s) for s in doc["styles"]],
+                          "samples": [SampleRecord.from_dict(s) for s in doc["samples"]]})
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed manifest ({type(exc).__name__}: {exc})") from exc
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
@@ -284,12 +273,23 @@ class ImbalanceSpec:
     def __post_init__(self):
         if self.kind not in ("balanced", "data", "class", "long_tailed"):
             raise ConfigError(f"unknown imbalance kind {self.kind!r}")
-        if self.kind == "data" and not 0.0 < self.keep_fraction <= 1.0:
+        if not 0.0 < self.keep_fraction <= 1.0:
             raise ConfigError("keep_fraction must lie in (0, 1]")
         if self.kind == "class" and not self.class_subsets:
             raise ConfigError("class imbalance needs per-domain class subsets")
-        if self.kind == "long_tailed" and self.ratio < 1.0:
+        if self.ratio < 1.0:
             raise ConfigError("long-tailed ratio must be >= 1")
+
+    def check_layout(self, n_sources: int, n_classes: int) -> None:
+        """A class imbalance needs one class subset per source domain, and the
+        subsets must cover exactly the classes; otherwise a ConfigError."""
+        if self.kind != "class":
+            return
+        if len(self.class_subsets) != n_sources:
+            raise ConfigError(f"need one class subset per source domain ({n_sources}), "
+                              f"got {len(self.class_subsets)}")
+        if {k for subset in self.class_subsets for k in subset} != set(range(n_classes)):
+            raise ConfigError(f"class subsets must cover exactly the classes 0..{n_classes - 1}")
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind}
@@ -300,13 +300,6 @@ class ImbalanceSpec:
         elif self.kind == "long_tailed":
             doc["ratio"] = self.ratio
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ImbalanceSpec":
-        doc = dict(doc)
-        if "class_subsets" in doc and doc["class_subsets"] is not None:
-            doc["class_subsets"] = tuple(tuple(s) for s in doc["class_subsets"])
-        return cls(**doc)
 
 
 def _subsample_cell(records: list[SampleRecord], keep: int,
@@ -341,17 +334,7 @@ def apply_imbalance(manifest: DatasetManifest, spec: ImbalanceSpec,
                 keep = max(1, int(np.floor(spec.keep_fraction * len(cell) + 0.5)))
                 keep_ids |= _subsample_cell(cell, keep, rng)
     elif spec.kind == "class":
-        if len(spec.class_subsets) != len(sources):
-            raise ConfigError(
-                f"need one class subset per source domain ({len(sources)}), "
-                f"got {len(spec.class_subsets)}")
-        covered = set()
-        for subset in spec.class_subsets:
-            covered |= set(subset)
-        if not covered <= set(range(manifest.n_classes)):
-            raise ConfigError("class subset mentions an unknown class")
-        if covered != set(range(manifest.n_classes)):
-            raise ConfigError("class subsets must cover every class")
+        spec.check_layout(len(sources), manifest.n_classes)
         for d, subset in zip(sources, spec.class_subsets):
             allowed = set(subset)
             keep_ids |= {s.id for s in manifest.records("train", [d]) if s.cls in allowed}

@@ -26,14 +26,6 @@ def shift_mode_from_name(name: str, pool_size: int = tts.DEFAULT_NEAREST_POOL) -
     return tts.ShiftMode(name, pool_size)
 
 
-def _build(cls, doc: dict):
-    """Dataclass construction with config-level error reporting."""
-    try:
-        return cls(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad {cls.__name__} fields: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class DataConfig:
     n_classes: int = 7
@@ -44,14 +36,10 @@ class DataConfig:
     target_preset: str = "far"
     imbalance: dd.ImbalanceSpec = field(default_factory=dd.ImbalanceSpec)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DataConfig":
-        doc = dict(doc)
-        if "imbalance" in doc and doc["imbalance"] is not None:
-            doc["imbalance"] = dd.ImbalanceSpec.from_dict(doc["imbalance"])
-        else:
-            doc.pop("imbalance", None)
-        return _build(cls, doc)
+    def __post_init__(self):  # generate_data checks n_classes, n_sources and the preset
+        if min(self.per_cell_train, self.per_cell_test, self.image_size) < 1:
+            raise ConfigError("per_cell_train, per_cell_test and image_size must be >= 1")
+        self.imbalance.check_layout(self.n_sources, self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -61,9 +49,10 @@ class EvalConfig:
     layer: str = "block2"
     pool_size: int = tts.DEFAULT_NEAREST_POOL
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EvalConfig":
-        return _build(cls, doc)
+    def __post_init__(self):
+        tts.ShiftMode(self.mode, self.pool_size)
+        if self.alpha is not None:
+            tts.checked_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -79,28 +68,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in ("leave_one_out", "single_domain"):
             raise ConfigError(f"unknown protocol {self.protocol!r}")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {"data", "net", "train", "eval", "protocol", "seeds", "pseudo_labels"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
-        kwargs = {}
-        if "data" in doc:
-            kwargs["data"] = DataConfig.from_dict(doc["data"])
-        if "net" in doc:
-            kwargs["net"] = mn.NetConfig.from_dict(doc["net"])
-        if "train" in doc:
-            kwargs["train"] = _build(mn.TrainConfig, doc["train"])
-        if "eval" in doc:
-            kwargs["eval"] = EvalConfig.from_dict(doc["eval"])
-        for key in ("protocol", "pseudo_labels"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        if "seeds" in doc:
-            kwargs["seeds"] = tuple(doc["seeds"])
-        return cls(**kwargs)
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds must be a non-empty list of integers >= 0")
+        if self.pseudo_labels is not None and self.pseudo_labels < 1:
+            raise ConfigError("pseudo_labels must be >= 1")
+        hooks = set(self.net.hook_names)
+        named = {self.eval.layer, *(self.train.sb_hooks or ()), *(self.train.aug_hooks or ())}
+        if not named <= hooks:
+            raise ConfigError(f"hooks {sorted(named - hooks)} are not blocks of the net")
 
 
 def method_label(sb: bool, mode: str, aug: str) -> str:
@@ -145,6 +120,9 @@ def source_split(manifest: dd.DatasetManifest, root, protocol: str,
     if protocol == "single_domain":
         domains = domains[:1]
     images, classes, doms = load_split(manifest, root, "train", domains)
+    if pseudo_labels is not None and not 1 <= pseudo_labels <= len(images):
+        raise ConfigError(f"pseudo_labels must lie in 1..{len(images)}, the training "
+                          f"split's size; got {pseudo_labels}")
     if pseudo_labels is not None:
         doms = assign_pseudo_domains(images, pseudo_labels, seed)
         names = tuple(f"cluster{j}" for j in range(pseudo_labels))
@@ -162,9 +140,15 @@ def default_alpha(alpha: float | None, pseudo_labels: int | None) -> float:
 
 def train_stage(cfg: ExperimentConfig, manifest: dd.DatasetManifest, root, seed: int):
     """Initialize and train cfg's network on the source split, with ``seed``
-    as the train seed. Returns (net, metrics, source split)."""
+    as the train seed. Returns (net, metrics, source split). A net that does
+    not fit the dataset, or balancing of fewer than 2 domains, is a ConfigError."""
+    data = (1, manifest.image_size, manifest.n_classes)
+    if (cfg.net.in_channels, cfg.net.image_size, cfg.net.n_classes) != data:
+        raise ConfigError(f"the net's in_channels, image_size and n_classes must be {data}")
     split = source_split(manifest, root, cfg.protocol, cfg.pseudo_labels, seed)
     images, classes, doms, names = split
+    if cfg.train.sb and len(names) < 2:
+        raise ConfigError("style balancing needs at least 2 training domains")
     net = mn.MicroNet.init(cfg.net, seed=seed)
     metrics = mn.train(net, images, classes, doms, replace(cfg.train, seed=seed),
                        n_domains=len(names))

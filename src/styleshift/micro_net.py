@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .autodiff import Var
 from .errors import ConfigError, DivergenceError
 from .style_balance import BatchMeta, MovePlan, build_balance_plan, sb_apply_var
 from .style_ops import DEFAULT_LAMBDA_SHAPE, dsu_var, efdmix_hook, mixstyle_var
-from .tensor_core import batch_style_vectors, json_floats
+from .tensor_core import batch_style_vectors, from_json, json_floats
 from .test_time_shift import OFF, DomainRegistry, ShiftMode, ts_apply
 
 AUG_KINDS = ("none", "mixstyle", "dsu", "efdmix")
@@ -53,12 +53,12 @@ class NetConfig:
     n_classes: int = 7
 
     def __post_init__(self):
-        blocks = tuple(b if isinstance(b, BlockSpec) else BlockSpec(**b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if len(blocks) < 2:
+        if len(self.blocks) < 2:
             raise ConfigError("need at least 2 blocks so a shifter can attach mid-network")
+        if min(self.in_channels, self.image_size, self.n_classes) < 1:
+            raise ConfigError("in_channels, image_size and n_classes must be >= 1")
         size = self.image_size
-        for i, blk in enumerate(blocks):
+        for i, blk in enumerate(self.blocks):
             if blk.out_channels < 1 or blk.stride < 1:
                 raise ConfigError("block channels and stride must be positive")
             size = (size + 2 - 3) // blk.stride + 1
@@ -88,21 +88,6 @@ class NetConfig:
         shapes["head_b"] = (self.n_classes,)
         return shapes
 
-    def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "image_size": self.image_size,
-            "blocks": [{"out_channels": b.out_channels, "stride": b.stride, "pool": b.pool}
-                       for b in self.blocks],
-            "n_classes": self.n_classes,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NetConfig":
-        return cls(in_channels=doc["in_channels"], image_size=doc["image_size"],
-                   blocks=tuple(BlockSpec(**b) for b in doc["blocks"]),
-                   n_classes=doc["n_classes"])
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -120,14 +105,14 @@ class TrainConfig:
     lambda_shape: float = DEFAULT_LAMBDA_SHAPE
 
     def __post_init__(self):
-        for key in ("sb_hooks", "aug_hooks"):
-            hooks = getattr(self, key)
-            if hooks is not None:
-                object.__setattr__(self, key, tuple(hooks))
         if self.aug not in AUG_KINDS:
             raise ConfigError(f"unknown augmentation {self.aug!r}")
-        if not 0.0 <= self.sb_prob <= 1.0 or not 0.0 <= self.aug_prob <= 1.0:
-            raise ConfigError("activation probabilities must lie in [0, 1]")
+        if min(self.epochs, self.batch_size) < 1 or min(self.seed, self.lr) < 0 \
+                or self.lambda_shape <= 0:
+            raise ConfigError("epochs and batch_size must be >= 1, seed and lr >= 0, "
+                              "lambda_shape > 0")
+        if not all(0.0 <= p <= 1.0 for p in (self.sb_prob, self.aug_prob, self.momentum)):
+            raise ConfigError("sb_prob, aug_prob and momentum must lie in [0, 1]")
 
 
 # -- hook operations ---------------------------------------------------------
@@ -301,7 +286,7 @@ class MicroNet:
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "param_order": self.param_order,
             "params": {
                 name: {"shape": list(self.params[name].shape),
@@ -320,7 +305,7 @@ class MicroNet:
         JSON numbers."""
         params = {}
         try:
-            config = NetConfig.from_dict(doc["config"])
+            config = from_json(NetConfig, doc["config"])
             for name, shape in config.param_shapes.items():
                 spec = doc["params"][name]
                 data = json_floats(spec["data"], f"checkpoint parameter {name!r}")

@@ -8,7 +8,10 @@ normalizations never divide by zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -27,6 +30,42 @@ def json_floats(values, what: str) -> np.ndarray:
         return np.array(values, dtype=np.float64)
     except OverflowError:
         raise ConfigError(f"{what} holds a number beyond float64's range") from None
+
+
+def _json_field(tp, value, where: str):
+    """``value`` read as the annotation ``tp`` of the field ``where``."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # the configs use only ``X | None``
+        return None if value is None else _json_field(args[0], value, where)
+    if origin is tuple and type(value) is list:  # tuple[T, ...]
+        return tuple(_json_field(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if is_dataclass(tp) and type(value) is dict:
+        return from_json(tp, value)
+    if tp is float:  # kept as written; not NaN, infinite or an int beyond float64
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:  # int, bool, str: only their own JSON type
+        ok = type(value) is tp
+    if ok:
+        return value
+    want = {tuple: "list", float: "finite number"}.get(
+        origin or tp, "object" if is_dataclass(tp) else tp.__name__)
+    raise ConfigError(f"{where} must be a JSON {want}, got {value!r}")
+
+
+def from_json(cls, doc):
+    """The config dataclass ``cls`` built from the JSON object ``doc`` by its
+    field annotations (README, Conventions); a key, type or value out of place
+    is a ConfigError. Range checks are each class's ``__post_init__``."""
+    if type(doc) is not dict:
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
+    known = {f.name: f for f in fields(cls)}
+    missing = [name for name, f in known.items() if name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if set(doc) - set(known) or missing:
+        raise ConfigError(f"{cls.__name__} has unknown keys {sorted(set(doc) - set(known))} "
+                          f"or lacks keys {missing}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: _json_field(hints[k], v, f"{cls.__name__}.{k}") for k, v in doc.items()})
 
 
 def _as_features(x, rank: int, what: str) -> np.ndarray:

@@ -10,6 +10,7 @@ its own style. No parameters are updated at test time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,13 @@ from .tensor_core import json_floats, style_vector, style_vector_to_stats
 DEFAULT_ALPHA = 3.0
 PSEUDO_LABEL_ALPHA = 2.0
 DEFAULT_NEAREST_POOL = 100
+
+
+def checked_alpha(alpha: float) -> float:
+    """``alpha`` if it is a finite number >= 0; otherwise a ConfigError."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ConfigError(f"alpha must be a finite number >= 0, got {alpha!r}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,7 @@ class DomainRegistry:
             raise DimensionError(f"centroids must be (N, 2C), got {c.shape}")
         if len(self.names) != c.shape[0]:
             raise DimensionError("one name per domain required")
+        checked_alpha(self.alpha_default)
         g = c.mean(axis=0)
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "global_phi", g)
@@ -139,10 +148,7 @@ def decide(phi_t, reg: DomainRegistry, alpha: float | None = None) -> ShiftDecis
     phi = np.asarray(phi_t, dtype=np.float64).reshape(-1)
     if phi.shape[0] != reg.centroids.shape[1]:
         raise DimensionError("style vector length does not match registry")
-    if alpha is None:
-        alpha = reg.alpha_default
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    alpha = reg.alpha_default if alpha is None else checked_alpha(alpha)
     dists = np.linalg.norm(phi[None, :] - reg.centroids, axis=1)
     avg = float(dists.mean())
     threshold = float(alpha * reg.spread)
@@ -290,8 +296,8 @@ def registry_from_dict(doc: dict) -> DomainRegistry:
                                                "registry spread and alpha"))
         if not np.all(np.isfinite(np.append(rows, (spread, alpha)))):
             raise ConfigError("registry holds a non-finite value")
-        if np.any(rows[:, rows.shape[1] // 2:] <= 0) or alpha < 0:
-            raise ConfigError("registry sigma entries must be positive and alpha >= 0")
+        if np.any(rows[:, rows.shape[1] // 2:] <= 0):
+            raise ConfigError("registry sigma entries must be positive")
         reg = DomainRegistry(layer=doc["layer"], names=tuple(d["name"] for d in doc["domains"]),
                              centroids=rows[:-1], alpha_default=alpha)
         if not np.allclose(rows[-1], reg.global_phi, atol=1e-9):

@@ -6,6 +6,7 @@ import numpy as np
 
 from styleshift.autodiff import Var, mul, softmax_cross_entropy, sum_axes
 from styleshift.micro_net import MicroNet, NetConfig
+from styleshift.tensor_core import from_json
 
 
 def fd_grad(fn, x, step=1e-5):
@@ -42,7 +43,7 @@ def weighted_sum(out_var: Var, weights) -> Var:
 def step_grad_digests(net_cfg: dict, net_seed: int, data_seed: int) -> dict:
     """sha256 of every parameter gradient of one recorded training step on
     random images; None for a parameter that got no gradient."""
-    cfg = NetConfig.from_dict(net_cfg)
+    cfg = from_json(NetConfig, net_cfg)
     net = MicroNet.init(cfg, seed=net_seed)
     rng = np.random.Generator(np.random.PCG64(data_seed))
     x = rng.normal(size=(6, cfg.in_channels, cfg.image_size, cfg.image_size))

@@ -144,9 +144,10 @@ def test_relu_gradient_at_exact_zero():
 @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 6)), elements=finite))
 def test_no_grad_gives_the_same_values_as_leaves(x):
     """Inside no_grad an op returns the value it records outside, as a leaf."""
-    recorded = ad.relu(ad.mul(Var(x), 3.0) - 1.0)
-    with ad.no_grad():
-        plain = ad.relu(ad.mul(Var(x), 3.0) - 1.0)
+    with np.errstate(over="ignore"):  # drawn values near float64's limit overflow in mul
+        recorded = ad.relu(ad.mul(Var(x), 3.0) - 1.0)
+        with ad.no_grad():
+            plain = ad.relu(ad.mul(Var(x), 3.0) - 1.0)
     assert plain.value.tobytes() == recorded.value.tobytes()
     assert plain._vjp is None and plain._parents == ()
     assert recorded._vjp is not None

@@ -1,11 +1,23 @@
+import contextlib
+import copy
 import csv
+import functools
+import io
 import json
+import operator
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from styleshift import cli
 from styleshift import test_time_shift as ts
+from styleshift.experiment import DataConfig, ExperimentConfig
+from styleshift.tensor_core import from_json
 
 DATA_CFG = {
     "n_classes": 3,
@@ -406,7 +418,7 @@ def test_unknown_config_keys_exit_2(tmp_path):
 
 def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch):
     from styleshift import micro_net as mn
-    from styleshift.experiment import ExperimentConfig, run_seed
+    from styleshift.experiment import run_seed
     calls = []
     train = mn.train
 
@@ -423,7 +435,7 @@ def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch):
     assert len(calls) == len(doc["seeds"])
 
     # each alpha alone through run_seed: one training per (alpha, seed) point
-    base = ExperimentConfig.from_dict(doc)
+    base = from_json(ExperimentConfig, doc)
     want = [{"param": "alpha", "value": alpha, **row}
             for alpha in alphas for seed in base.seeds
             for row in run_seed(cli.apply_sweep_param(base, "alpha", alpha), seed,
@@ -449,7 +461,7 @@ def test_train_plain_baseline_path_matches_library(tmp_path):
     manifest = load_manifest(tmp_path / "data/manifest.json")
     x, y, d = load_split(manifest, tmp_path / "data", "train", manifest.source_domains)
     d = np.searchsorted(np.unique(d), d)
-    net = mn.MicroNet.init(mn.NetConfig.from_dict(NET_CFG), seed=2)
+    net = mn.MicroNet.init(from_json(mn.NetConfig, NET_CFG), seed=2)
     mn.train(net, x, y, d, mn.TrainConfig(epochs=3, batch_size=10, lr=0.05, seed=2),
              n_domains=2)
     loaded = mn.MicroNet.load(tmp_path / "plain.json.ckpt")
@@ -491,3 +503,218 @@ def test_sweep_keep_fraction_regenerates_data(tmp_path):
     counts = m.cell_counts("train")
     assert counts[0].sum() == 15 and counts[1].sum() == 9  # largest kept, other halved
 
+
+
+# -- the config boundary ------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "perfbench/workloads.json")
+                       .read_text())["workloads"]
+
+
+def readme_examples():
+    """The README's data.json and train.json examples, in that order."""
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    return [json.loads(b) for b in blocks]
+
+
+def test_readme_examples_read_through_from_json():
+    data, train = readme_examples()
+    assert from_json(DataConfig, data).imbalance.class_subsets == ((0, 1, 2), (3, 4), (5, 6))
+    train = dict(train)
+    assert train.pop("dataset") == "data"
+    cfg = from_json(ExperimentConfig, train)
+    assert cfg.train.sb_hooks == ("block1", "block2") and cfg.pseudo_labels is None
+
+
+def run_quiet(workdir, *argv):
+    """Exit code and stderr of one CLI command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--workdir", str(workdir)])
+    return code, err.getvalue()
+
+
+def _small_data(doc):
+    return {**doc, "per_cell_train": 2, "per_cell_test": 1}
+
+
+def _small_train(doc):
+    return {**doc, "train": {**doc["train"], "epochs": 1}}
+
+
+def _base_documents():
+    """(command, document) for the README's examples and perfbench's three
+    configs, cut to two training images per cell and one epoch so that a
+    mutation that stays valid runs in well under a second."""
+    data, train = readme_examples()
+    tsb, sweep, infer = (WORKLOADS[k] for k in ("tsb-train", "sweep-aug", "ts-infer"))
+    experiment = _small_train({**sweep["experiment"], "seeds": [0]})
+    return [("gen-data", _small_data(data)), ("train", _small_train(train)),
+            ("gen-data", _small_data(tsb["data"])),
+            ("train", _small_train({"dataset": "data", "train": tsb["train"]})),
+            ("sweep", {**experiment, "data": _small_data(experiment["data"])}),
+            ("gen-data", _small_data(infer["data"])),
+            ("train", _small_train({"dataset": "data", "train": infer["train"]}))]
+
+
+def _paths(doc, prefix=()):
+    """The path to every value inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+DROP = object()
+
+
+def _replaced(doc, path, value):
+    """A deep copy of ``doc`` with the value at ``path`` replaced, or removed
+    if ``value`` is DROP."""
+    doc = copy.deepcopy(doc)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+OTHER_TYPES = ("x", "1", 1, 1.5, True, None, [], {})
+OUT_OF_RANGE = (-1, 0, -0.5, 1.5)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A base document with one value dropped, given another JSON type,
+    nested one level deeper or, for a number, put out of range."""
+    command, doc = draw(st.sampled_from(_base_documents()))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = functools.reduce(operator.getitem, path, doc)
+    mutations = [[DROP], [v for v in OTHER_TYPES if type(v) is not type(value)],
+                 [[value], {"value": value}]]
+    if type(value) in (int, float):
+        mutations.append(OUT_OF_RANGE)
+    return command, _replaced(doc, path, draw(st.sampled_from(draw(st.sampled_from(mutations)))))
+
+
+def document_run(command, tag):
+    """The primary output and the flags of ``command`` on a config document,
+    with every output under the directory ``tag``."""
+    return {
+        "gen-data": (f"{tag}/data/manifest.json", ("--out", f"{tag}/data")),
+        "train": (f"{tag}/ckpt.json", ("--out-checkpoint", f"{tag}/ckpt.json",
+                                       "--audit-log", f"{tag}/audit.jsonl")),
+        "sweep": (f"{tag}/sweep.csv", ("--param", "alpha", "--values", "3",
+                                       "--out-csv", f"{tag}/sweep.csv",
+                                       "--out-dir", f"{tag}/sweep")),
+    }[command]
+
+
+@pytest.fixture(scope="module")
+def readme_workdir(tmp_path_factory):
+    """A work directory holding the README's dataset at desk scale as ``data``."""
+    workdir = tmp_path_factory.mktemp("readme")
+    write_cfg(workdir, "data.json", _small_data(readme_examples()[0]))
+    assert run_quiet(workdir, "gen-data", "--config", "data.json", "--out", "data")[0] == 0
+    return workdir
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated=mutated_documents())
+def test_mutated_documents_exit_0_or_2(readme_workdir, mutated):
+    """A mutation of a valid document either runs or is a configuration error
+    that writes no primary output: never a traceback, never exit 3."""
+    command, doc = mutated
+    tag = Path(tempfile.mkdtemp(dir=readme_workdir)).name
+    cfg = write_cfg(readme_workdir, f"{tag}.json", doc)
+    out, argv = document_run(command, tag)
+    code, err = run_quiet(readme_workdir, command, "--config", cfg, *argv)
+    assert code in (0, 2), err
+    assert (readme_workdir / out).exists() == (code == 0)
+    assert code == 0 or err.startswith("config error:")
+
+
+@pytest.fixture(scope="module")
+def cli_workdir(tmp_path_factory):
+    """DATA_CFG's dataset, TRAIN_CFG's checkpoint and its block2 registry."""
+    workdir = tmp_path_factory.mktemp("cli")
+    make_dataset(workdir)
+    make_checkpoint(workdir)
+    assert run(workdir, "stats", "--checkpoint", "ckpt.json", "--dataset", "data",
+               "--layer", "block2", "--out-registry", "reg.json") == 0
+    return workdir
+
+
+MALFORMED = {
+    "data_n_classes_string": ("gen-data", DATA_CFG, ("n_classes",), "3"),
+    "data_n_classes_float": ("gen-data", DATA_CFG, ("n_classes",), 2.5),
+    "data_image_size_bool": ("gen-data", DATA_CFG, ("image_size",), True),
+    "data_image_size_negative": ("gen-data", DATA_CFG, ("image_size",), -4),
+    "data_imbalance_string": ("gen-data", DATA_CFG, ("imbalance",), "class"),
+    "data_no_train_images": ("gen-data", DATA_CFG, ("per_cell_train",), 0),
+    "train_epochs_string": ("train", TRAIN_CFG, ("train", "epochs"), "1"),
+    "train_epochs_negative": ("train", TRAIN_CFG, ("train", "epochs"), -1),
+    "train_lr_string": ("train", TRAIN_CFG, ("train", "lr"), "x"),
+    "train_batch_size_zero": ("train", TRAIN_CFG, ("train", "batch_size"), 0),
+    "net_blocks_string": ("train", TRAIN_CFG, ("net", "blocks"), "x"),
+    "net_without_image_size": ("train", TRAIN_CFG, ("net", "image_size"), DROP),
+    "net_image_size_32_on_16px": ("train", TRAIN_CFG, ("net", "image_size"), 32),
+    "net_two_classes_on_three": ("train", TRAIN_CFG, ("net", "n_classes"), 2),
+    "block_out_channels_string": ("train", TRAIN_CFG, ("net", "blocks", 0, "out_channels"), "a"),
+    "pseudo_labels_string": ("train", TRAIN_CFG, ("pseudo_labels",), "2"),
+    "pseudo_labels_zero": ("train", TRAIN_CFG, ("pseudo_labels",), 0),
+    "pseudo_labels_above_split": ("train", TRAIN_CFG, ("pseudo_labels",), 99),
+    "sweep_seeds_string": ("sweep", SWEEP_CFG, ("seeds",), "01"),
+    "sweep_eval_mode_unknown": ("sweep", SWEEP_CFG, ("eval", "mode"), "sideways"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_2(cli_workdir, case):
+    command, base, path, value = MALFORMED[case]
+    cfg = write_cfg(cli_workdir, f"{case}.json", _replaced(base, path, value))
+    code, err = run_quiet(cli_workdir, command, "--config", cfg, *document_run(command, case)[1])
+    assert (code, err[:13]) == (2, "config error:"), err
+    assert not (cli_workdir / case).exists()  # no output, no data, no training
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "--alpha", "-1"), ("stats", "--alpha", "nan"),
+    ("eval", "--alpha", "-1"), ("eval", "--alpha", "nan"),
+    ("sweep", "--param", "alpha", "--values", "1,-1"),
+    ("sweep", "--param", "alpha", "--values", "nan"),
+    ("sweep", "--param", "keep_fraction", "--values", "0.5,2"),
+], ids=lambda argv: "_".join(argv[:1] + argv[-2:]).replace("--", ""))
+def test_bad_numeric_flag_exits_2_before_work(cli_workdir, argv):
+    """alpha is a finite number >= 0 and a keep fraction lies in (0, 1]; a
+    sweep checks every point before its first training."""
+    command, tag = argv[0], "flag_" + "_".join(argv[1:]).replace(",", "_")
+    args = {"stats": ("--checkpoint", "ckpt.json", "--dataset", "data",
+                      "--out-registry", f"{tag}.out"),
+            "eval": ("--checkpoint", "ckpt.json", "--registry", "reg.json",
+                     "--dataset", "data", "--out-csv", f"{tag}.out"),
+            "sweep": ("--config", write_cfg(cli_workdir, f"{tag}.json", SWEEP_CFG),
+                      "--out-csv", f"{tag}.out", "--out-dir", tag)}[command]
+    code, err = run_quiet(cli_workdir, *argv, *args)
+    assert (code, err[:13]) == (2, "config error:"), err
+    assert not (cli_workdir / f"{tag}.out").exists() and not (cli_workdir / tag).exists()
+
+
+@pytest.mark.parametrize("content", ["missing_samples", "image_size_string", "image_size_float",
+                                     "null", "not_json"])
+def test_malformed_manifest_exits_2(cli_workdir, content):
+    manifest = json.loads((cli_workdir / "data/manifest.json").read_text())
+    text = {"missing_samples": json.dumps(_replaced(manifest, ("samples",), DROP)),
+            "image_size_string": json.dumps(_replaced(manifest, ("image_size",), "16")),
+            "image_size_float": json.dumps(_replaced(manifest, ("image_size",), 16.0)),
+            "null": "null", "not_json": "{not json"}[content]
+    (cli_workdir / f"bad_{content}").mkdir()
+    (cli_workdir / f"bad_{content}/manifest.json").write_text(text)
+    code, err = run_quiet(cli_workdir, "stats", "--checkpoint", "ckpt.json",
+                          "--dataset", f"bad_{content}", "--out-registry", f"{content}.out")
+    assert (code, err[:13]) == (2, "config error:"), err
+    assert not (cli_workdir / f"{content}.out").exists()

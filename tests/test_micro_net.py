@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -597,13 +598,14 @@ def test_evaluate_divergence_restores_recording():
     x = RNG(71).normal(size=(6, 1, 8, 8))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
         mn.evaluate(net, x, np.zeros(6, dtype=int), np.zeros(6, dtype=int))
-    here = step_grad_digests(TINY.to_dict(), net_seed=72, data_seed=73)
+    tiny_doc = json.loads(json.dumps(asdict(TINY)))  # asdict holds tuples, JSON lists
+    here = step_grad_digests(tiny_doc, net_seed=72, data_seed=73)
     tests_dir = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")])}
     code = ("import json, sys; from helpers import step_grad_digests; "
             "print(json.dumps(step_grad_digests(json.loads(sys.argv[1]), 72, 73)))")
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(TINY.to_dict())],
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(tiny_doc)],
                          env=env, capture_output=True, text=True, check=True)
     assert here == json.loads(out.stdout)
     assert all(here.values())

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from styleshift import tensor_core as tc
-from styleshift.errors import DimensionError
+from styleshift.errors import ConfigError, DimensionError
 
 SQRT_1_25 = np.sqrt(1.25)  # population std of [1,2,3,4]
 
@@ -101,3 +103,41 @@ def test_batch_helpers_match_per_sample_ops(x):
         [x.mean(axis=(2, 3)), np.sqrt(x.var(axis=(2, 3)) + tc.EPS_STD ** 2)], axis=1))
     for b in range(x.shape[0]):
         np.testing.assert_array_equal(phis[b], tc.style_vector(x[b]))
+
+
+# -- from_json ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Inner:
+    name: str
+    flag: bool = False
+
+
+@dataclass(frozen=True)
+class _Outer:
+    count: int = 1
+    rate: float = 0.5
+    hooks: tuple[str, ...] | None = None
+    inner: _Inner = _Inner("a")
+    nested: tuple[tuple[int, ...], ...] = ()
+
+
+def test_from_json_builds_nested_values_and_keeps_ints_in_float_fields():
+    got = tc.from_json(_Outer, {"count": 3, "rate": 1, "hooks": ["b1", "b2"],
+                                "inner": {"name": "z", "flag": True},
+                                "nested": [[0, 1], [2]]})
+    assert got == _Outer(3, 1, ("b1", "b2"), _Inner("z", True), ((0, 1), (2,)))
+    assert type(got.rate) is int  # a JSON integer is written back as one
+    assert tc.from_json(_Outer, {"hooks": None}) == _Outer()
+
+
+@pytest.mark.parametrize("doc", [
+    {"count": True}, {"count": 1.0}, {"count": "1"}, {"count": None},
+    {"rate": "0.5"}, {"rate": False}, {"rate": float("nan")}, {"rate": float("inf")},
+    {"rate": 10 ** 400}, {"hooks": "b1"}, {"hooks": [1]}, {"inner": {"name": 1}},
+    {"inner": {"name": "z", "flag": 1}}, {"inner": {}}, {"inner": ["z"]},
+    {"nested": [[0.0]]}, {"extra": 1}, [], None,
+], ids=repr)
+def test_from_json_rejects_wrong_types_and_keys(doc):
+    with pytest.raises(ConfigError):
+        tc.from_json(_Outer, doc)
