@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +90,24 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_checkpoint(path: Path) -> tuple[mn.MicroNet, dict]:
-    """The network and the train tags (sb, aug, seed) stored with it."""
+@dataclass(frozen=True)
+class CheckpointTags:
+    """The train settings a checkpoint carries for ``stats`` and ``eval``."""
+
+    sb: bool = False
+    aug: str = "none"
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.aug not in mn.AUG_KINDS or self.seed < 0:
+            raise ConfigError(f"checkpoint tags need aug in {mn.AUG_KINDS} and seed >= 0, "
+                              f"got {self}")
+
+
+def _load_checkpoint(path: Path) -> tuple[mn.MicroNet, CheckpointTags]:
+    """The network and the train tags stored with it."""
     doc = _read_json(path)
-    return mn.MicroNet.from_dict(doc), doc.get("tags", {})
+    return mn.MicroNet.from_dict(doc), from_json(CheckpointTags, doc.get("tags", {}))
 
 
 def cmd_train(args) -> int:
@@ -113,7 +127,7 @@ def cmd_train(args) -> int:
     ckpt = workdir / args.out_checkpoint
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     payload = net.to_dict()
-    payload["tags"] = {"sb": cfg.train.sb, "aug": cfg.train.aug, "seed": cfg.train.seed}
+    payload["tags"] = asdict(CheckpointTags(cfg.train.sb, cfg.train.aug, cfg.train.seed))
     ckpt.write_text(json.dumps(payload, indent=1, sort_keys=True))
 
     audit = workdir / args.audit_log
@@ -137,7 +151,7 @@ def cmd_stats(args) -> int:
     manifest, root = _load_dataset(workdir, args.dataset)
     protocol = "single_domain" if args.single_domain else "leave_one_out"
     images, _, doms, names = source_split(manifest, root, protocol, args.pseudo_labels,
-                                          tags.get("seed", 0))
+                                          tags.seed)
     registry = tts.build_registry(net, images, doms, args.layer, names=names,
                                   alpha=default_alpha(args.alpha, args.pseudo_labels))
     out = workdir / args.out_registry
@@ -156,8 +170,7 @@ def cmd_eval(args) -> int:
     registry = tts.registry_from_dict(_read_json(workdir / args.registry))
     manifest, root = _load_dataset(workdir, args.dataset)
     mode = shift_mode_from_name(args.mode, args.pool_size)
-    label = args.method_label or method_label(bool(tags.get("sb")), mode.kind,
-                                              tags.get("aug", "none"))
+    label = args.method_label or method_label(tags.sb, mode.kind, tags.aug)
     t0 = time.perf_counter()
     pool = None
     if mode.kind == "nearest_sample":
@@ -165,8 +178,7 @@ def cmd_eval(args) -> int:
         pool = net.style_vectors_at(pool_images, registry.layer)
     test = load_split(manifest, root, "test")
     rows = eval_stage(net, registry, manifest, test, mode, args.alpha, pool,
-                      np.random.Generator(np.random.PCG64(args.seed)), label,
-                      tags.get("seed", 0))
+                      np.random.Generator(np.random.PCG64(args.seed)), label, tags.seed)
     out = workdir / args.out_csv
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, EVAL_COLUMNS, rows)

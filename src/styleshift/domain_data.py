@@ -11,7 +11,7 @@ and order-independent.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -151,15 +151,21 @@ class SampleRecord:
     cls: int
     split: str
     path: str
+    _JSON_KEY = {"cls": "class", "class": "cls"}  # a field and its JSON key, both ways
+
+    def __post_init__(self):  # the manifest checks domain and cls against its header
+        if min(self.id, self.domain, self.cls) < 0 or self.split not in ("train", "test"):
+            raise ConfigError(f"sample id, domain and class must be >= 0 and split "
+                              f"'train' or 'test'; got {self}")
 
     def to_dict(self) -> dict:
-        return {"id": self.id, "domain": self.domain, "class": self.cls,
-                "split": self.split, "path": self.path}
+        return {self._JSON_KEY.get(k, k): v for k, v in vars(self).items()}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SampleRecord":
-        return cls(id=doc["id"], domain=doc["domain"], cls=doc["class"],
-                   split=doc["split"], path=doc["path"])
+    def from_dict(cls, doc) -> "SampleRecord":
+        if type(doc) is dict:
+            doc = {cls._JSON_KEY.get(k, k): v for k, v in doc.items()}
+        return from_json(cls, doc)
 
 
 @dataclass
@@ -177,6 +183,9 @@ class DatasetManifest:
         if any(type(v) is not int for v in header) or min(header) < 0 or self.image_size < 1:
             raise ConfigError(f"manifest seed, image_size, n_classes and target_domain must "
                               f"be JSON integers >= 0, image_size >= 1; got {header}")
+        if any(s.domain >= self.n_domains or s.cls >= self.n_classes for s in self.samples):
+            raise ConfigError(f"a sample lies outside the {self.n_domains} domains or "
+                              f"the {self.n_classes} classes")
 
     @property
     def n_domains(self) -> int:
@@ -223,41 +232,6 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest.from_dict(json.loads(Path(path).read_text()))
 
 
-# -- generation ----------------------------------------------------------------
-
-def gen_dataset(out_dir, n_classes: int = 7, sources=None, target: DomainStyle | None = None,
-                per_cell_train: int = 16, per_cell_test: int = 6, image_size: int = 32,
-                seed: int = 0) -> DatasetManifest:
-    """Write images and a manifest for a balanced multi-domain dataset.
-
-    Every (domain, class) cell receives exactly per_cell_train train samples
-    and per_cell_test test samples; byte output depends only on the seed.
-    """
-    if n_classes < 2 or n_classes > len(SHAPE_NAMES):
-        raise ConfigError(f"n_classes must be in 2..{len(SHAPE_NAMES)}")
-    sources = sources if sources is not None else source_styles(3)
-    target = target if target is not None else target_style("far")
-    styles = list(sources) + [target]
-    out_dir = Path(out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    manifest = DatasetManifest(seed=seed, image_size=image_size, n_classes=n_classes,
-                               styles=styles, target_domain=len(styles) - 1,
-                               imbalance={"kind": "balanced"})
-    sid = 0
-    for domain, style in enumerate(styles):
-        for cls in range(n_classes):
-            for split, count in (("train", per_cell_train), ("test", per_cell_test)):
-                for _ in range(count):
-                    rel = f"images/{sid:06d}.pgm"
-                    img = render_sample(seed, sid, cls, style, image_size)
-                    write_pnm(out_dir / rel, img)
-                    manifest.samples.append(SampleRecord(
-                        id=sid, domain=domain, cls=cls, split=split, path=rel))
-                    sid += 1
-    save_manifest(manifest, out_dir / "manifest.json")
-    return manifest
-
-
 # -- imbalance -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -302,56 +276,71 @@ class ImbalanceSpec:
         return doc
 
 
-def _subsample_cell(records: list[SampleRecord], keep: int,
-                    rng: np.random.Generator) -> set[int]:
-    ids = sorted(r.id for r in records)
-    if keep >= len(ids):
-        return set(ids)
-    chosen = rng.choice(len(ids), size=keep, replace=False)
-    return {ids[i] for i in chosen}
-
-
 def apply_imbalance(manifest: DatasetManifest, spec: ImbalanceSpec,
                     rng: np.random.Generator) -> DatasetManifest:
     """Filter the train split according to the spec; the test split is never
-    touched. Returns a new manifest (the input is not modified)."""
-    sources = manifest.source_domains
-    counts = manifest.cell_counts("train")
-    keep_ids: set[int] = {s.id for s in manifest.records("test")}
-    keep_ids |= {s.id for s in manifest.records("train", [manifest.target_domain])}
+    touched. Returns a new manifest (the input is not modified).
 
-    if spec.kind == "balanced":
-        keep_ids |= {s.id for s in manifest.records("train", sources)}
-    elif spec.kind == "data":
-        totals = {d: int(counts[d].sum()) for d in sources}
-        largest = min(d for d in sources if totals[d] == max(totals.values()))
-        for d in sources:
-            for k in range(manifest.n_classes):
-                cell = [s for s in manifest.records("train", [d]) if s.cls == k]
-                if d == largest:
-                    keep_ids |= {s.id for s in cell}
-                    continue
-                keep = max(1, int(np.floor(spec.keep_fraction * len(cell) + 0.5)))
-                keep_ids |= _subsample_cell(cell, keep, rng)
-    elif spec.kind == "class":
-        spec.check_layout(len(sources), manifest.n_classes)
-        for d, subset in zip(sources, spec.class_subsets):
-            allowed = set(subset)
-            keep_ids |= {s.id for s in manifest.records("train", [d]) if s.cls in allowed}
-    else:  # long_tailed
-        k_max = manifest.n_classes - 1
-        for d in sources:
-            for k in range(manifest.n_classes):
-                cell = [s for s in manifest.records("train", [d]) if s.cls == k]
-                frac = spec.ratio ** (-k / k_max) if k_max else 1.0
-                keep = max(1, int(np.floor(len(cell) * frac + 0.5)))
-                keep_ids |= _subsample_cell(cell, keep, rng)
+    Source cells are visited domain by domain, class by class; a cell of n
+    train samples keeps ``keep`` of them, drawn from its sorted ids only when
+    0 < keep < n, so the rng stream depends on the spec alone."""
+    sources, n_classes = manifest.source_domains, manifest.n_classes
+    spec.check_layout(len(sources), n_classes)
+    cells = {(d, k): [] for d in sources for k in range(n_classes)}
+    for s in sorted(manifest.records("train", sources), key=lambda s: s.id):
+        cells[s.domain, s.cls].append(s.id)
+    totals = manifest.cell_counts("train").sum(axis=1)
+    largest = max(sources, key=lambda d: totals[d])  # the first of equals
+    subsets = dict(zip(sources, spec.class_subsets or ()))
+    keep_ids = {s.id for s in manifest.samples
+                if s.split == "test" or s.domain == manifest.target_domain}
+    for (d, k), ids in cells.items():
+        keep = n = len(ids)
+        if spec.kind == "data" and d != largest:
+            keep = max(1, int(np.floor(spec.keep_fraction * n + 0.5)))
+        elif spec.kind == "long_tailed":
+            keep = max(1, int(np.floor(n * spec.ratio ** (-k / max(1, n_classes - 1)) + 0.5)))
+        elif spec.kind == "class" and k not in subsets[d]:
+            keep = 0
+        if 0 < keep < n:
+            ids = [ids[i] for i in rng.choice(n, size=keep, replace=False)]
+        keep_ids.update(ids[:keep])
+    return replace(manifest, styles=list(manifest.styles), imbalance=spec.to_dict(),
+                   samples=[s for s in manifest.samples if s.id in keep_ids])
 
-    filtered = [s for s in manifest.samples if s.id in keep_ids]
-    return DatasetManifest(seed=manifest.seed, image_size=manifest.image_size,
-                           n_classes=manifest.n_classes, styles=list(manifest.styles),
-                           target_domain=manifest.target_domain,
-                           imbalance=spec.to_dict(), samples=filtered)
+
+# -- generation ----------------------------------------------------------------
+
+def gen_dataset(out_dir, n_classes: int = 7, sources=None, target: DomainStyle | None = None,
+                per_cell_train: int = 16, per_cell_test: int = 6, image_size: int = 32,
+                seed: int = 0, imbalance: ImbalanceSpec = ImbalanceSpec()) -> DatasetManifest:
+    """Write the images and the manifest of a multi-domain dataset: every
+    (domain, class) cell gets per_cell_train train and per_cell_test test
+    samples, ``imbalance`` filters them under the rng seeded (seed, 0xBA1A),
+    and only the kept samples are rendered. Bytes depend only on the arguments.
+    """
+    if n_classes < 2 or n_classes > len(SHAPE_NAMES):
+        raise ConfigError(f"n_classes must be in 2..{len(SHAPE_NAMES)}")
+    sources = sources if sources is not None else source_styles(3)
+    target = target if target is not None else target_style("far")
+    styles = list(sources) + [target]
+    layout = [(d, k, split) for d in range(len(styles)) for k in range(n_classes)
+              for split, count in (("train", per_cell_train), ("test", per_cell_test))
+              for _ in range(count)]
+    balanced = DatasetManifest(
+        seed=seed, image_size=image_size, n_classes=n_classes, styles=styles,
+        target_domain=len(styles) - 1, imbalance={"kind": "balanced"},
+        samples=[SampleRecord(i, d, k, split, f"images/{i:06d}.pgm")
+                 for i, (d, k, split) in enumerate(layout)])
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xBA1A])))
+    manifest = apply_imbalance(balanced, imbalance, rng)
+    out_dir = Path(out_dir)
+    (out_dir / "images").mkdir(parents=True, exist_ok=True)
+    for rec in manifest.samples:  # through the module globals, which perfbench wraps
+        write_pnm(out_dir / rec.path,
+                  render_sample(seed, rec.id, rec.cls, styles[rec.domain], image_size))
+    save_manifest(manifest, out_dir / "manifest.json")
+    return manifest
 
 
 # -- pixel access ---------------------------------------------------------------

@@ -86,15 +86,11 @@ def method_label(sb: bool, mode: str, aug: str) -> str:
 
 def generate_data(cfg: DataConfig, out_dir, seed: int) -> dd.DatasetManifest:
     """Materialize the dataset for one experiment seed, imbalance applied."""
-    manifest = dd.gen_dataset(
+    return dd.gen_dataset(
         out_dir, n_classes=cfg.n_classes, sources=dd.source_styles(cfg.n_sources),
         target=dd.target_style(cfg.target_preset), per_cell_train=cfg.per_cell_train,
-        per_cell_test=cfg.per_cell_test, image_size=cfg.image_size, seed=seed)
-    if cfg.imbalance.kind != "balanced":
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xBA1A])))
-        manifest = dd.apply_imbalance(manifest, cfg.imbalance, rng)
-        dd.save_manifest(manifest, Path(out_dir) / "manifest.json")
-    return manifest
+        per_cell_test=cfg.per_cell_test, image_size=cfg.image_size, seed=seed,
+        imbalance=cfg.imbalance)
 
 
 def load_split(manifest: dd.DatasetManifest, root, split: str, domains=None):
@@ -174,12 +170,10 @@ def eval_stage(net: mn.MicroNet, registry: tts.DomainRegistry,
 class SeedOutcome:
     seed: int
     manifest: dd.DatasetManifest
-    data_dir: Path
     train_images: np.ndarray
     test: tuple[np.ndarray, np.ndarray, np.ndarray]   # images, classes, domain ids
     net: mn.MicroNet
     registry: tts.DomainRegistry
-    metrics: mn.TrainMetrics
     rows: list[dict]
     wall_time: float
     pool: np.ndarray | None = None   # training style vectors, on first nearest-sample eval
@@ -204,13 +198,12 @@ def run_seed(cfg: ExperimentConfig, seed: int, workdir) -> SeedOutcome:
     start = time.perf_counter()
     data_dir = Path(workdir) / f"data_seed{seed}"
     manifest = generate_data(cfg.data, data_dir, seed)
-    net, metrics, (xtr, _, dtr, names) = train_stage(cfg, manifest, data_dir, seed)
+    net, _, (xtr, _, dtr, names) = train_stage(cfg, manifest, data_dir, seed)
     registry = tts.build_registry(net, xtr, dtr, cfg.eval.layer, names=names,
                                   alpha=default_alpha(cfg.eval.alpha, cfg.pseudo_labels))
     test = load_split(manifest, data_dir, "test")  # after training: not in its peak
-    outcome = SeedOutcome(seed=seed, manifest=manifest, data_dir=data_dir, train_images=xtr,
-                          test=test, net=net, registry=registry, metrics=metrics, rows=[],
-                          wall_time=0.0)
+    outcome = SeedOutcome(seed=seed, manifest=manifest, train_images=xtr, test=test,
+                          net=net, registry=registry, rows=[], wall_time=0.0)
     outcome.rows = evaluate_seed(cfg, outcome)
     outcome.wall_time = time.perf_counter() - start
     return outcome

@@ -29,7 +29,7 @@ from .errors import ConfigError, DivergenceError
 from .style_balance import BatchMeta, MovePlan, build_balance_plan, sb_apply_var
 from .style_ops import DEFAULT_LAMBDA_SHAPE, dsu_var, efdmix_hook, mixstyle_var
 from .tensor_core import batch_style_vectors, from_json, json_floats
-from .test_time_shift import OFF, DomainRegistry, ShiftMode, ts_apply
+from .test_time_shift import OFF, DomainRegistry, ShiftMode, checked_alpha, ts_apply
 
 AUG_KINDS = ("none", "mixstyle", "dsu", "efdmix")
 
@@ -439,6 +439,8 @@ def evaluate(net: MicroNet, images, class_labels, domain_labels,
     x = np.asarray(images, dtype=np.float64)
     y = np.asarray(class_labels, dtype=np.intp)
     doms = np.asarray(domain_labels, dtype=np.intp)
+    if alpha is not None:  # in every mode, off included
+        checked_alpha(alpha)
     use_ts = mode.kind != "off"
     if use_ts:
         if registry is None:

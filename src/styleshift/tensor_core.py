@@ -8,6 +8,7 @@ normalizations never divide by zero.
 
 from __future__ import annotations
 
+import functools
 import sys
 import types
 import typing
@@ -34,6 +35,11 @@ def json_floats(values, what: str) -> np.ndarray:
 
 def _json_field(tp, value, where: str):
     """``value`` read as the annotation ``tp`` of the field ``where``."""
+    if tp is float:  # kept as written; not NaN, infinite or an int beyond float64
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return value
+    elif type(value) is tp:  # int, bool, str: only their own JSON type
+        return value
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # the configs use only ``X | None``
         return None if value is None else _json_field(args[0], value, where)
@@ -41,12 +47,6 @@ def _json_field(tp, value, where: str):
         return tuple(_json_field(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if is_dataclass(tp) and type(value) is dict:
         return from_json(tp, value)
-    if tp is float:  # kept as written; not NaN, infinite or an int beyond float64
-        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-    else:  # int, bool, str: only their own JSON type
-        ok = type(value) is tp
-    if ok:
-        return value
     want = {tuple: "list", float: "finite number"}.get(
         origin or tp, "object" if is_dataclass(tp) else tp.__name__)
     raise ConfigError(f"{where} must be a JSON {want}, got {value!r}")
@@ -58,14 +58,18 @@ def from_json(cls, doc):
     is a ConfigError. Range checks are each class's ``__post_init__``."""
     if type(doc) is not dict:
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
-    known = {f.name: f for f in fields(cls)}
-    missing = [name for name, f in known.items() if name not in doc
-               and f.default is MISSING and f.default_factory is MISSING]
-    if set(doc) - set(known) or missing:
-        raise ConfigError(f"{cls.__name__} has unknown keys {sorted(set(doc) - set(known))} "
-                          f"or lacks keys {missing}")
-    hints = typing.get_type_hints(cls)
+    hints, required = _schema(cls)
+    if doc.keys() - hints.keys() or required - doc.keys():
+        raise ConfigError(f"{cls.__name__} has unknown keys {sorted(doc.keys() - hints.keys())} "
+                          f"or lacks keys {sorted(required - doc.keys())}")
     return cls(**{k: _json_field(hints[k], v, f"{cls.__name__}.{k}") for k, v in doc.items()})
+
+
+@functools.cache  # resolving string annotations costs far more than one record's read
+def _schema(cls) -> tuple[dict, frozenset]:
+    """Each field's resolved annotation, and the fields that have no default."""
+    return typing.get_type_hints(cls), frozenset(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
 
 
 def _as_features(x, rank: int, what: str) -> np.ndarray:

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import functools
+import hashlib
 import io
 import json
 import operator
@@ -718,3 +719,100 @@ def test_malformed_manifest_exits_2(cli_workdir, content):
                           "--dataset", f"bad_{content}", "--out-registry", f"{content}.out")
     assert (code, err[:13]) == (2, "config error:"), err
     assert not (cli_workdir / f"{content}.out").exists()
+
+
+BAD_TAGS = {"list": [], "null": None, "seed_string": {"seed": "x"}, "seed_negative": {"seed": -1},
+            "aug_int": {"aug": 3}, "aug_unknown": {"aug": "cutout"}, "sb_string": {"sb": "no"},
+            "unknown_key": {"lr": 0.1}}
+BAD_RECORDS = {"path_int": ("path", 5), "path_missing": ("path", DROP),
+               "domain_string": ("domain", "x"), "domain_99": ("domain", 99),
+               "domain_negative": ("domain", -1), "class_99": ("class", 99),
+               "class_float": ("class", 0.0), "split_int": ("split", 3),
+               "split_val": ("split", "val"), "id_bool": ("id", True),
+               "unknown_key": ("cls", 0)}
+BAD_INPUTS = {
+    **{f"tags_{name}_{command}": ("tags", command, tags)
+       for name, tags in BAD_TAGS.items() for command in ("stats", "eval")},
+    **{f"record_{name}": ("record", "train", change) for name, change in BAD_RECORDS.items()},
+    "alpha_nan_mode_off": ("alpha", "eval", "nan"), "alpha_-1_mode_off": ("alpha", "eval", "-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_tags_records_or_alpha_exit_2(cli_workdir, case):
+    """Checkpoint tags and manifest sample records are typed and range-checked
+    when they load, and alpha is checked in every eval mode."""
+    kind, command, bad = BAD_INPUTS[case]
+    ckpt, dataset, alpha = "ckpt.json", "data", ()
+    if kind == "tags":
+        doc = json.loads((cli_workdir / "ckpt.json").read_text())
+        ckpt = write_cfg(cli_workdir, f"{case}.ckpt.json", {**doc, "tags": bad})
+    elif kind == "record":
+        manifest = json.loads((cli_workdir / "data/manifest.json").read_text())
+        dataset = f"{case}_data"
+        (cli_workdir / dataset).mkdir()
+        write_cfg(cli_workdir, f"{dataset}/manifest.json",
+                  _replaced(manifest, ("samples", 0, bad[0]), bad[1]))
+    else:
+        alpha = ("--mode", "off", "--alpha", bad)
+    argv = {"stats": ("--checkpoint", ckpt, "--dataset", dataset, "--out-registry", f"{case}.out"),
+            "eval": ("--checkpoint", ckpt, "--registry", "reg.json", "--dataset", dataset,
+                     "--out-csv", f"{case}.out", *alpha),
+            "train": ("--config", write_cfg(cli_workdir, f"{case}.json",
+                                            {**TRAIN_CFG, "dataset": dataset}),
+                      "--out-checkpoint", f"{case}.out", "--audit-log", f"{case}.audit")}
+    code, err = run_quiet(cli_workdir, command, *argv[command])
+    assert (code, err[:13]) == (2, "config error:"), err
+    assert not (cli_workdir / f"{case}.out").exists()
+
+
+def test_checkpoint_without_tags_reads_the_defaults(cli_workdir):
+    doc = json.loads((cli_workdir / "ckpt.json").read_text())
+    assert doc["tags"] == {"sb": True, "aug": "none", "seed": 3}
+    del doc["tags"]
+    ckpt = write_cfg(cli_workdir, "untagged.json", doc)
+    assert run(cli_workdir, "eval", "--checkpoint", ckpt, "--registry", "reg.json",
+               "--dataset", "data", "--out-csv", "untagged.csv") == 0
+    rows = read_rows(cli_workdir / "untagged.csv")
+    assert {(r["method"], r["seed"]) for r in rows} == {("TS", "0")}
+
+
+IMBALANCES = {"balanced": {"kind": "balanced"},
+              "data": {"kind": "data", "keep_fraction": 0.4},
+              "class": {"kind": "class", "class_subsets": [[0, 1], [2]]},
+              "long_tailed": {"kind": "long_tailed", "ratio": 4.0}}
+# sha256 of manifest.json then every listed image in manifest order, for DATA_CFG
+# at seed 5 with each imbalance; computed with the code that rendered every
+# balanced cell before filtering, so the keep rule's rng order cannot drift
+KIND_DIGESTS = {
+    "balanced": "7f3e55d376f2308d7f2cc029917f75ab9778d69fb435ecca852210345b428744",
+    "data": "4925cf3f918d2c29fb4a89e22883f5bba5724b7d4c2bf168a28667a409124e97",
+    "class": "9e19f99c833bee38b0fd176d694d924165738c7b52c807761d3e38eb99489056",
+    "long_tailed": "80b3dd3b84b08bfa82fe0f9f343ac8d71f49f3125659a73d93eedc40fee17142",
+}
+
+
+@pytest.fixture(scope="module")
+def kind_datasets(tmp_path_factory):
+    """DATA_CFG's dataset at seed 5 under each imbalance kind, by ``gen-data``."""
+    workdir = tmp_path_factory.mktemp("kinds")
+    for kind, imbalance in IMBALANCES.items():
+        cfg = write_cfg(workdir, f"{kind}.json", {**DATA_CFG, "imbalance": imbalance})
+        assert run(workdir, "gen-data", "--config", cfg, "--out", kind, "--seed", "5") == 0
+    return workdir
+
+
+@pytest.mark.parametrize("kind", sorted(IMBALANCES))
+def test_gen_data_writes_only_the_listed_images(kind_datasets, kind):
+    root = kind_datasets / kind
+    listed = [s["path"] for s in json.loads((root / "manifest.json").read_text())["samples"]]
+    assert sorted(f"images/{p.name}" for p in (root / "images").iterdir()) == sorted(listed)
+
+
+@pytest.mark.parametrize("kind", sorted(IMBALANCES))
+def test_gen_data_bytes_are_pinned(kind_datasets, kind):
+    root = kind_datasets / kind
+    digest = hashlib.sha256((root / "manifest.json").read_bytes())
+    for sample in json.loads((root / "manifest.json").read_text())["samples"]:
+        digest.update((root / sample["path"]).read_bytes())
+    assert digest.hexdigest() == KIND_DIGESTS[kind]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from styleshift import domain_data as dd
 from styleshift import test_time_shift as ts
 from styleshift.errors import ConfigError, DimensionError, PnmParseError
+from styleshift.experiment import DataConfig, generate_data
 
 RNG = lambda seed: np.random.Generator(np.random.PCG64(seed))
 
@@ -108,6 +109,36 @@ def test_imbalance_deterministic_given_seed(tmp_path):
     a = dd.apply_imbalance(m, spec, RNG(6))
     b = dd.apply_imbalance(m, spec, RNG(6))
     assert [s.id for s in a.samples] == [s.id for s in b.samples]
+
+
+SPECS = {"balanced": dd.ImbalanceSpec(),
+         "data": dd.ImbalanceSpec(kind="data", keep_fraction=0.3),
+         "class": dd.ImbalanceSpec(kind="class", class_subsets=((0, 1), (2,), (3,))),
+         "long_tailed": dd.ImbalanceSpec(kind="long_tailed", ratio=20.0)}
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_gen_dataset_imbalance_equals_filtering_a_balanced_dataset(tmp_path, kind):
+    """Filtering before rendering lists and renders exactly what filtering a
+    rendered balanced dataset with the (seed, 0xBA1A) rng keeps."""
+    m, root = small_dataset(tmp_path, "direct", imbalance=SPECS[kind])
+    balanced, balanced_root = small_dataset(tmp_path, "balanced")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([11, 0xBA1A])))
+    expected = dd.apply_imbalance(balanced, SPECS[kind], rng)
+    dd.save_manifest(expected, tmp_path / "expected.json")
+    assert (root / "manifest.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+    assert m.to_dict() == expected.to_dict()
+    for rec in expected.samples:
+        assert (root / rec.path).read_bytes() == (balanced_root / rec.path).read_bytes()
+
+
+def test_imbalanced_manifest_is_written_once(tmp_path, monkeypatch):
+    saved = []
+    monkeypatch.setattr(dd, "save_manifest", lambda m, path: saved.append(path))
+    cfg = DataConfig(n_classes=4, per_cell_train=5, per_cell_test=3, image_size=16,
+                     imbalance=SPECS["data"])
+    generate_data(cfg, tmp_path / "d", seed=11)
+    assert saved == [tmp_path / "d" / "manifest.json"]
 
 
 def test_imbalance_spec_validation():
