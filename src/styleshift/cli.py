@@ -24,10 +24,12 @@ from . import test_time_shift as tts
 from .errors import ConfigError, StyleShiftError
 from .experiment import (
     DataConfig,
+    EvalConfig,
     ExperimentConfig,
     default_alpha,
     eval_stage,
     evaluate_seed,
+    fitted_net,
     generate_data,
     load_split,
     method_label,
@@ -36,7 +38,7 @@ from .experiment import (
     source_split,
     train_stage,
 )
-from .tensor_core import from_json
+from .tensor_core import from_json, read_json
 
 EVAL_COLUMNS = ("method", "target", "seed", "accuracy", "shift_rate")
 
@@ -58,28 +60,16 @@ def append_sidecar(path: Path, message: str) -> None:
         fh.write(f"{stamp} {message}\n")
 
 
-def _read_json(path: Path) -> dict:
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} does not hold a JSON object")
-    return doc
-
-
 def _load_dataset(workdir: Path, dataset: str) -> tuple[dd.DatasetManifest, Path]:
     root = workdir / dataset
-    return dd.DatasetManifest.from_dict(_read_json(root / "manifest.json")), root
+    return dd.load_manifest(root / "manifest.json"), root
 
 
 # -- commands -------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
     workdir = Path(args.workdir)
-    cfg = from_json(DataConfig, _read_json(workdir / args.config))
+    cfg = from_json(DataConfig, read_json(workdir / args.config))
     out = workdir / args.out
     t0 = time.perf_counter()
     manifest = generate_data(cfg, out, args.seed)
@@ -106,21 +96,18 @@ class CheckpointTags:
 
 def _load_checkpoint(path: Path) -> tuple[mn.MicroNet, CheckpointTags]:
     """The network and the train tags stored with it."""
-    doc = _read_json(path)
+    doc = read_json(path)
     return mn.MicroNet.from_dict(doc), from_json(CheckpointTags, doc.get("tags", {}))
 
 
 def cmd_train(args) -> int:
     workdir = Path(args.workdir)
-    doc = _read_json(workdir / args.config)
+    doc = read_json(workdir / args.config)
     dataset = doc.pop("dataset", "data")
     if type(dataset) is not str:
         raise ConfigError(f"dataset must be a JSON string, got {dataset!r}")
     cfg = from_json(ExperimentConfig, doc)
     manifest, root = _load_dataset(workdir, dataset)
-    if "net" not in doc:
-        cfg = replace(cfg, net=mn.NetConfig(in_channels=1, image_size=manifest.image_size,
-                                            n_classes=manifest.n_classes))
     t0 = time.perf_counter()
     net, metrics, _ = train_stage(cfg, manifest, root, cfg.train.seed)
 
@@ -166,10 +153,12 @@ def cmd_stats(args) -> int:
 
 def cmd_eval(args) -> int:
     workdir = Path(args.workdir)
+    # the flags are checked before any file is read
+    flags = EvalConfig(mode=args.mode, alpha=args.alpha, pool_size=args.pool_size)
+    mode = shift_mode_from_name(flags.mode, flags.pool_size)
     net, tags = _load_checkpoint(workdir / args.checkpoint)
-    registry = tts.registry_from_dict(_read_json(workdir / args.registry))
+    registry = tts.load_registry(workdir / args.registry)
     manifest, root = _load_dataset(workdir, args.dataset)
-    mode = shift_mode_from_name(args.mode, args.pool_size)
     label = args.method_label or method_label(tags.sb, mode.kind, tags.aug)
     t0 = time.perf_counter()
     pool = None
@@ -177,7 +166,7 @@ def cmd_eval(args) -> int:
         pool_images, _, _ = load_split(manifest, root, "train", manifest.source_domains)
         pool = net.style_vectors_at(pool_images, registry.layer)
     test = load_split(manifest, root, "test")
-    rows = eval_stage(net, registry, manifest, test, mode, args.alpha, pool,
+    rows = eval_stage(net, registry, manifest, test, mode, flags.alpha, pool,
                       np.random.Generator(np.random.PCG64(args.seed)), label, tags.seed)
     out = workdir / args.out_csv
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -211,15 +200,17 @@ def _sweep_task(points, seed: int, workdir) -> list[dict]:
 
 def cmd_sweep(args) -> int:
     workdir = Path(args.workdir)
-    cfg = from_json(ExperimentConfig, _read_json(workdir / args.config))
+    cfg = from_json(ExperimentConfig, read_json(workdir / args.config))
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
     if not values:
         raise ConfigError("--values is empty")
-    # every point's config is built, and so checked, before the first training
+    # every point's config is built, and so checked, before the first gen-data
     points = [(value, apply_sweep_param(cfg, args.param, value)) for value in values]
+    for _, point in points:
+        fitted_net(point.net, point.data.image_size, point.data.n_classes)
     sweep_dir = workdir / args.out_dir
     if args.param == "alpha":  # alpha changes only evaluation: train once per seed
         tasks = [(points, seed, sweep_dir) for seed in cfg.seeds]

@@ -11,13 +11,13 @@ and order-independent.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, PnmParseError
-from .tensor_core import from_json
+from .tensor_core import from_json, read_json
 
 SHAPE_NAMES = ("circle", "square", "triangle", "cross", "ring", "bars", "checker")
 
@@ -151,7 +151,7 @@ class SampleRecord:
     cls: int
     split: str
     path: str
-    _JSON_KEY = {"cls": "class", "class": "cls"}  # a field and its JSON key, both ways
+    _JSON_KEY = {"cls": "class"}  # a field and its JSON key
 
     def __post_init__(self):  # the manifest checks domain and cls against its header
         if min(self.id, self.domain, self.cls) < 0 or self.split not in ("train", "test"):
@@ -160,12 +160,6 @@ class SampleRecord:
 
     def to_dict(self) -> dict:
         return {self._JSON_KEY.get(k, k): v for k, v in vars(self).items()}
-
-    @classmethod
-    def from_dict(cls, doc) -> "SampleRecord":
-        if type(doc) is dict:
-            doc = {cls._JSON_KEY.get(k, k): v for k, v in doc.items()}
-        return from_json(cls, doc)
 
 
 @dataclass
@@ -176,13 +170,13 @@ class DatasetManifest:
     styles: list[DomainStyle]
     target_domain: int
     imbalance: dict
-    samples: list[SampleRecord] = field(default_factory=list)
+    samples: list[SampleRecord]
 
     def __post_init__(self):
         header = (self.seed, self.image_size, self.n_classes, self.target_domain)
-        if any(type(v) is not int for v in header) or min(header) < 0 or self.image_size < 1:
+        if min(header) < 0 or self.image_size < 1:
             raise ConfigError(f"manifest seed, image_size, n_classes and target_domain must "
-                              f"be JSON integers >= 0, image_size >= 1; got {header}")
+                              f"be >= 0, image_size >= 1; got {header}")
         if any(s.domain >= self.n_domains or s.cls >= self.n_classes for s in self.samples):
             raise ConfigError(f"a sample lies outside the {self.n_domains} domains or "
                               f"the {self.n_classes} classes")
@@ -214,22 +208,13 @@ class DatasetManifest:
         return {**vars(self), "styles": [asdict(s) for s in self.styles],
                 "samples": [s.to_dict() for s in self.samples]}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DatasetManifest":
-        """Rebuild a manifest from ``to_dict`` output, or raise a ConfigError."""
-        try:
-            return cls(**{**doc, "styles": [from_json(DomainStyle, s) for s in doc["styles"]],
-                          "samples": [SampleRecord.from_dict(s) for s in doc["samples"]]})
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed manifest ({type(exc).__name__}: {exc})") from exc
-
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
     Path(path).write_text(json.dumps(manifest.to_dict(), indent=1, sort_keys=True))
 
 
 def load_manifest(path) -> DatasetManifest:
-    return DatasetManifest.from_dict(json.loads(Path(path).read_text()))
+    return from_json(DatasetManifest, read_json(path))
 
 
 # -- imbalance -----------------------------------------------------------------
@@ -351,10 +336,7 @@ def load_images(manifest: DatasetManifest, root, records=None) -> np.ndarray:
     records = manifest.samples if records is None else records
     out = np.empty((len(records), 1, manifest.image_size, manifest.image_size))
     for i, rec in enumerate(records):
-        img = read_pnm(root / rec.path)
-        if img.ndim == 3:
-            img = img.mean(axis=2)
-        out[i, 0] = img / 255.0
+        out[i, 0] = read_pnm(root / rec.path) / 255.0
     return out
 
 
@@ -365,24 +347,22 @@ def raw_pixel_styles(images: np.ndarray) -> np.ndarray:
     return np.stack([flat.mean(axis=1), flat.std(axis=1)], axis=1)
 
 
-# -- PGM / PPM ------------------------------------------------------------------
+# -- PGM ------------------------------------------------------------------------
 
 def write_pnm(path, img: np.ndarray) -> None:
-    """Write uint8 grayscale (H, W) as binary PGM or (H, W, 3) as binary PPM."""
+    """Write a uint8 grayscale (H, W) image as binary PGM (P5)."""
     img = np.asarray(img)
     if img.dtype != np.uint8:
         raise DimensionError("pnm images must be uint8")
-    if img.ndim == 2:
-        header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n"
-    elif img.ndim == 3 and img.shape[2] == 3:
-        header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n"
-    else:
-        raise DimensionError(f"expected (H,W) or (H,W,3), got {img.shape}")
-    Path(path).write_bytes(header.encode("ascii") + img.tobytes())
+    if img.ndim != 2:
+        raise DimensionError(f"expected a grayscale (H,W) image, got {img.shape}")
+    Path(path).write_bytes(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
+                           + img.tobytes())
 
 
 def read_pnm(path) -> np.ndarray:
-    """Read a binary PGM (P5) or PPM (P6) file; parse failures carry the
+    """Read a binary PGM (P5) file as a uint8 (H, W) array; any other magic,
+    P6 included, and every parse failure is a PnmParseError carrying the
     byte offset."""
     data = Path(path).read_bytes()
     pos = 0
@@ -410,7 +390,7 @@ def read_pnm(path) -> np.ndarray:
         return int(field)
 
     magic = token()
-    if magic not in (b"P5", b"P6"):
+    if magic != b"P5":
         raise PnmParseError(f"unsupported magic {magic!r}", 0)
     width = number()
     height = number()
@@ -421,12 +401,10 @@ def read_pnm(path) -> np.ndarray:
     if maxval != 255:
         raise PnmParseError(f"unsupported maxval {maxval}", pos)
     pos = min(pos + 1, len(data))  # single whitespace byte after maxval
-    channels = 1 if magic == b"P5" else 3
-    need = width * height * channels
+    need = width * height
     body = data[pos:pos + need]
     if len(body) < need:
         raise PnmParseError(
             f"truncated pixel data: expected {need} bytes, got {len(body)}",
             pos + len(body))
-    arr = np.frombuffer(body, dtype=np.uint8)
-    return arr.reshape(height, width) if channels == 1 else arr.reshape(height, width, 3)
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width)

@@ -58,7 +58,7 @@ class EvalConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
-    net: mn.NetConfig = field(default_factory=mn.NetConfig)
+    net: mn.NetConfig | None = None   # None: the default network sized to the data
     train: mn.TrainConfig = field(default_factory=mn.TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     protocol: str = "leave_one_out"
@@ -72,7 +72,7 @@ class ExperimentConfig:
             raise ConfigError("seeds must be a non-empty list of integers >= 0")
         if self.pseudo_labels is not None and self.pseudo_labels < 1:
             raise ConfigError("pseudo_labels must be >= 1")
-        hooks = set(self.net.hook_names)
+        hooks = set((self.net or mn.NetConfig()).hook_names)
         named = {self.eval.layer, *(self.train.sb_hooks or ()), *(self.train.aug_hooks or ())}
         if not named <= hooks:
             raise ConfigError(f"hooks {sorted(named - hooks)} are not blocks of the net")
@@ -134,18 +134,28 @@ def default_alpha(alpha: float | None, pseudo_labels: int | None) -> float:
     return tts.PSEUDO_LABEL_ALPHA if pseudo_labels is not None else tts.DEFAULT_ALPHA
 
 
-def train_stage(cfg: ExperimentConfig, manifest: dd.DatasetManifest, root, seed: int):
-    """Initialize and train cfg's network on the source split, with ``seed``
-    as the train seed. Returns (net, metrics, source split). A net that does
-    not fit the dataset, or balancing of fewer than 2 domains, is a ConfigError."""
-    data = (1, manifest.image_size, manifest.n_classes)
-    if (cfg.net.in_channels, cfg.net.image_size, cfg.net.n_classes) != data:
+def fitted_net(net: mn.NetConfig | None, image_size: int, n_classes: int) -> mn.NetConfig:
+    """``net``, or if None the default network, sized to grayscale data of
+    ``image_size`` px and ``n_classes`` classes; a net that does not fit is a ConfigError."""
+    if net is None:
+        return mn.NetConfig(in_channels=1, image_size=image_size, n_classes=n_classes)
+    data = (1, image_size, n_classes)
+    if (net.in_channels, net.image_size, net.n_classes) != data:
         raise ConfigError(f"the net's in_channels, image_size and n_classes must be {data}")
+    return net
+
+
+def train_stage(cfg: ExperimentConfig, manifest: dd.DatasetManifest, root, seed: int):
+    """Initialize and train cfg's network (``fitted_net`` to the dataset) on
+    the source split, with ``seed`` as the train seed. Returns (net, metrics,
+    source split). A net that does not fit the dataset, or balancing of fewer
+    than 2 domains, is a ConfigError."""
+    net_cfg = fitted_net(cfg.net, manifest.image_size, manifest.n_classes)
     split = source_split(manifest, root, cfg.protocol, cfg.pseudo_labels, seed)
     images, classes, doms, names = split
     if cfg.train.sb and len(names) < 2:
         raise ConfigError("style balancing needs at least 2 training domains")
-    net = mn.MicroNet.init(cfg.net, seed=seed)
+    net = mn.MicroNet.init(net_cfg, seed=seed)
     metrics = mn.train(net, images, classes, doms, replace(cfg.train, seed=seed),
                        n_domains=len(names))
     return net, metrics, split

@@ -28,7 +28,7 @@ from .autodiff import Var
 from .errors import ConfigError, DivergenceError
 from .style_balance import BatchMeta, MovePlan, build_balance_plan, sb_apply_var
 from .style_ops import DEFAULT_LAMBDA_SHAPE, dsu_var, efdmix_hook, mixstyle_var
-from .tensor_core import batch_style_vectors, from_json, json_floats
+from .tensor_core import batch_style_vectors, from_json, json_floats, read_json
 from .test_time_shift import OFF, DomainRegistry, ShiftMode, checked_alpha, ts_apply
 
 AUG_KINDS = ("none", "mixstyle", "dsu", "efdmix")
@@ -312,8 +312,6 @@ class MicroNet:
                 if tuple(spec["shape"]) != shape or data.shape != (math.prod(shape),):
                     raise ConfigError(f"checkpoint parameter {name!r} has shape "
                                       f"{spec['shape']} and {data.size} values, expected {shape}")
-                if not np.all(np.isfinite(data)):
-                    raise ConfigError(f"checkpoint parameter {name!r} is not finite")
                 params[name] = data.reshape(shape)
         except ConfigError:
             raise
@@ -323,7 +321,7 @@ class MicroNet:
 
     @classmethod
     def load(cls, path) -> "MicroNet":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
 
 # -- training ------------------------------------------------------------------

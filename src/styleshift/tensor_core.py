@@ -9,10 +9,12 @@ normalizations never divide by zero.
 from __future__ import annotations
 
 import functools
+import json
 import sys
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,55 +23,76 @@ from .errors import ConfigError, DimensionError
 EPS_STD = 1e-6
 
 
-def json_floats(values, what: str) -> np.ndarray:
-    """float64 array of a list of JSON numbers. Strings (even numeric ones),
-    booleans, nulls, nested lists and ints beyond float64's range are a
-    ConfigError."""
-    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
-        raise ConfigError(f"{what} must be a list of JSON numbers")
+def read_json(path) -> dict:
+    """The JSON object in the file ``path``, the one reader of every document;
+    an unreadable file, invalid JSON or a value that is not an object is a ConfigError."""
     try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:
-        raise ConfigError(f"{what} holds a number beyond float64's range") from None
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # invalid or too deeply nested JSON, not UTF-8
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if type(doc) is not dict:
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return doc
+
+
+def _finite(value) -> bool:  # the one number rule: no bool, NaN, infinity or int beyond float64
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def json_floats(values, what: str) -> np.ndarray:
+    """float64 array of a list of JSON numbers, each held to ``from_json``'s
+    float rule: strings (even numeric ones), booleans, nulls, nested lists,
+    NaN, infinities and ints beyond float64's range are a ConfigError."""
+    if type(values) is not list or not all(map(_finite, values)):
+        raise ConfigError(f"{what} must be a list of finite JSON numbers")
+    return np.array(values, dtype=np.float64)
 
 
 def _json_field(tp, value, where: str):
     """``value`` read as the annotation ``tp`` of the field ``where``."""
-    if tp is float:  # kept as written; not NaN, infinite or an int beyond float64
-        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+    if tp is float:  # kept as written, an int included
+        if _finite(value):
             return value
-    elif type(value) is tp:  # int, bool, str: only their own JSON type
+    elif type(value) is tp:  # int, bool, str, dict: only their own JSON type
         return value
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # the configs use only ``X | None``
         return None if value is None else _json_field(args[0], value, where)
-    if origin is tuple and type(value) is list:  # tuple[T, ...]
-        return tuple(_json_field(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin in (tuple, list) and type(value) is list:  # tuple[T, ...] or list[T]
+        return origin(_json_field(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if is_dataclass(tp) and type(value) is dict:
         return from_json(tp, value)
-    want = {tuple: "list", float: "finite number"}.get(
+    want = {tuple: "list", list: "list", float: "finite number"}.get(
         origin or tp, "object" if is_dataclass(tp) else tp.__name__)
     raise ConfigError(f"{where} must be a JSON {want}, got {value!r}")
 
 
 def from_json(cls, doc):
-    """The config dataclass ``cls`` built from the JSON object ``doc`` by its
-    field annotations (README, Conventions); a key, type or value out of place
-    is a ConfigError. Range checks are each class's ``__post_init__``."""
+    """The dataclass ``cls`` built from the JSON object ``doc`` by its field
+    annotations (README, Conventions); a key, type or value out of place is a
+    ConfigError. A class may rename fields in JSON with a ``_JSON_KEY`` map
+    from field name to JSON key. Range checks are each class's
+    ``__post_init__``."""
     if type(doc) is not dict:
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
-    hints, required = _schema(cls)
-    if doc.keys() - hints.keys() or required - doc.keys():
-        raise ConfigError(f"{cls.__name__} has unknown keys {sorted(doc.keys() - hints.keys())} "
+    schema, required = _schema(cls)
+    if doc.keys() - schema.keys() or required - doc.keys():
+        raise ConfigError(f"{cls.__name__} has unknown keys {sorted(doc.keys() - schema.keys())} "
                           f"or lacks keys {sorted(required - doc.keys())}")
-    return cls(**{k: _json_field(hints[k], v, f"{cls.__name__}.{k}") for k, v in doc.items()})
+    return cls(**{name: _json_field(tp, doc[key], f"{cls.__name__}.{key}")
+                  for key, (name, tp) in schema.items() if key in doc})
 
 
 @functools.cache  # resolving string annotations costs far more than one record's read
 def _schema(cls) -> tuple[dict, frozenset]:
-    """Each field's resolved annotation, and the fields that have no default."""
-    return typing.get_type_hints(cls), frozenset(
-        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    """Each JSON key's field name and resolved annotation, and the JSON keys
+    of the fields that have no default."""
+    hints, renames = typing.get_type_hints(cls), getattr(cls, "_JSON_KEY", {})
+    return ({renames.get(name, name): (name, tp) for name, tp in hints.items()},
+            frozenset(renames.get(f.name, f.name) for f in fields(cls)
+                      if f.default is MISSING and f.default_factory is MISSING))
 
 
 def _as_features(x, rank: int, what: str) -> np.ndarray:

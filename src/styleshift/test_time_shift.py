@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, RegistryBuildError
 from .style_ops import adain
-from .tensor_core import json_floats, style_vector, style_vector_to_stats
+from .tensor_core import json_floats, read_json, style_vector, style_vector_to_stats
 
 DEFAULT_ALPHA = 3.0
 PSEUDO_LABEL_ALPHA = 2.0
@@ -294,8 +294,6 @@ def registry_from_dict(doc: dict) -> DomainRegistry:
         rows = np.stack(halves).reshape(len(entries), -1)  # row i: mu_i then sigma_i
         spread, alpha = map(float, json_floats([doc["spread"], doc["alpha"]],
                                                "registry spread and alpha"))
-        if not np.all(np.isfinite(np.append(rows, (spread, alpha)))):
-            raise ConfigError("registry holds a non-finite value")
         if np.any(rows[:, rows.shape[1] // 2:] <= 0):
             raise ConfigError("registry sigma entries must be positive")
         reg = DomainRegistry(layer=doc["layer"], names=tuple(d["name"] for d in doc["domains"]),
@@ -316,4 +314,4 @@ def save_registry(reg: DomainRegistry, path) -> None:
 
 
 def load_registry(path) -> DomainRegistry:
-    return registry_from_dict(json.loads(Path(path).read_text()))
+    return registry_from_dict(read_json(path))

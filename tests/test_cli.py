@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from styleshift import cli
+from styleshift import micro_net as mn
 from styleshift import test_time_shift as ts
 from styleshift.experiment import DataConfig, ExperimentConfig
 from styleshift.tensor_core import from_json
@@ -671,6 +672,7 @@ MALFORMED = {
     "pseudo_labels_above_split": ("train", TRAIN_CFG, ("pseudo_labels",), 99),
     "sweep_seeds_string": ("sweep", SWEEP_CFG, ("seeds",), "01"),
     "sweep_eval_mode_unknown": ("sweep", SWEEP_CFG, ("eval", "mode"), "sideways"),
+    "sweep_net_image_size_32_on_16px": ("sweep", SWEEP_CFG, ("net", "image_size"), 32),
 }
 
 
@@ -703,6 +705,48 @@ def test_bad_numeric_flag_exits_2_before_work(cli_workdir, argv):
     code, err = run_quiet(cli_workdir, *argv, *args)
     assert (code, err[:13]) == (2, "config error:"), err
     assert not (cli_workdir / f"{tag}.out").exists() and not (cli_workdir / tag).exists()
+
+
+@pytest.mark.parametrize("flags", [("--alpha", "nan"), ("--pool-size", "0")],
+                         ids=["alpha_nan", "pool_size_0"])
+def test_eval_checks_its_flags_before_reading_any_file(cli_workdir, monkeypatch, flags):
+    """A bad ``eval`` flag exits 2 before the checkpoint is read or the
+    nearest-sample pool is embedded."""
+    calls = []
+
+    def counted(name):
+        original = getattr(mn.MicroNet, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("from_dict", "style_vectors_at"):
+        monkeypatch.setattr(mn.MicroNet, name, counted(name))
+    out = "eval_" + "_".join(flags).replace("--", "") + ".csv"
+    code, err = run_quiet(cli_workdir, "eval", "--checkpoint", "ckpt.json", "--registry",
+                          "reg.json", "--dataset", "data", "--mode", "nearest-sample",
+                          *flags, "--out-csv", out)
+    assert (code, err[:13], calls) == (2, "config error:", []), err
+    assert not (cli_workdir / out).exists()
+
+
+def test_sweep_sizes_an_omitted_net_to_its_data(tmp_path):
+    """Without ``net`` a sweep trains the default network sized to its data,
+    the same network ``train`` sizes, and ``null`` means the same."""
+    sized = {"in_channels": 1, "image_size": DATA_CFG["image_size"],
+             "n_classes": DATA_CFG["n_classes"]}
+    base = {k: v for k, v in SWEEP_CFG.items() if k != "net"}
+    docs = {"omitted": {**base, "seeds": [0]}, "null": {**base, "seeds": [0], "net": None},
+            "sized": {**base, "seeds": [0], "net": sized}}
+    for tag, doc in docs.items():
+        cfg = write_cfg(tmp_path, f"{tag}.json", doc)
+        assert run(tmp_path, "sweep", "--config", cfg, "--param", "alpha", "--values", "0,3",
+                   "--out-csv", f"{tag}.csv", "--out-dir", tag) == 0
+    want = (tmp_path / "sized.csv").read_bytes()
+    assert (tmp_path / "omitted.csv").read_bytes() == want
+    assert (tmp_path / "null.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("content", ["missing_samples", "image_size_string", "image_size_float",

@@ -160,14 +160,6 @@ def test_pgm_roundtrip(tmp_path):
     np.testing.assert_array_equal(dd.read_pnm(p), img)
 
 
-def test_ppm_roundtrip(tmp_path):
-    rng = RNG(8)
-    img = rng.integers(0, 256, size=(5, 4, 3)).astype(np.uint8)
-    p = tmp_path / "x.ppm"
-    dd.write_pnm(p, img)
-    np.testing.assert_array_equal(dd.read_pnm(p), img)
-
-
 def test_truncated_pnm_reports_offset(tmp_path):
     img = np.zeros((4, 4), dtype=np.uint8)
     p = tmp_path / "t.pgm"
@@ -184,6 +176,10 @@ def test_bad_magic_rejected(tmp_path):
     p.write_bytes(b"P3\n2 2\n255\n....")
     with pytest.raises(PnmParseError):
         dd.read_pnm(p)
+    p.write_bytes(b"P6\n2 2\n255\n" + bytes(12))  # a well-formed RGB PPM: not a PGM
+    with pytest.raises(PnmParseError, match="unsupported magic") as exc:
+        dd.read_pnm(p)
+    assert exc.value.offset == 0
 
 
 PNM_HEADERS = st.sampled_from([b"", b"P5", b"P6", b"P5\n", b"P6 #c\n", b"P5\n2 2\n255\n"])
@@ -199,7 +195,8 @@ PNM_HEADERS = st.sampled_from([b"", b"P5", b"P6", b"P5\n", b"P6 #c\n", b"P5\n2 2
 @example(b"P5\n+2 1_0\n255\n" + b"x" * 20)
 @example(b"P5\n2 2\n+255\n" + b"x" * 4)
 def test_read_pnm_parses_or_raises_pnm_parse_error(tmp_path_factory, data):
-    """Every byte string is either an image of positive size or a PnmParseError."""
+    """Every byte string is either a grayscale image of positive size or a
+    PnmParseError."""
     p = tmp_path_factory.getbasetemp() / "fuzz.pnm"
     p.write_bytes(data)
     try:
@@ -208,8 +205,7 @@ def test_read_pnm_parses_or_raises_pnm_parse_error(tmp_path_factory, data):
         assert 0 <= exc.offset <= len(data)
         return
     assert img.dtype == np.uint8
-    assert img.ndim in (2, 3) and min(img.shape[:2]) >= 1
-    assert img.ndim == 2 or img.shape[2] == 3
+    assert img.ndim == 2 and min(img.shape) >= 1
 
 
 @pytest.mark.parametrize("header", [b"P5\n+2 1_0\n255\n", b"P5\n2 2\n+255\n",
@@ -229,6 +225,8 @@ def test_write_pnm_validates_dtype_and_shape(tmp_path):
         dd.write_pnm(tmp_path / "a.pgm", np.zeros((2, 2)))
     with pytest.raises(DimensionError):
         dd.write_pnm(tmp_path / "a.pgm", np.zeros((2, 2, 4), dtype=np.uint8))
+    with pytest.raises(DimensionError):  # RGB too: images are grayscale PGM only
+        dd.write_pnm(tmp_path / "a.pgm", np.zeros((2, 2, 3), dtype=np.uint8))
 
 
 def test_manifest_roundtrip(tmp_path):

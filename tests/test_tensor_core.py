@@ -1,12 +1,19 @@
+import ast
+import json
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from styleshift import domain_data as dd
+from styleshift import micro_net as mn
 from styleshift import tensor_core as tc
+from styleshift import test_time_shift as tts
 from styleshift.errors import ConfigError, DimensionError
 
 SQRT_1_25 = np.sqrt(1.25)  # population std of [1,2,3,4]
@@ -141,3 +148,66 @@ def test_from_json_builds_nested_values_and_keeps_ints_in_float_fields():
 def test_from_json_rejects_wrong_types_and_keys(doc):
     with pytest.raises(ConfigError):
         tc.from_json(_Outer, doc)
+
+
+@dataclass(frozen=True)
+class _Number:
+    x: float
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ConfigError:
+        return "rejected"
+
+
+JSON_SCALARS = st.one_of(
+    st.integers(-2 ** 1100, 2 ** 1100), st.floats(),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]).map(json.loads),
+    st.booleans(), st.text(max_size=4), st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_SCALARS)
+@example(int(sys.float_info.max) + 1)  # float() rounds it down to the largest float64
+@example(-int(sys.float_info.max))
+@example(float("nan"))
+def test_json_floats_and_from_json_share_one_number_rule(value):
+    """``json_floats`` accepts exactly the JSON scalars a ``from_json`` float
+    field accepts, and reads them to the same float64."""
+    listed = _outcome(lambda: tc.json_floats([value], "v"))
+    field = _outcome(lambda: tc.from_json(_Number, {"x": value}))
+    assert (listed == "rejected") == (field == "rejected")
+    if field != "rejected":
+        assert listed.dtype == np.float64 and listed[0] == float(field.x)
+
+
+LOADERS = {"manifest": dd.load_manifest, "registry": tts.load_registry,
+           "checkpoint": mn.MicroNet.load}
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b"null", b"[" * 100_000, b"\xff{}"],
+                         ids=["missing", "not_json", "null", "nested_too_deep", "not_utf8"])
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_loaders_raise_config_error_at_the_file_boundary(tmp_path, kind, content):
+    path = tmp_path / "doc.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError):
+        LOADERS[kind](path)
+
+
+def test_json_loads_is_called_only_by_read_json():
+    """Every JSON document enters the package through ``tensor_core.read_json``."""
+    calls = []
+    for path in sorted(Path(tc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and getattr(func, "attr", getattr(func, "id", None)) \
+                    == "loads":
+                calls.append((path.name, owner.get(id(node))))
+    assert calls == [("tensor_core.py", "read_json")]
