@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +26,13 @@ from .experiment import (
     DataConfig,
     EvalConfig,
     ExperimentConfig,
-    default_alpha,
     eval_stage,
     evaluate_seed,
     fitted_net,
     generate_data,
     load_split,
     method_label,
+    registry_stage,
     run_seed,
     shift_mode_from_name,
     source_split,
@@ -80,26 +80,6 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class CheckpointTags:
-    """The train settings a checkpoint carries for ``stats`` and ``eval``."""
-
-    sb: bool = False
-    aug: str = "none"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.aug not in mn.AUG_KINDS or self.seed < 0:
-            raise ConfigError(f"checkpoint tags need aug in {mn.AUG_KINDS} and seed >= 0, "
-                              f"got {self}")
-
-
-def _load_checkpoint(path: Path) -> tuple[mn.MicroNet, CheckpointTags]:
-    """The network and the train tags stored with it."""
-    doc = read_json(path)
-    return mn.MicroNet.from_dict(doc), from_json(CheckpointTags, doc.get("tags", {}))
-
-
 def cmd_train(args) -> int:
     workdir = Path(args.workdir)
     doc = read_json(workdir / args.config)
@@ -110,12 +90,11 @@ def cmd_train(args) -> int:
     manifest, root = _load_dataset(workdir, dataset)
     t0 = time.perf_counter()
     net, metrics, _ = train_stage(cfg, manifest, root, cfg.train.seed)
+    net.tags = mn.CheckpointTags(cfg.train.sb, cfg.train.aug, cfg.train.seed)
 
     ckpt = workdir / args.out_checkpoint
     ckpt.parent.mkdir(parents=True, exist_ok=True)
-    payload = net.to_dict()
-    payload["tags"] = asdict(CheckpointTags(cfg.train.sb, cfg.train.aug, cfg.train.seed))
-    ckpt.write_text(json.dumps(payload, indent=1, sort_keys=True))
+    net.save(ckpt)
 
     audit = workdir / args.audit_log
     audit.parent.mkdir(parents=True, exist_ok=True)
@@ -134,13 +113,12 @@ def cmd_train(args) -> int:
 
 def cmd_stats(args) -> int:
     workdir = Path(args.workdir)
-    net, tags = _load_checkpoint(workdir / args.checkpoint)
+    alpha = None if args.alpha is None else tts.checked_alpha(args.alpha)  # before any read
+    net = mn.MicroNet.load(workdir / args.checkpoint)
     manifest, root = _load_dataset(workdir, args.dataset)
     protocol = "single_domain" if args.single_domain else "leave_one_out"
-    images, _, doms, names = source_split(manifest, root, protocol, args.pseudo_labels,
-                                          tags.seed)
-    registry = tts.build_registry(net, images, doms, args.layer, names=names,
-                                  alpha=default_alpha(args.alpha, args.pseudo_labels))
+    split = source_split(manifest, root, protocol, args.pseudo_labels, net.tags.seed)
+    registry = registry_stage(net, split, args.layer, alpha, args.pseudo_labels)
     out = workdir / args.out_registry
     out.parent.mkdir(parents=True, exist_ok=True)
     tts.save_registry(registry, out)
@@ -156,10 +134,10 @@ def cmd_eval(args) -> int:
     # the flags are checked before any file is read
     flags = EvalConfig(mode=args.mode, alpha=args.alpha, pool_size=args.pool_size)
     mode = shift_mode_from_name(flags.mode, flags.pool_size)
-    net, tags = _load_checkpoint(workdir / args.checkpoint)
+    net = mn.MicroNet.load(workdir / args.checkpoint)
     registry = tts.load_registry(workdir / args.registry)
     manifest, root = _load_dataset(workdir, args.dataset)
-    label = args.method_label or method_label(tags.sb, mode.kind, tags.aug)
+    label = args.method_label or method_label(net.tags.sb, mode.kind, net.tags.aug)
     t0 = time.perf_counter()
     pool = None
     if mode.kind == "nearest_sample":
@@ -167,7 +145,7 @@ def cmd_eval(args) -> int:
         pool = net.style_vectors_at(pool_images, registry.layer)
     test = load_split(manifest, root, "test")
     rows = eval_stage(net, registry, manifest, test, mode, flags.alpha, pool,
-                      np.random.Generator(np.random.PCG64(args.seed)), label, tags.seed)
+                      np.random.Generator(np.random.PCG64(args.seed)), label, net.tags.seed)
     out = workdir / args.out_csv
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, EVAL_COLUMNS, rows)

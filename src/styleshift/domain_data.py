@@ -10,14 +10,13 @@ and order-independent.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, PnmParseError
-from .tensor_core import from_json, read_json
+from .tensor_core import from_json, read_json, write_json
 
 SHAPE_NAMES = ("circle", "square", "triangle", "cross", "ring", "bars", "checker")
 
@@ -158,9 +157,6 @@ class SampleRecord:
             raise ConfigError(f"sample id, domain and class must be >= 0 and split "
                               f"'train' or 'test'; got {self}")
 
-    def to_dict(self) -> dict:
-        return {self._JSON_KEY.get(k, k): v for k, v in vars(self).items()}
-
 
 @dataclass
 class DatasetManifest:
@@ -204,13 +200,9 @@ class DatasetManifest:
             counts[s.domain, s.cls] += 1
         return counts
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "styles": [asdict(s) for s in self.styles],
-                "samples": [s.to_dict() for s in self.samples]}
-
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    Path(path).write_text(json.dumps(manifest.to_dict(), indent=1, sort_keys=True))
+    write_json(path, manifest)
 
 
 def load_manifest(path) -> DatasetManifest:

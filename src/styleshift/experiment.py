@@ -128,12 +128,6 @@ def source_split(manifest: dd.DatasetManifest, root, protocol: str,
     return images, classes, doms, names
 
 
-def default_alpha(alpha: float | None, pseudo_labels: int | None) -> float:
-    if alpha is not None:
-        return alpha
-    return tts.PSEUDO_LABEL_ALPHA if pseudo_labels is not None else tts.DEFAULT_ALPHA
-
-
 def fitted_net(net: mn.NetConfig | None, image_size: int, n_classes: int) -> mn.NetConfig:
     """``net``, or if None the default network, sized to grayscale data of
     ``image_size`` px and ``n_classes`` classes; a net that does not fit is a ConfigError."""
@@ -159,6 +153,15 @@ def train_stage(cfg: ExperimentConfig, manifest: dd.DatasetManifest, root, seed:
     metrics = mn.train(net, images, classes, doms, replace(cfg.train, seed=seed),
                        n_domains=len(names))
     return net, metrics, split
+
+
+def registry_stage(net: mn.MicroNet, split, layer: str, alpha: float | None,
+                   pseudo_labels: int | None) -> tts.DomainRegistry:
+    """The registry of a ``source_split`` at ``layer``; alpha None is the default."""
+    images, _, doms, names = split
+    if alpha is None:
+        alpha = tts.PSEUDO_LABEL_ALPHA if pseudo_labels is not None else tts.DEFAULT_ALPHA
+    return tts.build_registry(net, images, doms, layer, alpha=alpha, names=names)
 
 
 def eval_stage(net: mn.MicroNet, registry: tts.DomainRegistry,
@@ -208,11 +211,10 @@ def run_seed(cfg: ExperimentConfig, seed: int, workdir) -> SeedOutcome:
     start = time.perf_counter()
     data_dir = Path(workdir) / f"data_seed{seed}"
     manifest = generate_data(cfg.data, data_dir, seed)
-    net, _, (xtr, _, dtr, names) = train_stage(cfg, manifest, data_dir, seed)
-    registry = tts.build_registry(net, xtr, dtr, cfg.eval.layer, names=names,
-                                  alpha=default_alpha(cfg.eval.alpha, cfg.pseudo_labels))
+    net, _, split = train_stage(cfg, manifest, data_dir, seed)
+    registry = registry_stage(net, split, cfg.eval.layer, cfg.eval.alpha, cfg.pseudo_labels)
     test = load_split(manifest, data_dir, "test")  # after training: not in its peak
-    outcome = SeedOutcome(seed=seed, manifest=manifest, train_images=xtr, test=test,
+    outcome = SeedOutcome(seed=seed, manifest=manifest, train_images=split[0], test=test,
                           net=net, registry=registry, rows=[], wall_time=0.0)
     outcome.rows = evaluate_seed(cfg, outcome)
     outcome.wall_time = time.perf_counter() - start

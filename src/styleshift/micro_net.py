@@ -16,10 +16,8 @@ the same ops under ``autodiff.no_grad`` and record no graph.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from .autodiff import Var
 from .errors import ConfigError, DivergenceError
 from .style_balance import BatchMeta, MovePlan, build_balance_plan, sb_apply_var
 from .style_ops import DEFAULT_LAMBDA_SHAPE, dsu_var, efdmix_hook, mixstyle_var
-from .tensor_core import batch_style_vectors, from_json, json_floats, read_json
+from .tensor_core import batch_style_vectors, from_json, read_json, write_json
 from .test_time_shift import OFF, DomainRegistry, ShiftMode, checked_alpha, ts_apply
 
 AUG_KINDS = ("none", "mixstyle", "dsu", "efdmix")
@@ -113,6 +111,47 @@ class TrainConfig:
                               "lambda_shape > 0")
         if not all(0.0 <= p <= 1.0 for p in (self.sb_prob, self.aug_prob, self.momentum)):
             raise ConfigError("sb_prob, aug_prob and momentum must lie in [0, 1]")
+
+
+# -- checkpoints ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CheckpointTags:
+    """The train settings a checkpoint carries for ``stats`` and ``eval``."""
+
+    sb: bool = False
+    aug: str = "none"
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.aug not in AUG_KINDS or self.seed < 0:
+            raise ConfigError(f"checkpoint tags need aug in {AUG_KINDS} and seed >= 0, "
+                              f"got {self}")
+
+
+@dataclass(frozen=True)
+class ParamDoc:
+    shape: tuple[int, ...]
+    data: tuple[float, ...]   # row-major
+
+
+@dataclass(frozen=True)
+class CheckpointDoc:
+    """A checkpoint file: the parameters its config implies, each of its
+    shape, named in checkpoint order by ``param_order``."""
+
+    config: NetConfig
+    param_order: tuple[str, ...]
+    params: dict[str, ParamDoc]
+    tags: CheckpointTags = CheckpointTags()
+
+    def __post_init__(self):
+        shapes = self.config.param_shapes
+        got = {name: (p.shape, len(p.data)) for name, p in self.params.items()}
+        if self.param_order != tuple(shapes) or got != {n: (s, math.prod(s))
+                                                        for n, s in shapes.items()}:
+            raise ConfigError(f"checkpoint param_order {list(self.param_order)} and (shape, "
+                              f"size) of its params {got} do not fit the config's {shapes}")
 
 
 # -- hook operations ---------------------------------------------------------
@@ -203,9 +242,11 @@ class ForwardResult:
 
 
 class MicroNet:
-    def __init__(self, config: NetConfig, params: dict[str, np.ndarray]):
+    def __init__(self, config: NetConfig, params: dict[str, np.ndarray],
+                 tags: CheckpointTags = CheckpointTags()):
         self.config = config
         self.params = params
+        self.tags = tags   # saved with the parameters and kept by a load
 
     @classmethod
     def init(cls, config: NetConfig, seed: int = 0) -> "MicroNet":
@@ -224,8 +265,8 @@ class MicroNet:
         return self.config.hook_names
 
     @property
-    def param_order(self) -> list[str]:
-        return list(self.config.param_shapes)
+    def param_order(self) -> tuple[str, ...]:
+        return tuple(self.config.param_shapes)
 
     def forward(self, x, hook_ops=None, from_hook: str | None = None,
                 to_hook: str | None = None) -> ForwardResult:
@@ -284,44 +325,17 @@ class MicroNet:
 
     # -- persistence ------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "param_order": self.param_order,
-            "params": {
-                name: {"shape": list(self.params[name].shape),
-                       "data": self.params[name].ravel().tolist()}
-                for name in self.param_order
-            },
-        }
-
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True))
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MicroNet":
-        """Rebuild a network from ``to_dict`` output. Every parameter the
-        config implies must be present, of that shape and a list of finite
-        JSON numbers."""
-        params = {}
-        try:
-            config = from_json(NetConfig, doc["config"])
-            for name, shape in config.param_shapes.items():
-                spec = doc["params"][name]
-                data = json_floats(spec["data"], f"checkpoint parameter {name!r}")
-                if tuple(spec["shape"]) != shape or data.shape != (math.prod(shape),):
-                    raise ConfigError(f"checkpoint parameter {name!r} has shape "
-                                      f"{spec['shape']} and {data.size} values, expected {shape}")
-                params[name] = data.reshape(shape)
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
-        return cls(config, params)
+        write_json(path, CheckpointDoc(
+            self.config, self.param_order,
+            {name: ParamDoc(self.params[name].shape, tuple(self.params[name].ravel().tolist()))
+             for name in self.param_order}, self.tags))
 
     @classmethod
     def load(cls, path) -> "MicroNet":
-        return cls.from_dict(read_json(path))
+        doc = from_json(CheckpointDoc, read_json(path))
+        return cls(doc.config, {name: np.array(p.data, dtype=np.float64).reshape(p.shape)
+                                for name, p in doc.params.items()}, doc.tags)
 
 
 # -- training ------------------------------------------------------------------
@@ -429,8 +443,7 @@ class EvalResult:
 def evaluate(net: MicroNet, images, class_labels, domain_labels,
              registry: DomainRegistry | None = None, mode: ShiftMode = OFF,
              alpha: float | None = None, sample_pool=None,
-             rng: np.random.Generator | None = None,
-             batch_size: int = INFERENCE_CHUNK) -> EvalResult:
+             rng: np.random.Generator | None = None) -> EvalResult:
     """Top-1 accuracy and shift rate per domain, with the shifter at the
     registry's layer when a mode other than off is requested. Non-finite
     logits raise ``DivergenceError`` instead of being scored."""
@@ -461,8 +474,8 @@ def evaluate(net: MicroNet, images, class_labels, domain_labels,
     stats: dict[int, dict] = {int(d): {"n": 0, "correct": 0, "shifted": 0}
                               for d in np.unique(doms)}
     with ad.no_grad():  # inference: no vjp closure keeps a batch alive
-        for start in range(0, x.shape[0], batch_size):
-            sl = slice(start, start + batch_size)
+        for start in range(0, x.shape[0], INFERENCE_CHUNK):
+            sl = slice(start, start + INFERENCE_CHUNK)
             res = net.forward(x[sl], ops)
             if not np.all(np.isfinite(res.logits.value)):
                 raise DivergenceError(f"non-finite logits in the evaluation batch "

@@ -41,15 +41,6 @@ def _finite(value) -> bool:  # the one number rule: no bool, NaN, infinity or in
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def json_floats(values, what: str) -> np.ndarray:
-    """float64 array of a list of JSON numbers, each held to ``from_json``'s
-    float rule: strings (even numeric ones), booleans, nulls, nested lists,
-    NaN, infinities and ints beyond float64's range are a ConfigError."""
-    if type(values) is not list or not all(map(_finite, values)):
-        raise ConfigError(f"{what} must be a list of finite JSON numbers")
-    return np.array(values, dtype=np.float64)
-
-
 def _json_field(tp, value, where: str):
     """``value`` read as the annotation ``tp`` of the field ``where``."""
     if tp is float:  # kept as written, an int included
@@ -62,9 +53,11 @@ def _json_field(tp, value, where: str):
         return None if value is None else _json_field(args[0], value, where)
     if origin in (tuple, list) and type(value) is list:  # tuple[T, ...] or list[T]
         return origin(_json_field(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is dict and type(value) is dict:  # dict[str, T]: JSON keys are strings
+        return {k: _json_field(args[1], v, f"{where}.{k}") for k, v in value.items()}
     if is_dataclass(tp) and type(value) is dict:
         return from_json(tp, value)
-    want = {tuple: "list", list: "list", float: "finite number"}.get(
+    want = {tuple: "list", list: "list", dict: "object", float: "finite number"}.get(
         origin or tp, "object" if is_dataclass(tp) else tp.__name__)
     raise ConfigError(f"{where} must be a JSON {want}, got {value!r}")
 
@@ -83,6 +76,25 @@ def from_json(cls, doc):
                           f"or lacks keys {sorted(required - doc.keys())}")
     return cls(**{name: _json_field(tp, doc[key], f"{cls.__name__}.{key}")
                   for key, (name, tp) in schema.items() if key in doc})
+
+
+def to_json(obj):
+    """The JSON value of ``obj``, the inverse of ``from_json``: a dataclass becomes an
+    object under its ``_JSON_KEY`` names, tuples and lists lists, and dicts map through."""
+    if obj is None or isinstance(obj, (int, float, str)):  # bool is an int
+        return obj
+    if type(obj) in (tuple, list):
+        return [to_json(v) for v in obj]
+    if type(obj) is dict:
+        return {k: to_json(v) for k, v in obj.items()}
+    renames = getattr(obj, "_JSON_KEY", {})  # what is left must be a dataclass
+    return {renames.get(f.name, f.name): to_json(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def write_json(path, obj) -> None:
+    """Write ``to_json(obj)`` to the file ``path``, the one writer of every
+    JSON artifact; sorted keys make equal values equal bytes."""
+    Path(path).write_text(json.dumps(to_json(obj), indent=1, sort_keys=True))
 
 
 @functools.cache  # resolving string annotations costs far more than one record's read

@@ -9,16 +9,15 @@ its own style. No parameters are updated at test time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, RegistryBuildError
 from .style_ops import adain
-from .tensor_core import json_floats, read_json, style_vector, style_vector_to_stats
+from .tensor_core import (from_json, read_json, style_vector, style_vector_to_stats,
+                          write_json)
 
 DEFAULT_ALPHA = 3.0
 PSEUDO_LABEL_ALPHA = 2.0
@@ -262,56 +261,58 @@ def pseudo_domains(styles, k: int, rng: np.random.Generator) -> np.ndarray:
 
 # -- registry persistence ----------------------------------------------------
 
-def registry_to_dict(reg: DomainRegistry) -> dict:
-    c = reg.channels
-    return {
-        "layer": reg.layer,
-        "alpha": reg.alpha_default,
-        "channels": c,
-        "domains": [
-            {"name": reg.names[i],
-             "mu": reg.centroids[i, :c].tolist(),
-             "sigma": reg.centroids[i, c:].tolist()}
-            for i in range(reg.n_domains)
-        ],
-        "global": {"mu": reg.global_phi[:c].tolist(),
-                   "sigma": reg.global_phi[c:].tolist()},
-        "spread": reg.spread,
-    }
+@dataclass(frozen=True)
+class StyleDoc:  # a style vector in JSON: its mean and std halves
+    mu: tuple[float, ...]
+    sigma: tuple[float, ...]
 
 
-def registry_from_dict(doc: dict) -> DomainRegistry:
-    """Rebuild a registry from ``registry_to_dict`` output. Every value must
-    be a finite JSON number, every sigma positive and alpha non-negative, and
-    the stored global vector and spread must match the ones the centroids
-    give; anything malformed is a ConfigError."""
-    try:
-        entries = [*doc["domains"], doc["global"]]
-        halves = [json_floats(e[key], f"registry {key}")
-                  for e in entries for key in ("mu", "sigma")]
-        if len({h.size for h in halves}) != 1:
-            raise ConfigError("registry mu/sigma lists differ in length")
-        rows = np.stack(halves).reshape(len(entries), -1)  # row i: mu_i then sigma_i
-        spread, alpha = map(float, json_floats([doc["spread"], doc["alpha"]],
-                                               "registry spread and alpha"))
-        if np.any(rows[:, rows.shape[1] // 2:] <= 0):
-            raise ConfigError("registry sigma entries must be positive")
-        reg = DomainRegistry(layer=doc["layer"], names=tuple(d["name"] for d in doc["domains"]),
-                             centroids=rows[:-1], alpha_default=alpha)
-        if not np.allclose(rows[-1], reg.global_phi, atol=1e-9):
-            raise ConfigError("registry global style is not the mean of its centroids")
-        if abs(reg.spread - spread) > 1e-9:
-            raise ConfigError("registry spread is inconsistent with its centroids")
+@dataclass(frozen=True)
+class DomainStyleDoc(StyleDoc):  # one domain's centroid, under the domain's name
+    name: str
+
+
+@dataclass(frozen=True)
+class RegistryDoc:
+    """A registry file; its global vector and spread are checked on load."""
+
+    layer: str
+    alpha: float
+    channels: int
+    domains: tuple[DomainStyleDoc, ...]
+    global_: StyleDoc
+    spread: float
+    _JSON_KEY = {"global_": "global"}
+
+    @classmethod
+    def of(cls, reg: DomainRegistry) -> "RegistryDoc":
+        c = reg.channels
+        halves = [(tuple(phi[:c].tolist()), tuple(phi[c:].tolist()))
+                  for phi in (*reg.centroids, reg.global_phi)]
+        return cls(reg.layer, reg.alpha_default, c,
+                   tuple(DomainStyleDoc(*h, name) for h, name in zip(halves, reg.names)),
+                   StyleDoc(*halves[-1]), reg.spread)
+
+    def registry(self) -> DomainRegistry:
+        """The registry held; no domain, a list of other than ``channels`` values,
+        a sigma <= 0, or a global vector or spread off the centroids is a ConfigError."""
+        entries = (*self.domains, self.global_)
+        if not self.domains or {len(h) for e in entries for h in (e.mu, e.sigma)} \
+                != {self.channels} or any(v <= 0 for e in entries for v in e.sigma):
+            raise ConfigError(f"a registry needs a domain, {self.channels} (its channels) values "
+                              f"in every mu and sigma list, and positive sigmas")
+        rows = np.array([e.mu + e.sigma for e in entries], dtype=np.float64)
+        reg = DomainRegistry(layer=self.layer, names=tuple(d.name for d in self.domains),
+                             centroids=rows[:-1], alpha_default=float(self.alpha))
+        if not np.allclose(rows[-1], reg.global_phi, atol=1e-9) \
+                or abs(reg.spread - self.spread) > 1e-9:
+            raise ConfigError("registry global style or spread is inconsistent with its centroids")
         return reg
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed registry ({type(exc).__name__}: {exc})") from exc
 
 
 def save_registry(reg: DomainRegistry, path) -> None:
-    Path(path).write_text(json.dumps(registry_to_dict(reg), indent=1, sort_keys=True))
+    write_json(path, RegistryDoc.of(reg))
 
 
 def load_registry(path) -> DomainRegistry:
-    return registry_from_dict(read_json(path))
+    return from_json(RegistryDoc, read_json(path)).registry()

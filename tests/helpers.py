@@ -3,9 +3,12 @@
 import hashlib
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from styleshift.autodiff import Var, mul, softmax_cross_entropy, sum_axes
-from styleshift.micro_net import MicroNet, NetConfig
+from styleshift.errors import ConfigError
+from styleshift.micro_net import AUG_KINDS, BlockSpec, CheckpointTags, MicroNet, NetConfig
 from styleshift.tensor_core import from_json
 
 
@@ -51,3 +54,20 @@ def step_grad_digests(net_cfg: dict, net_seed: int, data_seed: int) -> dict:
     softmax_cross_entropy(res.logits, np.arange(6) % cfg.n_classes).backward()
     return {name: None if v.grad is None else hashlib.sha256(v.grad.tobytes()).hexdigest()
             for name, v in res.param_vars.items()}
+
+
+@st.composite
+def net_configs(draw):
+    blocks = draw(st.lists(st.builds(BlockSpec, st.integers(1, 5), st.integers(1, 2),
+                                     st.booleans()), min_size=2, max_size=3))
+    try:
+        return NetConfig(in_channels=draw(st.integers(1, 3)),
+                         image_size=draw(st.sampled_from([4, 6, 8, 12, 16])),
+                         blocks=tuple(blocks), n_classes=draw(st.integers(1, 5)))
+    except ConfigError:  # pooling met an odd size, or nothing is left
+        assume(False)
+
+
+def checkpoint_tags():
+    return st.builds(CheckpointTags, st.booleans(), st.sampled_from(AUG_KINDS),
+                     st.integers(0, 2**32 - 1))

@@ -243,7 +243,8 @@ def test_eval_bad_mode_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("corruption", ["missing_param", "wrong_shape", "nan", "string_data",
-                                        "numeric_string_data", "bool_data"])
+                                        "numeric_string_data", "bool_data", "extra_param",
+                                        "unknown_key", "param_order_reversed"])
 def test_eval_corrupt_checkpoint_exits_2(tmp_path, corruption):
     _eval_setup(tmp_path)
     doc = json.loads((tmp_path / "ckpt.json").read_text())
@@ -258,6 +259,12 @@ def test_eval_corrupt_checkpoint_exits_2(tmp_path, corruption):
         params["head_w"]["data"][0] = "0.5"
     elif corruption == "bool_data":
         params["head_b"]["data"][0] = True
+    elif corruption == "extra_param":
+        params["head_c"] = params["head_b"]
+    elif corruption == "unknown_key":
+        doc["optimizer"] = "sgd"
+    elif corruption == "param_order_reversed":
+        doc["param_order"].reverse()
     else:
         params["head_w"]["data"][0] = float("nan")
     (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -299,7 +306,8 @@ def _set_first_everywhere(doc, key, value):
                                         "spread_doubled", "nan_mu", "no_domains",
                                         "string_alpha", "negative_alpha", "numeric_string_mu",
                                         "numeric_string_alpha", "bool_sigma",
-                                        "numeric_string_spread", "global_shifted"])
+                                        "numeric_string_spread", "global_shifted",
+                                        "channels_wrong", "unknown_key"])
 def test_eval_malformed_registry_exits_2(tmp_path, corruption):
     _eval_setup(tmp_path)
     doc = json.loads((tmp_path / "reg.json").read_text())
@@ -328,6 +336,10 @@ def test_eval_malformed_registry_exits_2(tmp_path, corruption):
         doc["domains"][0]["mu"][0] = float("nan")
     elif corruption == "no_domains":
         doc["domains"] = []
+    elif corruption == "channels_wrong":
+        doc["channels"] += 1
+    elif corruption == "unknown_key":
+        doc["domains"][0]["weight"] = 1.0
     elif corruption == "string_alpha":
         doc["alpha"] = "three"
     else:
@@ -707,11 +719,9 @@ def test_bad_numeric_flag_exits_2_before_work(cli_workdir, argv):
     assert not (cli_workdir / f"{tag}.out").exists() and not (cli_workdir / tag).exists()
 
 
-@pytest.mark.parametrize("flags", [("--alpha", "nan"), ("--pool-size", "0")],
-                         ids=["alpha_nan", "pool_size_0"])
-def test_eval_checks_its_flags_before_reading_any_file(cli_workdir, monkeypatch, flags):
-    """A bad ``eval`` flag exits 2 before the checkpoint is read or the
-    nearest-sample pool is embedded."""
+def _spy_on_reads(monkeypatch) -> list[str]:
+    """The names of the ``MicroNet.load`` and ``style_vectors_at`` calls made
+    from now on, in call order."""
     calls = []
 
     def counted(name):
@@ -722,12 +732,33 @@ def test_eval_checks_its_flags_before_reading_any_file(cli_workdir, monkeypatch,
             return original(*args, **kwargs)
         return call
 
-    for name in ("from_dict", "style_vectors_at"):
+    for name in ("load", "style_vectors_at"):
         monkeypatch.setattr(mn.MicroNet, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("flags", [("--alpha", "nan"), ("--pool-size", "0")],
+                         ids=["alpha_nan", "pool_size_0"])
+def test_eval_checks_its_flags_before_reading_any_file(cli_workdir, monkeypatch, flags):
+    """A bad ``eval`` flag exits 2 before the checkpoint is read or the
+    nearest-sample pool is embedded."""
+    calls = _spy_on_reads(monkeypatch)
     out = "eval_" + "_".join(flags).replace("--", "") + ".csv"
     code, err = run_quiet(cli_workdir, "eval", "--checkpoint", "ckpt.json", "--registry",
                           "reg.json", "--dataset", "data", "--mode", "nearest-sample",
                           *flags, "--out-csv", out)
+    assert (code, err[:13], calls) == (2, "config error:", []), err
+    assert not (cli_workdir / out).exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "-1", "inf"])
+def test_stats_checks_alpha_before_reading_any_file(cli_workdir, monkeypatch, alpha):
+    """A bad ``stats --alpha`` exits 2 before the checkpoint is read or the
+    training split is embedded."""
+    calls = _spy_on_reads(monkeypatch)
+    out = f"stats_alpha_{alpha}.json"
+    code, err = run_quiet(cli_workdir, "stats", "--checkpoint", "ckpt.json", "--dataset", "data",
+                          "--alpha", alpha, "--out-registry", out)
     assert (code, err[:13], calls) == (2, "config error:", []), err
     assert not (cli_workdir / out).exists()
 
@@ -808,6 +839,12 @@ def test_bad_tags_records_or_alpha_exit_2(cli_workdir, case):
     code, err = run_quiet(cli_workdir, command, *argv[command])
     assert (code, err[:13]) == (2, "config error:"), err
     assert not (cli_workdir / f"{case}.out").exists()
+
+
+def test_train_checkpoint_resaves_byte_identical(cli_workdir):
+    """A ``train`` checkpoint, tags included, survives a library load and save."""
+    mn.MicroNet.load(cli_workdir / "ckpt.json").save(cli_workdir / "resaved.json")
+    assert (cli_workdir / "resaved.json").read_bytes() == (cli_workdir / "ckpt.json").read_bytes()
 
 
 def test_checkpoint_without_tags_reads_the_defaults(cli_workdir):

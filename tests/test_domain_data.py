@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from styleshift import domain_data as dd
+from styleshift import tensor_core as tc
 from styleshift import test_time_shift as ts
 from styleshift.errors import ConfigError, DimensionError, PnmParseError
 from styleshift.experiment import DataConfig, generate_data
@@ -127,7 +128,7 @@ def test_gen_dataset_imbalance_equals_filtering_a_balanced_dataset(tmp_path, kin
     expected = dd.apply_imbalance(balanced, SPECS[kind], rng)
     dd.save_manifest(expected, tmp_path / "expected.json")
     assert (root / "manifest.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
-    assert m.to_dict() == expected.to_dict()
+    assert tc.to_json(m) == tc.to_json(expected)
     for rec in expected.samples:
         assert (root / rec.path).read_bytes() == (balanced_root / rec.path).read_bytes()
 
@@ -232,7 +233,7 @@ def test_write_pnm_validates_dtype_and_shape(tmp_path):
 def test_manifest_roundtrip(tmp_path):
     m, root = small_dataset(tmp_path)
     loaded = dd.load_manifest(root / "manifest.json")
-    assert loaded.to_dict() == m.to_dict()
+    assert tc.to_json(loaded) == tc.to_json(m)
 
 
 def test_load_images_range_and_shape(tmp_path):

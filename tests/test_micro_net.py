@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from styleshift import autodiff as ad
@@ -21,7 +21,7 @@ from styleshift.errors import ConfigError, DivergenceError
 from styleshift.style_balance import BatchMeta
 from styleshift.tensor_core import batch_style_vectors
 
-from helpers import step_grad_digests
+from helpers import checkpoint_tags, net_configs, step_grad_digests
 
 RNG = lambda seed: np.random.Generator(np.random.PCG64(seed))
 
@@ -613,28 +613,18 @@ def test_evaluate_divergence_restores_recording():
 
 # -- checkpoints -------------------------------------------------------------------
 
-@st.composite
-def net_configs(draw):
-    blocks = draw(st.lists(st.builds(mn.BlockSpec, st.integers(1, 5), st.integers(1, 2),
-                                     st.booleans()), min_size=2, max_size=3))
-    try:
-        return mn.NetConfig(in_channels=draw(st.integers(1, 3)),
-                            image_size=draw(st.sampled_from([4, 6, 8, 12, 16])),
-                            blocks=tuple(blocks), n_classes=draw(st.integers(1, 5)))
-    except ConfigError:  # pooling met an odd size, or nothing is left
-        assume(False)
-
-
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(config=net_configs(), seed=st.integers(0, 2**32 - 1))
-def test_checkpoint_roundtrip_byte_identical(tmp_path, config, seed):
+@given(config=net_configs(), seed=st.integers(0, 2**32 - 1), tags=checkpoint_tags())
+def test_checkpoint_roundtrip_byte_identical(tmp_path, config, seed, tags):
     net = mn.MicroNet.init(config, seed=seed)
+    net.tags = tags
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     net.save(p1)
     loaded = mn.MicroNet.load(p1)
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+    assert loaded.tags == tags
     for k in net.params:
         np.testing.assert_array_equal(loaded.params[k], net.params[k])
 

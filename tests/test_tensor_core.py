@@ -15,6 +15,9 @@ from styleshift import micro_net as mn
 from styleshift import tensor_core as tc
 from styleshift import test_time_shift as tts
 from styleshift.errors import ConfigError, DimensionError
+from styleshift.experiment import DataConfig, EvalConfig, ExperimentConfig
+
+from helpers import checkpoint_tags, net_configs
 
 SQRT_1_25 = np.sqrt(1.25)  # population std of [1,2,3,4]
 
@@ -168,19 +171,26 @@ JSON_SCALARS = st.one_of(
     st.booleans(), st.text(max_size=4), st.none())
 
 
+@dataclass(frozen=True)
+class _Numbers:
+    xs: tuple[float, ...]
+
+
 @settings(max_examples=300, deadline=None)
 @given(JSON_SCALARS)
 @example(int(sys.float_info.max) + 1)  # float() rounds it down to the largest float64
 @example(-int(sys.float_info.max))
 @example(float("nan"))
-def test_json_floats_and_from_json_share_one_number_rule(value):
-    """``json_floats`` accepts exactly the JSON scalars a ``from_json`` float
-    field accepts, and reads them to the same float64."""
-    listed = _outcome(lambda: tc.json_floats([value], "v"))
+def test_tuple_and_scalar_float_fields_share_one_number_rule(value):
+    """A ``tuple[float, ...]`` field (checkpoint data, registry styles)
+    accepts exactly the JSON scalars a ``float`` field accepts, and reads
+    them to the same float64."""
+    listed = _outcome(lambda: tc.from_json(_Numbers, {"xs": [value]}))
     field = _outcome(lambda: tc.from_json(_Number, {"x": value}))
     assert (listed == "rejected") == (field == "rejected")
     if field != "rejected":
-        assert listed.dtype == np.float64 and listed[0] == float(field.x)
+        array = np.array(listed.xs, dtype=np.float64)
+        assert array.shape == (1,) and array[0] == float(field.x)
 
 
 LOADERS = {"manifest": dd.load_manifest, "registry": tts.load_registry,
@@ -198,8 +208,8 @@ def test_loaders_raise_config_error_at_the_file_boundary(tmp_path, kind, content
         LOADERS[kind](path)
 
 
-def test_json_loads_is_called_only_by_read_json():
-    """Every JSON document enters the package through ``tensor_core.read_json``."""
+def _callers(name: str) -> list[tuple[str, str | None]]:
+    """(module file, enclosing function) of every call of ``name`` in the package."""
     calls = []
     for path in sorted(Path(tc.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -208,6 +218,106 @@ def test_json_loads_is_called_only_by_read_json():
         for node in ast.walk(tree):
             func = getattr(node, "func", None)
             if isinstance(node, ast.Call) and getattr(func, "attr", getattr(func, "id", None)) \
-                    == "loads":
+                    == name:
                 calls.append((path.name, owner.get(id(node))))
-    assert calls == [("tensor_core.py", "read_json")]
+    return calls
+
+
+def test_json_loads_is_called_only_by_read_json():
+    """Every JSON document enters the package through ``tensor_core.read_json``."""
+    assert _callers("loads") == [("tensor_core.py", "read_json")]
+
+
+def test_json_dumps_is_called_only_by_write_json_and_the_audit_log():
+    """Every JSON artifact leaves the package through ``tensor_core.write_json``,
+    except the audit log, which ``train`` writes one JSON line per record."""
+    assert sorted(_callers("dumps")) == [("cli.py", "cmd_train"),
+                                         ("tensor_core.py", "write_json")]
+
+
+# -- to_json ---------------------------------------------------------------------
+
+NUMBERS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                    st.floats(allow_nan=False, allow_infinity=False))
+UNIT = st.one_of(st.integers(0, 1), st.floats(0, 1))
+NAMES = st.text(max_size=4)
+
+
+@st.composite
+def experiment_configs(draw):
+    n_sources, n_classes = draw(st.integers(1, 4)), draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["balanced", "data", "class", "long_tailed"]))
+    subsets = None
+    if kind == "class":  # the first subset holds every class, so together they cover them
+        subsets = (tuple(range(n_classes)), *draw(st.lists(
+            st.lists(st.integers(0, n_classes - 1)).map(tuple),
+            min_size=n_sources - 1, max_size=n_sources - 1)))
+    imbalance = dd.ImbalanceSpec(kind, draw(st.floats(0, 1, exclude_min=True)), subsets,
+                                 draw(st.one_of(st.integers(1, 9), st.floats(1, 100))))
+    data = DataConfig(n_classes, n_sources, draw(st.integers(1, 50)), draw(st.integers(1, 50)),
+                      draw(st.integers(1, 64)), draw(NAMES), imbalance)
+    net = draw(st.none() | net_configs())
+    hook = st.sampled_from((net or mn.NetConfig()).hook_names)
+    hooks = st.none() | st.lists(hook, min_size=1, max_size=3).map(tuple)
+    train = mn.TrainConfig(draw(st.integers(1, 99)), draw(st.integers(1, 99)),
+                           draw(st.floats(0, 1)), draw(UNIT), draw(st.integers(0, 2 ** 32)),
+                           draw(st.booleans()), draw(UNIT), draw(hooks),
+                           draw(st.sampled_from(mn.AUG_KINDS)), draw(UNIT), draw(hooks),
+                           draw(st.floats(0.01, 10)))
+    evaluation = EvalConfig(draw(st.sampled_from(tts.MODE_NAMES)),
+                            draw(st.none() | st.floats(0, 10)), draw(hook),
+                            draw(st.integers(1, 500)))
+    return ExperimentConfig(data, net, train, evaluation,
+                            draw(st.sampled_from(["leave_one_out", "single_domain"])),
+                            tuple(draw(st.lists(st.integers(0, 99), min_size=1, max_size=5))),
+                            draw(st.none() | st.integers(1, 9)))
+
+
+@st.composite
+def manifests(draw):
+    styles = draw(st.lists(st.builds(dd.DomainStyle, NAMES, NUMBERS, NUMBERS, NUMBERS,
+                                     st.booleans(), NUMBERS, NUMBERS), min_size=1, max_size=4))
+    n_classes = draw(st.integers(1, 7))
+    samples = st.builds(dd.SampleRecord, st.integers(0, 10 ** 6),
+                        st.integers(0, len(styles) - 1), st.integers(0, n_classes - 1),
+                        st.sampled_from(["train", "test"]), NAMES)
+    imbalance = draw(st.sampled_from([{"kind": "balanced"}, {"kind": "data", "keep_fraction": 1},
+                                      {"kind": "class", "class_subsets": [[0], [1, 2]]}]))
+    return dd.DatasetManifest(draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 64)), n_classes,
+                              styles, draw(st.integers(0, len(styles) - 1)), imbalance,
+                              draw(st.lists(samples, max_size=6)))
+
+
+@st.composite
+def registry_docs(draw):
+    n, c = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    mu = draw(arrays(np.float64, (n, c), elements=st.floats(-1e3, 1e3)))
+    sigma = draw(arrays(np.float64, (n, c), elements=st.floats(1e-3, 1e3)))
+    reg = tts.DomainRegistry(draw(NAMES), tuple(draw(st.lists(NAMES, min_size=n, max_size=n))),
+                             np.concatenate([mu, sigma], axis=1), draw(st.floats(0, 10)))
+    return tts.RegistryDoc.of(reg)
+
+
+@st.composite
+def checkpoint_docs(draw):
+    config = draw(net_configs())
+    params = {name: mn.ParamDoc(shape, tuple(draw(arrays(
+        np.float64, shape, elements=st.floats(-10, 10))).ravel().tolist()))
+        for name, shape in config.param_shapes.items()}
+    return mn.CheckpointDoc(config, tuple(params), params, draw(checkpoint_tags()))
+
+
+DOCUMENTS = {"config": (ExperimentConfig, experiment_configs()),
+             "manifest": (dd.DatasetManifest, manifests()),
+             "registry": (tts.RegistryDoc, registry_docs()),
+             "checkpoint": (mn.CheckpointDoc, checkpoint_docs())}
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_from_json_inverts_to_json(kind, data):
+    """Every document class reads back, through JSON text, what ``to_json`` wrote."""
+    cls, documents = DOCUMENTS[kind]
+    doc = data.draw(documents)
+    assert tc.from_json(cls, json.loads(json.dumps(tc.to_json(doc)))) == doc
