@@ -10,6 +10,7 @@ and order-independent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .errors import ConfigError, DimensionError, PnmParseError
 from .tensor_core import from_json, read_json, write_json
 
 SHAPE_NAMES = ("circle", "square", "triangle", "cross", "ring", "bars", "checker")
+IMAGES_FILE = "images.pgm"  # every record's pixels, one (N·H) × W P5 strip in manifest order
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,23 @@ def target_style(preset: str = "far") -> DomainStyle:
 
 # -- rendering ----------------------------------------------------------------
 
+@functools.cache  # one entry per image shape a process renders
+def _grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 (yy, xx) pixel coordinates of an image of this shape."""
+    grid = np.mgrid[0:height, 0:width].astype(np.float64)
+    grid.flags.writeable = False  # shared by every caller; its views inherit the flag
+    return grid[0], grid[1]
+
+
+@functools.cache  # one entry per (texture frequency, image shape)
+def _grating(freq: float, height: int, width: int) -> np.ndarray:
+    """Read-only texture grating of a style with this frequency."""
+    yy, xx = _grid(height, width)
+    grating = np.sin(2 * np.pi * freq * xx / height) * np.cos(2 * np.pi * freq * yy / height)
+    grating.flags.writeable = False
+    return grating
+
+
 def render_shape(class_id: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Grayscale rendering in [0, 1] of one jittered shape instance."""
     if not 0 <= class_id < len(SHAPE_NAMES):
@@ -81,7 +100,7 @@ def render_shape(class_id: int, size: int, rng: np.random.Generator) -> np.ndarr
     cx = size / 2 + rng.uniform(-0.08, 0.08) * size
     # sizes chosen so every shape covers a similar area fraction
     r = size * (0.30 + rng.uniform(-0.01, 0.01))
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    yy, xx = _grid(size, size)
     dy, dx = yy - cy, xx - cx
     name = SHAPE_NAMES[class_id]
     if name == "circle":
@@ -112,13 +131,9 @@ def render_shape(class_id: int, size: int, rng: np.random.Generator) -> np.ndarr
 
 def apply_style(img: np.ndarray, style: DomainStyle, rng: np.random.Generator) -> np.ndarray:
     """Deterministic pixel transform of a [0, 1] grayscale image."""
-    out = img.astype(np.float64).copy()
-    size = out.shape[0]
+    out = img.astype(np.float64)
     if style.texture_freq > 0:
-        yy, xx = np.mgrid[0:out.shape[0], 0:out.shape[1]].astype(np.float64)
-        grating = np.sin(2 * np.pi * style.texture_freq * xx / size) * \
-            np.cos(2 * np.pi * style.texture_freq * yy / size)
-        out = out + style.texture_amp * grating
+        out = out + style.texture_amp * _grating(style.texture_freq, *out.shape)
     out = 0.5 + style.contrast * (out - 0.5)
     out = out + style.brightness
     if style.invert:
@@ -149,7 +164,6 @@ class SampleRecord:
     domain: int
     cls: int
     split: str
-    path: str
     _JSON_KEY = {"cls": "class"}  # a field and its JSON key
 
     def __post_init__(self):  # the manifest checks domain and cls against its header
@@ -176,6 +190,8 @@ class DatasetManifest:
         if any(s.domain >= self.n_domains or s.cls >= self.n_classes for s in self.samples):
             raise ConfigError(f"a sample lies outside the {self.n_domains} domains or "
                               f"the {self.n_classes} classes")
+        if len({s.id for s in self.samples}) != len(self.samples):  # load_images finds rows by id
+            raise ConfigError("sample ids must be unique")
 
     @property
     def n_domains(self) -> int:
@@ -291,7 +307,7 @@ def apply_imbalance(manifest: DatasetManifest, spec: ImbalanceSpec,
 def gen_dataset(out_dir, n_classes: int = 7, sources=None, target: DomainStyle | None = None,
                 per_cell_train: int = 16, per_cell_test: int = 6, image_size: int = 32,
                 seed: int = 0, imbalance: ImbalanceSpec = ImbalanceSpec()) -> DatasetManifest:
-    """Write the images and the manifest of a multi-domain dataset: every
+    """Write the image strip and the manifest of a multi-domain dataset: every
     (domain, class) cell gets per_cell_train train and per_cell_test test
     samples, ``imbalance`` filters them under the rng seeded (seed, 0xBA1A),
     and only the kept samples are rendered. Bytes depend only on the arguments.
@@ -307,15 +323,15 @@ def gen_dataset(out_dir, n_classes: int = 7, sources=None, target: DomainStyle |
     balanced = DatasetManifest(
         seed=seed, image_size=image_size, n_classes=n_classes, styles=styles,
         target_domain=len(styles) - 1, imbalance={"kind": "balanced"},
-        samples=[SampleRecord(i, d, k, split, f"images/{i:06d}.pgm")
-                 for i, (d, k, split) in enumerate(layout)])
+        samples=[SampleRecord(i, d, k, split) for i, (d, k, split) in enumerate(layout)])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xBA1A])))
     manifest = apply_imbalance(balanced, imbalance, rng)
+    strip = np.empty((len(manifest.samples), image_size, image_size), dtype=np.uint8)
+    for tile, rec in zip(strip, manifest.samples):  # through the globals perfbench wraps
+        tile[...] = render_sample(seed, rec.id, rec.cls, styles[rec.domain], image_size)
     out_dir = Path(out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    for rec in manifest.samples:  # through the module globals, which perfbench wraps
-        write_pnm(out_dir / rec.path,
-                  render_sample(seed, rec.id, rec.cls, styles[rec.domain], image_size))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_pnm(out_dir / IMAGES_FILE, strip.reshape(-1, image_size))
     save_manifest(manifest, out_dir / "manifest.json")
     return manifest
 
@@ -323,12 +339,23 @@ def gen_dataset(out_dir, n_classes: int = 7, sources=None, target: DomainStyle |
 # -- pixel access ---------------------------------------------------------------
 
 def load_images(manifest: DatasetManifest, root, records=None) -> np.ndarray:
-    """(M, 1, H, W) float64 pixel tensor in [0, 1] for the given records."""
-    root = Path(root)
+    """(M, 1, H, W) float64 pixel tensor in [0, 1] for the given records of
+    ``manifest`` (all of them by default). One read of ``root/images.pgm``,
+    whose rows i·H to (i+1)·H − 1 are the manifest's record i; a strip of
+    another size is a PnmParseError."""
+    size, n = manifest.image_size, len(manifest.samples)
     records = manifest.samples if records is None else records
-    out = np.empty((len(records), 1, manifest.image_size, manifest.image_size))
-    for i, rec in enumerate(records):
-        out[i, 0] = read_pnm(root / rec.path) / 255.0
+    # the output first, so it can take the place an earlier output of its size freed
+    out = np.empty((len(records), 1, size, size))
+    strip = read_pnm(Path(root) / IMAGES_FILE)
+    if strip.shape != (n * size, size):
+        raise PnmParseError(f"{IMAGES_FILE} is {strip.shape[1]}x{strip.shape[0]} pixels, but "
+                            f"{n} records of {size}x{size} need {size}x{n * size}", 0)
+    tiles = strip.reshape(n, size, size)
+    row = {rec.id: i for i, rec in enumerate(manifest.samples)}
+    for dst, rec in zip(out, records):  # uint8 straight into the float64 output: no temporary
+        dst[0] = tiles[row[rec.id]]
+    out /= 255.0
     return out
 
 
@@ -346,8 +373,8 @@ def write_pnm(path, img: np.ndarray) -> None:
     img = np.asarray(img)
     if img.dtype != np.uint8:
         raise DimensionError("pnm images must be uint8")
-    if img.ndim != 2:
-        raise DimensionError(f"expected a grayscale (H,W) image, got {img.shape}")
+    if img.ndim != 2 or min(img.shape) < 1:  # read_pnm takes positive sizes only
+        raise DimensionError(f"expected a grayscale (H,W) image of positive size, got {img.shape}")
     Path(path).write_bytes(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
                            + img.tobytes())
 
@@ -393,10 +420,7 @@ def read_pnm(path) -> np.ndarray:
     if maxval != 255:
         raise PnmParseError(f"unsupported maxval {maxval}", pos)
     pos = min(pos + 1, len(data))  # single whitespace byte after maxval
-    need = width * height
-    body = data[pos:pos + need]
-    if len(body) < need:
-        raise PnmParseError(
-            f"truncated pixel data: expected {need} bytes, got {len(body)}",
-            pos + len(body))
-    return np.frombuffer(body, dtype=np.uint8).reshape(height, width)
+    need, got = width * height, min(width * height, len(data) - pos)
+    if got < need:
+        raise PnmParseError(f"truncated pixel data: expected {need} bytes, got {got}", pos + got)
+    return np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(height, width)

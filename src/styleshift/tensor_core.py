@@ -41,24 +41,29 @@ def _finite(value) -> bool:  # the one number rule: no bool, NaN, infinity or in
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _json_field(tp, value, where: str):
-    """``value`` read as the annotation ``tp`` of the field ``where``."""
+def _json_field(tp, value, where: str | None):
+    """``value`` read as the annotation ``tp`` of the field ``where``. ``from_json``
+    reads first with ``where`` None, which formats no names, and reads again with
+    names only to raise its error."""
     if tp is float:  # kept as written, an int included
         if _finite(value):
             return value
     elif type(value) is tp:  # int, bool, str, dict: only their own JSON type
         return value
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    origin, args, nested = _annotation(tp)
     if origin is types.UnionType:  # the configs use only ``X | None``
         return None if value is None else _json_field(args[0], value, where)
     if origin in (tuple, list) and type(value) is list:  # tuple[T, ...] or list[T]
-        return origin(_json_field(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+        if args[0] is float and all(map(_finite, value)):  # the whole list in one pass
+            return origin(value)
+        return origin(_json_field(args[0], v, where and f"{where}[{i}]")
+                      for i, v in enumerate(value))
     if origin is dict and type(value) is dict:  # dict[str, T]: JSON keys are strings
-        return {k: _json_field(args[1], v, f"{where}.{k}") for k, v in value.items()}
-    if is_dataclass(tp) and type(value) is dict:
+        return {k: _json_field(args[1], v, where and f"{where}.{k}") for k, v in value.items()}
+    if nested and type(value) is dict:
         return from_json(tp, value)
     want = {tuple: "list", list: "list", dict: "object", float: "finite number"}.get(
-        origin or tp, "object" if is_dataclass(tp) else tp.__name__)
+        origin or tp, "object" if nested else tp.__name__)
     raise ConfigError(f"{where} must be a JSON {want}, got {value!r}")
 
 
@@ -71,11 +76,16 @@ def from_json(cls, doc):
     if type(doc) is not dict:
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
     schema, required = _schema(cls)
-    if doc.keys() - schema.keys() or required - doc.keys():
+    if not required <= doc.keys() <= schema.keys():
         raise ConfigError(f"{cls.__name__} has unknown keys {sorted(doc.keys() - schema.keys())} "
                           f"or lacks keys {sorted(required - doc.keys())}")
-    return cls(**{name: _json_field(tp, doc[key], f"{cls.__name__}.{key}")
-                  for key, (name, tp) in schema.items() if key in doc})
+    try:
+        kwargs = {name: _json_field(tp, doc[key], None)
+                  for key, (name, tp) in schema.items() if key in doc}
+    except ConfigError:  # the same walk again, naming each field, raises the error
+        kwargs = {name: _json_field(tp, doc[key], f"{cls.__name__}.{key}")
+                  for key, (name, tp) in schema.items() if key in doc}
+    return cls(**kwargs)
 
 
 def to_json(obj):
@@ -95,6 +105,12 @@ def write_json(path, obj) -> None:
     """Write ``to_json(obj)`` to the file ``path``, the one writer of every
     JSON artifact; sorted keys make equal values equal bytes."""
     Path(path).write_text(json.dumps(to_json(obj), indent=1, sort_keys=True))
+
+
+@functools.cache  # typing's introspection costs more than reading most values
+def _annotation(tp) -> tuple:
+    """The origin and arguments of the annotation ``tp``, and whether it is a dataclass."""
+    return typing.get_origin(tp), typing.get_args(tp), is_dataclass(tp)
 
 
 @functools.cache  # resolving string annotations costs far more than one record's read

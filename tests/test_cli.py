@@ -7,6 +7,7 @@ import io
 import json
 import operator
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from styleshift import cli
+from styleshift import domain_data as dd
 from styleshift import micro_net as mn
 from styleshift import test_time_shift as ts
 from styleshift.experiment import DataConfig, ExperimentConfig
@@ -81,9 +83,7 @@ def test_gen_data_deterministic(tmp_path):
     assert run(tmp_path, "gen-data", "--config", cfg, "--out", "b", "--seed", "5") == 0
     assert (tmp_path / "a/manifest.json").read_bytes() == \
            (tmp_path / "b/manifest.json").read_bytes()
-    sample = json.loads((tmp_path / "a/manifest.json").read_text())["samples"][0]
-    assert (tmp_path / "a" / sample["path"]).read_bytes() == \
-           (tmp_path / "b" / sample["path"]).read_bytes()
+    assert (tmp_path / "a/images.pgm").read_bytes() == (tmp_path / "b/images.pgm").read_bytes()
 
 
 def test_gen_data_counts_and_imbalance(tmp_path):
@@ -796,10 +796,58 @@ def test_malformed_manifest_exits_2(cli_workdir, content):
     assert not (cli_workdir / f"{content}.out").exists()
 
 
+def _dataset_copy(workdir, name, manifest=None, strip=None):
+    """``data`` copied to ``name``, with the manifest document and the image strip
+    array replaced where given."""
+    shutil.copytree(workdir / "data", workdir / name)
+    if manifest is not None:
+        (workdir / name / "manifest.json").write_text(json.dumps(manifest))
+    if strip is not None:
+        dd.write_pnm(workdir / name / "images.pgm", strip)
+    return name
+
+
+def _train_and_eval(workdir, dataset, tag):
+    """Exit code and stderr of ``train`` and of ``eval`` on ``dataset``."""
+    cfg = write_cfg(workdir, f"{tag}.json", {**TRAIN_CFG, "dataset": dataset})
+    return {
+        "train": run_quiet(workdir, "train", "--config", cfg, "--out-checkpoint", f"{tag}.ckpt",
+                           "--audit-log", f"{tag}.audit"),
+        "eval": run_quiet(workdir, "eval", "--checkpoint", "ckpt.json", "--registry", "reg.json",
+                          "--dataset", dataset, "--out-csv", f"{tag}.csv")}
+
+
+@pytest.mark.parametrize("rows", [-16, 16], ids=["short", "long"])
+def test_strip_of_another_height_exits_3(cli_workdir, rows):
+    """images.pgm holds 16 rows per manifest record; one record more or less is
+    malformed image data, as a truncated PGM is."""
+    strip = dd.read_pnm(cli_workdir / "data/images.pgm")
+    dataset = _dataset_copy(cli_workdir, f"strip{rows}", strip=np.resize(
+        strip, (strip.shape[0] + rows, strip.shape[1])))
+    for command, (code, err) in _train_and_eval(cli_workdir, dataset, f"strip{rows}").items():
+        assert (code, err[:6]) == (3, "error:"), (command, err)
+        assert "records of 16x16 need" in err
+    assert not (cli_workdir / f"strip{rows}.ckpt").exists()
+    assert not (cli_workdir / f"strip{rows}.csv").exists()
+
+
+def test_old_format_manifest_with_paths_exits_2(cli_workdir):
+    """A manifest written with per-record ``path`` keys, before the strip, is a
+    configuration error: ``path`` is not a record key."""
+    doc = json.loads((cli_workdir / "data/manifest.json").read_text())
+    for sample in doc["samples"]:
+        sample["path"] = f"images/{sample['id']:06d}.pgm"
+    dataset = _dataset_copy(cli_workdir, "old_format", manifest=doc)
+    for command, (code, err) in _train_and_eval(cli_workdir, dataset, "old_format").items():
+        assert (code, err[:13]) == (2, "config error:"), (command, err)
+        assert "unknown keys ['path']" in err
+
+
 BAD_TAGS = {"list": [], "null": None, "seed_string": {"seed": "x"}, "seed_negative": {"seed": -1},
             "aug_int": {"aug": 3}, "aug_unknown": {"aug": "cutout"}, "sb_string": {"sb": "no"},
             "unknown_key": {"lr": 0.1}}
-BAD_RECORDS = {"path_int": ("path", 5), "path_missing": ("path", DROP),
+BAD_RECORDS = {"path_int": ("path", 5), "path_string": ("path", "images/000000.pgm"),
+               "id_duplicate": ("id", 1),
                "domain_string": ("domain", "x"), "domain_99": ("domain", 99),
                "domain_negative": ("domain", -1), "class_99": ("class", 99),
                "class_float": ("class", 0.0), "split_int": ("split", 3),
@@ -862,14 +910,15 @@ IMBALANCES = {"balanced": {"kind": "balanced"},
               "data": {"kind": "data", "keep_fraction": 0.4},
               "class": {"kind": "class", "class_subsets": [[0, 1], [2]]},
               "long_tailed": {"kind": "long_tailed", "ratio": 4.0}}
-# sha256 of manifest.json then every listed image in manifest order, for DATA_CFG
-# at seed 5 with each imbalance; computed with the code that rendered every
-# balanced cell before filtering, so the keep rule's rng order cannot drift
+# sha256 of manifest.json then images.pgm, for DATA_CFG at seed 5 with each
+# imbalance; each record's rows of images.pgm equal the pixels of the file that
+# the per-record format wrote for it, rendered from every balanced cell before
+# filtering, so neither the keep rule's rng order nor the pixels can drift
 KIND_DIGESTS = {
-    "balanced": "7f3e55d376f2308d7f2cc029917f75ab9778d69fb435ecca852210345b428744",
-    "data": "4925cf3f918d2c29fb4a89e22883f5bba5724b7d4c2bf168a28667a409124e97",
-    "class": "9e19f99c833bee38b0fd176d694d924165738c7b52c807761d3e38eb99489056",
-    "long_tailed": "80b3dd3b84b08bfa82fe0f9f343ac8d71f49f3125659a73d93eedc40fee17142",
+    "balanced": "9d70103d81970bfb108ec504de17f4b9447efdbfdbd569ffd96337d570df045d",
+    "data": "36604341ad63dab26d2d13381c2af4def9bbbfcb2e4b00d4cd004d37a313eeef",
+    "class": "c80b8073306b3f9b8b7a7b1a8462c0412bcbdbe929f20ba8919f8d20521428df",
+    "long_tailed": "0319f025557d92ca72d8429f3fd7fff427bde4ce1da17dfd4b6e2023a11c814a",
 }
 
 
@@ -885,15 +934,15 @@ def kind_datasets(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", sorted(IMBALANCES))
 def test_gen_data_writes_only_the_listed_images(kind_datasets, kind):
+    """A dataset is its manifest, the manifest's log and one image strip."""
     root = kind_datasets / kind
-    listed = [s["path"] for s in json.loads((root / "manifest.json").read_text())["samples"]]
-    assert sorted(f"images/{p.name}" for p in (root / "images").iterdir()) == sorted(listed)
+    assert sorted(p.name for p in root.iterdir()) == \
+        ["images.pgm", "manifest.json", "manifest.json.log"]
 
 
 @pytest.mark.parametrize("kind", sorted(IMBALANCES))
 def test_gen_data_bytes_are_pinned(kind_datasets, kind):
     root = kind_datasets / kind
     digest = hashlib.sha256((root / "manifest.json").read_bytes())
-    for sample in json.loads((root / "manifest.json").read_text())["samples"]:
-        digest.update((root / sample["path"]).read_bytes())
+    digest.update((root / "images.pgm").read_bytes())
     assert digest.hexdigest() == KIND_DIGESTS[kind]

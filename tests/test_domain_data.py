@@ -24,8 +24,7 @@ def test_same_seed_byte_identical(tmp_path):
     m1, d1 = small_dataset(tmp_path, "a")
     m2, d2 = small_dataset(tmp_path, "b")
     assert (d1 / "manifest.json").read_bytes() == (d2 / "manifest.json").read_bytes()
-    for rec in m1.samples[:20]:
-        assert (d1 / rec.path).read_bytes() == (d2 / rec.path).read_bytes()
+    assert (d1 / dd.IMAGES_FILE).read_bytes() == (d2 / dd.IMAGES_FILE).read_bytes()
 
 
 def test_balanced_cell_counts(tmp_path):
@@ -129,8 +128,8 @@ def test_gen_dataset_imbalance_equals_filtering_a_balanced_dataset(tmp_path, kin
     dd.save_manifest(expected, tmp_path / "expected.json")
     assert (root / "manifest.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
     assert tc.to_json(m) == tc.to_json(expected)
-    for rec in expected.samples:
-        assert (root / rec.path).read_bytes() == (balanced_root / rec.path).read_bytes()
+    np.testing.assert_array_equal(dd.load_images(m, root),
+                                  dd.load_images(balanced, balanced_root, expected.samples))
 
 
 def test_imbalanced_manifest_is_written_once(tmp_path, monkeypatch):
@@ -149,6 +148,59 @@ def test_imbalance_spec_validation():
         dd.ImbalanceSpec(kind="long_tailed", ratio=0.5)
     with pytest.raises(ConfigError):
         dd.ImbalanceSpec(kind="bogus")
+
+
+# -- the image strip --------------------------------------------------------------
+
+def test_strip_rows_are_the_records_renders_in_manifest_order(tmp_path):
+    m, root = small_dataset(tmp_path, imbalance=SPECS["data"])
+    strip = dd.read_pnm(root / dd.IMAGES_FILE)
+    assert strip.shape == (len(m.samples) * 16, 16)
+    for i, rec in enumerate(m.samples):
+        np.testing.assert_array_equal(strip[i * 16:(i + 1) * 16],
+                                      dd.render_sample(11, rec.id, rec.cls, m.styles[rec.domain], 16))
+    assert sorted(p.name for p in root.iterdir()) == [dd.IMAGES_FILE, "manifest.json"]
+
+
+@pytest.fixture(scope="module")
+def strip_dataset(tmp_path_factory):
+    m, root = small_dataset(tmp_path_factory.mktemp("strip"), imbalance=SPECS["long_tailed"])
+    return m, root, dd.load_images(m, root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_load_images_of_any_records_equals_their_rows_of_the_full_load(strip_dataset, data):
+    m, root, full = strip_dataset
+    picks = data.draw(st.lists(st.sampled_from(range(len(m.samples))), unique=True))
+    got = dd.load_images(m, root, [m.samples[i] for i in picks])
+    assert got.shape == (len(picks), 1, 16, 16)
+    np.testing.assert_array_equal(got, full[picks])
+
+
+@pytest.mark.parametrize("rows", [-16, -1, 1, 16])
+def test_strip_of_another_height_is_a_pnm_parse_error(tmp_path, rows):
+    m, root = small_dataset(tmp_path)
+    strip = dd.read_pnm(root / dd.IMAGES_FILE)
+    dd.write_pnm(root / dd.IMAGES_FILE, np.resize(strip, (strip.shape[0] + rows, 16)))
+    with pytest.raises(PnmParseError, match="records of 16x16 need"):
+        dd.load_images(m, root, m.samples[:1])
+
+
+def test_duplicate_sample_ids_are_rejected(tmp_path):
+    m, _ = small_dataset(tmp_path)
+    doc = tc.to_json(m)
+    doc["samples"][1]["id"] = doc["samples"][0]["id"]
+    with pytest.raises(ConfigError, match="unique"):
+        tc.from_json(dd.DatasetManifest, doc)
+
+
+def test_cached_coordinate_grids_are_read_only():
+    yy, xx = dd._grid(4, 4)
+    grating = dd._grating(5.0, 4, 4)
+    for arr in (yy, xx, grating):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 # -- pnm io -----------------------------------------------------------------------
@@ -228,6 +280,8 @@ def test_write_pnm_validates_dtype_and_shape(tmp_path):
         dd.write_pnm(tmp_path / "a.pgm", np.zeros((2, 2, 4), dtype=np.uint8))
     with pytest.raises(DimensionError):  # RGB too: images are grayscale PGM only
         dd.write_pnm(tmp_path / "a.pgm", np.zeros((2, 2, 3), dtype=np.uint8))
+    with pytest.raises(DimensionError):  # read_pnm takes positive sizes only
+        dd.write_pnm(tmp_path / "a.pgm", np.zeros((0, 2), dtype=np.uint8))
 
 
 def test_manifest_roundtrip(tmp_path):

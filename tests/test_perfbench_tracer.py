@@ -2,11 +2,13 @@
 name it wraps has to exist, has to still be called where the tracer expects,
 and has to be put back afterwards."""
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from styleshift import domain_data as dd
 from styleshift import micro_net as mn
 from styleshift import test_time_shift as ts
 from styleshift.micro_net import NetConfig
@@ -94,3 +96,23 @@ def test_traced_evaluate_records_no_backward_nodes(tracer_module):
     m = tracer_module.layer_metrics(tracer)
     assert m["autodiff.conv2d.block3.fwd_s"] > 0 and m["test_time_shift.ts_apply.calls"] == 6
     assert m["autodiff.backward.nodes"] == 0
+
+
+def test_traced_dataset_writes_one_strip_and_reads_it_once_per_load(tracer_module, tmp_path):
+    """``domain_data.images`` counts one render per kept sample; the strip is
+    one ``write_pnm`` call, and each ``load_images`` one ``read_pnm`` call."""
+    spec = dd.ImbalanceSpec(kind="data", keep_fraction=0.5)
+    tracer = tracer_module.Tracer(NetConfig())
+    try:
+        tracer.install()
+        m = dd.gen_dataset(tmp_path, n_classes=3, per_cell_train=4, per_cell_test=2,
+                           image_size=8, seed=1, imbalance=spec)
+        dd.load_images(m, tmp_path)
+        dd.load_images(m, tmp_path, m.records("test"))
+    finally:
+        lost = tracer.restore()
+    assert lost == []
+    calls = Counter(span[0] for span in tracer.spans)
+    assert len(m.samples) < 4 * 3 * 6  # the imbalance dropped samples, which are not rendered
+    assert tracer_module.layer_metrics(tracer)["domain_data.images"] == len(m.samples)
+    assert calls["domain_data.write_pnm"] == 1 and calls["domain_data.read_pnm"] == 2

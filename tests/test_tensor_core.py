@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,6 +154,41 @@ def test_from_json_rejects_wrong_types_and_keys(doc):
         tc.from_json(_Outer, doc)
 
 
+def _checkpoint_doc(change):
+    """A default-net checkpoint document of zeros, with ``change`` applied to its params."""
+    cfg = mn.NetConfig()
+    params = {name: mn.ParamDoc(shape, (0.0,) * math.prod(shape))
+              for name, shape in cfg.param_shapes.items()}
+    doc = tc.to_json(mn.CheckpointDoc(cfg, tuple(params), params))
+    change(doc["params"])
+    return doc
+
+
+ERROR_MESSAGES = {
+    "scalar": (_Outer, {"rate": "0.5"}, "_Outer.rate must be a JSON finite number, got '0.5'"),
+    "list_item": (_Outer, {"hooks": ["b1", 1]}, "_Outer.hooks[1] must be a JSON str, got 1"),
+    "nested_list_item": (_Outer, {"nested": [[0], [1, 2.0]]},
+                         "_Outer.nested[1][1] must be a JSON int, got 2.0"),
+    "nested_dataclass": (_Outer, {"inner": {"name": 1}}, "_Inner.name must be a JSON str, got 1"),
+    "keys": (_Outer, {"extra": 1}, "_Outer has unknown keys ['extra'] or lacks keys []"),
+    "dict_value": (mn.CheckpointDoc, _checkpoint_doc(lambda p: p.update(conv2_w=[])),
+                   "CheckpointDoc.params.conv2_w must be a JSON object, got []"),
+    "float_list_item": (mn.CheckpointDoc,
+                        _checkpoint_doc(lambda p: p["conv2_w"]["data"].__setitem__(4607, "x")),
+                        "ParamDoc.data[4607] must be a JSON finite number, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_MESSAGES))
+def test_from_json_error_messages_name_the_field(case):
+    """The read that builds no names on success names the failing field, list
+    index and dict key included, word for word."""
+    cls, doc, message = ERROR_MESSAGES[case]
+    with pytest.raises(ConfigError) as exc:
+        tc.from_json(cls, doc)
+    assert str(exc.value) == message
+
+
 @dataclass(frozen=True)
 class _Number:
     x: float
@@ -280,12 +316,12 @@ def manifests(draw):
     n_classes = draw(st.integers(1, 7))
     samples = st.builds(dd.SampleRecord, st.integers(0, 10 ** 6),
                         st.integers(0, len(styles) - 1), st.integers(0, n_classes - 1),
-                        st.sampled_from(["train", "test"]), NAMES)
+                        st.sampled_from(["train", "test"]))
     imbalance = draw(st.sampled_from([{"kind": "balanced"}, {"kind": "data", "keep_fraction": 1},
                                       {"kind": "class", "class_subsets": [[0], [1, 2]]}]))
     return dd.DatasetManifest(draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 64)), n_classes,
                               styles, draw(st.integers(0, len(styles) - 1)), imbalance,
-                              draw(st.lists(samples, max_size=6)))
+                              draw(st.lists(samples, max_size=6, unique_by=lambda s: s.id)))
 
 
 @st.composite
