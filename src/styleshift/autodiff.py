@@ -281,30 +281,54 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return cols.reshape(c * kh * kw, b * oh * ow)
 
 
+def pad_cm(x: np.ndarray, pad: int) -> np.ndarray:
+    """A channel-major (C, B, H, W) array zero-padded by ``pad`` on each side
+    of its trailing (H, W) axes, in a new buffer."""
+    c, b, h, w = x.shape
+    xp = np.zeros((c, b, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return xp
+
+
+def conv_cm(xp: np.ndarray, w: np.ndarray, b: np.ndarray,
+            stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Channel-major 2-D convolution of a padded input (``pad_cm``):
+    (Cin, B, Hp, Wp) -> (Cout, B, OH, OW), and the (Cin*kh*kw, B*OH*OW) patch
+    matrix its one GEMM multiplied.
+
+    The forward of ``conv2d`` and of the tape-free inference pass: both hand
+    this function the same values, so both get the same bits.
+    """
+    cin, bs, hp, wp = xp.shape
+    cout, cin_w, kh, kw = w.shape
+    if cin != cin_w:
+        raise ValueError(f"conv channel mismatch: input {cin}, weight {cin_w}")
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    y = w.reshape(cout, cin * kh * kw) @ cols
+    y += b[:, None]
+    return y.reshape(cout, bs, oh, ow), cols
+
+
 def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
     """2-D convolution, NCHW layout, square stride/pad.
 
-    The input is padded into a channel-major buffer so that the forward, the
-    weight gradient and the patch gradient are each one 2-D GEMM over the
-    (Cin*kh*kw, B*OH*OW) patch matrix. An input that is not a Var is a
-    constant: the backward forms no gradient for it.
+    The input is padded into a channel-major buffer (``pad_cm``) so that the
+    forward (``conv_cm``), the weight gradient and the patch gradient are each
+    one 2-D GEMM over the (Cin*kh*kw, B*OH*OW) patch matrix. An input that is
+    not a Var is a constant: the backward forms no gradient for it.
     """
     needs_dx = isinstance(x, Var)
     x, w, b = as_var(x), as_var(w), as_var(b)
     bs, cin, h, wd = x.value.shape
-    cout, cin_w, kh, kw = w.value.shape
-    if cin != cin_w:
-        raise ValueError(f"conv channel mismatch: input {cin}, weight {cin_w}")
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    padded = (cin, bs, h + 2 * pad, wd + 2 * pad)
-    xp = np.zeros(padded)
-    xp[:, :, pad:pad + h, pad:pad + wd] = x.value.transpose(1, 0, 2, 3)
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    cout, _, kh, kw = w.value.shape
+    xp = pad_cm(x.value.transpose(1, 0, 2, 3), pad)
+    y, cols = conv_cm(xp, w.value, b.value, stride)
+    oh, ow = y.shape[2:]
+    padded = xp.shape
     w2 = w.value.reshape(cout, cin * kh * kw)
-    y = w2 @ cols
-    y += b.value[:, None]
-    out = np.ascontiguousarray(y.reshape(cout, bs, oh, ow).transpose(1, 0, 2, 3))
+    out = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(cout, bs * oh * ow)
@@ -323,6 +347,13 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
     return Var(out, (x, w, b), vjp)
 
 
+def pool2(v: np.ndarray) -> np.ndarray:
+    """2x2 average of the trailing (H, W) axes, which must be even; the
+    forward of ``avg_pool2`` and of the tape-free inference pass."""
+    return (v[..., 0::2, 0::2] + v[..., 0::2, 1::2]
+            + v[..., 1::2, 0::2] + v[..., 1::2, 1::2]) * 0.25
+
+
 def avg_pool2(x) -> Var:
     """2x2 average pooling; spatial dims must be even."""
     x = as_var(x)
@@ -330,8 +361,7 @@ def avg_pool2(x) -> Var:
     h, w = v.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool2 needs even spatial dims, got {h}x{w}")
-    out = (v[:, :, 0::2, 0::2] + v[:, :, 0::2, 1::2]
-           + v[:, :, 1::2, 0::2] + v[:, :, 1::2, 1::2]) * 0.25
+    out = pool2(v)
 
     def vjp(g):
         quarter = g * 0.25

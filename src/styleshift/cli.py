@@ -32,6 +32,7 @@ from .experiment import (
     generate_data,
     load_split,
     method_label,
+    pool_domains,
     registry_stage,
     run_seed,
     shift_mode_from_name,
@@ -118,7 +119,7 @@ def cmd_stats(args) -> int:
     manifest, root = _load_dataset(workdir, args.dataset)
     protocol = "single_domain" if args.single_domain else "leave_one_out"
     split = source_split(manifest, root, protocol, args.pseudo_labels, net.tags.seed)
-    registry = registry_stage(net, split, args.layer, alpha, args.pseudo_labels)
+    registry, _ = registry_stage(net, split, args.layer, alpha, args.pseudo_labels)
     out = workdir / args.out_registry
     out.parent.mkdir(parents=True, exist_ok=True)
     tts.save_registry(registry, out)
@@ -141,7 +142,8 @@ def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     pool = None
     if mode.kind == "nearest_sample":
-        pool_images, _, _ = load_split(manifest, root, "train", manifest.source_domains)
+        pool_images, _, _ = load_split(manifest, root, "train",
+                                       pool_domains(manifest, registry))
         pool = net.style_vectors_at(pool_images, registry.layer)
     test = load_split(manifest, root, "test")
     rows = eval_stage(net, registry, manifest, test, mode, flags.alpha, pool,

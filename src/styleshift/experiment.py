@@ -108,13 +108,27 @@ def assign_pseudo_domains(images: np.ndarray, k: int, seed: int) -> np.ndarray:
     return tts.pseudo_domains(styles, k, rng)
 
 
+def split_domains(manifest: dd.DatasetManifest, protocol: str) -> list[int]:
+    """The source domains a protocol trains on: every one, or the first under
+    single_domain."""
+    domains = manifest.source_domains
+    return domains[:1] if protocol == "single_domain" else domains
+
+
+def pool_domains(manifest: dd.DatasetManifest, registry: tts.DomainRegistry) -> list[int]:
+    """The source domains whose training images form the nearest-sample pool:
+    those the registry names, or every source domain for a registry of
+    pseudo-label clusters, which names none. ``eval`` and ``run_seed`` both
+    pool by this rule, so they agree under either protocol."""
+    named = [d for d in manifest.source_domains if manifest.styles[d].name in registry.names]
+    return named or manifest.source_domains
+
+
 def source_split(manifest: dd.DatasetManifest, root, protocol: str,
                  pseudo_labels: int | None, seed: int):
     """A protocol's training images, class labels, 0-based domain ids and domain
     names. Pseudo labels cluster with ``seed``, which must be the train seed."""
-    domains = manifest.source_domains
-    if protocol == "single_domain":
-        domains = domains[:1]
+    domains = split_domains(manifest, protocol)
     images, classes, doms = load_split(manifest, root, "train", domains)
     if pseudo_labels is not None and not 1 <= pseudo_labels <= len(images):
         raise ConfigError(f"pseudo_labels must lie in 1..{len(images)}, the training "
@@ -156,12 +170,14 @@ def train_stage(cfg: ExperimentConfig, manifest: dd.DatasetManifest, root, seed:
 
 
 def registry_stage(net: mn.MicroNet, split, layer: str, alpha: float | None,
-                   pseudo_labels: int | None) -> tts.DomainRegistry:
-    """The registry of a ``source_split`` at ``layer``; alpha None is the default."""
+                   pseudo_labels: int | None) -> tuple[tts.DomainRegistry, np.ndarray]:
+    """The registry of a ``source_split`` at ``layer`` (alpha None is the
+    default) and the split's style vectors it summarizes."""
     images, _, doms, names = split
     if alpha is None:
         alpha = tts.PSEUDO_LABEL_ALPHA if pseudo_labels is not None else tts.DEFAULT_ALPHA
-    return tts.build_registry(net, images, doms, layer, alpha=alpha, names=names)
+    styles = net.style_vectors_at(images, layer)
+    return tts.registry_from_styles(styles, doms, layer, alpha, names), styles
 
 
 def eval_stage(net: mn.MicroNet, registry: tts.DomainRegistry,
@@ -183,22 +199,18 @@ def eval_stage(net: mn.MicroNet, registry: tts.DomainRegistry,
 class SeedOutcome:
     seed: int
     manifest: dd.DatasetManifest
-    train_images: np.ndarray
     test: tuple[np.ndarray, np.ndarray, np.ndarray]   # images, classes, domain ids
     net: mn.MicroNet
     registry: tts.DomainRegistry
+    pool: np.ndarray   # nearest-sample pool: style vectors of ``pool_domains``' training images
     rows: list[dict]
     wall_time: float
-    pool: np.ndarray | None = None   # training style vectors, on first nearest-sample eval
 
 
 def evaluate_seed(cfg: ExperimentConfig, outcome: SeedOutcome) -> list[dict]:
     """Rows of cfg's evaluation of a trained seed; only ``cfg.eval`` may differ
     from the training config. An alpha of None is the registry's."""
     mode = shift_mode_from_name(cfg.eval.mode, cfg.eval.pool_size)
-    if mode.kind == "nearest_sample" and outcome.pool is None:
-        outcome.pool = outcome.net.style_vectors_at(outcome.train_images,
-                                                    outcome.registry.layer)
     seed = outcome.seed
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x9001])))
     return eval_stage(outcome.net, outcome.registry, outcome.manifest, outcome.test,
@@ -212,10 +224,15 @@ def run_seed(cfg: ExperimentConfig, seed: int, workdir) -> SeedOutcome:
     data_dir = Path(workdir) / f"data_seed{seed}"
     manifest = generate_data(cfg.data, data_dir, seed)
     net, _, split = train_stage(cfg, manifest, data_dir, seed)
-    registry = registry_stage(net, split, cfg.eval.layer, cfg.eval.alpha, cfg.pseudo_labels)
+    registry, pool = registry_stage(net, split, cfg.eval.layer, cfg.eval.alpha,
+                                    cfg.pseudo_labels)
+    pooled = pool_domains(manifest, registry)
+    if pooled != split_domains(manifest, cfg.protocol):  # pseudo labels of one domain
+        pool = net.style_vectors_at(load_split(manifest, data_dir, "train", pooled)[0],
+                                    registry.layer)
     test = load_split(manifest, data_dir, "test")  # after training: not in its peak
-    outcome = SeedOutcome(seed=seed, manifest=manifest, train_images=split[0], test=test,
-                          net=net, registry=registry, rows=[], wall_time=0.0)
+    outcome = SeedOutcome(seed=seed, manifest=manifest, test=test, net=net,
+                          registry=registry, pool=pool, rows=[], wall_time=0.0)
     outcome.rows = evaluate_seed(cfg, outcome)
     outcome.wall_time = time.perf_counter() - start
     return outcome

@@ -11,7 +11,8 @@ its randomness when it is drawn and records its plan and sorting permutations
 on its first call; every later call replays that state. Finite-difference
 checks difference those later calls, which are the function the
 stop-gradient contracts differentiate. Evaluation and style extraction run
-the same ops under ``autodiff.no_grad`` and record no graph.
+``MicroNet.infer``, a tape-free pass in plain numpy that creates no Var and
+gives the values ``forward`` records bit for bit.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from .errors import ConfigError, DivergenceError
 from .style_balance import BatchMeta, MovePlan, build_balance_plan, sb_apply_var
 from .style_ops import DEFAULT_LAMBDA_SHAPE, dsu_var, efdmix_hook, mixstyle_var
 from .tensor_core import batch_style_vectors, from_json, read_json, write_json
-from .test_time_shift import OFF, DomainRegistry, ShiftMode, checked_alpha, ts_apply
+from .test_time_shift import OFF, DomainRegistry, ShiftMode, checked_alpha, shift_batch
+# perfbench/tracer.py wraps ``micro_net.ts_apply`` by name, so the name stays bound here
+from .test_time_shift import ts_apply  # noqa: F401
 
 AUG_KINDS = ("none", "mixstyle", "dsu", "efdmix")
 
-# Samples per inference forward pass (evaluate and style_vectors_at): small
-# enough that block1's im2col matrix and output stay in L2 cache at 32 px.
+# Samples per inference pass (evaluate and style_vectors_at). At 32 px block1's
+# im2col matrix of a chunk is 2.36 MB; chunks of 8 or 16 ran no faster.
 INFERENCE_CHUNK = 32
 
 
@@ -236,7 +239,7 @@ class EfdmixHookOp:
 
 @dataclass
 class ForwardResult:
-    logits: Var | None          # None when the pass stopped at ``to_hook``
+    logits: Var
     hook_inputs: dict[str, Var]
     param_vars: dict[str, Var]
 
@@ -268,18 +271,14 @@ class MicroNet:
     def param_order(self) -> tuple[str, ...]:
         return tuple(self.config.param_shapes)
 
-    def forward(self, x, hook_ops=None, from_hook: str | None = None,
-                to_hook: str | None = None) -> ForwardResult:
-        """Run the network, applying hook operations in their listed order.
+    def forward(self, x, hook_ops=None, from_hook: str | None = None) -> ForwardResult:
+        """Run the network, recording its graph, applying hook operations in
+        their listed order: the training and finite-difference pass.
 
         Images enter as a constant, so no gradient is formed for them unless
         x is a Var. ``from_hook`` treats x as the raw hook input at that point
         and runs only the remainder of the network (used by gradient checks).
-        ``to_hook`` stops as soon as that hook's raw input exists, before its
-        hook operations run; the result then has no logits.
         """
-        if to_hook is not None and to_hook not in self.hook_names:
-            raise ConfigError(f"unknown hook {to_hook!r}")
         by_hook: dict[str, list] = {}
         for name, op in hook_ops or []:
             if name not in self.hook_names:
@@ -301,27 +300,50 @@ class MicroNet:
             else:
                 continue
             hook_inputs[name] = h
-            if name == to_hook:
-                return ForwardResult(logits=None, hook_inputs=hook_inputs, param_vars=pv)
             for op in by_hook.get(name, []):
                 h = op(h)
         feats = ad.global_avg_pool(h)
         logits = ad.linear(feats, pv["head_w"], pv["head_b"])
         return ForwardResult(logits=logits, hook_inputs=hook_inputs, param_vars=pv)
 
+    def infer(self, x, hook: str | None = None, shift=None) -> np.ndarray:
+        """The tape-free pass over one batch: plain numpy, no Var, and bit for
+        bit the values ``forward`` records.
+
+        Activations stay channel-major, (C, B, H, W), the layout the conv GEMM
+        produces, so no block transposes its output, and ReLU runs in place;
+        ``autodiff.conv_cm`` gets the very patch matrices it gets in ``conv2d``.
+        Returns the (B, n_classes) logits. With ``hook`` the (B, C, H, W)
+        output of that block is taken: without ``shift`` the pass stops there
+        and returns it, with ``shift`` the rest of the network sees
+        ``shift(output)`` in its place.
+        """
+        if hook is not None and hook not in self.hook_names:
+            raise ConfigError(f"unknown hook {hook!r}")
+        h = np.asarray(x, dtype=np.float64).transpose(1, 0, 2, 3)
+        for i, (name, blk) in enumerate(zip(self.hook_names, self.config.blocks)):
+            h, _ = ad.conv_cm(ad.pad_cm(h, 1), self.params[f"conv{i}_w"],
+                              self.params[f"conv{i}_b"], blk.stride)
+            np.maximum(h, 0.0, out=h)
+            if blk.pool:
+                h = ad.pool2(h)
+            if name == hook:
+                feats = np.ascontiguousarray(h.transpose(1, 0, 2, 3))
+                if shift is None:
+                    return feats
+                h = shift(feats).transpose(1, 0, 2, 3)
+        pooled = np.ascontiguousarray(h.mean(axis=(2, 3)).T)
+        return pooled @ self.params["head_w"] + self.params["head_b"]
+
     def style_vectors_at(self, x, layer: str,
                          batch_size: int = INFERENCE_CHUNK) -> np.ndarray:
-        """Per-sample style vectors at one hook from clean forward passes that
-        record no graph and stop at that hook."""
+        """Per-sample style vectors at one hook from tape-free passes that stop
+        at that hook."""
         if layer not in self.hook_names:
             raise ConfigError(f"unknown hook {layer!r}")
         x = np.asarray(x, dtype=np.float64)
-        out = []
-        with ad.no_grad():
-            for start in range(0, x.shape[0], batch_size):
-                res = self.forward(x[start:start + batch_size], to_hook=layer)
-                out.append(batch_style_vectors(res.hook_inputs[layer].value))
-        return np.concatenate(out, axis=0)
+        return np.concatenate([batch_style_vectors(self.infer(x[start:start + batch_size], layer))
+                               for start in range(0, x.shape[0], batch_size)], axis=0)
 
     # -- persistence ------------------------------------------------------
 
@@ -445,8 +467,10 @@ def evaluate(net: MicroNet, images, class_labels, domain_labels,
              alpha: float | None = None, sample_pool=None,
              rng: np.random.Generator | None = None) -> EvalResult:
     """Top-1 accuracy and shift rate per domain, with the shifter at the
-    registry's layer when a mode other than off is requested. Non-finite
-    logits raise ``DivergenceError`` instead of being scored."""
+    registry's layer when a mode other than off is requested. Runs
+    ``MicroNet.infer`` in chunks of ``INFERENCE_CHUNK`` samples, each chunk's
+    features shifted by one ``shift_batch`` call. Non-finite logits raise
+    ``DivergenceError`` instead of being scored."""
     x = np.asarray(images, dtype=np.float64)
     y = np.asarray(class_labels, dtype=np.intp)
     doms = np.asarray(domain_labels, dtype=np.intp)
@@ -461,33 +485,28 @@ def evaluate(net: MicroNet, images, class_labels, domain_labels,
                 f"registry layer {registry.layer!r} is not a hook of this network")
         if registry.channels != net.config.channels_at(registry.layer):
             raise ConfigError("registry channel count does not match the hook")
-    decisions = []
+    flags = []
 
-    def shift(v: Var) -> Var:  # the shifter: one ts_apply per sample, no gradient
-        out = np.empty_like(v.value)
-        for i, f in enumerate(v.value):
-            out[i], decision = ts_apply(f, registry, alpha, mode, sample_pool, rng)
-            decisions.append(decision)
-        return Var(out)
+    def shift(feats: np.ndarray) -> np.ndarray:  # one batched shifter per chunk
+        out, decisions = shift_batch(feats, registry, alpha, mode, sample_pool, rng)
+        flags.append(decisions.shifted)
+        return out
 
-    ops = [(registry.layer, shift)] if use_ts else []
-    stats: dict[int, dict] = {int(d): {"n": 0, "correct": 0, "shifted": 0}
-                              for d in np.unique(doms)}
-    with ad.no_grad():  # inference: no vjp closure keeps a batch alive
-        for start in range(0, x.shape[0], INFERENCE_CHUNK):
-            sl = slice(start, start + INFERENCE_CHUNK)
-            res = net.forward(x[sl], ops)
-            if not np.all(np.isfinite(res.logits.value)):
-                raise DivergenceError(f"non-finite logits in the evaluation batch "
-                                      f"starting at sample {start}")
-            preds = res.logits.value.argmax(axis=1)
-            for p, truth, dom in zip(preds, y[sl], doms[sl]):
-                rec = stats[int(dom)]
-                rec["n"] += 1
-                rec["correct"] += int(p == truth)
-    for dom, decision in zip(doms, decisions):
-        stats[int(dom)]["shifted"] += int(decision.shifted)
-    return EvalResult(domains=stats)
+    hook, op = (registry.layer, shift) if use_ts else (None, None)
+    correct = np.empty(x.shape[0], dtype=bool)
+    for start in range(0, x.shape[0], INFERENCE_CHUNK):
+        sl = slice(start, start + INFERENCE_CHUNK)
+        logits = net.infer(x[sl], hook, op)
+        if not np.all(np.isfinite(logits)):
+            raise DivergenceError(f"non-finite logits in the evaluation batch "
+                                  f"starting at sample {start}")
+        correct[sl] = logits.argmax(axis=1) == y[sl]
+    shifted = np.concatenate(flags) if flags else np.zeros(x.shape[0], dtype=bool)
+    ids, dom_index = np.unique(doms, return_inverse=True)
+    tallies = [np.bincount(dom_index[keep], minlength=ids.size).tolist()
+               for keep in (slice(None), correct, shifted)]
+    return EvalResult(domains={int(d): {"n": n, "correct": c, "shifted": k}
+                               for d, n, c, k in zip(ids, *tallies)})
 
 
 # -- finite-difference harness ----------------------------------------------

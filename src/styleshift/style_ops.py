@@ -5,11 +5,12 @@ a shuffled partner (mixstyle), Gaussian stat perturbation (dsu), and exact
 sorted-value matching / mixing (efdm / efdmix).
 
 adain, efdm and efdmix act on plain arrays: adain renormalizes test-time
-features, and the 1-D efdm / efdmix are the reference definitions that the
-batched hooks are checked against. The training hooks ``mixstyle_var``,
-``dsu_var`` and ``efdmix_hook`` are the only implementations of their
-transforms; they return Vars, and ``.value`` is the forward result. Sorting
-permutations are constants of the forward pass.
+features (``renormalize`` is its map, which the batched shifter applies to
+the moments it already holds), and the 1-D efdm / efdmix are the reference
+definitions that the batched hooks are checked against. The training hooks
+``mixstyle_var``, ``dsu_var`` and ``efdmix_hook`` are the only
+implementations of their transforms; they return Vars, and ``.value`` is the
+forward result. Sorting permutations are constants of the forward pass.
 """
 
 from __future__ import annotations
@@ -59,9 +60,15 @@ def adain(content, style_stats: ChannelStats, eps_std: float = EPS_STD) -> np.nd
     if style_stats.channels != c:
         raise DimensionError(
             f"style has {style_stats.channels} channels, content has {c}")
-    mu, sig = _moments(content, eps_std)
-    return (style_stats.sigma[:, None, None] * (content - mu[:, None, None])
-            / sig[:, None, None] + style_stats.mu[:, None, None])
+    return renormalize(content, *_moments(content, eps_std), style_stats.mu, style_stats.sigma)
+
+
+def renormalize(content: np.ndarray, mu, sigma, target_mu, target_sigma) -> np.ndarray:
+    """The adain map: each channel of a (C, H, W) map or (B, C, H, W) batch
+    from its own mean and std (``mu``, ``sigma``: (C,) or (B, C)) to the
+    target's, elementwise in one order whatever the batch size."""
+    return (target_sigma[..., None, None] * (content - mu[..., None, None])
+            / sigma[..., None, None] + target_mu[..., None, None])
 
 
 def _var_moments(x: Var, eps_std: float) -> tuple[Var, Var]:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, RegistryBuildError
-from .style_ops import adain
-from .tensor_core import (from_json, read_json, style_vector, style_vector_to_stats,
-                          write_json)
+from .style_ops import adain, renormalize
+from .tensor_core import (batch_style_vectors, from_json, read_json, style_vector,
+                          style_vector_to_stats, write_json)
 
 DEFAULT_ALPHA = 3.0
 PSEUDO_LABEL_ALPHA = 2.0
@@ -161,7 +161,8 @@ def decide(phi_t, reg: DomainRegistry, alpha: float | None = None) -> ShiftDecis
 def ts_apply(f_t, reg: DomainRegistry, alpha: float | None = None,
              mode: ShiftMode = PROPOSED, sample_pool=None,
              rng: np.random.Generator | None = None):
-    """Apply one shift mode to a single feature map.
+    """Apply one shift mode to a single feature map: the per-sample reference
+    that ``shift_batch``, the shifter ``evaluate`` runs, is checked against.
 
     Returns (features, ShiftDecision). Off, proposed and nearest_sample decide
     with ``alpha``; shift_all and single_domain decide with 0, so they shift
@@ -195,6 +196,72 @@ def ts_apply(f_t, reg: DomainRegistry, alpha: float | None = None,
         phi_target = cand[int(np.argmin(np.linalg.norm(phi[None, :] - cand, axis=1)))]
     return (adain(f_t, style_vector_to_stats(phi_target)),
             ShiftDecision(True, target, d.avg_distance, d.threshold))
+
+
+@dataclass(frozen=True)
+class BatchShift:
+    """The decisions ``shift_batch`` took for a batch, one entry per sample:
+    whether it shifted, the nearest centroid (-1 where it kept its style) and
+    its mean distance to the centroids, all against one threshold."""
+
+    shifted: np.ndarray        # (B,) bool
+    target: np.ndarray         # (B,) int
+    avg_distance: np.ndarray   # (B,)
+    threshold: float
+
+
+def shift_batch(feats, reg: DomainRegistry, alpha: float | None = None,
+                mode: ShiftMode = PROPOSED, sample_pool=None,
+                rng: np.random.Generator | None = None) -> tuple[np.ndarray, BatchShift]:
+    """``ts_apply`` over a (B, C, H, W) batch in one step: one moment
+    computation, one (B, N) distance matrix with its row means and argmins,
+    and one adain over the shifted rows, which reuses those moments.
+
+    For a C-contiguous batch, row b of the output and of the decisions equals
+    ``ts_apply(feats[b], ...)`` bit for bit (numpy may sum a strided map in
+    another order). nearest_sample draws ``pool_size`` pool members per shifted
+    sample, in sample order, with the same ``rng.choice`` calls. A batch in
+    which no sample shifts is returned as given.
+    """
+    phi = batch_style_vectors(feats)
+    if phi.shape[1] != reg.centroids.shape[1]:
+        raise DimensionError("style vector length does not match registry")
+    if mode.kind == "single_domain" and reg.n_domains != 1:
+        raise ConfigError("single_domain mode requires a one-domain registry")
+    always = mode.kind in ("shift_all", "single_domain")
+    if always:
+        alpha = 0.0
+    elif alpha is None:
+        alpha = reg.alpha_default
+    threshold = float(checked_alpha(alpha) * reg.spread)
+    dists = np.linalg.norm(phi[:, None, :] - reg.centroids[None, :, :], axis=2)
+    avg = dists.mean(axis=1)
+    # an always-shift mode shifts a sample even at distance 0 from every
+    # centroid, where argmin's centroid 0 is as near as any
+    shifted = np.full(avg.shape, always) if always or mode.kind == "off" else avg > threshold
+    target = np.where(shifted, dists.argmin(axis=1), -1)
+    decisions = BatchShift(shifted, target, avg, threshold)
+    rows = np.flatnonzero(shifted)
+    if rows.size == 0:
+        return np.asarray(feats, dtype=np.float64), decisions
+    goal = reg.centroids[target[rows]]
+    if mode.kind == "nearest_sample":
+        if sample_pool is None:
+            raise ConfigError("nearest_sample mode requires a sample_pool of style vectors")
+        pool = np.asarray(sample_pool, dtype=np.float64)
+        if pool.ndim != 2 or pool.shape[1] != reg.centroids.shape[1]:
+            raise DimensionError("sample_pool must be (M, 2C) matching the registry")
+        if rng is None:
+            raise ConfigError("nearest_sample mode requires an rng for pool draws")
+        size = min(mode.pool_size, pool.shape[0])
+        cand = pool[np.stack([rng.choice(pool.shape[0], size=size, replace=False)
+                              for _ in rows])]                   # (S, size, 2C)
+        near = np.linalg.norm(phi[rows, None, :] - cand, axis=2).argmin(axis=1)
+        goal = cand[np.arange(rows.size), near]
+    c = reg.channels
+    out = np.array(feats, dtype=np.float64)
+    out[rows] = renormalize(out[rows], phi[rows, :c], phi[rows, c:], goal[:, :c], goal[:, c:])
+    return out, decisions
 
 
 # -- pseudo-domain labels ----------------------------------------------------

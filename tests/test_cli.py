@@ -502,6 +502,31 @@ def test_single_domain_mode_through_cli(tmp_path):
     assert all(float(r["shift_rate"]) == 1.0 for r in rows)
 
 
+def test_nearest_sample_pool_agrees_between_cli_and_run_seed(tmp_path):
+    """Under the single-domain protocol ``eval`` pools the training images of
+    the domains its registry names, as ``run_seed`` does, so both give the
+    same nearest-sample rows. The pool size covers the whole pool, so every
+    draw is the whole pool in some order and the two paths' different pool
+    seeds pick the same nearest member."""
+    from styleshift.experiment import run_seed
+    doc = {**SWEEP_CFG, "protocol": "single_domain", "seeds": [0],
+           "train": {"epochs": 3, "batch_size": 10, "lr": 0.05},
+           "eval": {"mode": "nearest-sample", "layer": "block1", "alpha": 0.0,
+                    "pool_size": 1000}}
+    outcome = run_seed(from_json(ExperimentConfig, doc), 0, tmp_path)
+    outcome.net.tags = mn.CheckpointTags(seed=0)
+    outcome.net.save(tmp_path / "sd.ckpt")
+    assert run(tmp_path, "stats", "--checkpoint", "sd.ckpt", "--dataset", "data_seed0",
+               "--layer", "block1", "--alpha", "0", "--single-domain",
+               "--out-registry", "sd_reg.json") == 0
+    assert run(tmp_path, "eval", "--checkpoint", "sd.ckpt", "--registry", "sd_reg.json",
+               "--mode", "nearest-sample", "--pool-size", "1000", "--dataset", "data_seed0",
+               "--out-csv", "cli.csv") == 0
+    cli.write_csv(tmp_path / "lib.csv", cli.EVAL_COLUMNS, outcome.rows)
+    assert all(float(r["shift_rate"]) == 1.0 for r in read_rows(tmp_path / "lib.csv"))
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
 def test_sweep_keep_fraction_regenerates_data(tmp_path):
     doc = dict(SWEEP_CFG)
     doc["seeds"] = [0]

@@ -234,16 +234,20 @@ MODES = ("off", "proposed", "shift_all", "nearest_sample", "single_domain")
 @given(seed=st.integers(0, 2**16), kind=st.sampled_from(MODES), n_domains=st.integers(1, 4),
        channels=st.integers(1, 3), hw=st.integers(1, 4), offset=st.floats(-30.0, 30.0),
        alpha=st.one_of(st.none(), st.floats(0.0, 4.0)), pool_size=st.integers(1, 12),
-       degenerate=st.booleans())
+       degenerate=st.booleans(), batch=st.integers(1, 6))
 def test_ts_apply_every_mode_matches_restatement(seed, kind, n_domains, channels, hw,
-                                                 offset, alpha, pool_size, degenerate):
+                                                 offset, alpha, pool_size, degenerate, batch):
     """Each mode against a restatement of its rule: off keeps the input bit for
     bit; proposed follows decide; shift_all and single_domain shift to the
     nearest centroid (the lowest id when every centroid is as near);
     nearest_sample shifts to the closest of the pool members a hand re-draw
     from the same seed picks. A shifted output is adain to the target's stats,
     bit for bit. ``degenerate`` makes every source sample and the test sample
-    one map, so every distance is 0."""
+    one map, so every distance is 0.
+
+    ``shift_batch`` over a batch led by that sample equals ``ts_apply`` on
+    each of its samples in turn: outputs, decisions, and the rng's state after
+    the draws."""
     rng = RNG(seed)
     if kind == "single_domain":
         n_domains = 1
@@ -287,6 +291,21 @@ def test_ts_apply_every_mode_matches_restatement(seed, kind, n_domains, channels
     else:
         assert out.tobytes() == adain(f, tc.style_vector_to_stats(target)).tobytes()
     assert draws.bit_generator.state == redraw.bit_generator.state
+
+    scale = rng.uniform(0.5, 3.0, size=(batch - 1, 1, 1, 1))
+    others = rng.normal(size=(batch - 1, channels, hw, hw)) * scale \
+        + rng.uniform(-30.0, 30.0, size=(batch - 1, 1, 1, 1))
+    feats_t = np.stack([f, *(np.broadcast_to(f, others.shape) if degenerate else others)])
+    one_by_one = RNG(draw_seed)
+    singles = [ts.ts_apply(g, reg, alpha, mode, sample_pool=pool, rng=one_by_one) for g in feats_t]
+    batched = RNG(draw_seed)
+    out_b, got_b = ts.shift_batch(feats_t, reg, alpha, mode, sample_pool=pool, rng=batched)
+    assert out_b.tobytes() == np.stack([o for o, _ in singles]).tobytes()
+    assert got_b.shifted.tolist() == [d.shifted for _, d in singles]
+    assert got_b.target.tolist() == [-1 if d.target is None else d.target for _, d in singles]
+    assert got_b.avg_distance.tolist() == [d.avg_distance for _, d in singles]
+    assert {got_b.threshold} == {d.threshold for _, d in singles}
+    assert batched.bit_generator.state == one_by_one.bit_generator.state
 
 
 def test_shift_decision_vector_length_checked():
