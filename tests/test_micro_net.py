@@ -559,16 +559,18 @@ def test_style_vectors_at_equals_recorded_forward(seed, n, layer):
         assert got.tobytes() == expected.tobytes(), k
 
 
-def test_style_vectors_at_stops_at_its_hook():
-    """No block past the hook runs: NaN weights in block2 and block3 leave
-    block1's style vectors finite, and the pass that stops at block1 equals
-    the recorded forward's block1 output. An unknown hook is a ConfigError."""
+def test_forward_to_hook_stops_there():
+    """The inference pass that stops at a hook runs no block past it: with
+    the parameters of block2, block3 and the head removed, a pass that went on
+    would raise KeyError, yet block1's style vectors come out, and the pass
+    that stops at block1 equals the recorded forward's block1 output. An
+    unknown hook is a ConfigError."""
     net = mn.MicroNet.init(THREE, seed=0)
     x = RNG(0).normal(size=(5, 1, 8, 8))
     want = net.forward(x).hook_inputs["block1"].value
-    for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b"):
-        net.params[name][:] = np.nan
-    assert np.all(np.isfinite(net.style_vectors_at(x, "block1")))
+    for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "head_w", "head_b"):
+        del net.params[name]
+    assert net.style_vectors_at(x, "block1").tobytes() == batch_style_vectors(want).tobytes()
     assert net.infer(x, "block1").tobytes() == want.tobytes()
     with pytest.raises(ConfigError):
         net.style_vectors_at(x, "block9")

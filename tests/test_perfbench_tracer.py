@@ -73,6 +73,29 @@ def _tiny_net_and_images():
     return cfg, mn.MicroNet.init(cfg, seed=0), x
 
 
+def test_traced_style_vectors_at_stops_at_its_hook(tracer_module):
+    """Under the tracer the tape-free pass reaches the wrapped
+    ``style_vectors_at`` and ``batch_style_vectors``, gives the untraced
+    style vectors, and runs no block past the requested hook: with the
+    parameters of block2, block3 and the head removed, a pass that went on
+    would raise KeyError."""
+    cfg, net, x = _tiny_net_and_images()
+    want = net.style_vectors_at(x, "block1")
+    for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "head_w", "head_b"):
+        del net.params[name]
+    tracer = tracer_module.Tracer(cfg)
+    try:
+        tracer.install()
+        got = net.style_vectors_at(x, "block1")
+    finally:
+        lost = tracer.restore()
+    assert lost == []
+    assert got.tobytes() == want.tobytes()
+    m = tracer_module.layer_metrics(tracer)
+    for key in ("micro_net.style_vectors_at_s", "tensor_core.batch_style_vectors_s"):
+        assert m[key] > 0, key
+
+
 def test_traced_evaluate_records_no_backward_nodes(tracer_module):
     cfg, net, x = _tiny_net_and_images()
     d = np.repeat([0, 1], 3)
