@@ -27,7 +27,6 @@ from .experiment import (
     EvalConfig,
     ExperimentConfig,
     eval_stage,
-    evaluate_seed,
     fitted_net,
     generate_data,
     load_split,
@@ -171,11 +170,12 @@ def apply_sweep_param(cfg: ExperimentConfig, param: str, value: float) -> Experi
 
 
 def _sweep_task(points, seed: int, workdir) -> list[dict]:
-    """Train one seed at the first (value, config) point; evaluate every
-    further point (alpha only) on that trained seed."""
-    outcome = run_seed(points[0][1], seed, workdir)
-    chunks = [outcome.rows] + [evaluate_seed(cfg, outcome) for _, cfg in points[1:]]
-    return [{"value": value, **row} for (value, _), rows in zip(points, chunks) for row in rows]
+    """Train one seed at the first (value, config) point and evaluate it at
+    every point's alpha: the points of an alpha sweep differ only there, and
+    any other sweep gives a task one point."""
+    outcome = run_seed(points[0][1], seed, workdir, [cfg.eval.alpha for _, cfg in points])
+    return [{"value": value, **row}
+            for (value, _), rows in zip(points, outcome.rows_per_alpha) for row in rows]
 
 
 def cmd_sweep(args) -> int:

@@ -180,6 +180,13 @@ def registry_stage(net: mn.MicroNet, split, layer: str, alpha: float | None,
     return tts.registry_from_styles(styles, doms, layer, alpha, names), styles
 
 
+def _domain_rows(manifest: dd.DatasetManifest, result: mn.EvalResult, label: str,
+                 seed: int) -> list[dict]:
+    return [{"method": label, "target": manifest.styles[dom].name, "seed": seed,
+             "accuracy": result.accuracy(dom), "shift_rate": result.shift_rate(dom)}
+            for dom in sorted(result.domains)]
+
+
 def eval_stage(net: mn.MicroNet, registry: tts.DomainRegistry,
                manifest: dd.DatasetManifest, test, mode: tts.ShiftMode,
                alpha: float | None, pool, rng: np.random.Generator,
@@ -190,9 +197,7 @@ def eval_stage(net: mn.MicroNet, registry: tts.DomainRegistry,
     xte, yte, dte = test
     result = mn.evaluate(net, xte, yte, dte, registry=registry, mode=mode,
                          alpha=alpha, sample_pool=pool, rng=rng)
-    return [{"method": label, "target": manifest.styles[dom].name, "seed": seed,
-             "accuracy": result.accuracy(dom), "shift_rate": result.shift_rate(dom)}
-            for dom in sorted(result.domains)]
+    return _domain_rows(manifest, result, label, seed)
 
 
 @dataclass
@@ -203,23 +208,44 @@ class SeedOutcome:
     net: mn.MicroNet
     registry: tts.DomainRegistry
     pool: np.ndarray   # nearest-sample pool: style vectors of ``pool_domains``' training images
-    rows: list[dict]
+    rows_per_alpha: list[list[dict]]   # one row per test domain, for each alpha evaluated
     wall_time: float
 
+    @property
+    def rows(self) -> list[dict]:
+        """The rows of the first alpha evaluated, cfg's own for a ``run_seed``
+        given no ``alphas``."""
+        return self.rows_per_alpha[0]
 
-def evaluate_seed(cfg: ExperimentConfig, outcome: SeedOutcome) -> list[dict]:
-    """Rows of cfg's evaluation of a trained seed; only ``cfg.eval`` may differ
-    from the training config. An alpha of None is the registry's."""
+
+def evaluate_seed(cfg: ExperimentConfig, outcome: SeedOutcome,
+                  alphas: list[float | None]) -> list[list[dict]]:
+    """Rows of cfg's evaluation of a trained seed at each of ``alphas`` (None
+    is the registry's); only ``cfg.eval`` may differ from the training config.
+    One alpha runs ``evaluate``. Several run ``evaluate_alphas``: one pass up
+    to the hook, one shift and two passes after it serve them all. Only
+    nearest_sample evaluates each alpha on its own, with a fresh rng, since
+    its pool draws follow the samples that alpha shifts."""
     mode = shift_mode_from_name(cfg.eval.mode, cfg.eval.pool_size)
     seed = outcome.seed
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x9001])))
-    return eval_stage(outcome.net, outcome.registry, outcome.manifest, outcome.test,
-                      mode, cfg.eval.alpha, outcome.pool, rng,
-                      method_label(cfg.train.sb, mode.kind, cfg.train.aug), seed)
+    label = method_label(cfg.train.sb, mode.kind, cfg.train.aug)
+    if len(alphas) > 1 and mode.kind != "nearest_sample":
+        results = mn.evaluate_alphas(outcome.net, *outcome.test, outcome.registry, mode, alphas)
+        return [_domain_rows(outcome.manifest, result, label, seed) for result in results]
+    return [eval_stage(outcome.net, outcome.registry, outcome.manifest, outcome.test, mode,
+                       alpha, outcome.pool, _pool_rng(seed), label, seed)
+            for alpha in alphas]
 
 
-def run_seed(cfg: ExperimentConfig, seed: int, workdir) -> SeedOutcome:
-    """One seed end to end: generate the data, train, summarize, evaluate."""
+def _pool_rng(seed: int) -> np.random.Generator:  # a fresh stream for each evaluation
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x9001])))
+
+
+def run_seed(cfg: ExperimentConfig, seed: int, workdir,
+             alphas: list[float | None] | None = None) -> SeedOutcome:
+    """One seed end to end: generate the data, train, summarize, evaluate at
+    cfg's alpha, or at each of ``alphas``: an alpha sweep trains a seed once
+    and evaluates it once (``evaluate_seed``)."""
     start = time.perf_counter()
     data_dir = Path(workdir) / f"data_seed{seed}"
     manifest = generate_data(cfg.data, data_dir, seed)
@@ -232,7 +258,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, workdir) -> SeedOutcome:
                                     registry.layer)
     test = load_split(manifest, data_dir, "test")  # after training: not in its peak
     outcome = SeedOutcome(seed=seed, manifest=manifest, test=test, net=net,
-                          registry=registry, pool=pool, rows=[], wall_time=0.0)
-    outcome.rows = evaluate_seed(cfg, outcome)
+                          registry=registry, pool=pool, rows_per_alpha=[], wall_time=0.0)
+    outcome.rows_per_alpha = evaluate_seed(cfg, outcome, [cfg.eval.alpha] if alphas is None
+                                           else alphas)
     outcome.wall_time = time.perf_counter() - start
     return outcome

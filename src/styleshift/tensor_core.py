@@ -124,9 +124,11 @@ def _schema(cls) -> tuple[dict, frozenset]:
 
 
 def _as_features(x, rank: int, what: str) -> np.ndarray:
-    """The one validator: float64 array of the given rank, positive
-    dimensions, finite values."""
-    arr = np.asarray(x, dtype=np.float64)
+    """The one validator: C-contiguous float64 array of the given rank,
+    positive dimensions, finite values. A strided input is copied, so numpy
+    sums every map in one order whatever the caller's layout; a contiguous
+    one is not."""
+    arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != rank:
         raise DimensionError(f"{what} must be rank {rank}, got shape {arr.shape}")
     if min(arr.shape) < 1:

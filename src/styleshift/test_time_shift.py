@@ -217,9 +217,8 @@ def shift_batch(feats, reg: DomainRegistry, alpha: float | None = None,
     computation, one (B, N) distance matrix with its row means and argmins,
     and one adain over the shifted rows, which reuses those moments.
 
-    For a C-contiguous batch, row b of the output and of the decisions equals
-    ``ts_apply(feats[b], ...)`` bit for bit (numpy may sum a strided map in
-    another order). nearest_sample draws ``pool_size`` pool members per shifted
+    Row b of the output and of the decisions equals ``ts_apply(feats[b], ...)``
+    bit for bit. nearest_sample draws ``pool_size`` pool members per shifted
     sample, in sample order, with the same ``rng.choice`` calls. A batch in
     which no sample shifts is returned as given.
     """

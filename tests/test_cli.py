@@ -9,6 +9,7 @@ import operator
 import re
 import shutil
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -430,7 +431,17 @@ def test_unknown_config_keys_exit_2(tmp_path):
                    "--audit-log", "a.jsonl") == 2
 
 
-def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch):
+@pytest.mark.parametrize("extra", [
+    pytest.param({"eval": {"mode": "nearest-sample", "layer": "block2", "pool_size": 5}},
+                 id="nearest-sample"),
+    pytest.param({"eval": {"mode": "proposed", "layer": "block1"}}, id="proposed"),
+    pytest.param({"eval": {"mode": "proposed", "layer": "block1"}, "pseudo_labels": 2},
+                 id="proposed-pseudo-labels")])
+def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch, extra):
+    """An alpha sweep trains each seed once, and its CSV equals, byte for
+    byte, the rows of one ``run_seed`` per (alpha, seed) point: proposed mode
+    evaluates every alpha in one multi-alpha pass, nearest-sample one alpha
+    at a time, and a one-alpha ``run_seed`` runs ``evaluate``."""
     from styleshift import micro_net as mn
     from styleshift.experiment import run_seed
     calls = []
@@ -441,7 +452,7 @@ def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch):
         return train(*args, **kwargs)
 
     monkeypatch.setattr(mn, "train", counted_train)
-    doc = {**SWEEP_CFG, "eval": {"mode": "nearest-sample", "layer": "block2", "pool_size": 5}}
+    doc = {**SWEEP_CFG, **extra}
     cfg = write_cfg(tmp_path, "exp.json", doc)
     alphas = (0.0, 1.5, 3.0)
     assert run(tmp_path, "sweep", "--config", cfg, "--param", "alpha",
@@ -457,6 +468,42 @@ def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch):
     want.sort(key=lambda r: (r["value"], r["seed"], r["target"]))
     cli.write_csv(tmp_path / "want.csv", ("param", "value") + cli.EVAL_COLUMNS, want)
     assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_alpha_sweep_runs_the_prefix_once_and_the_rest_twice_per_chunk(tmp_path, monkeypatch):
+    """A 4-alpha sweep in proposed mode at block1 evaluates each test chunk
+    with one pass up to the hook and two after it: block1's conv runs once
+    per chunk, block2's twice, and ``evaluate`` never runs. Alpha 0 shifts
+    every sample and 1e6 none, so each chunk needs both passes."""
+    from styleshift import autodiff as ad
+    convs, evals, inside = Counter(), [], []
+    conv_cm, evaluate_alphas = ad.conv_cm, mn.evaluate_alphas
+
+    def counted_conv(xp, w, *args):
+        if inside:
+            convs[w.shape] += 1
+        return conv_cm(xp, w, *args)
+
+    def marked(*args, **kwargs):
+        inside.append(1)
+        try:
+            return evaluate_alphas(*args, **kwargs)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(ad, "conv_cm", counted_conv)
+    monkeypatch.setattr(mn, "evaluate_alphas", marked)
+    monkeypatch.setattr(mn, "evaluate", lambda *a, **k: evals.append(1))
+    doc = {**SWEEP_CFG, "data": {**DATA_CFG, "per_cell_test": 12}, "seeds": [0],
+           "eval": {"mode": "proposed", "layer": "block1"}}
+    cfg = write_cfg(tmp_path, "exp.json", doc)
+    assert run(tmp_path, "sweep", "--config", cfg, "--param", "alpha",
+               "--values", "0,1.5,3,1e6", "--out-csv", "sweep.csv") == 0
+    chunks = -(-12 * 3 * 3 // mn.INFERENCE_CHUNK)  # 108 test samples: 4 chunks
+    assert convs == {(4, 1, 3, 3): chunks, (6, 4, 3, 3): 2 * chunks}
+    assert evals == []
+    rates = {r["value"]: float(r["shift_rate"]) for r in read_rows(tmp_path / "sweep.csv")}
+    assert rates["0.0"] == 1.0 and rates["1000000.0"] == 0.0
 
 
 def test_train_plain_baseline_path_matches_library(tmp_path):

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -282,6 +288,37 @@ def test_write_pnm_validates_dtype_and_shape(tmp_path):
         dd.write_pnm(tmp_path / "a.pgm", np.zeros((2, 2, 3), dtype=np.uint8))
     with pytest.raises(DimensionError):  # read_pnm takes positive sizes only
         dd.write_pnm(tmp_path / "a.pgm", np.zeros((0, 2), dtype=np.uint8))
+
+
+LOAD_FOUR_TIMES = """
+import json, resource, sys
+from styleshift.domain_data import load_manifest
+from styleshift.experiment import load_split
+root = sys.argv[1]
+manifest = load_manifest(root + "/manifest.json")
+peaks = []
+for _ in range(4):  # each split is freed before the next load
+    n = len(load_split(manifest, root, "test")[0])
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB
+print(json.dumps({"n": n, "peaks": peaks}))
+"""
+
+
+def test_repeated_test_split_loads_keep_the_peak(tmp_path):
+    """In a fresh process, four loads of a 1,792-image test split (14.7 MB
+    as float64, the size of the benchmark's inference set) raise the peak
+    RSS by less than 2 MB over the first load: each output takes the place
+    the one before it freed."""
+    generate_data(DataConfig(n_classes=7, n_sources=3, per_cell_train=1, per_cell_test=64),
+                  tmp_path / "data", 0)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", LOAD_FOUR_TIMES, str(tmp_path / "data")],
+                         env=env, capture_output=True, text=True, check=True)
+    got = json.loads(out.stdout)
+    assert got["n"] == 64 * 7 * 4
+    assert got["peaks"][3] - got["peaks"][0] < 2048, got["peaks"]
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -609,6 +609,67 @@ def test_inference_pass_equals_recorded_forward(config, seed, n, chunk):
         assert got.tobytes() == np.concatenate(parts).tobytes(), hook
 
 
+@settings(max_examples=30, deadline=None)
+@given(config=inference_nets(), seed=st.integers(0, 2**16), n=st.integers(1, 40))
+def test_inference_from_a_hook_equals_the_full_pass(config, seed, n):
+    """The pass that starts at a hook, fed the pass that stops there, gives
+    the full pass's logits byte for byte, at every hook; a start that is no
+    hook, or a hook at or before the start, is a ConfigError."""
+    net = mn.MicroNet.init(config, seed=seed)
+    size = config.image_size
+    x = RNG(seed).normal(size=(n, config.in_channels, size, size))
+    want = net.infer(x).tobytes()
+    for hook in config.hook_names:
+        assert net.infer(net.infer(x, hook), start=hook).tobytes() == want, hook
+    first = config.hook_names[0]
+    with pytest.raises(ConfigError):
+        net.infer(x, start="block9")
+    with pytest.raises(ConfigError):
+        net.infer(net.infer(x, first), first, start=first)
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=inference_nets(), seed=st.integers(0, 2**16), n=st.integers(1, 70),
+       n_domains=st.integers(1, 3), data=st.data())
+def test_evaluate_alphas_equals_evaluate_at_each_alpha(config, seed, n, n_domains, data):
+    """One multi-alpha evaluation gives, for every alpha of a list with 0,
+    repeats, None (the registry's) and a value above every sample's distance,
+    the very tallies of ``evaluate`` at that alpha, in off, proposed and
+    shift_all mode and in single_domain mode with a one-domain registry.
+    Batches of up to 70 samples cross the edges of the inference chunks."""
+    net = mn.MicroNet.init(config, seed=seed)
+    layer = data.draw(st.sampled_from(config.hook_names), label="layer")
+    rng = RNG(seed)
+    size = config.image_size
+    shape = (config.in_channels, size, size)
+    src_doms = np.repeat(np.arange(n_domains), 4)
+    x_src = rng.uniform(size=(src_doms.size, *shape)) * (1.0 + src_doms)[:, None, None, None]
+    reg = ts.build_registry(net, x_src, src_doms, layer)
+    one = ts.build_registry(net, x_src, np.zeros(src_doms.size, dtype=int), layer)
+    x = rng.uniform(size=(n, *shape)) * rng.uniform(0.1, 3.0, size=(n, 1, 1, 1))
+    y = rng.integers(0, config.n_classes, n)
+    d = rng.integers(0, 3, n)
+    ratio = np.array([ts.decide(p, reg, 0.0).avg_distance
+                      for p in net.style_vectors_at(x, layer)]) / max(reg.spread, 1e-300)
+    inner = data.draw(st.lists(st.sampled_from(np.quantile(ratio, [0.2, 0.5, 0.8]).tolist()
+                                               + [None]), min_size=1, max_size=4),
+                      label="inner alphas")
+    alphas = data.draw(st.permutations([0.0, *inner, inner[0], float(ratio.max()) * 2 + 1]),
+                       label="alphas")
+    for mode, registry in ((ts.OFF, reg), (ts.PROPOSED, reg), (ts.SHIFT_ALL, reg),
+                           (ts.SINGLE_DOMAIN, one)):
+        got = mn.evaluate_alphas(net, x, y, d, registry, mode, alphas)
+        want = [mn.evaluate(net, x, y, d, registry, mode, alpha) for alpha in alphas]
+        assert [r.domains for r in got] == [r.domains for r in want], mode.kind
+
+
+def test_evaluate_alphas_refuses_nearest_sample():
+    net, x, y, d = _trained_toy()
+    reg = ts.registry_from_styles(net.style_vectors_at(x, "block1"), d, "block1")
+    with pytest.raises(ConfigError):
+        mn.evaluate_alphas(net, x, y, d, reg, ts.nearest_sample(5), [0.0, 1.0])
+
+
 @pytest.mark.parametrize("mode", [ts.OFF, ts.PROPOSED])
 def test_evaluate_creates_only_leaf_vars(monkeypatch, mode):
     """Evaluation runs the tape-free pass: it creates no Var at all, while
@@ -630,15 +691,19 @@ def test_evaluate_creates_only_leaf_vars(monkeypatch, mode):
     assert any(v._vjp is not None for v in created)
 
 
-def test_evaluate_divergence_restores_recording():
-    """DivergenceError leaves evaluate from inside the no-record block; the
-    next training step must still record and give a fresh process's grads."""
+def test_evaluate_divergence_leaves_training_unchanged():
+    """An evaluate, or a multi-alpha evaluate, that raises DivergenceError
+    leaves no state behind: the next training step still records its graph
+    and gives a fresh process's grads."""
     net = mn.MicroNet.init(TINY, seed=70)
     net.params["conv1_b"][:] = 1e3
     net.params["head_w"][:] = 1e308
     x = RNG(71).normal(size=(6, 1, 8, 8))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
         mn.evaluate(net, x, np.zeros(6, dtype=int), np.zeros(6, dtype=int))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        mn.evaluate_alphas(net, x, np.zeros(6, dtype=int), np.zeros(6, dtype=int), None,
+                           ts.OFF, [0.0, 1.0])
     tiny_doc = json.loads(json.dumps(asdict(TINY)))  # asdict holds tuples, JSON lists
     here = step_grad_digests(tiny_doc, net_seed=72, data_seed=73)
     tests_dir = Path(__file__).resolve().parent

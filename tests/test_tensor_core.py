@@ -116,6 +116,52 @@ def test_batch_helpers_match_per_sample_ops(x):
         np.testing.assert_array_equal(phis[b], tc.style_vector(x[b]))
 
 
+def _found_batch():
+    """A batch numpy lays out column-major: concatenating a map with a
+    broadcast of it gives strides (8, 8, 72, 24)."""
+    f = np.array([0.412, 1.043, -0.129, 1.366, -0.665, 0.352, 0.903, 0.094, -0.743])
+    f = f.reshape(1, 3, 3)
+    return np.concatenate([f[None], np.broadcast_to(f, (2, 1, 3, 3))])
+
+
+@st.composite
+def strided_batches(draw):
+    """A batch of random values in a layout that is not C-contiguous: its
+    axes permuted in memory, a broadcast of one sample, or a step slice."""
+    shape = draw(st.tuples(*[st.integers(1, 5)] * 4))
+    kind = draw(st.sampled_from(["transposed", "broadcast", "sliced"]))
+    steps = draw(st.tuples(*[st.integers(1, 3)] * 4)) if kind == "sliced" else (1,) * 4
+    base = draw(arrays(np.float64, tuple(n * k for n, k in zip(shape, steps)),
+                       elements=st.floats(-1e6, 1e6)))
+    if kind == "transposed":
+        order = draw(st.permutations(range(4)))
+        return np.ascontiguousarray(base.transpose(order)).transpose(np.argsort(order))
+    if kind == "broadcast":
+        return np.broadcast_to(base[:1], shape)
+    return base[tuple(slice(None, None, k) for k in steps)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(strided_batches())
+@example(_found_batch())
+def test_batch_style_vectors_match_per_sample_ops_in_any_layout(x):
+    """Row b of ``batch_style_vectors`` equals ``style_vector(x[b])`` bit for
+    bit, and both equal the values of the batch's C-contiguous copy."""
+    phis = tc.batch_style_vectors(x)
+    assert phis.tobytes() == tc.batch_style_vectors(np.ascontiguousarray(x)).tobytes()
+    for b in range(x.shape[0]):
+        assert phis[b].tobytes() == tc.style_vector(x[b]).tobytes(), b
+
+
+def test_feature_validation_copies_only_a_strided_input():
+    x = np.ones((2, 3, 4, 4))
+    assert tc.as_feature_batch(x) is x
+    view = x.transpose(0, 1, 3, 2)
+    got = tc.as_feature_batch(view)
+    assert got.flags.c_contiguous and not np.shares_memory(got, x)
+    np.testing.assert_array_equal(got, view)
+
+
 # -- from_json ------------------------------------------------------------------
 
 @dataclass(frozen=True)
