@@ -133,6 +133,8 @@ def cmd_eval(args) -> int:
     workdir = Path(args.workdir)
     # the flags are checked before any file is read
     flags = EvalConfig(mode=args.mode, alpha=args.alpha, pool_size=args.pool_size)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     mode = shift_mode_from_name(flags.mode, flags.pool_size)
     net = mn.MicroNet.load(workdir / args.checkpoint)
     registry = tts.load_registry(workdir / args.registry)

@@ -187,6 +187,9 @@ class DatasetManifest:
         if min(header) < 0 or self.image_size < 1:
             raise ConfigError(f"manifest seed, image_size, n_classes and target_domain must "
                               f"be >= 0, image_size >= 1; got {header}")
+        if self.target_domain >= self.n_domains:
+            raise ConfigError(f"target_domain {self.target_domain} is not one of the "
+                              f"{self.n_domains} styles")
         if any(s.domain >= self.n_domains or s.cls >= self.n_classes for s in self.samples):
             raise ConfigError(f"a sample lies outside the {self.n_domains} domains or "
                               f"the {self.n_classes} classes")

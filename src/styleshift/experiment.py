@@ -221,20 +221,17 @@ class SeedOutcome:
 def evaluate_seed(cfg: ExperimentConfig, outcome: SeedOutcome,
                   alphas: list[float | None]) -> list[list[dict]]:
     """Rows of cfg's evaluation of a trained seed at each of ``alphas`` (None
-    is the registry's); only ``cfg.eval`` may differ from the training config.
-    One alpha runs ``evaluate``. Several run ``evaluate_alphas``: one pass up
-    to the hook, one shift and two passes after it serve them all. Only
-    nearest_sample evaluates each alpha on its own, with a fresh rng, since
-    its pool draws follow the samples that alpha shifts."""
+    is the registry's) by ``evaluate_alphas``; only ``cfg.eval`` may differ
+    from the training config."""
     mode = shift_mode_from_name(cfg.eval.mode, cfg.eval.pool_size)
     seed = outcome.seed
     label = method_label(cfg.train.sb, mode.kind, cfg.train.aug)
-    if len(alphas) > 1 and mode.kind != "nearest_sample":
-        results = mn.evaluate_alphas(outcome.net, *outcome.test, outcome.registry, mode, alphas)
-        return [_domain_rows(outcome.manifest, result, label, seed) for result in results]
-    return [eval_stage(outcome.net, outcome.registry, outcome.manifest, outcome.test, mode,
-                       alpha, outcome.pool, _pool_rng(seed), label, seed)
-            for alpha in alphas]
+    # nearest_sample's pool draws follow the samples an alpha shifts, so it
+    # evaluates one alpha per call, each with a fresh rng, as a one-alpha run does
+    groups = [[alpha] for alpha in alphas] if mode.kind == "nearest_sample" else [alphas]
+    return [_domain_rows(outcome.manifest, result, label, seed) for group in groups
+            for result in mn.evaluate_alphas(outcome.net, *outcome.test, outcome.registry, mode,
+                                             group, outcome.pool, _pool_rng(seed))]
 
 
 def _pool_rng(seed: int) -> np.random.Generator:  # a fresh stream for each evaluation

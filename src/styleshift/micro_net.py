@@ -13,11 +13,13 @@ checks difference those later calls, which are the function the
 stop-gradient contracts differentiate. Evaluation and style extraction run
 ``MicroNet.infer``, a tape-free pass in plain numpy that creates no Var and
 gives the values ``forward`` records bit for bit. It can stop at a hook, or
-start after one, so an alpha sweep (``evaluate_alphas``) runs the blocks up
-to the shifter's hook once per chunk, shifts every sample once, and runs the
-rest twice, on the kept and the shifted features, whatever the number of
-alphas; nearest_sample, whose pool draws follow each alpha's shifted
-samples, is evaluated one alpha at a time.
+start after one. ``evaluate_alphas`` is the one evaluation body, for one
+alpha or many: per chunk it runs the blocks up to the shifter's hook once,
+shifts at the smallest alpha, which shifts every sample any alpha shifts,
+and runs the rest on that output, and a second time on the unshifted
+features only when some sample is shifted at one alpha and kept at another.
+``evaluate`` is its one-alpha call. nearest_sample, whose pool draws follow
+the samples an alpha shifts, is evaluated one alpha at a time.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from .errors import ConfigError, DivergenceError
 from .style_balance import BatchMeta, MovePlan, build_balance_plan, sb_apply_var
 from .style_ops import DEFAULT_LAMBDA_SHAPE, dsu_var, efdmix_hook, mixstyle_var
 from .tensor_core import batch_style_vectors, from_json, read_json, write_json
-from .test_time_shift import (OFF, SHIFT_ALL, DomainRegistry, ShiftMode, checked_alpha,
-                              shift_batch)
+from .test_time_shift import OFF, DomainRegistry, ShiftMode, checked_alpha, shift_batch
 # perfbench/tracer.py wraps ``micro_net.ts_apply`` by name, so the name stays bound here
 from .test_time_shift import ts_apply  # noqa: F401
 
@@ -312,20 +313,18 @@ class MicroNet:
         logits = ad.linear(feats, pv["head_w"], pv["head_b"])
         return ForwardResult(logits=logits, hook_inputs=hook_inputs, param_vars=pv)
 
-    def infer(self, x, hook: str | None = None, shift=None,
-              start: str | None = None) -> np.ndarray:
+    def infer(self, x, hook: str | None = None, start: str | None = None) -> np.ndarray:
         """The tape-free pass over one batch: plain numpy, no Var, and bit for
         bit the values ``forward`` records.
 
         Activations stay channel-major, (C, B, H, W), the layout the conv GEMM
         produces, so no block transposes its output, and ReLU runs in place;
         ``autodiff.conv_cm`` gets the very patch matrices it gets in ``conv2d``.
-        Returns the (B, n_classes) logits. With ``hook`` the (B, C, H, W)
-        output of that block is taken: without ``shift`` the pass stops there
-        and returns it, with ``shift`` the rest of the network sees
-        ``shift(output)`` in its place. With ``start`` x is the (B, C, H, W)
-        output of that block and only the blocks after it run, so
-        ``infer(infer(x, h), start=h)`` is ``infer(x)`` byte for byte.
+        Returns the (B, n_classes) logits, or with ``hook`` the pass stops at
+        that block and returns its (B, C, H, W) output. With ``start`` x is
+        the (B, C, H, W) output of that block and only the blocks after it
+        run, so ``infer(infer(x, h), start=h)`` is ``infer(x)`` byte for byte;
+        evaluation shifts the features in between.
         """
         for name in (hook, start):
             if name is not None and name not in self.hook_names:
@@ -342,10 +341,7 @@ class MicroNet:
             if blk.pool:
                 h = ad.pool2(h)
             if self.hook_names[i] == hook:
-                feats = np.ascontiguousarray(h.transpose(1, 0, 2, 3))
-                if shift is None:
-                    return feats
-                h = shift(feats).transpose(1, 0, 2, 3)
+                return np.ascontiguousarray(h.transpose(1, 0, 2, 3))
         pooled = np.ascontiguousarray(h.mean(axis=(2, 3)).T)
         return pooled @ self.params["head_w"] + self.params["head_b"]
 
@@ -476,112 +472,76 @@ class EvalResult:
         return sum(d["correct"] for d in self.domains.values()) / n
 
 
-def _shift_hook(net: MicroNet, registry: DomainRegistry | None, mode: ShiftMode) -> str | None:
-    """The hook a mode shifts at: the registry's layer, checked against the
-    net, or None when the mode is off."""
-    if mode.kind == "off":
-        return None
-    if registry is None:
-        raise ConfigError("evaluation with shifting requires a registry")
-    if registry.layer not in net.hook_names:
-        raise ConfigError(f"registry layer {registry.layer!r} is not a hook of this network")
-    if registry.channels != net.config.channels_at(registry.layer):
-        raise ConfigError("registry channel count does not match the hook")
-    return registry.layer
+def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
+                    registry: DomainRegistry | None, mode: ShiftMode,
+                    alphas: list[float | None], sample_pool=None,
+                    rng: np.random.Generator | None = None) -> list[EvalResult]:
+    """Top-1 accuracy and shift rate per domain at each of ``alphas`` (None
+    is the registry's), with the shifter at the registry's layer when the
+    mode is not off. Non-finite logits that some alpha scores raise
+    ``DivergenceError`` instead of being scored.
 
-
-def _tally(doms: np.ndarray, correct: np.ndarray, shifted: np.ndarray) -> EvalResult:
+    Alpha decides only which samples shift, and a larger alpha shifts a
+    subset of a smaller one's samples. So each chunk of ``INFERENCE_CHUNK``
+    samples runs ``MicroNet.infer`` to the hook once, one ``shift_batch`` at
+    the smallest alpha, which shifts every sample that any alpha shifts, and
+    the rest of the network on its output; a second pass from the hook, over
+    the unshifted features, runs only when a sample is shifted by one alpha
+    and kept by another. A sample's logits depend only on its own columns of
+    each GEMM, at a fixed place in a chunk of a fixed size, so every alpha
+    gets the bits of a call at that alpha alone. nearest_sample takes one
+    alpha only: its pool draws follow the samples that alpha shifts."""
+    if mode.kind == "nearest_sample" and len(alphas) != 1:
+        raise ConfigError("nearest_sample draws pool members per shifted sample: "
+                          "evaluate each alpha on its own")
+    x = np.asarray(images, dtype=np.float64)
+    y = np.asarray(class_labels, dtype=np.intp)
+    doms = np.asarray(domain_labels, dtype=np.intp)
+    alphas = [a if a is None else checked_alpha(a) for a in alphas]  # in every mode
+    hook = None
+    if mode.kind != "off":
+        if registry is None:
+            raise ConfigError("evaluation with shifting requires a registry")
+        if registry.layer not in net.hook_names:
+            raise ConfigError(f"registry layer {registry.layer!r} is not a hook of this network")
+        if registry.channels != net.config.channels_at(registry.layer):
+            raise ConfigError("registry channel count does not match the hook")
+        hook = registry.layer
+        alphas = [registry.alpha_default if a is None else a for a in alphas]
+        thresholds = np.array([float(a * registry.spread) for a in alphas])[:, None]
+        always = mode.kind in ("shift_all", "single_domain")  # every sample at any alpha
+    correct = np.empty((len(alphas), x.shape[0]), dtype=bool)
+    shifted = np.zeros((len(alphas), x.shape[0]), dtype=bool)
+    for start in range(0, x.shape[0], INFERENCE_CHUNK):
+        sl = slice(start, start + INFERENCE_CHUNK)
+        feats, moves = x[sl], shifted[:, sl]  # moves: (alphas, chunk)
+        if hook is not None:
+            kept = net.infer(feats, hook)
+            feats, decisions = shift_batch(kept, registry, min(alphas), mode, sample_pool, rng)
+            moves[:] = decisions.shifted if always else decisions.avg_distance > thresholds
+        logits = [net.infer(feats, start=hook)]  # shift_batch leaves the rows it keeps as given
+        if (moves.any(axis=0) & ~moves.all(axis=0)).any():  # shifted at one alpha, kept at another
+            logits.append(net.infer(kept, start=hook))
+        finite = [np.isfinite(z).all(axis=1) for z in logits]
+        right = [z.argmax(axis=1) == y[sl] for z in logits]
+        if not np.where(moves, finite[0], finite[-1]).all():
+            raise DivergenceError(
+                f"non-finite logits in the evaluation batch starting at sample {start}")
+        correct[:, sl] = np.where(moves, right[0], right[-1])
     ids, dom_index = np.unique(doms, return_inverse=True)
-    tallies = [np.bincount(dom_index[keep], minlength=ids.size).tolist()
-               for keep in (slice(None), correct, shifted)]
-    return EvalResult(domains={int(d): {"n": n, "correct": c, "shifted": k}
-                               for d, n, c, k in zip(ids, *tallies)})
-
-
-def _diverged(start: int) -> DivergenceError:
-    return DivergenceError(f"non-finite logits in the evaluation batch starting at sample {start}")
+    tallies = [[np.bincount(dom_index[keep], minlength=ids.size).tolist()
+                for keep in (slice(None), right, moved)] for right, moved in zip(correct, shifted)]
+    return [EvalResult(domains={int(d): {"n": n, "correct": c, "shifted": k}
+                                for d, n, c, k in zip(ids, *tally)}) for tally in tallies]
 
 
 def evaluate(net: MicroNet, images, class_labels, domain_labels,
              registry: DomainRegistry | None = None, mode: ShiftMode = OFF,
              alpha: float | None = None, sample_pool=None,
              rng: np.random.Generator | None = None) -> EvalResult:
-    """Top-1 accuracy and shift rate per domain, with the shifter at the
-    registry's layer when a mode other than off is requested. Runs
-    ``MicroNet.infer`` in chunks of ``INFERENCE_CHUNK`` samples, each chunk's
-    features shifted by one ``shift_batch`` call. Non-finite logits raise
-    ``DivergenceError`` instead of being scored."""
-    x = np.asarray(images, dtype=np.float64)
-    y = np.asarray(class_labels, dtype=np.intp)
-    doms = np.asarray(domain_labels, dtype=np.intp)
-    if alpha is not None:  # in every mode, off included
-        checked_alpha(alpha)
-    hook = _shift_hook(net, registry, mode)
-    flags = []
-
-    def shift(feats: np.ndarray) -> np.ndarray:  # one batched shifter per chunk
-        out, decisions = shift_batch(feats, registry, alpha, mode, sample_pool, rng)
-        flags.append(decisions.shifted)
-        return out
-
-    correct = np.empty(x.shape[0], dtype=bool)
-    for start in range(0, x.shape[0], INFERENCE_CHUNK):
-        sl = slice(start, start + INFERENCE_CHUNK)
-        logits = net.infer(x[sl], hook, shift if hook else None)
-        if not np.all(np.isfinite(logits)):
-            raise _diverged(start)
-        correct[sl] = logits.argmax(axis=1) == y[sl]
-    shifted = np.concatenate(flags) if flags else np.zeros(x.shape[0], dtype=bool)
-    return _tally(doms, correct, shifted)
-
-
-def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
-                    registry: DomainRegistry | None, mode: ShiftMode,
-                    alphas: list[float | None]) -> list[EvalResult]:
-    """``evaluate`` at each of ``alphas`` (None is the registry's), equal to
-    one call per alpha, from one pass per chunk up to the shift hook.
-
-    Alpha decides only which samples shift, so each chunk's hook output is
-    shifted whole by one ``shift_batch`` that keeps every sample's mean
-    distance, and the rest of the network runs at most twice: on the kept
-    and on the shifted features. A sample's logits depend only on its own
-    columns of each GEMM, at a fixed place in a chunk of a fixed size, so
-    every alpha takes each sample's row from the pass its decision names and
-    gets ``evaluate``'s bits. Not for nearest_sample, whose rng draws follow
-    the samples each alpha shifts. A non-finite logit that some alpha would
-    score raises ``DivergenceError``."""
-    if mode.kind == "nearest_sample":
-        raise ConfigError("nearest_sample draws pool members per shifted sample: "
-                          "evaluate each alpha on its own")
-    x = np.asarray(images, dtype=np.float64)
-    y = np.asarray(class_labels, dtype=np.intp)
-    doms = np.asarray(domain_labels, dtype=np.intp)
-    alphas = [a if a is None else checked_alpha(a) for a in alphas]
-    hook = _shift_hook(net, registry, mode)
-    always = mode.kind in ("shift_all", "single_domain")
-    if mode.kind == "proposed":
-        thresholds = np.array([float((registry.alpha_default if a is None else a)
-                                     * registry.spread) for a in alphas])
-    correct = np.empty((len(alphas), x.shape[0]), dtype=bool)
-    shifted = np.zeros((len(alphas), x.shape[0]), dtype=bool)
-    for start in range(0, x.shape[0], INFERENCE_CHUNK):
-        sl = slice(start, start + INFERENCE_CHUNK)
-        kept, moved, moves = x[sl], None, shifted[:, sl]  # moves: (alphas, chunk)
-        if hook is not None:
-            kept = net.infer(kept, hook)
-            moved, decisions = shift_batch(kept, registry, mode=mode if always else SHIFT_ALL)
-            moves[:] = True if always else decisions.avg_distance > thresholds[:, None]
-        right = np.zeros((2, moves.shape[1]), dtype=bool)
-        finite = np.ones((2, moves.shape[1]), dtype=bool)
-        for k, (feats, used) in enumerate(((kept, not moves.all()), (moved, moves.any()))):
-            if used:  # the kept or the shifted features of the chunk, from the hook on
-                logits = net.infer(feats, start=hook)
-                finite[k] = np.isfinite(logits).all(axis=1)
-                right[k] = logits.argmax(axis=1) == y[sl]
-        if not np.where(moves, finite[1], finite[0]).all():
-            raise _diverged(start)
-        correct[:, sl] = np.where(moves, right[1], right[0])
-    return [_tally(doms, c, s) for c, s in zip(correct, shifted)]
+    """``evaluate_alphas`` at one alpha."""
+    return evaluate_alphas(net, images, class_labels, domain_labels, registry, mode, [alpha],
+                           sample_pool, rng)[0]
 
 
 # -- finite-difference harness ----------------------------------------------

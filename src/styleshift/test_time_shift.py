@@ -162,7 +162,7 @@ def ts_apply(f_t, reg: DomainRegistry, alpha: float | None = None,
              mode: ShiftMode = PROPOSED, sample_pool=None,
              rng: np.random.Generator | None = None):
     """Apply one shift mode to a single feature map: the per-sample reference
-    that ``shift_batch``, the shifter ``evaluate`` runs, is checked against.
+    that ``shift_batch``, the shifter evaluation runs, is checked against.
 
     Returns (features, ShiftDecision). Off, proposed and nearest_sample decide
     with ``alpha``; shift_all and single_domain decide with 0, so they shift

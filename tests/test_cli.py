@@ -470,11 +470,10 @@ def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch, extra):
     assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_alpha_sweep_runs_the_prefix_once_and_the_rest_twice_per_chunk(tmp_path, monkeypatch):
-    """A 4-alpha sweep in proposed mode at block1 evaluates each test chunk
-    with one pass up to the hook and two after it: block1's conv runs once
-    per chunk, block2's twice, and ``evaluate`` never runs. Alpha 0 shifts
-    every sample and 1e6 none, so each chunk needs both passes."""
+def _sweep_evaluation_convs(tmp_path, monkeypatch, values: str):
+    """Sweep ``values`` in proposed mode at block1 over 108 test images. Returns
+    the conv calls made inside ``evaluate_alphas`` by weight shape, the number
+    of ``evaluate`` calls, the sweep's rows and the number of test chunks."""
     from styleshift import autodiff as ad
     convs, evals, inside = Counter(), [], []
     conv_cm, evaluate_alphas = ad.conv_cm, mn.evaluate_alphas
@@ -498,12 +497,32 @@ def test_alpha_sweep_runs_the_prefix_once_and_the_rest_twice_per_chunk(tmp_path,
            "eval": {"mode": "proposed", "layer": "block1"}}
     cfg = write_cfg(tmp_path, "exp.json", doc)
     assert run(tmp_path, "sweep", "--config", cfg, "--param", "alpha",
-               "--values", "0,1.5,3,1e6", "--out-csv", "sweep.csv") == 0
+               "--values", values, "--out-csv", "sweep.csv") == 0
     chunks = -(-12 * 3 * 3 // mn.INFERENCE_CHUNK)  # 108 test samples: 4 chunks
+    return convs, evals, read_rows(tmp_path / "sweep.csv"), chunks
+
+
+def test_alpha_sweep_runs_the_prefix_once_and_the_rest_twice_per_chunk(tmp_path, monkeypatch):
+    """A 4-alpha sweep in proposed mode at block1 evaluates each test chunk
+    with one pass up to the hook and two after it: block1's conv runs once
+    per chunk, block2's twice, and ``evaluate`` never runs. Alpha 0 shifts
+    every sample and 1e6 none, so each chunk needs both passes."""
+    convs, evals, rows, chunks = _sweep_evaluation_convs(tmp_path, monkeypatch, "0,1.5,3,1e6")
     assert convs == {(4, 1, 3, 3): chunks, (6, 4, 3, 3): 2 * chunks}
     assert evals == []
-    rates = {r["value"]: float(r["shift_rate"]) for r in read_rows(tmp_path / "sweep.csv")}
+    rates = {r["value"]: float(r["shift_rate"]) for r in rows}
     assert rates["0.0"] == 1.0 and rates["1000000.0"] == 0.0
+
+
+def test_one_alpha_runs_each_block_once_per_chunk(tmp_path, monkeypatch):
+    """A one-point sweep, one ``run_seed`` at one alpha, runs every conv once
+    per test chunk, though alpha 3 shifts the target domain's samples and
+    keeps the sources': one alpha needs no pass over the unshifted features."""
+    convs, evals, rows, chunks = _sweep_evaluation_convs(tmp_path, monkeypatch, "3")
+    assert convs == {(4, 1, 3, 3): chunks, (6, 4, 3, 3): chunks}
+    assert evals == []
+    rates = {r["target"]: float(r["shift_rate"]) for r in rows}
+    assert rates == {"plain": 0.0, "bright": 0.0, "far": 1.0}
 
 
 def test_train_plain_baseline_path_matches_library(tmp_path):
@@ -809,8 +828,8 @@ def _spy_on_reads(monkeypatch) -> list[str]:
     return calls
 
 
-@pytest.mark.parametrize("flags", [("--alpha", "nan"), ("--pool-size", "0")],
-                         ids=["alpha_nan", "pool_size_0"])
+@pytest.mark.parametrize("flags", [("--alpha", "nan"), ("--pool-size", "0"), ("--seed", "-1")],
+                         ids=["alpha_nan", "pool_size_0", "seed_negative"])
 def test_eval_checks_its_flags_before_reading_any_file(cli_workdir, monkeypatch, flags):
     """A bad ``eval`` flag exits 2 before the checkpoint is read or the
     nearest-sample pool is embedded."""
@@ -853,12 +872,14 @@ def test_sweep_sizes_an_omitted_net_to_its_data(tmp_path):
 
 
 @pytest.mark.parametrize("content", ["missing_samples", "image_size_string", "image_size_float",
-                                     "null", "not_json"])
+                                     "target_domain_out_of_range", "null", "not_json"])
 def test_malformed_manifest_exits_2(cli_workdir, content):
     manifest = json.loads((cli_workdir / "data/manifest.json").read_text())
     text = {"missing_samples": json.dumps(_replaced(manifest, ("samples",), DROP)),
             "image_size_string": json.dumps(_replaced(manifest, ("image_size",), "16")),
             "image_size_float": json.dumps(_replaced(manifest, ("image_size",), 16.0)),
+            "target_domain_out_of_range": json.dumps(_replaced(manifest, ("target_domain",),
+                                                               len(manifest["styles"]))),
             "null": "null", "not_json": "{not json"}[content]
     (cli_workdir / f"bad_{content}").mkdir()
     (cli_workdir / f"bad_{content}/manifest.json").write_text(text)

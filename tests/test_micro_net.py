@@ -628,15 +628,39 @@ def test_inference_from_a_hook_equals_the_full_pass(config, seed, n):
         net.infer(net.infer(x, first), first, start=first)
 
 
+def evaluate_at(net, x, y, d, registry, mode, alpha, pool=None, rng=None) -> mn.EvalResult:
+    """Evaluation at one alpha restated chunk by chunk, the reference for
+    ``evaluate_alphas``: ``infer`` to the registry's hook, ``shift_batch`` at
+    alpha, ``infer`` from the hook, then a count per domain."""
+    hook = None if mode.kind == "off" else registry.layer
+    correct, shifted = [], []
+    for s in range(0, len(x), mn.INFERENCE_CHUNK):
+        feats = x[s:s + mn.INFERENCE_CHUNK]
+        flags = np.zeros(len(feats), dtype=bool)
+        if hook is not None:
+            feats, decisions = ts.shift_batch(net.infer(feats, hook), registry, alpha, mode,
+                                              pool, rng)
+            flags = decisions.shifted
+        correct.append(net.infer(feats, start=hook).argmax(axis=1) == y[s:s + mn.INFERENCE_CHUNK])
+        shifted.append(flags)
+    correct, shifted = np.concatenate(correct), np.concatenate(shifted)
+    return mn.EvalResult({int(dom): {"n": int((d == dom).sum()),
+                                     "correct": int(correct[d == dom].sum()),
+                                     "shifted": int(shifted[d == dom].sum())}
+                          for dom in np.unique(d)})
+
+
 @settings(max_examples=30, deadline=None)
 @given(config=inference_nets(), seed=st.integers(0, 2**16), n=st.integers(1, 70),
        n_domains=st.integers(1, 3), data=st.data())
 def test_evaluate_alphas_equals_evaluate_at_each_alpha(config, seed, n, n_domains, data):
     """One multi-alpha evaluation gives, for every alpha of a list with 0,
     repeats, None (the registry's) and a value above every sample's distance,
-    the very tallies of ``evaluate`` at that alpha, in off, proposed and
-    shift_all mode and in single_domain mode with a one-domain registry.
-    Batches of up to 70 samples cross the edges of the inference chunks."""
+    the very tallies of an evaluation at that alpha alone (``evaluate_at``),
+    in off, proposed and shift_all mode and in single_domain mode with a
+    one-domain registry; nearest_sample, which takes one alpha per call,
+    gives them for each alpha with equally seeded rngs. Batches of up to 70
+    samples cross the edges of the inference chunks."""
     net = mn.MicroNet.init(config, seed=seed)
     layer = data.draw(st.sampled_from(config.hook_names), label="layer")
     rng = RNG(seed)
@@ -659,8 +683,13 @@ def test_evaluate_alphas_equals_evaluate_at_each_alpha(config, seed, n, n_domain
     for mode, registry in ((ts.OFF, reg), (ts.PROPOSED, reg), (ts.SHIFT_ALL, reg),
                            (ts.SINGLE_DOMAIN, one)):
         got = mn.evaluate_alphas(net, x, y, d, registry, mode, alphas)
-        want = [mn.evaluate(net, x, y, d, registry, mode, alpha) for alpha in alphas]
+        want = [evaluate_at(net, x, y, d, registry, mode, alpha) for alpha in alphas]
         assert [r.domains for r in got] == [r.domains for r in want], mode.kind
+    pool, near = net.style_vectors_at(x_src, layer), ts.nearest_sample(3)
+    for alpha in alphas:
+        got = mn.evaluate_alphas(net, x, y, d, reg, near, [alpha], pool, RNG(seed + 1))
+        want = [evaluate_at(net, x, y, d, reg, near, alpha, pool, RNG(seed + 1))]
+        assert [r.domains for r in got] == [r.domains for r in want], (near.kind, alpha)
 
 
 def test_evaluate_alphas_refuses_nearest_sample():
