@@ -10,8 +10,8 @@ differentiated once. Inside ``no_grad()`` the same ops record nothing: every
 Var they return is a leaf, so no vjp closure keeps its inputs or intermediates
 alive.
 
-Importing the module pins glibc's mmap and trim thresholds (see
-``_pin_allocator``).
+Importing the module pins glibc's mmap and trim thresholds and its arena
+count (see ``_pin_allocator``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 _recording = True
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameter ids
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8   # glibc's mallopt ids
 
 
 def _pin_allocator() -> None:
@@ -35,8 +35,11 @@ def _pin_allocator() -> None:
     mmap threshold are unmapped on free), so each step faults its pages in
     anew: about 40% slower training. Both thresholds are set because setting
     either turns the dynamic adjustment off; 32 MiB is the largest mmap
-    threshold glibc accepts on 64-bit. Where the C library has no
-    ``mallopt`` (not glibc) this does nothing.
+    threshold glibc accepts on 64-bit. One arena serves every thread: the
+    inference workers (``micro_net``) would otherwise each get an arena of
+    their own, whose freed pages the pinned trim threshold never gives back,
+    so each worker would add its chunks' memory to the peak. Where the C
+    library has no ``mallopt`` (not glibc) this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -46,6 +49,7 @@ def _pin_allocator() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _pin_allocator()

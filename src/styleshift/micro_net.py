@@ -20,12 +20,31 @@ and runs the rest on that output, and a second time on the unshifted
 features only when some sample is shifted at one alpha and kept at another.
 ``evaluate`` is its one-alpha call. nearest_sample, whose pool draws follow
 the samples an alpha shifts, is evaluated one alpha at a time.
+
+Both inference passes run their chunks as tasks on a thread pool of
+``_inference_workers`` threads, the usable CPUs divided by the BLAS threads:
+with BLAS at its default of one thread per CPU there is one, and the chunks
+run inline. numpy releases the GIL in the GEMMs and the array ops, so two
+workers on two CPUs run close to twice as fast. Each task runs in its own copy
+of the caller's context (numpy's ``errstate`` lives there), the shifts run in
+chunk order, so nearest_sample draws exactly as a sequential pass would, and
+the error raised is that of the earliest chunk. Of the package's functions
+the workers call only ``MicroNet.infer`` and ``shift_batch``; the rest run on
+the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -41,9 +60,55 @@ from .test_time_shift import ts_apply  # noqa: F401
 
 AUG_KINDS = ("none", "mixstyle", "dsu", "efdmix")
 
-# Samples per inference pass (evaluate and style_vectors_at). At 32 px block1's
-# im2col matrix of a chunk is 2.36 MB; chunks of 8 or 16 ran no faster.
-INFERENCE_CHUNK = 32
+# Samples per inference task (evaluate and style_vectors_at). At 32 px block1's
+# im2col matrix of a chunk is 1.18 MB, and each worker holds one chunk, so two
+# workers hold what one chunk of 32 did; sequentially, 16 runs as fast as 32.
+INFERENCE_CHUNK = 16
+
+
+@functools.cache
+def _blas_thread_count():
+    """The thread-count getter of the OpenBLAS that numpy's wheel bundles, or
+    None where there is none (another BLAS, or a numpy built without it)."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.argtypes, getter.restype = (), ctypes.c_int
+        return getter
+    return None
+
+
+def _inference_workers(chunks: int) -> int:
+    """Threads for ``chunks`` inference tasks: the usable CPUs over the BLAS
+    threads each GEMM may take, at least one and at most ``chunks``. One where
+    the BLAS thread count cannot be read: more workers than CPUs slow
+    inference down."""
+    getter = _blas_thread_count()
+    blas = getter() if getter is not None else 0
+    if blas < 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(chunks, (cpus or 1) // blas))
+
+
+def _chunk_results(n: int, task, size: int = INFERENCE_CHUNK):
+    """``task(chunk)`` for each ``size``-sample slice of ``range(n)``,
+    yielded in chunk order. With one worker the tasks run inline; otherwise on
+    a thread pool, each in its own copy of the caller's context. A task's
+    error is raised when its turn to be yielded comes, so the earliest chunk's
+    error is the one raised."""
+    chunks = [slice(start, start + size) for start in range(0, n, size)]
+    workers = _inference_workers(len(chunks))
+    if workers == 1:
+        yield from map(task, chunks)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        # a context can be entered by one thread at a time: one copy per task
+        futures = deque(pool.submit(contextvars.copy_context().run, task, sl) for sl in chunks)
+        while futures:
+            yield futures.popleft().result()
 
 
 @dataclass(frozen=True)
@@ -335,8 +400,8 @@ class MicroNet:
         h = np.asarray(x, dtype=np.float64).transpose(1, 0, 2, 3)
         for i in range(first, len(self.config.blocks)):
             blk = self.config.blocks[i]
-            h, _ = ad.conv_cm(ad.pad_cm(h, 1), self.params[f"conv{i}_w"],
-                              self.params[f"conv{i}_b"], blk.stride)
+            h = ad.conv_cm(ad.pad_cm(h, 1), self.params[f"conv{i}_w"],  # frees the patches
+                           self.params[f"conv{i}_b"], blk.stride)[0]
             np.maximum(h, 0.0, out=h)
             if blk.pool:
                 h = ad.pool2(h)
@@ -348,12 +413,13 @@ class MicroNet:
     def style_vectors_at(self, x, layer: str,
                          batch_size: int = INFERENCE_CHUNK) -> np.ndarray:
         """Per-sample style vectors at one hook from tape-free passes that stop
-        at that hook."""
+        at that hook: the passes run as pool tasks (``_chunk_results``), the
+        style vectors on the calling thread in chunk order."""
         if layer not in self.hook_names:
             raise ConfigError(f"unknown hook {layer!r}")
         x = np.asarray(x, dtype=np.float64)
-        return np.concatenate([batch_style_vectors(self.infer(x[start:start + batch_size], layer))
-                               for start in range(0, x.shape[0], batch_size)], axis=0)
+        return np.concatenate([batch_style_vectors(h) for h in _chunk_results(
+            x.shape[0], lambda sl: self.infer(x[sl], layer), batch_size)], axis=0)
 
     # -- persistence ------------------------------------------------------
 
@@ -490,7 +556,11 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
     and kept by another. A sample's logits depend only on its own columns of
     each GEMM, at a fixed place in a chunk of a fixed size, so every alpha
     gets the bits of a call at that alpha alone. nearest_sample takes one
-    alpha only: its pool draws follow the samples that alpha shifts."""
+    alpha only: its pool draws follow the samples that alpha shifts.
+
+    Each chunk is one task of ``_chunk_results`` and writes only its own
+    columns of the tallies; a task shifts only after the chunk before it has,
+    so the rng draws in sample order whatever the number of workers."""
     if mode.kind == "nearest_sample" and len(alphas) != 1:
         raise ConfigError("nearest_sample draws pool members per shifted sample: "
                           "evaluate each alpha on its own")
@@ -512,13 +582,20 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
         always = mode.kind in ("shift_all", "single_domain")  # every sample at any alpha
     correct = np.empty((len(alphas), x.shape[0]), dtype=bool)
     shifted = np.zeros((len(alphas), x.shape[0]), dtype=bool)
-    for start in range(0, x.shape[0], INFERENCE_CHUNK):
-        sl = slice(start, start + INFERENCE_CHUNK)
+    shifts_done = [threading.Event() for _ in range(0, x.shape[0], INFERENCE_CHUNK)]
+
+    def run_chunk(sl):
+        turn = sl.start // INFERENCE_CHUNK
         feats, moves = x[sl], shifted[:, sl]  # moves: (alphas, chunk)
-        if hook is not None:
-            kept = net.infer(feats, hook)
-            feats, decisions = shift_batch(kept, registry, min(alphas), mode, sample_pool, rng)
-            moves[:] = decisions.shifted if always else decisions.avg_distance > thresholds
+        try:  # passes the turn on also when this chunk raises, so no later one waits forever
+            if hook is not None:
+                kept = net.infer(feats, hook)
+                if turn:
+                    shifts_done[turn - 1].wait()  # shifts run in chunk order: the rng's draws
+                feats, decisions = shift_batch(kept, registry, min(alphas), mode, sample_pool, rng)
+                moves[:] = decisions.shifted if always else decisions.avg_distance > thresholds
+        finally:
+            shifts_done[turn].set()
         logits = [net.infer(feats, start=hook)]  # shift_batch leaves the rows it keeps as given
         if (moves.any(axis=0) & ~moves.all(axis=0)).any():  # shifted at one alpha, kept at another
             logits.append(net.infer(kept, start=hook))
@@ -526,8 +603,11 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
         right = [z.argmax(axis=1) == y[sl] for z in logits]
         if not np.where(moves, finite[0], finite[-1]).all():
             raise DivergenceError(
-                f"non-finite logits in the evaluation batch starting at sample {start}")
+                f"non-finite logits in the evaluation batch starting at sample {sl.start}")
         correct[:, sl] = np.where(moves, right[0], right[-1])
+
+    for _ in _chunk_results(x.shape[0], run_chunk):
+        pass
     ids, dom_index = np.unique(doms, return_inverse=True)
     tallies = [[np.bincount(dom_index[keep], minlength=ids.size).tolist()
                 for keep in (slice(None), right, moved)] for right, moved in zip(correct, shifted)]

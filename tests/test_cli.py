@@ -473,14 +473,16 @@ def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch, extra):
 def _sweep_evaluation_convs(tmp_path, monkeypatch, values: str):
     """Sweep ``values`` in proposed mode at block1 over 108 test images. Returns
     the conv calls made inside ``evaluate_alphas`` by weight shape, the number
-    of ``evaluate`` calls, the sweep's rows and the number of test chunks."""
+    of ``evaluate`` calls, the sweep's rows and the number of test chunks.
+    The convs run on the inference workers, so each call appends its shape
+    (one atomic step) and the shapes are counted once the sweep is done."""
     from styleshift import autodiff as ad
-    convs, evals, inside = Counter(), [], []
+    shapes, evals, inside = [], [], []
     conv_cm, evaluate_alphas = ad.conv_cm, mn.evaluate_alphas
 
     def counted_conv(xp, w, *args):
         if inside:
-            convs[w.shape] += 1
+            shapes.append(w.shape)
         return conv_cm(xp, w, *args)
 
     def marked(*args, **kwargs):
@@ -498,8 +500,8 @@ def _sweep_evaluation_convs(tmp_path, monkeypatch, values: str):
     cfg = write_cfg(tmp_path, "exp.json", doc)
     assert run(tmp_path, "sweep", "--config", cfg, "--param", "alpha",
                "--values", values, "--out-csv", "sweep.csv") == 0
-    chunks = -(-12 * 3 * 3 // mn.INFERENCE_CHUNK)  # 108 test samples: 4 chunks
-    return convs, evals, read_rows(tmp_path / "sweep.csv"), chunks
+    chunks = -(-12 * 3 * 3 // mn.INFERENCE_CHUNK)  # 108 test samples: 7 chunks
+    return Counter(shapes), evals, read_rows(tmp_path / "sweep.csv"), chunks
 
 
 def test_alpha_sweep_runs_the_prefix_once_and_the_rest_twice_per_chunk(tmp_path, monkeypatch):

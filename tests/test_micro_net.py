@@ -1,8 +1,10 @@
+import contextlib
 import ctypes
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from dataclasses import asdict
@@ -697,6 +699,186 @@ def test_evaluate_alphas_refuses_nearest_sample():
     reg = ts.registry_from_styles(net.style_vectors_at(x, "block1"), d, "block1")
     with pytest.raises(ConfigError):
         mn.evaluate_alphas(net, x, y, d, reg, ts.nearest_sample(5), [0.0, 1.0])
+
+
+# -- inference workers -----------------------------------------------------------
+
+@contextlib.contextmanager
+def forced_workers(k):
+    """``k`` inference workers (at most one per chunk), whatever the CPUs and
+    the BLAS thread count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mn, "_inference_workers", lambda chunks: min(k, chunks))
+        yield mp
+
+
+@settings(max_examples=15, deadline=None)
+@given(config=inference_nets(), seed=st.integers(0, 2**16), n=st.integers(1, 70),
+       data=st.data())
+def test_more_workers_give_the_same_bits(config, seed, n, data):
+    """With 1, 2 or 3 inference workers, ``evaluate_alphas`` gives the tallies
+    of the chunk-by-chunk ``evaluate_at`` in every mode, nearest_sample with
+    the same pool draws and rng end state, and ``style_vectors_at`` the bytes
+    of a sequential loop. The shifts run in chunk order even though the first
+    chunk's shift is held back: a later chunk that did not wait for its turn
+    would shift first."""
+    net = mn.MicroNet.init(config, seed=seed)
+    layer = data.draw(st.sampled_from(config.hook_names), label="layer")
+    rng = RNG(seed)
+    size = config.image_size
+    shape = (config.in_channels, size, size)
+    src_doms = np.repeat(np.arange(3), 4)
+    x_src = rng.uniform(size=(src_doms.size, *shape)) * (1.0 + src_doms)[:, None, None, None]
+    reg = ts.build_registry(net, x_src, src_doms, layer)
+    one = ts.build_registry(net, x_src, np.zeros(src_doms.size, dtype=int), layer)
+    x = rng.uniform(size=(n, *shape)) * rng.uniform(0.1, 3.0, size=(n, 1, 1, 1))
+    y = rng.integers(0, config.n_classes, n)
+    d = rng.integers(0, 3, n)
+    parts = [net.infer(x[s:s + mn.INFERENCE_CHUNK], layer) for s in range(0, n, mn.INFERENCE_CHUNK)]
+    styles = np.concatenate([batch_style_vectors(p) for p in parts])
+    hooked = [p.tobytes() for p in parts]
+    ratio = np.array([ts.decide(p, reg, 0.0).avg_distance for p in styles]) \
+        / max(reg.spread, 1e-300)
+    alphas = [0.0, float(np.median(ratio)), None]
+    shifted_chunks = []
+
+    def held_shift(feats, *args):
+        if feats.tobytes() == hooked[0]:
+            time.sleep(0.01)
+        shifted_chunks.append(feats.tobytes())
+        return ts.shift_batch(feats, *args)
+
+    pool, near = net.style_vectors_at(x_src, layer), ts.nearest_sample(3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the workers swap often, so a lost update would show
+    try:
+        for k in (1, 2, 3):
+            with forced_workers(k) as mp:
+                mp.setattr(mn, "shift_batch", held_shift)
+                assert net.style_vectors_at(x, layer).tobytes() == styles.tobytes(), k
+                for mode, registry in ((ts.OFF, reg), (ts.PROPOSED, reg), (ts.SHIFT_ALL, reg),
+                                       (ts.SINGLE_DOMAIN, one)):
+                    shifted_chunks.clear()
+                    got = mn.evaluate_alphas(net, x, y, d, registry, mode, alphas)
+                    want = [evaluate_at(net, x, y, d, registry, mode, alpha) for alpha in alphas]
+                    assert [r.domains for r in got] == [r.domains for r in want], (k, mode.kind)
+                    assert shifted_chunks == ([] if mode.kind == "off" else hooked), \
+                        (k, mode.kind)
+                for alpha in alphas:
+                    shifted_chunks.clear()
+                    got_rng, want_rng = RNG(seed + 1), RNG(seed + 1)
+                    got = mn.evaluate(net, x, y, d, reg, near, alpha, pool, got_rng)
+                    want = evaluate_at(net, x, y, d, reg, near, alpha, pool, want_rng)
+                    assert got.domains == want.domains, (k, alpha)
+                    assert shifted_chunks == hooked, (k, alpha)
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state, (k, alpha)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+RAISING_CHUNKS = """
+import json, sys, warnings
+import numpy as np
+from styleshift import micro_net as mn
+from styleshift import test_time_shift as ts
+from styleshift.tensor_core import batch_style_vectors
+
+warnings.simplefilter("error")  # a warning that escapes a worker is raised in its place
+net = mn.MicroNet.init(mn.NetConfig(image_size=8), seed=70)
+net.params["head_w"][:] = 1e308
+c = mn.INFERENCE_CHUNK
+x = np.zeros((4 * c, 1, 8, 8))  # zero images: zero features, and the head gives its bias
+x[c:3 * c] = 1.0                # chunks 1 and 2 overflow in the head
+labels = np.zeros(4 * c, dtype=int)
+doms = np.repeat([0, 1, 2], 4)
+src = np.random.Generator(np.random.PCG64(71)).uniform(size=(12, 1, 8, 8))
+src *= (1.0 + doms)[:, None, None, None]
+reg = ts.registry_from_styles(batch_style_vectors(net.infer(src, "block1")), doms, "block1")
+poisoned = x.copy()
+poisoned[c:2 * c] = np.inf      # chunk 1's features are not finite: its shift raises
+got = {}
+for k in (1, 2, 3):
+    mn._inference_workers = lambda chunks, k=k: min(k, chunks)
+    for case, run in (("logits", lambda: mn.evaluate(net, x, labels, labels)),
+                      ("shift", lambda: mn.evaluate(net, poisoned, labels, labels, reg,
+                                                    ts.PROPOSED, alpha=1e6))):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                run()
+            got[f"{case} {k}"] = None
+        except Exception as exc:
+            got[f"{case} {k}"] = [type(exc).__name__, str(exc)]
+print(json.dumps(got))
+"""
+
+
+def test_raising_chunks_raise_the_earliest_error_and_release_the_rest():
+    """With 1, 2 or 3 workers, and under the caller's ``np.errstate``:
+    - chunks 1 and 2 with non-finite logits raise the DivergenceError that
+      names chunk 1's start, and no overflow warning escapes a worker;
+    - chunk 1 failing in its shift, and chunk 2 in its logits, raise chunk
+      1's error, and the chunks behind it, which wait for its turn to shift,
+      still finish: the process ends within its timeout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", RAISING_CHUNKS], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    diverged = ["DivergenceError", "non-finite logits in the evaluation batch starting at "
+                f"sample {mn.INFERENCE_CHUNK}"]
+    not_finite = ["ValueError", "feature batch (B,C,H,W) contains non-finite values"]
+    assert json.loads(out.stdout) == {f"{case} {k}": want for k in (1, 2, 3) for case, want
+                                      in (("logits", diverged), ("shift", not_finite))}
+
+
+INFERENCE_PEAK = """
+import sys
+import numpy as np
+from styleshift import micro_net as mn
+from styleshift import test_time_shift as ts
+
+
+def peak_kib():  # unlike ru_maxrss, not raised to the RSS of the process that spawned this one
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+
+workers = int(sys.argv[1])
+mn._inference_workers = lambda chunks: min(workers, chunks)
+net = mn.MicroNet.init(mn.NetConfig(), seed=0)
+rng = np.random.Generator(np.random.PCG64(0))
+reg = ts.registry_from_styles(rng.uniform(0.05, 1.0, (30, 16)), np.repeat([0, 1, 2], 10), "block1")
+room = np.ones(1 << 20)  # 8 MiB, freed below the images: the room a freed test split leaves
+x = rng.uniform(size=(448, 1, 32, 32))
+x *= rng.uniform(0.5, 3.5, (448, 1, 1, 1))
+y, d = rng.integers(0, 7, 448), rng.integers(0, 3, 448)
+del room
+before = peak_kib()
+mn.evaluate(net, x, y, d, reg, ts.PROPOSED, 1.0)
+print(peak_kib() - before)
+"""
+
+
+def test_two_inference_workers_keep_the_peak_near_one():
+    """In a fresh process that has freed 8 MiB below its 448 test images of
+    32 px, an evaluation in proposed mode raises the peak RSS by under 5 MiB
+    more with two workers than with one (0.5-2.8 MB more, measured): the
+    two workers' chunks of 16 share the one malloc arena and mostly fit in
+    the freed room, as one chunk of 32 does. With an arena per thread, or two
+    workers on chunks of 32, the second worker added 7.6 MB or more."""
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        pytest.skip("this C library has no mallopt")
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    one, two = (int(subprocess.run([sys.executable, "-c", INFERENCE_PEAK, str(k)], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+                for k in (1, 2))
+    assert two - one < 5 * 1024, (one, two)
 
 
 @pytest.mark.parametrize("mode", [ts.OFF, ts.PROPOSED])

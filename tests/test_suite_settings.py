@@ -1,8 +1,12 @@
-"""The pytest settings in pyproject.toml report every failing test and go on."""
+"""The suite's settings: pyproject.toml's pytest settings report every failing
+test and go on, and conftest.py runs BLAS on one thread."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -33,3 +37,16 @@ def test_a_failing_property_is_reported_and_the_session_goes_on(tmp_path):
     assert run.returncode == 1, out
     assert "INTERNALERROR" not in out
     assert "Falsifying example" in out and "1 failed, 1 passed" in out, out
+
+
+def test_the_suite_runs_blas_on_one_thread():
+    """conftest.py pins BLAS to one thread before numpy loads, so inference
+    sizes its pool at one worker per usable CPU (where numpy's bundled
+    OpenBLAS reports its thread count)."""
+    from styleshift import micro_net as mn
+    getter = mn._blas_thread_count()
+    if getter is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
+    assert getter() == 1
+    assert mn._inference_workers(1000) == len(os.sched_getaffinity(0))
+    assert mn._inference_workers(1) == 1
