@@ -26,12 +26,11 @@ from .experiment import (
     DataConfig,
     EvalConfig,
     ExperimentConfig,
-    eval_stage,
+    evaluate_rows,
     fitted_net,
     generate_data,
     load_split,
     method_label,
-    pool_domains,
     registry_stage,
     run_seed,
     shift_mode_from_name,
@@ -141,14 +140,9 @@ def cmd_eval(args) -> int:
     manifest, root = _load_dataset(workdir, args.dataset)
     label = args.method_label or method_label(net.tags.sb, mode.kind, net.tags.aug)
     t0 = time.perf_counter()
-    pool = None
-    if mode.kind == "nearest_sample":
-        pool_images, _, _ = load_split(manifest, root, "train",
-                                       pool_domains(manifest, registry))
-        pool = net.style_vectors_at(pool_images, registry.layer)
-    test = load_split(manifest, root, "test")
-    rows = eval_stage(net, registry, manifest, test, mode, flags.alpha, pool,
-                      np.random.Generator(np.random.PCG64(args.seed)), label, net.tags.seed)
+    rows = evaluate_rows(net, registry, manifest, root, load_split(manifest, root, "test"), mode,
+                         [flags.alpha], lambda: np.random.Generator(np.random.PCG64(args.seed)),
+                         label, net.tags.seed)[0]
     out = workdir / args.out_csv
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, EVAL_COLUMNS, rows)

@@ -3,7 +3,7 @@
 One experiment seed runs the full pipeline: generate the synthetic dataset,
 optionally replace domain labels with pseudo labels, train the classifier
 (``train_stage``), summarize source styles into a registry, then evaluate every
-test domain under the configured shift mode (``eval_stage``). Everything is
+test domain under the configured shift mode (``evaluate_rows``). Everything is
 deterministic given the seed.
 """
 
@@ -118,8 +118,8 @@ def split_domains(manifest: dd.DatasetManifest, protocol: str) -> list[int]:
 def pool_domains(manifest: dd.DatasetManifest, registry: tts.DomainRegistry) -> list[int]:
     """The source domains whose training images form the nearest-sample pool:
     those the registry names, or every source domain for a registry of
-    pseudo-label clusters, which names none. ``eval`` and ``run_seed`` both
-    pool by this rule, so they agree under either protocol."""
+    pseudo-label clusters, which names none. ``evaluate_rows`` pools by this
+    rule for ``eval`` and ``run_seed`` alike, under either protocol."""
     named = [d for d in manifest.source_domains if manifest.styles[d].name in registry.names]
     return named or manifest.source_domains
 
@@ -180,34 +180,36 @@ def registry_stage(net: mn.MicroNet, split, layer: str, alpha: float | None,
     return tts.registry_from_styles(styles, doms, layer, alpha, names), styles
 
 
-def _domain_rows(manifest: dd.DatasetManifest, result: mn.EvalResult, label: str,
-                 seed: int) -> list[dict]:
-    return [{"method": label, "target": manifest.styles[dom].name, "seed": seed,
-             "accuracy": result.accuracy(dom), "shift_rate": result.shift_rate(dom)}
-            for dom in sorted(result.domains)]
-
-
-def eval_stage(net: mn.MicroNet, registry: tts.DomainRegistry,
-               manifest: dd.DatasetManifest, test, mode: tts.ShiftMode,
-               alpha: float | None, pool, rng: np.random.Generator,
-               label: str, seed: int) -> list[dict]:
+def evaluate_rows(net: mn.MicroNet, registry: tts.DomainRegistry,
+                  manifest: dd.DatasetManifest, root, test, mode: tts.ShiftMode,
+                  alphas: list[float | None], new_rng, label: str, seed: int,
+                  pool=None) -> list[list[dict]]:
     """One result row per test domain of ``test`` (images, classes, domain
-    ids). Nearest-sample mode draws from ``pool``, style vectors at the
-    registry's layer; other modes ignore it."""
-    xte, yte, dte = test
-    result = mn.evaluate(net, xte, yte, dte, registry=registry, mode=mode,
-                         alpha=alpha, sample_pool=pool, rng=rng)
-    return _domain_rows(manifest, result, label, seed)
+    ids) for each of ``alphas`` (None is the registry's), by
+    ``evaluate_alphas``: one call for every alpha, except in nearest_sample
+    mode, whose pool draws follow the samples an alpha shifts, so it makes one
+    call per alpha, each with a fresh rng from ``new_rng()``. Only that mode
+    uses a pool: ``pool``, style vectors at the registry's layer, or if None
+    those of the ``pool_domains`` training images under ``root``."""
+    groups = [alphas]
+    if mode.kind == "nearest_sample":
+        groups = [[alpha] for alpha in alphas]
+        if pool is None:
+            images = load_split(manifest, root, "train", pool_domains(manifest, registry))[0]
+            pool = net.style_vectors_at(images, registry.layer)
+    return [[{"method": label, "target": manifest.styles[dom].name, "seed": seed,
+              "accuracy": result.accuracy(dom), "shift_rate": result.shift_rate(dom)}
+             for dom in sorted(result.domains)]
+            for group in groups
+            for result in mn.evaluate_alphas(net, *test, registry, mode, group, pool, new_rng())]
 
 
 @dataclass
 class SeedOutcome:
     seed: int
     manifest: dd.DatasetManifest
-    test: tuple[np.ndarray, np.ndarray, np.ndarray]   # images, classes, domain ids
     net: mn.MicroNet
     registry: tts.DomainRegistry
-    pool: np.ndarray   # nearest-sample pool: style vectors of ``pool_domains``' training images
     rows_per_alpha: list[list[dict]]   # one row per test domain, for each alpha evaluated
     wall_time: float
 
@@ -218,22 +220,6 @@ class SeedOutcome:
         return self.rows_per_alpha[0]
 
 
-def evaluate_seed(cfg: ExperimentConfig, outcome: SeedOutcome,
-                  alphas: list[float | None]) -> list[list[dict]]:
-    """Rows of cfg's evaluation of a trained seed at each of ``alphas`` (None
-    is the registry's) by ``evaluate_alphas``; only ``cfg.eval`` may differ
-    from the training config."""
-    mode = shift_mode_from_name(cfg.eval.mode, cfg.eval.pool_size)
-    seed = outcome.seed
-    label = method_label(cfg.train.sb, mode.kind, cfg.train.aug)
-    # nearest_sample's pool draws follow the samples an alpha shifts, so it
-    # evaluates one alpha per call, each with a fresh rng, as a one-alpha run does
-    groups = [[alpha] for alpha in alphas] if mode.kind == "nearest_sample" else [alphas]
-    return [_domain_rows(outcome.manifest, result, label, seed) for group in groups
-            for result in mn.evaluate_alphas(outcome.net, *outcome.test, outcome.registry, mode,
-                                             group, outcome.pool, _pool_rng(seed))]
-
-
 def _pool_rng(seed: int) -> np.random.Generator:  # a fresh stream for each evaluation
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x9001])))
 
@@ -242,21 +228,21 @@ def run_seed(cfg: ExperimentConfig, seed: int, workdir,
              alphas: list[float | None] | None = None) -> SeedOutcome:
     """One seed end to end: generate the data, train, summarize, evaluate at
     cfg's alpha, or at each of ``alphas``: an alpha sweep trains a seed once
-    and evaluates it once (``evaluate_seed``)."""
+    and evaluates it once (``evaluate_rows``)."""
     start = time.perf_counter()
     data_dir = Path(workdir) / f"data_seed{seed}"
     manifest = generate_data(cfg.data, data_dir, seed)
     net, _, split = train_stage(cfg, manifest, data_dir, seed)
-    registry, pool = registry_stage(net, split, cfg.eval.layer, cfg.eval.alpha,
-                                    cfg.pseudo_labels)
-    pooled = pool_domains(manifest, registry)
-    if pooled != split_domains(manifest, cfg.protocol):  # pseudo labels of one domain
-        pool = net.style_vectors_at(load_split(manifest, data_dir, "train", pooled)[0],
-                                    registry.layer)
+    registry, styles = registry_stage(net, split, cfg.eval.layer, cfg.eval.alpha,
+                                      cfg.pseudo_labels)
+    # the split's style vectors are the pool unless the split is one domain's
+    # images clustered into pseudo labels, whose pool is every source domain's
+    split_is_pool = pool_domains(manifest, registry) == split_domains(manifest, cfg.protocol)
     test = load_split(manifest, data_dir, "test")  # after training: not in its peak
-    outcome = SeedOutcome(seed=seed, manifest=manifest, test=test, net=net,
-                          registry=registry, pool=pool, rows_per_alpha=[], wall_time=0.0)
-    outcome.rows_per_alpha = evaluate_seed(cfg, outcome, [cfg.eval.alpha] if alphas is None
-                                           else alphas)
-    outcome.wall_time = time.perf_counter() - start
-    return outcome
+    mode = shift_mode_from_name(cfg.eval.mode, cfg.eval.pool_size)
+    rows = evaluate_rows(net, registry, manifest, data_dir, test, mode,
+                         [cfg.eval.alpha] if alphas is None else alphas, lambda: _pool_rng(seed),
+                         method_label(cfg.train.sb, mode.kind, cfg.train.aug), seed,
+                         styles if split_is_pool else None)
+    return SeedOutcome(seed=seed, manifest=manifest, net=net, registry=registry,
+                       rows_per_alpha=rows, wall_time=time.perf_counter() - start)

@@ -343,13 +343,12 @@ class MicroNet:
     def param_order(self) -> tuple[str, ...]:
         return tuple(self.config.param_shapes)
 
-    def forward(self, x, hook_ops=None, from_hook: str | None = None) -> ForwardResult:
+    def forward(self, x, hook_ops=None) -> ForwardResult:
         """Run the network, recording its graph, applying hook operations in
         their listed order: the training and finite-difference pass.
 
         Images enter as a constant, so no gradient is formed for them unless
-        x is a Var. ``from_hook`` treats x as the raw hook input at that point
-        and runs only the remainder of the network (used by gradient checks).
+        x is a Var.
         """
         by_hook: dict[str, list] = {}
         for name, op in hook_ops or []:
@@ -357,20 +356,14 @@ class MicroNet:
                 raise ConfigError(f"unknown hook {name!r}")
             by_hook.setdefault(name, []).append(op)
         pv = {name: Var(val) for name, val in self.params.items()}
-        h = x if from_hook is None else ad.as_var(x)
+        h = x
         hook_inputs: dict[str, Var] = {}
-        started = from_hook is None
         for i, blk in enumerate(self.config.blocks):
             name = f"block{i + 1}"
-            if started:
-                h = ad.conv2d(h, pv[f"conv{i}_w"], pv[f"conv{i}_b"], stride=blk.stride, pad=1)
-                h = ad.relu(h)
-                if blk.pool:
-                    h = ad.avg_pool2(h)
-            elif name == from_hook:
-                started = True
-            else:
-                continue
+            h = ad.conv2d(h, pv[f"conv{i}_w"], pv[f"conv{i}_b"], stride=blk.stride, pad=1)
+            h = ad.relu(h)
+            if blk.pool:
+                h = ad.avg_pool2(h)
             hook_inputs[name] = h
             for op in by_hook.get(name, []):
                 h = op(h)

@@ -12,6 +12,14 @@ from styleshift.micro_net import AUG_KINDS, BlockSpec, CheckpointTags, MicroNet,
 from styleshift.tensor_core import from_json
 
 
+def peak_kib() -> int:
+    """This process's peak RSS in KiB, read from ``VmHWM`` in /proc/self/status.
+    Unlike ``ru_maxrss``, it is not raised to the RSS of the process that
+    started this one, so a child of a large test process measures itself."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+
 def fd_grad(fn, x, step=1e-5):
     """Central-difference gradient of a scalar function of an array."""
     x = np.asarray(x, dtype=np.float64)

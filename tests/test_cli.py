@@ -570,29 +570,62 @@ def test_single_domain_mode_through_cli(tmp_path):
     assert all(float(r["shift_rate"]) == 1.0 for r in rows)
 
 
-def test_nearest_sample_pool_agrees_between_cli_and_run_seed(tmp_path):
-    """Under the single-domain protocol ``eval`` pools the training images of
-    the domains its registry names, as ``run_seed`` does, so both give the
-    same nearest-sample rows. The pool size covers the whole pool, so every
-    draw is the whole pool in some order and the two paths' different pool
-    seeds pick the same nearest member."""
+@pytest.mark.parametrize("protocol, ev, rates", [
+    pytest.param("leave_one_out", {"mode": "off", "layer": "block1"}, (0.0, 0.0, 0.0), id="off"),
+    pytest.param("leave_one_out", {"mode": "proposed", "layer": "block1", "alpha": 3.0},
+                 (0.0, 0.0, 1.0), id="proposed"),
+    pytest.param("leave_one_out", {"mode": "shift-all", "layer": "block1"}, (1.0, 1.0, 1.0),
+                 id="shift_all"),
+    pytest.param("single_domain", {"mode": "nearest-sample", "layer": "block1", "alpha": 0.0,
+                                   "pool_size": 1000}, (1.0, 1.0, 1.0), id="nearest-sample")])
+def test_eval_agrees_with_run_seed_in_every_mode(tmp_path, protocol, ev, rates):
+    """``eval`` of ``run_seed``'s network, with the registry ``stats`` builds
+    from its data, gives ``run_seed``'s rows byte for byte in every mode, with
+    the shift rates of the plain, bright and far domains given: proposed at
+    alpha 3 shifts the far target and keeps both sources. Under the
+    single-domain protocol ``eval`` pools the training images of the domains
+    its registry names, as ``run_seed`` does, so both give the same
+    nearest-sample rows. That pool size covers the whole pool, so every draw
+    is the whole pool in some order and the two paths' different pool seeds
+    pick the same nearest member."""
     from styleshift.experiment import run_seed
-    doc = {**SWEEP_CFG, "protocol": "single_domain", "seeds": [0],
-           "train": {"epochs": 3, "batch_size": 10, "lr": 0.05},
-           "eval": {"mode": "nearest-sample", "layer": "block1", "alpha": 0.0,
-                    "pool_size": 1000}}
+    doc = {**SWEEP_CFG, "protocol": protocol, "seeds": [0],
+           "train": {"epochs": 3, "batch_size": 10, "lr": 0.05}, "eval": ev}
     outcome = run_seed(from_json(ExperimentConfig, doc), 0, tmp_path)
     outcome.net.tags = mn.CheckpointTags(seed=0)
-    outcome.net.save(tmp_path / "sd.ckpt")
-    assert run(tmp_path, "stats", "--checkpoint", "sd.ckpt", "--dataset", "data_seed0",
-               "--layer", "block1", "--alpha", "0", "--single-domain",
-               "--out-registry", "sd_reg.json") == 0
-    assert run(tmp_path, "eval", "--checkpoint", "sd.ckpt", "--registry", "sd_reg.json",
-               "--mode", "nearest-sample", "--pool-size", "1000", "--dataset", "data_seed0",
+    outcome.net.save(tmp_path / "net.ckpt")
+    alpha = ["--alpha", str(ev["alpha"])] if "alpha" in ev else []
+    single = ["--single-domain"] if protocol == "single_domain" else []
+    pool_size = ["--pool-size", str(ev["pool_size"])] if "pool_size" in ev else []
+    assert run(tmp_path, "stats", "--checkpoint", "net.ckpt", "--dataset", "data_seed0",
+               "--layer", "block1", *alpha, *single, "--out-registry", "reg.json") == 0
+    assert run(tmp_path, "eval", "--checkpoint", "net.ckpt", "--registry", "reg.json",
+               "--mode", ev["mode"], *pool_size, "--dataset", "data_seed0",
                "--out-csv", "cli.csv") == 0
     cli.write_csv(tmp_path / "lib.csv", cli.EVAL_COLUMNS, outcome.rows)
-    assert all(float(r["shift_rate"]) == 1.0 for r in read_rows(tmp_path / "lib.csv"))
+    got = {r["target"]: float(r["shift_rate"]) for r in read_rows(tmp_path / "lib.csv")}
+    assert got == dict(zip(("plain", "bright", "far"), rates))
     assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+def test_run_seed_builds_no_pool_outside_nearest_sample(tmp_path, monkeypatch):
+    """In proposed mode, pseudo labels under the single-domain protocol pool
+    other domains than the split's, yet ``run_seed`` takes style vectors
+    once, for the registry: only nearest_sample draws from a pool."""
+    from styleshift.experiment import run_seed
+    layers = []
+    style_vectors_at = mn.MicroNet.style_vectors_at
+
+    def spy(net, x, layer, *args, **kwargs):
+        layers.append(layer)
+        return style_vectors_at(net, x, layer, *args, **kwargs)
+
+    monkeypatch.setattr(mn.MicroNet, "style_vectors_at", spy)
+    doc = {**SWEEP_CFG, "protocol": "single_domain", "pseudo_labels": 2, "seeds": [0],
+           "train": {"epochs": 1, "batch_size": 10, "lr": 0.05},
+           "eval": {"mode": "proposed", "layer": "block1"}}
+    run_seed(from_json(ExperimentConfig, doc), 0, tmp_path)
+    assert layers == ["block1"]
 
 
 def test_sweep_keep_fraction_regenerates_data(tmp_path):

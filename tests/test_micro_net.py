@@ -116,15 +116,6 @@ def test_forward_rejects_unknown_hook():
         net.forward(np.zeros((1, 1, 8, 8)), hook_ops=[("block9", lambda v: v)])
 
 
-def test_forward_from_hook_matches_full_forward():
-    net = mn.MicroNet.init(TINY, seed=6)
-    x = RNG(7).normal(size=(2, 1, 8, 8))
-    full = net.forward(x)
-    feats = full.hook_inputs["block1"].value
-    tail = net.forward(feats, from_hook="block1")
-    np.testing.assert_allclose(tail.logits.value, full.logits.value, atol=1e-12)
-
-
 # -- backward ---------------------------------------------------------------------
 
 def test_zero_upstream_gradient_gives_zero_param_grads():
@@ -232,7 +223,8 @@ def test_finite_difference_with_mixstyle_and_dsu_hooks():
 
 def test_sb_hook_gradient_to_moved_sample_is_identity_path():
     # gradient w.r.t. the hook input of a moved sample equals the gradient of
-    # the identity path (coefficient 1): compare against a no-hook tail pass
+    # the identity path (coefficient 1): compare against a pass whose block1
+    # output is the replayed transform of a second leaf
     net = mn.MicroNet.init(TINY, seed=23)
     rng = RNG(24)
     x = rng.normal(size=(6, 1, 8, 8))
@@ -242,18 +234,20 @@ def test_sb_hook_gradient_to_moved_sample_is_identity_path():
     full = net.forward(x)
     feats = full.hook_inputs["block1"].value
 
+    # the first block1 op swaps the hook input for a leaf Var of its values, and
+    # hook ops run in their listed order, so the SB op transforms the leaf
     op = mn.SbHookOp(meta, RNG(25))
     leaf = Var(feats.copy())
-    res = net.forward(leaf, from_hook="block1", hook_ops=[("block1", op)])
+    res = net.forward(x, hook_ops=[("block1", lambda _: leaf), ("block1", op)])
     ad.softmax_cross_entropy(res.logits, y).backward()
     assert op.plan.moves
     moved = op.plan.moves[0].sample
 
     # a second call replays the transform with the moved row's carriers frozen,
     # treating the mixed value as a constant: the identity-path gradient is
-    # what a plain tail pass produces on the transformed features
+    # what the rest of the network gives on the transformed features
     leaf2 = Var(feats.copy())
-    res2 = net.forward(op(leaf2), from_hook="block1")
+    res2 = net.forward(x, hook_ops=[("block1", lambda _: op(leaf2))])
     ad.softmax_cross_entropy(res2.logits, y).backward()
     carriers = {op.plan.moves[0].carrier1, op.plan.moves[0].carrier2}
     assert moved not in carriers
@@ -834,14 +828,9 @@ def test_raising_chunks_raise_the_earliest_error_and_release_the_rest():
 INFERENCE_PEAK = """
 import sys
 import numpy as np
+from helpers import peak_kib
 from styleshift import micro_net as mn
 from styleshift import test_time_shift as ts
-
-
-def peak_kib():  # unlike ru_maxrss, not raised to the RSS of the process that spawned this one
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-
 
 workers = int(sys.argv[1])
 mn._inference_workers = lambda chunks: min(workers, chunks)
@@ -872,9 +861,9 @@ def test_two_inference_workers_keep_the_peak_near_one():
         pytest.skip("this C library has no mallopt")
     if not Path("/proc/self/status").is_file():
         pytest.skip("no /proc/self/status to read the peak RSS from")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    tests_dir = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")])}
     one, two = (int(subprocess.run([sys.executable, "-c", INFERENCE_PEAK, str(k)], env=env,
                                    capture_output=True, text=True, check=True).stdout)
                 for k in (1, 2))
