@@ -6,9 +6,7 @@ with broadcasting, axis reductions, conv/pool/linear layers and a fused
 softmax cross-entropy. Gradients accumulate on leaf variables (those without
 a vjp) after calling ``backward`` on a scalar; intermediate gradients are not
 kept, and ``backward`` frees the graph as it sweeps it, so a graph can be
-differentiated once. Inside ``no_grad()`` the same ops record nothing: every
-Var they return is a leaf, so no vjp closure keeps its inputs or intermediates
-alive.
+differentiated once.
 
 Importing the module pins glibc's mmap and trim thresholds and its arena
 count (see ``_pin_allocator``).
@@ -17,11 +15,8 @@ count (see ``_pin_allocator``).
 from __future__ import annotations
 
 import ctypes
-from contextlib import contextmanager
 
 import numpy as np
-
-_recording = True
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8   # glibc's mallopt ids
 
@@ -60,18 +55,6 @@ def _spent(g):
                        "already freed; run the forward again")
 
 
-@contextmanager
-def no_grad():
-    """Run ops without recording the graph; the previous state is restored on
-    exit, also when the block raises."""
-    global _recording
-    previous, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = previous
-
-
 class Var:
     """A node in the computation graph holding a float64 array."""
 
@@ -81,8 +64,6 @@ class Var:
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        if not _recording:
-            parents, vjp = (), None
         self._parents = parents
         self._vjp = vjp  # maps upstream grad -> tuple of parent grads
 
@@ -240,11 +221,8 @@ def sum_axes(a, axes, keepdims: bool = True) -> Var:
 
 def relu(a) -> Var:
     a = as_var(a)
-    out = np.maximum(a.value, 0.0)
-    if not _recording:
-        return Var(out)
     mask = a.value > 0
-    return Var(out, (a,), lambda g: (g * mask,))
+    return Var(np.maximum(a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
 def clamp_min(a, floor: float) -> Var:

@@ -260,6 +260,23 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], x_label: str,
     return "\n".join(parts)
 
 
+def _report_cell(row: dict, col: str, where: str) -> str:
+    if row[col] is None:  # csv.DictReader's fill for a row short of fields
+        raise ConfigError(f"{where}: no value in column {col!r}; the row has fewer fields "
+                          f"than the header")
+    return row[col]
+
+
+def _report_number(text: str, col: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise ConfigError(f"{where}: column {col!r} holds {text!r}, not a finite number")
+    return value
+
+
 def cmd_report(args) -> int:
     workdir = Path(args.workdir)
     in_path = workdir / args.in_csv
@@ -273,11 +290,14 @@ def cmd_report(args) -> int:
     for col in (args.x_col, args.y_col):
         if col not in rows[0]:
             raise ConfigError(f"column {col!r} not in {sorted(rows[0])}")
+    by_series = bool(args.series_col) and args.series_col in rows[0]
     groups: dict[tuple[str, float], list[float]] = {}
-    for row in rows:
-        series = row.get(args.series_col, "all") if args.series_col else "all"
-        key = (series, float(row[args.x_col]))
-        groups.setdefault(key, []).append(float(row[args.y_col]))
+    for i, row in enumerate(rows, 1):
+        where = f"{in_path} data row {i}"
+        series = _report_cell(row, args.series_col, where) if by_series else "all"
+        x, y = (_report_number(_report_cell(row, col, where), col, where)
+                for col in (args.x_col, args.y_col))
+        groups.setdefault((series, x), []).append(y)
     means = [{"series": s, args.x_col: x,
               f"mean_{args.y_col}": float(np.mean(vals)), "n": len(vals)}
              for (s, x), vals in sorted(groups.items())]

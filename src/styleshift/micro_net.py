@@ -636,10 +636,9 @@ def finite_difference_check(net: MicroNet, x, y, hook_ops=None, n_coords: int = 
     loss.backward()
     grads = {name: res.param_vars[name].grad for name in net.params}
 
-    def loss_at() -> float:  # reads only the value, so records no graph
-        with ad.no_grad():
-            r = net.forward(x, hook_ops)
-            return float(ad.softmax_cross_entropy(r.logits, y).value)
+    def loss_at() -> float:  # reads only the value; the graph is dropped on return
+        r = net.forward(x, hook_ops)
+        return float(ad.softmax_cross_entropy(r.logits, y).value)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     names = sorted(net.params)

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, RegistryBuildError
-from .style_ops import adain, renormalize
-from .tensor_core import (batch_style_vectors, from_json, read_json, style_vector,
-                          style_vector_to_stats, write_json)
+from .style_ops import renormalize
+from .tensor_core import as_feature_map, batch_style_vectors, from_json, read_json, write_json
+# perfbench/tracer.py wraps ``adain`` and ``style_vector`` here by name, so they stay bound
+from .style_ops import adain  # noqa: F401
+from .tensor_core import style_vector  # noqa: F401
 
 DEFAULT_ALPHA = 3.0
 PSEUDO_LABEL_ALPHA = 2.0
@@ -161,41 +163,13 @@ def decide(phi_t, reg: DomainRegistry, alpha: float | None = None) -> ShiftDecis
 def ts_apply(f_t, reg: DomainRegistry, alpha: float | None = None,
              mode: ShiftMode = PROPOSED, sample_pool=None,
              rng: np.random.Generator | None = None):
-    """Apply one shift mode to a single feature map: the per-sample reference
-    that ``shift_batch``, the shifter evaluation runs, is checked against.
-
-    Returns (features, ShiftDecision). Off, proposed and nearest_sample decide
-    with ``alpha``; shift_all and single_domain decide with 0, so they shift
-    every sample. Off reports its decision but keeps the sample. A shifted
-    sample is renormalized (adain) to the nearest centroid, or in
-    nearest_sample mode to the closest of ``pool_size`` styles drawn from
-    ``sample_pool`` with ``rng``.
-    """
-    f_t = np.asarray(f_t, dtype=np.float64)
-    if mode.kind == "single_domain" and reg.n_domains != 1:
-        raise ConfigError("single_domain mode requires a one-domain registry")
-    always = mode.kind in ("shift_all", "single_domain")
-    phi = style_vector(f_t)
-    d = decide(phi, reg, 0.0 if always else alpha)
-    if mode.kind == "off" or not (d.shifted or always):
-        return f_t, ShiftDecision(False, None, d.avg_distance, d.threshold)
-    # decide keeps a sample only at distance 0 from every centroid, so for an
-    # always-shift mode centroid 0 is as near as any
-    target = 0 if d.target is None else d.target
-    phi_target = reg.centroids[target]
-    if mode.kind == "nearest_sample":
-        if sample_pool is None:
-            raise ConfigError("nearest_sample mode requires a sample_pool of style vectors")
-        pool = np.asarray(sample_pool, dtype=np.float64)
-        if pool.ndim != 2 or pool.shape[1] != reg.centroids.shape[1]:
-            raise DimensionError("sample_pool must be (M, 2C) matching the registry")
-        if rng is None:
-            raise ConfigError("nearest_sample mode requires an rng for pool draws")
-        cand = pool[rng.choice(pool.shape[0], size=min(mode.pool_size, pool.shape[0]),
-                               replace=False)]
-        phi_target = cand[int(np.argmin(np.linalg.norm(phi[None, :] - cand, axis=1)))]
-    return (adain(f_t, style_vector_to_stats(phi_target)),
-            ShiftDecision(True, target, d.avg_distance, d.threshold))
+    """``shift_batch`` on one (C, H, W) feature map: returns the map, shifted
+    or kept, and its ``ShiftDecision``, whose ``target`` is None where the
+    sample kept its style."""
+    out, d = shift_batch(as_feature_map(f_t)[None], reg, alpha, mode, sample_pool, rng)
+    target = int(d.target[0])
+    return out[0], ShiftDecision(bool(d.shifted[0]), None if target < 0 else target,
+                                 float(d.avg_distance[0]), d.threshold)
 
 
 @dataclass(frozen=True)
@@ -213,14 +187,19 @@ class BatchShift:
 def shift_batch(feats, reg: DomainRegistry, alpha: float | None = None,
                 mode: ShiftMode = PROPOSED, sample_pool=None,
                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, BatchShift]:
-    """``ts_apply`` over a (B, C, H, W) batch in one step: one moment
-    computation, one (B, N) distance matrix with its row means and argmins,
-    and one adain over the shifted rows, which reuses those moments.
+    """Apply one shift mode to a (B, C, H, W) batch: the one test-time shifter.
 
-    Row b of the output and of the decisions equals ``ts_apply(feats[b], ...)``
-    bit for bit. nearest_sample draws ``pool_size`` pool members per shifted
-    sample, in sample order, with the same ``rng.choice`` calls. A batch in
-    which no sample shifts is returned as given.
+    Returns (features, BatchShift). Off, proposed and nearest_sample decide
+    with ``alpha``; shift_all and single_domain decide with 0, so they shift
+    every sample. Off reports its decisions but keeps every sample. A shifted
+    sample is renormalized (adain) to its nearest centroid, or in
+    nearest_sample mode to the closest of ``pool_size`` styles drawn from
+    ``sample_pool`` with ``rng``, one ``rng.choice`` call per shifted sample
+    in sample order. The work is one moment computation, one (B, N) distance
+    matrix with its row means and argmins, and one adain over the shifted
+    rows, which reuses those moments; a batch in which no sample shifts is
+    returned as given. Row b and its decisions equal those of sample b shifted
+    alone (``ts_apply``), bit for bit.
     """
     phi = batch_style_vectors(feats)
     if phi.shape[1] != reg.centroids.shape[1]:
@@ -276,12 +255,14 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
     centers[0] = points[int(rng.integers(m))]
     for j in range(1, k):
         d2 = np.min(((points[:, None, :] - centers[None, :j, :]) ** 2).sum(axis=-1), axis=1)
-        total = d2.sum()
-        if total <= 0:
+        cum = np.cumsum(d2)
+        if cum[-1] <= 0:
             centers[j] = points[int(rng.integers(m))]
             continue
-        cut = rng.random() * total
-        centers[j] = points[int(np.searchsorted(np.cumsum(d2), cut))]
+        # the cut comes from the cumsum that is searched, so it never passes its
+        # end; side="right" skips the points at distance 0, the chosen centers
+        cut = rng.random() * cum[-1]
+        centers[j] = points[int(np.searchsorted(cum, cut, side="right"))]
 
     for _ in range(KMEANS_MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)

@@ -140,33 +140,6 @@ def test_relu_gradient_at_exact_zero():
     np.testing.assert_array_equal(xv.grad, [0.0, 0.0, 0.0, 1.0, 1.0])
 
 
-@settings(max_examples=30, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 6)), elements=finite))
-def test_no_grad_gives_the_same_values_as_leaves(x):
-    """Inside no_grad an op returns the value it records outside, as a leaf."""
-    with np.errstate(over="ignore"):  # drawn values near float64's limit overflow in mul
-        recorded = ad.relu(ad.mul(Var(x), 3.0) - 1.0)
-        with ad.no_grad():
-            plain = ad.relu(ad.mul(Var(x), 3.0) - 1.0)
-    assert plain.value.tobytes() == recorded.value.tobytes()
-    assert plain._vjp is None and plain._parents == ()
-    assert recorded._vjp is not None
-
-
-def test_no_grad_nests_and_restores_after_an_exception():
-    with pytest.raises(RuntimeError):
-        with ad.no_grad():
-            with ad.no_grad():
-                pass
-            assert ad.add(Var(1.0), 1.0)._vjp is None  # inner exit keeps outer state
-            raise RuntimeError
-    v = Var(2.0)
-    out = ad.mul(v, v)
-    assert out._vjp is not None
-    out.backward()
-    assert v.grad == 4.0
-
-
 def test_second_backward_through_a_freed_graph_raises():
     """backward frees the graph it sweeps; a second sweep that reaches a freed
     node raises instead of treating it as a leaf, and leaf grads stay put."""

@@ -1,0 +1,66 @@
+"""The verdicts of ``tools/bench_pairs.py`` on canned run values: no benchmark runs."""
+
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import bench_pairs
+    return bench_pairs
+
+
+def test_tight_runs_within_the_bound_are_ok(bench_pairs):
+    r = bench_pairs.verdict([1.00, 1.01, 0.99, 1.00, 1.02], [1.10, 1.09, 1.11, 1.08, 1.10],
+                            "lower", 0.25)
+    assert r["verdict"] == "ok"
+    assert (r["parent_median"], r["change_median"]) == (1.00, 1.10)
+    assert r["parent_quartile_distance"] == pytest.approx(0.01)
+    assert (r["wins"], r["pairs"]) == (0, 5)
+
+
+@pytest.mark.parametrize("better,parent,change", [
+    ("lower", [1.0, 1.0, 1.0], [1.3, 1.2, 1.4]),
+    ("higher", [100.0, 101.0, 99.0], [70.0, 74.0, 80.0]),
+], ids=["lower", "higher"])
+def test_a_median_past_the_bound_is_worse(bench_pairs, better, parent, change):
+    assert bench_pairs.verdict(parent, change, better, 0.25)["verdict"] == "worse"
+
+
+def test_a_parent_spread_past_the_bound_is_unresolved(bench_pairs):
+    """The parent's quartile distance, 0.4 of its median 1.0, exceeds the
+    bound 0.25, and one change run (1.05) is no better than the best parent
+    run (0.7), so a median within the bound cannot be told from noise."""
+    parent = [0.7, 0.8, 1.0, 1.2, 1.4]
+    r = bench_pairs.verdict(parent, [0.9, 1.0, 1.05, 0.95, 1.0], "lower", 0.25)
+    assert r["parent_quartile_distance"] == pytest.approx(0.4)
+    assert r["verdict"] == "unresolved"
+    # every change run below every parent run resolves it
+    assert bench_pairs.verdict(parent, [0.5, 0.6, 0.65, 0.55, 0.6], "lower",
+                               0.25)["verdict"] == "ok"
+    # higher is better: every change run above every parent run
+    assert bench_pairs.verdict(parent, [1.5, 1.6, 1.5, 1.7, 1.5], "higher",
+                               0.25)["verdict"] == "ok"
+    assert bench_pairs.verdict(parent, [1.5, 1.6, 1.4, 1.7, 1.5], "higher",
+                               0.25)["verdict"] == "unresolved"
+
+
+def test_ties_count_for_neither_side(bench_pairs):
+    r = bench_pairs.verdict([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 2.0], "lower", 0.25)
+    assert r["wins"] == 1
+    r = bench_pairs.verdict([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 2.0], "higher", 0.25)
+    assert r["wins"] == 1
+
+
+def test_workload_prefixes_and_failed_shares(bench_pairs):
+    names = ["tsb-train", "ts-infer"]
+    assert bench_pairs.metric_base("ts-infer.wall_s", names) == "wall_s"
+    assert bench_pairs.metric_base("tensor_core.style_vector.calls", names) == \
+        "tensor_core.style_vector.calls"
+    runs = [{"failed": 1, "attempted": 10}, {"failed": 0, "attempted": 30}]
+    assert bench_pairs.failed_share(runs) == 0.025
+    assert bench_pairs.failed_share([]) == 0.0

@@ -412,6 +412,23 @@ def test_report_empty_csv_exits_3(tmp_path):
     assert run(tmp_path, "report", "--in-csv", "empty.csv", "--out-svg", "c.svg") == 3
 
 
+@pytest.mark.parametrize("body,where", [
+    ("A,1,0.5\nA,2\n", "data row 2: no value in column 'accuracy'"),
+    ("A,1,0.5\nA\n", "data row 2: no value in column 'value'"),
+    ("A,nan,0.5\n", "data row 1: column 'value' holds 'nan'"),
+    ("A,1,inf\n", "data row 1: column 'accuracy' holds 'inf'"),
+    ("A,1,-Infinity\n", "data row 1: column 'accuracy' holds '-Infinity'"),
+    ("A,1,0.5\nA,one,0.5\n", "data row 2: column 'value' holds 'one'"),
+], ids=["short_y", "short_x", "nan_x", "inf_y", "neg_infinity_y", "text_x"])
+def test_report_bad_row_exits_2_naming_file_row_and_column(tmp_path, capsys, body, where):
+    (tmp_path / "in.csv").write_text("method,value,accuracy\n" + body)
+    assert run(tmp_path, "report", "--in-csv", "in.csv", "--out-svg", "c.svg") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "in.csv " + where in err
+    assert not (tmp_path / "c.svg").exists()
+    assert not (tmp_path / "in.csv.means.csv").exists()
+
+
 def test_report_tolerates_column_reordering(tmp_path):
     (tmp_path / "in.csv").write_text(
         "accuracy,method,value\n0.5,A,1\n0.7,A,1\n")

@@ -12,6 +12,7 @@ from styleshift import domain_data as dd
 from styleshift import micro_net as mn
 from styleshift import test_time_shift as ts
 from styleshift.micro_net import NetConfig
+from styleshift.tensor_core import batch_style_vectors
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,6 +65,27 @@ def _assert_evaluate_reaches_no_per_sample_probe(m):
     for key in ("test_time_shift.ts_apply.calls", "tensor_core.style_vector.calls",
                 "style_ops.adain_s"):
         assert m[key] == 0, key
+
+
+def test_traced_ts_apply_feeds_the_shift_probe(tracer_module):
+    """``micro_net.ts_apply``, the binding kept for the tracer, still reports
+    each call and each shifted sample: a far sample shifts, a kept one not."""
+    rng = np.random.Generator(np.random.PCG64(2))
+    feats = rng.normal(size=(6, 2, 4, 4)) + rng.normal(size=(6, 1, 1, 1))
+    reg = ts.registry_from_styles(batch_style_vectors(feats), np.repeat([0, 1], 3),
+                                  "block1")
+    tracer = tracer_module.Tracer(NetConfig())
+    try:
+        tracer.install()
+        far = mn.ts_apply(feats[0] * 5.0 + 40.0, reg, alpha=1.0)
+        kept = mn.ts_apply(feats[0], reg, alpha=1e9)
+    finally:
+        lost = tracer.restore()
+    assert lost == []
+    assert (far[1].shifted, kept[1].shifted) == (True, False)
+    m = tracer_module.layer_metrics(tracer)
+    assert m["test_time_shift.ts_apply.calls"] == 2
+    assert m["test_time_shift.shifted"] == 1
 
 
 def _tiny_net_and_images():

@@ -245,9 +245,9 @@ def test_ts_apply_every_mode_matches_restatement(seed, kind, n_domains, channels
     bit for bit. ``degenerate`` makes every source sample and the test sample
     one map, so every distance is 0.
 
-    ``shift_batch`` over a batch led by that sample equals ``ts_apply`` on
-    each of its samples in turn: outputs, decisions, and the rng's state after
-    the draws."""
+    Row b of ``shift_batch`` over a batch led by that sample equals sample b
+    shifted alone (``ts_apply``, a batch of one), in turn: outputs, decisions,
+    and the rng's state after the draws."""
     rng = RNG(seed)
     if kind == "single_domain":
         n_domains = 1
@@ -402,3 +402,31 @@ def test_pseudo_domains_deterministic():
     a = ts.pseudo_domains(pts, 3, RNG(23))
     b = ts.pseudo_domains(pts, 3, RNG(23))
     np.testing.assert_array_equal(a, b)
+
+
+class _StubRng:
+    """``integers`` picks point 0 as the first center; ``random`` returns ``draw``."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def integers(self, m):
+        return 0
+
+    def random(self):
+        return self.draw
+
+
+@pytest.mark.parametrize("draw", [0.0, 1.0 - 2.0 ** -53], ids=["zero", "largest"])
+def test_kmeans_seeding_picks_a_point_off_the_chosen_centers(draw, monkeypatch):
+    """With 0, 1 and 100 points at 1e-8, ``d2.sum()`` (pairwise) gives
+    1.0000000000000084 while ``np.cumsum(d2)`` ends at 1.0: a cut from the
+    largest draw against the sum passes the cumsum's end. A cut of 0 searched
+    from the left lands on point 0, the center already chosen. Either way
+    the second center must be point 1. With no Lloyd iteration the labels
+    are the seeding's, so point 1 alone takes the second label."""
+    monkeypatch.setattr(ts, "KMEANS_MAX_ITER", 0)
+    points = np.array([[0.0], [1.0]] + [[1e-8]] * 100)
+    labels, _ = ts._kmeans_once(points, 2, _StubRng(draw))
+    assert labels[1] != labels[0]
+    assert (labels[2:] == labels[0]).all()
