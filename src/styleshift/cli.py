@@ -287,14 +287,16 @@ def cmd_report(args) -> int:
         raise ConfigError(f"cannot read {in_path}: {exc}") from exc
     if not rows:
         raise StyleShiftError(f"input CSV {in_path} has no data rows")
-    for col in (args.x_col, args.y_col):
-        if col not in rows[0]:
+    series_col = args.series_col
+    if series_col is None:  # omitted: group by method where the CSV has one
+        series_col = "method" if "method" in rows[0] else None
+    for col in (args.x_col, args.y_col, series_col):
+        if col is not None and col not in rows[0]:
             raise ConfigError(f"column {col!r} not in {sorted(rows[0])}")
-    by_series = bool(args.series_col) and args.series_col in rows[0]
     groups: dict[tuple[str, float], list[float]] = {}
     for i, row in enumerate(rows, 1):
         where = f"{in_path} data row {i}"
-        series = _report_cell(row, args.series_col, where) if by_series else "all"
+        series = "all" if series_col is None else _report_cell(row, series_col, where)
         x, y = (_report_number(_report_cell(row, col, where), col, where)
                 for col in (args.x_col, args.y_col))
         groups.setdefault((series, x), []).append(y)
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-csv", default=None)
     p.add_argument("--x-col", default="value")
     p.add_argument("--y-col", default="accuracy")
-    p.add_argument("--series-col", default="method")
+    p.add_argument("--series-col", default=None)
     p.set_defaults(fn=cmd_report)
 
     for sp in sub.choices.values():

@@ -14,23 +14,19 @@ stop-gradient contracts differentiate. Evaluation and style extraction run
 ``MicroNet.infer``, a tape-free pass in plain numpy that creates no Var and
 gives the values ``forward`` records bit for bit. It can stop at a hook, or
 start after one. ``evaluate_alphas`` is the one evaluation body, for one
-alpha or many: per chunk it runs the blocks up to the shifter's hook once,
-shifts at the smallest alpha, which shifts every sample any alpha shifts,
-and runs the rest on that output, and a second time on the unshifted
-features only when some sample is shifted at one alpha and kept at another.
-``evaluate`` is its one-alpha call. nearest_sample, whose pool draws follow
-the samples an alpha shifts, is evaluated one alpha at a time.
+alpha or many, with one ``shift_batch`` per chunk that decides every alpha;
+``evaluate`` is its one-alpha call.
 
-Both inference passes run their chunks as tasks on a thread pool of
-``_inference_workers`` threads, the usable CPUs divided by the BLAS threads:
-with BLAS at its default of one thread per CPU there is one, and the chunks
-run inline. numpy releases the GIL in the GEMMs and the array ops, so two
-workers on two CPUs run close to twice as fast. Each task runs in its own copy
-of the caller's context (numpy's ``errstate`` lives there), the shifts run in
-chunk order, so nearest_sample draws exactly as a sequential pass would, and
-the error raised is that of the earliest chunk. Of the package's functions
-the workers call only ``MicroNet.infer`` and ``shift_batch``; the rest run on
-the calling thread.
+Both inference passes run their slices of ``INFERENCE_CHUNK`` samples as tasks
+of ``_chunk_results`` on ``_inference_workers`` threads, the usable CPUs
+divided by the BLAS threads: with BLAS at its default of one thread per CPU
+there is one, and the chunks run inline. numpy releases the GIL in the GEMMs
+and the array ops, so two workers on two CPUs run close to twice as fast. Each
+task runs in its own copy of the caller's context (numpy's ``errstate`` lives
+there), the shifts run in chunk order, so nearest_sample draws exactly as a
+sequential pass would, and the error raised is that of the earliest chunk. Of
+the package's functions the workers call only ``MicroNet.infer`` and
+``shift_batch``; the rest run on the calling thread.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ import functools
 import math
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -93,22 +88,26 @@ def _inference_workers(chunks: int) -> int:
     return max(1, min(chunks, (cpus or 1) // blas))
 
 
-def _chunk_results(n: int, task, size: int = INFERENCE_CHUNK):
-    """``task(chunk)`` for each ``size``-sample slice of ``range(n)``,
-    yielded in chunk order. With one worker the tasks run inline; otherwise on
-    a thread pool, each in its own copy of the caller's context. A task's
-    error is raised when its turn to be yielded comes, so the earliest chunk's
-    error is the one raised."""
-    chunks = [slice(start, start + size) for start in range(0, n, size)]
+def _chunks(n: int) -> list[slice]:
+    """``range(n)`` in slices of ``INFERENCE_CHUNK`` samples, read at call time."""
+    return [slice(start, start + INFERENCE_CHUNK) for start in range(0, n, INFERENCE_CHUNK)]
+
+
+def _chunk_results(chunks: list[slice], task):
+    """``task(i, chunk)`` for each of ``chunks``, yielded in chunk order. With
+    one worker the tasks run inline; otherwise on a thread pool, each in its
+    own copy of the caller's context. A task's error is raised when its turn
+    to be yielded comes, so the earliest chunk's error is the one raised, and
+    the chunks not yet started are then cancelled."""
     workers = _inference_workers(len(chunks))
     if workers == 1:
-        yield from map(task, chunks)
+        yield from map(task, range(len(chunks)), chunks)
         return
     with ThreadPoolExecutor(workers) as pool:
         # a context can be entered by one thread at a time: one copy per task
-        futures = deque(pool.submit(contextvars.copy_context().run, task, sl) for sl in chunks)
-        while futures:
-            yield futures.popleft().result()
+        contexts = [contextvars.copy_context() for _ in chunks]
+        yield from pool.map(lambda ctx, i, chunk: ctx.run(task, i, chunk),
+                            contexts, range(len(chunks)), chunks)
 
 
 @dataclass(frozen=True)
@@ -171,10 +170,10 @@ class TrainConfig:
     seed: int = 0
     sb: bool = False
     sb_prob: float = 0.5
-    sb_hooks: tuple[str, ...] | None = None     # None = every hook
+    sb_hooks: tuple[str, ...] | None = None     # None = every hook but the last
     aug: str = "none"
     aug_prob: float = 0.5
-    aug_hooks: tuple[str, ...] | None = None
+    aug_hooks: tuple[str, ...] | None = None    # None = every hook but the last
     lambda_shape: float = DEFAULT_LAMBDA_SHAPE
 
     def __post_init__(self):
@@ -186,6 +185,8 @@ class TrainConfig:
                               "lambda_shape > 0")
         if not all(0.0 <= p <= 1.0 for p in (self.sb_prob, self.aug_prob, self.momentum)):
             raise ConfigError("sb_prob, aug_prob and momentum must lie in [0, 1]")
+        if () in (self.sb_hooks, self.aug_hooks):  # omitted, they name every hook but the last
+            raise ConfigError("sb_hooks and aug_hooks, where given, name at least one hook")
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -403,16 +404,13 @@ class MicroNet:
         pooled = np.ascontiguousarray(h.mean(axis=(2, 3)).T)
         return pooled @ self.params["head_w"] + self.params["head_b"]
 
-    def style_vectors_at(self, x, layer: str,
-                         batch_size: int = INFERENCE_CHUNK) -> np.ndarray:
-        """Per-sample style vectors at one hook from tape-free passes that stop
-        at that hook: the passes run as pool tasks (``_chunk_results``), the
-        style vectors on the calling thread in chunk order."""
-        if layer not in self.hook_names:
-            raise ConfigError(f"unknown hook {layer!r}")
+    def style_vectors_at(self, x, layer: str) -> np.ndarray:
+        """Per-sample style vectors at one hook (``infer`` checks it) from
+        tape-free passes that stop there: the passes run as pool tasks
+        (``_chunk_results``), the style vectors on the calling thread."""
         x = np.asarray(x, dtype=np.float64)
         return np.concatenate([batch_style_vectors(h) for h in _chunk_results(
-            x.shape[0], lambda sl: self.infer(x[sl], layer), batch_size)], axis=0)
+            _chunks(x.shape[0]), lambda i, sl: self.infer(x[sl], layer))], axis=0)
 
     # -- persistence ------------------------------------------------------
 
@@ -541,19 +539,18 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
     ``DivergenceError`` instead of being scored.
 
     Alpha decides only which samples shift, and a larger alpha shifts a
-    subset of a smaller one's samples. So each chunk of ``INFERENCE_CHUNK``
-    samples runs ``MicroNet.infer`` to the hook once, one ``shift_batch`` at
-    the smallest alpha, which shifts every sample that any alpha shifts, and
-    the rest of the network on its output; a second pass from the hook, over
-    the unshifted features, runs only when a sample is shifted by one alpha
-    and kept by another. A sample's logits depend only on its own columns of
-    each GEMM, at a fixed place in a chunk of a fixed size, so every alpha
-    gets the bits of a call at that alpha alone. nearest_sample takes one
-    alpha only: its pool draws follow the samples that alpha shifts.
+    subset of a smaller one's samples. So each chunk runs ``MicroNet.infer``
+    to the hook once, one ``shift_batch``, which decides every alpha, and the
+    rest of the network on the smallest alpha's features; a second pass from
+    the hook, over the unshifted features, runs only when a sample is shifted
+    by one alpha and kept by another. A sample's logits depend only on its
+    own columns of each GEMM, at a fixed place in a chunk of a fixed size, so
+    every alpha gets the bits of a call at that alpha alone. nearest_sample
+    takes one alpha only: its pool draws follow the samples that alpha shifts.
 
-    Each chunk is one task of ``_chunk_results`` and writes only its own
-    columns of the tallies; a task shifts only after the chunk before it has,
-    so the rng draws in sample order whatever the number of workers."""
+    Task i of ``_chunk_results`` writes only chunk i's columns of the tallies
+    and shifts only after task i - 1 has, so the rng draws in sample order
+    whatever the number of workers."""
     if mode.kind == "nearest_sample" and len(alphas) != 1:
         raise ConfigError("nearest_sample draws pool members per shifted sample: "
                           "evaluate each alpha on its own")
@@ -570,36 +567,36 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
         if registry.channels != net.config.channels_at(registry.layer):
             raise ConfigError("registry channel count does not match the hook")
         hook = registry.layer
-        alphas = [registry.alpha_default if a is None else a for a in alphas]
-        thresholds = np.array([float(a * registry.spread) for a in alphas])[:, None]
-        always = mode.kind in ("shift_all", "single_domain")  # every sample at any alpha
     correct = np.empty((len(alphas), x.shape[0]), dtype=bool)
     shifted = np.zeros((len(alphas), x.shape[0]), dtype=bool)
-    shifts_done = [threading.Event() for _ in range(0, x.shape[0], INFERENCE_CHUNK)]
+    chunks = _chunks(x.shape[0])
+    shifts_done = [threading.Event() for _ in chunks]
 
-    def run_chunk(sl):
-        turn = sl.start // INFERENCE_CHUNK
+    def run_chunk(i, sl):
         feats, moves = x[sl], shifted[:, sl]  # moves: (alphas, chunk)
-        try:  # passes the turn on also when this chunk raises, so no later one waits forever
+        try:
             if hook is not None:
                 kept = net.infer(feats, hook)
-                if turn:
-                    shifts_done[turn - 1].wait()  # shifts run in chunk order: the rng's draws
-                feats, decisions = shift_batch(kept, registry, min(alphas), mode, sample_pool, rng)
-                moves[:] = decisions.shifted if always else decisions.avg_distance > thresholds
-        finally:
-            shifts_done[turn].set()
-        logits = [net.infer(feats, start=hook)]  # shift_batch leaves the rows it keeps as given
-        if (moves.any(axis=0) & ~moves.all(axis=0)).any():  # shifted at one alpha, kept at another
-            logits.append(net.infer(kept, start=hook))
-        finite = [np.isfinite(z).all(axis=1) for z in logits]
-        right = [z.argmax(axis=1) == y[sl] for z in logits]
-        if not np.where(moves, finite[0], finite[-1]).all():
-            raise DivergenceError(
-                f"non-finite logits in the evaluation batch starting at sample {sl.start}")
-        correct[:, sl] = np.where(moves, right[0], right[-1])
+                if i:
+                    shifts_done[i - 1].wait()  # shifts run in chunk order: the rng's draws
+                feats, decisions = shift_batch(kept, registry, alphas, mode, sample_pool, rng)
+                moves[:] = decisions.shifted
+            shifts_done[i].set()
+            logits = [net.infer(feats, start=hook)]  # shift_batch leaves the rows it keeps as given
+            if (moves.any(axis=0) & ~moves.all(axis=0)).any():  # some alpha keeps a shifted sample
+                logits.append(net.infer(kept, start=hook))
+            finite = [np.isfinite(z).all(axis=1) for z in logits]
+            right = [z.argmax(axis=1) == y[sl] for z in logits]
+            if not np.where(moves, finite[0], finite[-1]).all():
+                raise DivergenceError(
+                    f"non-finite logits in the evaluation batch starting at sample {sl.start}")
+            correct[:, sl] = np.where(moves, right[0], right[-1])
+        except BaseException:  # the call raises: every later turn is freed, since a chunk
+            for done in shifts_done[i:]:  # that the runner cancels passes on none
+                done.set()
+            raise
 
-    for _ in _chunk_results(x.shape[0], run_chunk):
+    for _ in _chunk_results(chunks, run_chunk):
         pass
     ids, dom_index = np.unique(doms, return_inverse=True)
     tallies = [[np.bincount(dom_index[keep], minlength=ids.size).tolist()

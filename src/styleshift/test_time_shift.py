@@ -163,63 +163,63 @@ def decide(phi_t, reg: DomainRegistry, alpha: float | None = None) -> ShiftDecis
 def ts_apply(f_t, reg: DomainRegistry, alpha: float | None = None,
              mode: ShiftMode = PROPOSED, sample_pool=None,
              rng: np.random.Generator | None = None):
-    """``shift_batch`` on one (C, H, W) feature map: returns the map, shifted
-    or kept, and its ``ShiftDecision``, whose ``target`` is None where the
-    sample kept its style."""
-    out, d = shift_batch(as_feature_map(f_t)[None], reg, alpha, mode, sample_pool, rng)
+    """``shift_batch`` on one (C, H, W) feature map at one alpha: returns the
+    map, shifted or kept, and its ``ShiftDecision``, whose ``target`` is None
+    where the sample kept its style."""
+    out, d = shift_batch(as_feature_map(f_t)[None], reg, [alpha], mode, sample_pool, rng)
     target = int(d.target[0])
-    return out[0], ShiftDecision(bool(d.shifted[0]), None if target < 0 else target,
-                                 float(d.avg_distance[0]), d.threshold)
+    return out[0], ShiftDecision(bool(d.shifted[0, 0]), None if target < 0 else target,
+                                 float(d.avg_distance[0]), float(d.thresholds[0]))
 
 
 @dataclass(frozen=True)
 class BatchShift:
-    """The decisions ``shift_batch`` took for a batch, one entry per sample:
-    whether it shifted, the nearest centroid (-1 where it kept its style) and
-    its mean distance to the centroids, all against one threshold."""
+    """The decisions ``shift_batch`` took for a batch at A alphas: whether each
+    shifted each sample, against its threshold, and per sample the nearest
+    centroid (-1 where no alpha shifted it) and mean distance to the centroids."""
 
-    shifted: np.ndarray        # (B,) bool
+    shifted: np.ndarray        # (A, B) bool
     target: np.ndarray         # (B,) int
     avg_distance: np.ndarray   # (B,)
-    threshold: float
+    thresholds: np.ndarray     # (A,)
 
 
-def shift_batch(feats, reg: DomainRegistry, alpha: float | None = None,
+def shift_batch(feats, reg: DomainRegistry, alphas: list[float | None],
                 mode: ShiftMode = PROPOSED, sample_pool=None,
                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, BatchShift]:
     """Apply one shift mode to a (B, C, H, W) batch: the one test-time shifter.
 
-    Returns (features, BatchShift). Off, proposed and nearest_sample decide
-    with ``alpha``; shift_all and single_domain decide with 0, so they shift
-    every sample. Off reports its decisions but keeps every sample. A shifted
-    sample is renormalized (adain) to its nearest centroid, or in
+    Returns (features, BatchShift). Proposed and nearest_sample shift a sample
+    whose mean distance exceeds alpha * spread, for each of ``alphas`` (None is
+    the registry's); off's threshold is inf, and that of shift_all and
+    single_domain -inf, so they keep or shift every sample. The features are
+    the smallest alpha's, whose shifted samples hold every larger one's. A
+    shifted sample is renormalized (adain) to its nearest centroid, or in
     nearest_sample mode to the closest of ``pool_size`` styles drawn from
-    ``sample_pool`` with ``rng``, one ``rng.choice`` call per shifted sample
-    in sample order. The work is one moment computation, one (B, N) distance
-    matrix with its row means and argmins, and one adain over the shifted
-    rows, which reuses those moments; a batch in which no sample shifts is
-    returned as given. Row b and its decisions equal those of sample b shifted
-    alone (``ts_apply``), bit for bit.
+    ``sample_pool`` with ``rng``, one ``rng.choice`` call per shifted sample in
+    sample order. The work is one moment pass, one (B, N) distance matrix with
+    its row means and argmins, and one adain over the shifted rows, which
+    reuses those moments; a batch in which no sample shifts is returned as
+    given. Bit for bit, row b and its decisions are those of sample b shifted
+    alone (``ts_apply``), and ``shifted[a]`` that of a call at alpha a alone.
     """
     phi = batch_style_vectors(feats)
     if phi.shape[1] != reg.centroids.shape[1]:
         raise DimensionError("style vector length does not match registry")
     if mode.kind == "single_domain" and reg.n_domains != 1:
         raise ConfigError("single_domain mode requires a one-domain registry")
-    always = mode.kind in ("shift_all", "single_domain")
-    if always:
-        alpha = 0.0
-    elif alpha is None:
-        alpha = reg.alpha_default
-    threshold = float(checked_alpha(alpha) * reg.spread)
+    alphas = np.array([reg.alpha_default if a is None else checked_alpha(a) for a in alphas])
+    # off never shifts; an always-shift mode shifts a sample even at distance 0
+    # from every centroid, where argmin's centroid 0 is as near as any
+    bound = {"off": np.inf, "shift_all": -np.inf, "single_domain": -np.inf}.get(mode.kind)
+    thresholds = alphas * reg.spread if bound is None else np.full(alphas.shape, bound)
     dists = np.linalg.norm(phi[:, None, :] - reg.centroids[None, :, :], axis=2)
     avg = dists.mean(axis=1)
-    # an always-shift mode shifts a sample even at distance 0 from every
-    # centroid, where argmin's centroid 0 is as near as any
-    shifted = np.full(avg.shape, always) if always or mode.kind == "off" else avg > threshold
-    target = np.where(shifted, dists.argmin(axis=1), -1)
-    decisions = BatchShift(shifted, target, avg, threshold)
-    rows = np.flatnonzero(shifted)
+    shifted = avg > thresholds[:, None]
+    moved = shifted.any(axis=0)  # the smallest alpha's row, which holds every larger one's
+    target = np.where(moved, dists.argmin(axis=1), -1)
+    rows = np.flatnonzero(moved)
+    decisions = BatchShift(shifted, target, avg, thresholds)
     if rows.size == 0:
         return np.asarray(feats, dtype=np.float64), decisions
     goal = reg.centroids[target[rows]]

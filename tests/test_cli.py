@@ -131,6 +131,19 @@ def test_train_missing_dataset_exits_2(tmp_path):
                "--audit-log", "a.jsonl") == 2
 
 
+@pytest.mark.parametrize("field", ["sb_hooks", "aug_hooks"])
+def test_train_empty_hook_list_exits_2(tmp_path, capsys, field):
+    """An explicit empty hook list is a configuration error, not the default
+    hooks, and no checkpoint is written."""
+    make_dataset(tmp_path)
+    train = {"epochs": 1, "batch_size": 10, "sb": True, "aug": "dsu", field: []}
+    cfg = write_cfg(tmp_path, "train.json", {**TRAIN_CFG, "train": train})
+    assert run(tmp_path, "train", "--config", cfg, "--out-checkpoint", "c.json",
+               "--audit-log", "a.jsonl") == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
 # -- stats -----------------------------------------------------------------------
 
 def test_stats_registry_valid_and_deterministic(tmp_path):
@@ -427,6 +440,24 @@ def test_report_bad_row_exits_2_naming_file_row_and_column(tmp_path, capsys, bod
     assert err.startswith("config error: ") and "in.csv " + where in err
     assert not (tmp_path / "c.svg").exists()
     assert not (tmp_path / "in.csv.means.csv").exists()
+
+
+def test_report_series_col_names_a_column_or_is_omitted(tmp_path, capsys):
+    """An omitted ``--series-col`` groups by ``method`` where the CSV has one,
+    else puts every row in series ``all``; a named column that the CSV lacks
+    exits 2 naming the column and the header, and writes nothing."""
+    (tmp_path / "in.csv").write_text("method,value,accuracy\nA,1,0.5\nB,1,0.7\n")
+    (tmp_path / "bare.csv").write_text("value,accuracy\n1,0.5\n1,0.7\n")
+    for csv_name, flags, series in (("in.csv", [], ["A", "B"]), ("bare.csv", [], ["all"]),
+                                    ("in.csv", ["--series-col", "method"], ["A", "B"])):
+        assert run(tmp_path, "report", "--in-csv", csv_name, "--out-svg", "c.svg", *flags) == 0
+        assert [r["series"] for r in read_rows(tmp_path / f"{csv_name}.means.csv")] == series
+    capsys.readouterr()
+    assert run(tmp_path, "report", "--in-csv", "in.csv", "--out-svg", "typo.svg",
+               "--out-csv", "typo.csv", "--series-col", "methd") == 2
+    err = capsys.readouterr().err
+    assert "'methd'" in err and "['accuracy', 'method', 'value']" in err
+    assert not (tmp_path / "typo.svg").exists() and not (tmp_path / "typo.csv").exists()
 
 
 def test_report_tolerates_column_reordering(tmp_path):

@@ -21,7 +21,7 @@ from styleshift import test_time_shift as ts
 from styleshift.autodiff import Var
 from styleshift.errors import ConfigError, DivergenceError
 from styleshift.style_balance import BatchMeta
-from styleshift.tensor_core import batch_style_vectors
+from styleshift.tensor_core import batch_style_vectors, from_json
 
 from helpers import checkpoint_tags, net_configs, step_grad_digests
 
@@ -524,8 +524,10 @@ def test_evaluate_shifts_match_decide_over_style_vectors_at(config, layer, chunk
     n = 300
     x = rng.uniform(size=(n, 1, size, size)) * rng.uniform(0.1, 3.0, size=(n, 1, 1, 1)) \
         + rng.uniform(-0.5, 0.5, size=(n, 1, 1, 1))
-    phi = net.style_vectors_at(x, layer) if chunk is None else \
-        net.style_vectors_at(x, layer, batch_size=chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(mn, "INFERENCE_CHUNK", chunk)
+        phi = net.style_vectors_at(x, layer)
     alpha = float(np.median([ts.decide(p, reg, 0.0).avg_distance for p in phi]) / reg.spread)
     want = [ts.decide(p, reg, alpha).shifted for p in phi]
     assert 0 < sum(want) < n
@@ -540,18 +542,20 @@ def test_evaluate_shifts_match_decide_over_style_vectors_at(config, layer, chunk
 @given(seed=st.integers(0, 2**16), n=st.integers(1, 7), layer=st.sampled_from(THREE.hook_names))
 def test_style_vectors_at_equals_recorded_forward(seed, n, layer):
     """The tape-free pass that stops at its hook gives the recorded full
-    forward's style vectors bit for bit, for a batch size below, at and above
-    the sample count. Below it, the reference is the recorded forward of each
-    chunk: BLAS may round a tiny GEMM differently when its column count
-    changes (block3 here is 1x1), so a whole-batch forward is no reference
-    for a chunked one."""
+    forward's style vectors bit for bit, for a chunk size
+    (``mn.INFERENCE_CHUNK``) below, at and above the sample count. Below it,
+    the reference is the recorded forward of each chunk: BLAS may round a
+    tiny GEMM differently when its column count changes (block3 here is 1x1),
+    so a whole-batch forward is no reference for a chunked one."""
     net = mn.MicroNet.init(THREE, seed=seed)
     x = RNG(seed).normal(size=(n, 1, 8, 8))
     for k in {max(n - 1, 1), n, n + 1}:
         expected = np.concatenate([
             batch_style_vectors(net.forward(x[s:s + k]).hook_inputs[layer].value)
             for s in range(0, n, k)])
-        got = net.style_vectors_at(x, layer, batch_size=k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mn, "INFERENCE_CHUNK", k)
+            got = net.style_vectors_at(x, layer)
         assert got.tobytes() == expected.tobytes(), k
 
 
@@ -600,9 +604,11 @@ def test_inference_pass_equals_recorded_forward(config, seed, n, chunk):
             want = res.hook_inputs[hook].value
             assert net.infer(x[s:s + chunk], hook).tobytes() == want.tobytes(), hook
             styles[hook].append(batch_style_vectors(want))
-    for hook, parts in styles.items():
-        got = net.style_vectors_at(x, hook, batch_size=chunk)
-        assert got.tobytes() == np.concatenate(parts).tobytes(), hook
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mn, "INFERENCE_CHUNK", chunk)
+        for hook, parts in styles.items():
+            got = net.style_vectors_at(x, hook)
+            assert got.tobytes() == np.concatenate(parts).tobytes(), hook
 
 
 @settings(max_examples=30, deadline=None)
@@ -634,9 +640,9 @@ def evaluate_at(net, x, y, d, registry, mode, alpha, pool=None, rng=None) -> mn.
         feats = x[s:s + mn.INFERENCE_CHUNK]
         flags = np.zeros(len(feats), dtype=bool)
         if hook is not None:
-            feats, decisions = ts.shift_batch(net.infer(feats, hook), registry, alpha, mode,
+            feats, decisions = ts.shift_batch(net.infer(feats, hook), registry, [alpha], mode,
                                               pool, rng)
-            flags = decisions.shifted
+            flags = decisions.shifted[0]
         correct.append(net.infer(feats, start=hook).argmax(axis=1) == y[s:s + mn.INFERENCE_CHUNK])
         shifted.append(flags)
     correct, shifted = np.concatenate(correct), np.concatenate(shifted)
@@ -812,7 +818,7 @@ def test_raising_chunks_raise_the_earliest_error_and_release_the_rest():
       names chunk 1's start, and no overflow warning escapes a worker;
     - chunk 1 failing in its shift, and chunk 2 in its logits, raise chunk
       1's error, and the chunks behind it, which wait for its turn to shift,
-      still finish: the process ends within its timeout."""
+      are cancelled or finish: the process ends within its timeout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -823,6 +829,59 @@ def test_raising_chunks_raise_the_earliest_error_and_release_the_rest():
     not_finite = ["ValueError", "feature batch (B,C,H,W) contains non-finite values"]
     assert json.loads(out.stdout) == {f"{case} {k}": want for k in (1, 2, 3) for case, want
                                       in (("logits", diverged), ("shift", not_finite))}
+
+
+CHUNK_SIZES = """
+import json, time
+import numpy as np
+from styleshift import micro_net as mn
+from styleshift import test_time_shift as ts
+from styleshift.tensor_core import batch_style_vectors
+
+rng = np.random.Generator(np.random.PCG64(72))
+net = mn.MicroNet.init(mn.NetConfig(image_size=8), seed=72)
+doms = np.repeat([0, 1, 2], 4)
+src = rng.uniform(size=(12, 1, 8, 8)) * (1.0 + doms)[:, None, None, None]
+pool = batch_style_vectors(net.infer(src, "block1"))
+reg = ts.registry_from_styles(pool, doms, "block1")
+x = rng.uniform(size=(80, 1, 8, 8)) * rng.uniform(0.1, 3.0, size=(80, 1, 1, 1))
+labels = np.zeros(80, dtype=int)
+shift_batch, got = mn.shift_batch, {}
+for chunk in (8, 32):
+    mn.INFERENCE_CHUNK = chunk
+    starts = {net.infer(x[s:s + chunk], "block1").tobytes(): s for s in range(0, 80, chunk)}
+    order = []
+
+    def held_shift(feats, *args):
+        order.append(starts.get(feats.tobytes(), -1))
+        if order[-1] == 0:
+            time.sleep(0.05)  # a later chunk that did not wait for its turn would shift first
+        return shift_batch(feats, *args)
+
+    mn.shift_batch = held_shift
+    results = []
+    for k in (1, 2):
+        mn._inference_workers = lambda chunks, k=k: min(k, chunks)
+        draws = np.random.Generator(np.random.PCG64(73))
+        res = mn.evaluate(net, x, labels, labels, reg, ts.nearest_sample(3), 0.0, pool, draws)
+        results.append([res.domains, draws.bit_generator.state["state"]["state"]])
+    got[chunk] = {"order": order, "same": results[0] == results[1]}
+print(json.dumps(got))
+"""
+
+
+def test_inference_chunk_is_read_once_per_call():
+    """With ``mn.INFERENCE_CHUNK`` set to 8 or 32 after import, nearest_sample
+    evaluation on 1 and then 2 workers shifts its chunks of that size in chunk
+    order, even with the first chunk's shift held back, gives the same tallies
+    and rng end state on both, and finishes within the timeout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", CHUNK_SIZES], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(out.stdout) == {
+        str(chunk): {"order": 2 * list(range(0, 80, chunk)), "same": True} for chunk in (8, 32)}
 
 
 INFERENCE_PEAK = """
@@ -1010,3 +1069,13 @@ def test_default_style_hooks_exclude_final_block():
     for _ in range(50):
         for hook, _op in mn._draw_hook_ops(cfg, net, meta, 4, rng):
             assert hook != net.hook_names[-1]
+
+
+@pytest.mark.parametrize("field", ["sb_hooks", "aug_hooks"])
+def test_an_empty_hook_list_is_a_config_error(field):
+    """An explicit empty ``sb_hooks`` or ``aug_hooks`` names no hook; it is
+    refused rather than read as the default, which an omitted field keeps."""
+    doc = {"sb": True, "aug": "dsu"}
+    with pytest.raises(ConfigError, match=field):
+        from_json(mn.TrainConfig, {**doc, field: []})
+    assert from_json(mn.TrainConfig, doc) == mn.TrainConfig(sb=True, aug="dsu")

@@ -234,9 +234,11 @@ MODES = ("off", "proposed", "shift_all", "nearest_sample", "single_domain")
 @given(seed=st.integers(0, 2**16), kind=st.sampled_from(MODES), n_domains=st.integers(1, 4),
        channels=st.integers(1, 3), hw=st.integers(1, 4), offset=st.floats(-30.0, 30.0),
        alpha=st.one_of(st.none(), st.floats(0.0, 4.0)), pool_size=st.integers(1, 12),
-       degenerate=st.booleans(), batch=st.integers(1, 6))
+       degenerate=st.booleans(), batch=st.integers(1, 6),
+       other_alpha=st.one_of(st.none(), st.floats(0.0, 4.0)))
 def test_ts_apply_every_mode_matches_restatement(seed, kind, n_domains, channels, hw,
-                                                 offset, alpha, pool_size, degenerate, batch):
+                                                 offset, alpha, pool_size, degenerate, batch,
+                                                 other_alpha):
     """Each mode against a restatement of its rule: off keeps the input bit for
     bit; proposed follows decide; shift_all and single_domain shift to the
     nearest centroid (the lowest id when every centroid is as near);
@@ -247,7 +249,10 @@ def test_ts_apply_every_mode_matches_restatement(seed, kind, n_domains, channels
 
     Row b of ``shift_batch`` over a batch led by that sample equals sample b
     shifted alone (``ts_apply``, a batch of one), in turn: outputs, decisions,
-    and the rng's state after the draws."""
+    and the rng's state after the draws. Over the alphas (alpha, other_alpha),
+    row a of ``shifted`` and of ``thresholds`` equals a call at alpha a
+    alone, and the features, ``target`` and the rng's state equal those of the
+    call at the smaller alpha."""
     rng = RNG(seed)
     if kind == "single_domain":
         n_domains = 1
@@ -299,13 +304,29 @@ def test_ts_apply_every_mode_matches_restatement(seed, kind, n_domains, channels
     one_by_one = RNG(draw_seed)
     singles = [ts.ts_apply(g, reg, alpha, mode, sample_pool=pool, rng=one_by_one) for g in feats_t]
     batched = RNG(draw_seed)
-    out_b, got_b = ts.shift_batch(feats_t, reg, alpha, mode, sample_pool=pool, rng=batched)
+    out_b, got_b = ts.shift_batch(feats_t, reg, [alpha], mode, sample_pool=pool, rng=batched)
     assert out_b.tobytes() == np.stack([o for o, _ in singles]).tobytes()
-    assert got_b.shifted.tolist() == [d.shifted for _, d in singles]
+    assert got_b.shifted[0].tolist() == [d.shifted for _, d in singles]
     assert got_b.target.tolist() == [-1 if d.target is None else d.target for _, d in singles]
     assert got_b.avg_distance.tolist() == [d.avg_distance for _, d in singles]
-    assert {got_b.threshold} == {d.threshold for _, d in singles}
+    assert {*got_b.thresholds.tolist()} == {d.threshold for _, d in singles}
     assert batched.bit_generator.state == one_by_one.bit_generator.state
+
+    pair = [alpha, other_alpha]
+    alone = []
+    for a in pair:
+        draws = RNG(draw_seed)
+        alone.append((*ts.shift_batch(feats_t, reg, [a], mode, sample_pool=pool, rng=draws),
+                      draws.bit_generator.state))
+    both_draws = RNG(draw_seed)
+    out_2, got_2 = ts.shift_batch(feats_t, reg, pair, mode, sample_pool=pool, rng=both_draws)
+    assert got_2.shifted.tolist() == [d.shifted[0].tolist() for _, d, _ in alone]
+    assert got_2.thresholds.tolist() == [d.thresholds[0] for _, d, _ in alone]
+    out_s, got_s, state_s = alone[int(np.argmin(
+        [reg.alpha_default if a is None else a for a in pair]))]
+    assert out_2.tobytes() == out_s.tobytes()
+    assert got_2.target.tolist() == got_s.target.tolist()
+    assert both_draws.bit_generator.state == state_s
 
 
 def test_shift_decision_vector_length_checked():

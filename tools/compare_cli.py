@@ -5,11 +5,13 @@ Usage: python tools/compare_cli.py PARENT CHANGE
 PARENT and CHANGE are two checkouts of this repository. The list runs in a
 fresh work directory for each checkout, with that checkout's ``src`` on
 PYTHONPATH, and runs twice: once with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-and MKL_NUM_THREADS at 1, and once with them unset. It covers gen-data, a
-40-epoch style-balancing train, stats at block1 and block2, with pseudo
-labels and with --single-domain, eval in every mode (nearest-sample at two
-pool sizes and two seeds), alpha sweeps in every mode (one alpha, pseudo
-labels, the single-domain protocol), a keep_fraction sweep and a report.
+and MKL_NUM_THREADS at 1, and once with them unset. Its 56 commands write
+179 files. They cover gen-data, a 40-epoch style-balancing train, a 4-epoch
+train with each augmentation (mixstyle, dsu, efdmix), stats at block1 and
+block2, with pseudo labels and with --single-domain, eval in every mode
+(nearest-sample at two pool sizes and two seeds) and on the dsu network,
+alpha sweeps in every mode (one alpha, pseudo labels, the single-domain
+protocol), a keep_fraction sweep and two reports, one with --series-col.
 
 Every file the commands write, and a transcript of each command's exit
 status and output, is compared byte for byte; in the ``.log`` sidecars the
@@ -38,6 +40,9 @@ SWEEP = {"data": DATA, "train": {"epochs": 6, "batch_size": 12, "lr": 0.05, "sb"
          "eval": {"mode": "proposed", "layer": "block1"}, "seeds": [0, 1]}
 
 
+AUGS = ("mixstyle", "dsu", "efdmix")
+
+
 def _sweep(**changes) -> dict:
     return {**SWEEP, **changes, "eval": {**SWEEP["eval"], **changes.get("eval", {})}}
 
@@ -47,6 +52,10 @@ CONFIGS = {
     "train.json": {"dataset": "data",
                    "train": {"epochs": 40, "batch_size": 12, "lr": 0.05, "sb": True,
                              "sb_hooks": ["block1", "block2"]}},
+    **{f"train_{aug}.json": {"dataset": "data",
+                             "train": {"epochs": 4, "batch_size": 12, "lr": 0.05, "aug": aug,
+                                       "aug_prob": 1.0}}
+       for aug in AUGS},
     "sweep_block1.json": _sweep(),
     "sweep_block2.json": _sweep(eval={"layer": "block2"}),
     "sweep_pseudo.json": _sweep(pseudo_labels=3),
@@ -86,15 +95,23 @@ def commands() -> list[list[str]]:
     return [["gen-data", "--config", "data.json", "--out", "data", "--seed", "0"],
             ["train", "--config", "train.json", "--out-checkpoint", "ckpt.json",
              "--audit-log", "audit.jsonl"],
+            *(["train", "--config", f"train_{aug}.json", "--out-checkpoint", f"ckpt_{aug}.json",
+               "--audit-log", f"audit_{aug}.jsonl"] for aug in AUGS),
             *(["stats", "--checkpoint", "ckpt.json", "--dataset", "data", *flags,
                "--out-registry", f"reg_{name}.json"] for name, flags in REGISTRIES.items()),
+            ["stats", "--checkpoint", "ckpt_dsu.json", "--dataset", "data", "--layer", "block1",
+             "--out-registry", "reg_dsu.json"],
+            ["eval", "--checkpoint", "ckpt_dsu.json", "--registry", "reg_dsu.json",
+             "--dataset", "data", "--out-csv", "eval_dsu.csv"],
             *(["eval", "--checkpoint", "ckpt.json", "--registry", f"reg_{reg}.json", *flags,
                "--dataset", "data", "--out-csv", f"eval_{reg}_{name}.csv"]
               for reg, name, flags in evals),
             *(["sweep", "--config", config, "--param", param, "--values", values,
                "--out-csv", f"{out}.csv", "--out-dir", out]
               for out, config, param, values in SWEEPS),
-            ["report", "--in-csv", "sweep_block1.csv", "--out-svg", "sweep_block1.svg"]]
+            ["report", "--in-csv", "sweep_block1.csv", "--out-svg", "sweep_block1.svg"],
+            ["report", "--in-csv", "sweep_keep_fraction.csv", "--y-col", "shift_rate",
+             "--series-col", "method", "--out-svg", "sweep_keep_fraction.svg"]]
 
 
 def run_list(checkout: Path, work: Path, one_blas_thread: bool) -> list[str]:
