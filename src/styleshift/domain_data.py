@@ -342,29 +342,36 @@ def gen_dataset(out_dir, n_classes: int = 7, sources=None, target: DomainStyle |
 # -- pixel access ---------------------------------------------------------------
 
 def load_images(manifest: DatasetManifest, root, records=None) -> np.ndarray:
-    """(M, 1, H, W) float64 pixel tensor in [0, 1] for the given records of
-    ``manifest`` (all of them by default). One read of ``root/images.pgm``,
-    whose rows i·H to (i+1)·H − 1 are the manifest's record i; a strip of
-    another size is a PnmParseError."""
+    """(M, 1, H, W) uint8 pixel codes for the given records of ``manifest``
+    (all of them by default): an eighth of the bytes the same pixels take as
+    float64. ``as_pixels`` scales codes to [0, 1]; the network scales each
+    batch it is given. One read of ``root/images.pgm``, whose rows i·H to
+    (i+1)·H − 1 are the manifest's record i; a strip of another size is a
+    PnmParseError."""
     size, n = manifest.image_size, len(manifest.samples)
     records = manifest.samples if records is None else records
-    # the output first, so it can take the place an earlier output of its size freed
-    out = np.empty((len(records), 1, size, size))
     strip = read_pnm(Path(root) / IMAGES_FILE)
     if strip.shape != (n * size, size):
         raise PnmParseError(f"{IMAGES_FILE} is {strip.shape[1]}x{strip.shape[0]} pixels, but "
                             f"{n} records of {size}x{size} need {size}x{n * size}", 0)
-    tiles = strip.reshape(n, size, size)
     row = {rec.id: i for i, rec in enumerate(manifest.samples)}
-    for dst, rec in zip(out, records):  # uint8 straight into the float64 output: no temporary
-        dst[0] = tiles[row[rec.id]]
-    out /= 255.0
-    return out
+    rows = np.fromiter((row[rec.id] for rec in records), dtype=np.intp, count=len(records))
+    return strip.reshape(n, 1, size, size)[rows]
+
+
+def as_pixels(images) -> np.ndarray:
+    """Pixels as float64: uint8 codes (``load_images``) scaled to [0, 1] by
+    1/255, any other array as float64, unscaled. The one place the scale
+    lives; ``MicroNet.forward`` and ``MicroNet.infer`` call it on each batch."""
+    images = np.asarray(images)
+    if images.dtype == np.uint8:
+        return images / 255.0
+    return np.asarray(images, dtype=np.float64)
 
 
 def raw_pixel_styles(images: np.ndarray) -> np.ndarray:
     """(M, 2) mean/std pixel statistics used for pseudo-domain clustering."""
-    x = np.asarray(images, dtype=np.float64)
+    x = as_pixels(images)
     flat = x.reshape(x.shape[0], -1)
     return np.stack([flat.mean(axis=1), flat.std(axis=1)], axis=1)
 

@@ -6,6 +6,13 @@ channel statistics observed at the hooks are unconfounded. Style transforms
 attach at hooks during training (balancing first, then augmentation); the
 test-time shifter attaches at one hook during evaluation.
 
+Images may arrive as the uint8 codes ``domain_data.load_images`` returns:
+``forward`` and ``infer`` scale each batch they are given (``as_pixels``), so
+``train`` scales one batch and each inference pass one chunk at a time, and
+no whole split is ever held as float64. ``float64(code) / 255.0`` has the same
+bits on a batch as on the whole split, so codes give the outputs of the
+scaled floats bit for bit.
+
 Gradients come from the package's reverse-mode engine. A hook operation fixes
 its randomness when it is drawn and records its plan and sorting permutations
 on its first call; every later call replays that state. Finite-difference
@@ -45,6 +52,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
+from .domain_data import as_pixels
 from .errors import ConfigError, DivergenceError
 from .style_balance import BatchMeta, MovePlan, build_balance_plan, sb_apply_var
 from .style_ops import DEFAULT_LAMBDA_SHAPE, dsu_var, efdmix_hook, mixstyle_var
@@ -348,8 +356,8 @@ class MicroNet:
         """Run the network, recording its graph, applying hook operations in
         their listed order: the training and finite-difference pass.
 
-        Images enter as a constant, so no gradient is formed for them unless
-        x is a Var.
+        Images enter as a constant, scaled by ``as_pixels`` where they are
+        uint8 codes, so no gradient is formed for them unless x is a Var.
         """
         by_hook: dict[str, list] = {}
         for name, op in hook_ops or []:
@@ -357,7 +365,7 @@ class MicroNet:
                 raise ConfigError(f"unknown hook {name!r}")
             by_hook.setdefault(name, []).append(op)
         pv = {name: Var(val) for name, val in self.params.items()}
-        h = x
+        h = x if isinstance(x, Var) else as_pixels(x)
         hook_inputs: dict[str, Var] = {}
         for i, blk in enumerate(self.config.blocks):
             name = f"block{i + 1}"
@@ -382,8 +390,9 @@ class MicroNet:
         Returns the (B, n_classes) logits, or with ``hook`` the pass stops at
         that block and returns its (B, C, H, W) output. With ``start`` x is
         the (B, C, H, W) output of that block and only the blocks after it
-        run, so ``infer(infer(x, h), start=h)`` is ``infer(x)`` byte for byte;
-        evaluation shifts the features in between.
+        run; without it x is a batch of images, which ``as_pixels`` scales
+        where they are uint8 codes. So ``infer(infer(x, h), start=h)`` is
+        ``infer(x)`` byte for byte; evaluation shifts the features in between.
         """
         for name in (hook, start):
             if name is not None and name not in self.hook_names:
@@ -391,7 +400,7 @@ class MicroNet:
         first = 0 if start is None else self.hook_names.index(start) + 1
         if hook is not None and self.hook_names.index(hook) < first:
             raise ConfigError(f"hook {hook!r} does not come after start {start!r}")
-        h = np.asarray(x, dtype=np.float64).transpose(1, 0, 2, 3)
+        h = as_pixels(x).transpose(1, 0, 2, 3)
         for i in range(first, len(self.config.blocks)):
             blk = self.config.blocks[i]
             h = ad.conv_cm(ad.pad_cm(h, 1), self.params[f"conv{i}_w"],  # frees the patches
@@ -408,7 +417,7 @@ class MicroNet:
         """Per-sample style vectors at one hook (``infer`` checks it) from
         tape-free passes that stop there: the passes run as pool tasks
         (``_chunk_results``), the style vectors on the calling thread."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         return np.concatenate([batch_style_vectors(h) for h in _chunk_results(
             _chunks(x.shape[0]), lambda i, sl: self.infer(x[sl], layer))], axis=0)
 
@@ -464,9 +473,10 @@ def train(net: MicroNet, images, class_labels, domain_labels, cfg: TrainConfig,
 
     Balancing (when enabled) runs at one uniformly chosen hook with its
     activation probability; any configured augmentation runs after it.
-    Deterministic given (net, data, cfg.seed).
+    Deterministic given (net, data, cfg.seed). uint8 codes stay codes until
+    ``forward`` scales each batch.
     """
-    x = np.asarray(images, dtype=np.float64)
+    x = np.asarray(images)
     y = np.asarray(class_labels, dtype=np.intp)
     doms = np.asarray(domain_labels, dtype=np.intp)
     if n_domains is None:
@@ -554,7 +564,7 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
     if mode.kind == "nearest_sample" and len(alphas) != 1:
         raise ConfigError("nearest_sample draws pool members per shifted sample: "
                           "evaluate each alpha on its own")
-    x = np.asarray(images, dtype=np.float64)
+    x = np.asarray(images)
     y = np.asarray(class_labels, dtype=np.intp)
     doms = np.asarray(domain_labels, dtype=np.intp)
     alphas = [a if a is None else checked_alpha(a) for a in alphas]  # in every mode

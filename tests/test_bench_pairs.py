@@ -49,6 +49,27 @@ def test_a_parent_spread_past_the_bound_is_unresolved(bench_pairs):
                                0.25)["verdict"] == "unresolved"
 
 
+
+def test_gain_needs_nine_wins_in_ten_and_a_gap_past_the_spread(bench_pairs):
+    """The claim rule on ten pairs of a lower-is-better metric whose parent
+    runs have a quartile distance of 0.875."""
+    parent = [84.0, 85.0, 84.5, 85.5, 84.0, 85.0, 86.0, 84.5, 85.0, 85.5]
+    assert bench_pairs.quartile_distance(parent) == pytest.approx(0.875)
+    met = bench_pairs.verdict(parent, [65.0, 64.5, 65.5, 65.0, 64.0, 65.0, 65.5, 64.5,
+                                       65.0, 86.5], "lower", 0.1)
+    assert (met["wins"], met["gain"], met["verdict"]) == (9, True, "ok")
+    # eight wins in ten, with the same median gap: short on wins
+    short = bench_pairs.verdict(parent, [65.0, 64.5, 65.5, 65.0, 64.0, 65.0, 65.5, 64.5,
+                                         86.5, 86.5], "lower", 0.1)
+    assert (short["wins"], short["gain"]) == (8, False)
+    # ten wins, but the median gap (0.5) is inside the parent's spread (0.875)
+    inside = bench_pairs.verdict(parent, [p - 0.5 for p in parent], "lower", 0.1)
+    assert (inside["wins"], inside["gain"]) == (10, False)
+    # higher is better: the gap counts in that direction
+    assert bench_pairs.verdict(parent, [p + 20.0 for p in parent], "higher", 0.1)["gain"]
+    assert not bench_pairs.verdict(parent, [p + 20.0 for p in parent], "lower", 0.1)["gain"]
+
+
 def test_ties_count_for_neither_side(bench_pairs):
     r = bench_pairs.verdict([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 2.0], "lower", 0.25)
     assert r["wins"] == 1

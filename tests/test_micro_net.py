@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from styleshift import autodiff as ad
+from styleshift import domain_data as dd
 from styleshift import micro_net as mn
 from styleshift import test_time_shift as ts
 from styleshift.autodiff import Var
@@ -712,16 +713,17 @@ def forced_workers(k):
         yield mp
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(config=inference_nets(), seed=st.integers(0, 2**16), n=st.integers(1, 70),
-       data=st.data())
-def test_more_workers_give_the_same_bits(config, seed, n, data):
+       codes=st.booleans(), data=st.data())
+def test_more_workers_give_the_same_bits(config, seed, n, codes, data):
     """With 1, 2 or 3 inference workers, ``evaluate_alphas`` gives the tallies
     of the chunk-by-chunk ``evaluate_at`` in every mode, nearest_sample with
     the same pool draws and rng end state, and ``style_vectors_at`` the bytes
     of a sequential loop. The shifts run in chunk order even though the first
     chunk's shift is held back: a later chunk that did not wait for its turn
-    would shift first."""
+    would shift first. Given uint8 codes, both give what the sequential
+    reference gives on ``codes / 255.0``, the shifted features included."""
     net = mn.MicroNet.init(config, seed=seed)
     layer = data.draw(st.sampled_from(config.hook_names), label="layer")
     rng = RNG(seed)
@@ -731,10 +733,15 @@ def test_more_workers_give_the_same_bits(config, seed, n, data):
     x_src = rng.uniform(size=(src_doms.size, *shape)) * (1.0 + src_doms)[:, None, None, None]
     reg = ts.build_registry(net, x_src, src_doms, layer)
     one = ts.build_registry(net, x_src, np.zeros(src_doms.size, dtype=int), layer)
-    x = rng.uniform(size=(n, *shape)) * rng.uniform(0.1, 3.0, size=(n, 1, 1, 1))
+    if codes:
+        x = rng.integers(0, 256, size=(n, *shape), dtype=np.uint8)
+        ref = x / 255.0
+    else:
+        x = ref = rng.uniform(size=(n, *shape)) * rng.uniform(0.1, 3.0, size=(n, 1, 1, 1))
     y = rng.integers(0, config.n_classes, n)
     d = rng.integers(0, 3, n)
-    parts = [net.infer(x[s:s + mn.INFERENCE_CHUNK], layer) for s in range(0, n, mn.INFERENCE_CHUNK)]
+    parts = [net.infer(ref[s:s + mn.INFERENCE_CHUNK], layer)
+             for s in range(0, n, mn.INFERENCE_CHUNK)]
     styles = np.concatenate([batch_style_vectors(p) for p in parts])
     hooked = [p.tobytes() for p in parts]
     ratio = np.array([ts.decide(p, reg, 0.0).avg_distance for p in styles]) \
@@ -760,7 +767,8 @@ def test_more_workers_give_the_same_bits(config, seed, n, data):
                                        (ts.SINGLE_DOMAIN, one)):
                     shifted_chunks.clear()
                     got = mn.evaluate_alphas(net, x, y, d, registry, mode, alphas)
-                    want = [evaluate_at(net, x, y, d, registry, mode, alpha) for alpha in alphas]
+                    want = [evaluate_at(net, ref, y, d, registry, mode, alpha)
+                            for alpha in alphas]
                     assert [r.domains for r in got] == [r.domains for r in want], (k, mode.kind)
                     assert shifted_chunks == ([] if mode.kind == "off" else hooked), \
                         (k, mode.kind)
@@ -768,12 +776,42 @@ def test_more_workers_give_the_same_bits(config, seed, n, data):
                     shifted_chunks.clear()
                     got_rng, want_rng = RNG(seed + 1), RNG(seed + 1)
                     got = mn.evaluate(net, x, y, d, reg, near, alpha, pool, got_rng)
-                    want = evaluate_at(net, x, y, d, reg, near, alpha, pool, want_rng)
+                    want = evaluate_at(net, ref, y, d, reg, near, alpha, pool, want_rng)
                     assert got.domains == want.domains, (k, alpha)
                     assert shifted_chunks == hooked, (k, alpha)
                     assert got_rng.bit_generator.state == want_rng.bit_generator.state, (k, alpha)
     finally:
         sys.setswitchinterval(switch)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=inference_nets(), seed=st.integers(0, 2**16), n=st.integers(1, 40),
+       aug=st.sampled_from(mn.AUG_KINDS), sb=st.booleans())
+def test_codes_give_the_bits_of_their_scaled_floats(config, seed, n, aug, sb):
+    """uint8 codes give what ``codes / 255.0`` gives, byte for byte: ``infer``
+    at every hook and to the logits, ``style_vectors_at`` at every hook, the
+    parameters after a few ``train`` steps with balancing and augmentation
+    drawn, and ``raw_pixel_styles``."""
+    rng = RNG(seed)
+    size = config.image_size
+    codes = rng.integers(0, 256, size=(n, config.in_channels, size, size), dtype=np.uint8)
+    floats = codes / 255.0
+    net = mn.MicroNet.init(config, seed=seed)
+    assert net.infer(codes).tobytes() == net.infer(floats).tobytes()
+    for hook in config.hook_names:
+        assert net.infer(codes, hook).tobytes() == net.infer(floats, hook).tobytes(), hook
+        assert net.style_vectors_at(codes, hook).tobytes() == \
+            net.style_vectors_at(floats, hook).tobytes(), hook
+    assert dd.raw_pixel_styles(codes).tobytes() == dd.raw_pixel_styles(floats).tobytes()
+    y = rng.integers(0, config.n_classes, n)
+    doms = np.arange(n) % 2
+    cfg = mn.TrainConfig(epochs=2, batch_size=8, lr=0.01, seed=seed, sb=sb, aug=aug)
+    params = []
+    for x in (codes, floats):
+        trained = mn.MicroNet.init(config, seed=seed)
+        mn.train(trained, x, y, doms, cfg, n_domains=2)
+        params.append({name: v.tobytes() for name, v in trained.params.items()})
+    assert params[0] == params[1]
 
 
 RAISING_CHUNKS = """

@@ -17,6 +17,11 @@ neither) and a verdict against the metric's bound:
   run;
 - ``ok``: neither.
 
+Each row also says whether the change shows a gain on that metric: it wins at
+least nine tenths of the pairs, and its median is better than the parent's by
+more than the parent's quartile distance. The JSON summary lists the metrics
+with a gain under ``gain``.
+
 Then it runs ``--trace 1`` once per side and compares every exact count that
 perfbench/workloads.json lists. Exits 1 on a ``worse`` verdict, on a larger
 share of failed operations in the change's runs than in the parent's, or on
@@ -56,7 +61,10 @@ def quartile_distance(values: list[float]) -> float:
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Compare paired runs of one metric; ``parent[i]`` and ``change[i]`` are pair i."""
+    """Compare paired runs of one metric; ``parent[i]`` and ``change[i]`` are pair i.
+    ``gain`` is the claim rule: at least 9 wins in 10 pairs (ties count for
+    neither) and a median gap, in the better direction, past the parent's
+    quartile distance."""
     sign = 1.0 if better == "higher" else -1.0   # sign * value grows as the metric improves
     med_p, med_c = statistics.median(parent), statistics.median(change)
     spread = quartile_distance(parent)
@@ -67,9 +75,10 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
         word = "unresolved"
     else:
         word = "ok"
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     return {"parent_median": med_p, "change_median": med_c, "parent_quartile_distance": spread,
-            "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-            "pairs": len(parent), "verdict": word}
+            "wins": wins, "pairs": len(parent), "verdict": word,
+            "gain": 10 * wins >= 9 * len(parent) and sign * (med_c - med_p) > spread}
 
 
 def metric_base(key: str, workloads) -> str:
@@ -118,7 +127,7 @@ def main(argv=None) -> int:
         r = rows[key]
         print(f"{key:<28} parent {r['parent_median']:.4g}  change {r['change_median']:.4g}  "
               f"quartile distance {r['parent_quartile_distance']:.3g} {m['unit']}  "
-              f"wins {r['wins']}/{r['pairs']}  {r['verdict']}")
+              f"wins {r['wins']}/{r['pairs']}  {r['verdict']}{'  gain' if r['gain'] else ''}")
     shares = {side: failed_share(runs[side]) for side in sides}
 
     exact = set(json.loads((args.parent / "perfbench" / "workloads.json").read_text())
@@ -140,7 +149,8 @@ def main(argv=None) -> int:
            or failed_share([traces["change"]]) > failed_share([traces["parent"]])
            or bool(differ))
     print(json.dumps({"workload": args.workload, "pairs": args.pairs, "seed": args.seed,
-                      "metrics": rows, "failed_share": shares, "trace_failed": trace_failed,
+                      "metrics": rows, "gain": sorted(k for k, r in rows.items() if r["gain"]),
+                      "failed_share": shares, "trace_failed": trace_failed,
                       "exact_counts": len(counts), "exact_counts_differ": sorted(differ),
                       "ok": not bad}))
     return 1 if bad else 0
