@@ -190,9 +190,13 @@ def cmd_sweep(args) -> int:
     sweep_dir = workdir / args.out_dir
     if args.param == "alpha":  # alpha changes only evaluation: train once per seed
         tasks = [(points, seed, sweep_dir) for seed in cfg.seeds]
-    else:  # the data changes with the value: train once per point
-        tasks = [([point], seed, sweep_dir / f"{args.param}_{point[0]:g}")
-                 for point in points for seed in cfg.seeds]
+    else:  # the data changes with the value: train once per point, in its own directory
+        names = [f"{args.param}_{value:g}" for value in values]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"--values {args.values!r} name one point directory twice; "
+                              f"values must differ in their first 6 significant digits")
+        tasks = [([point], seed, sweep_dir / name)
+                 for point, name in zip(points, names) for seed in cfg.seeds]
     t0 = time.perf_counter()
     rows = [{"param": args.param, **row} for task in tasks for row in _sweep_task(*task)]
     rows.sort(key=lambda r: (r["param"], r["value"], r["seed"], r["target"]))

@@ -1,13 +1,14 @@
 """Style transforms over feature statistics.
 
-Five transforms are provided: stat renormalization (adain), stat mixing with
+Four transforms are provided: stat renormalization (adain), stat mixing with
 a shuffled partner (mixstyle), Gaussian stat perturbation (dsu), and exact
-sorted-value matching / mixing (efdm / efdmix).
+sorted-value mixing (efdmix; at lambda 0 it is EFDM, which places the
+partner's sorted values exactly).
 
-adain, efdm and efdmix act on plain arrays: adain renormalizes test-time
-features (``renormalize`` is its map, which the batched shifter applies to
-the moments it already holds), and the 1-D efdm / efdmix are the reference
-definitions that the batched hooks are checked against. The training hooks
+adain and efdmix act on plain arrays: adain renormalizes test-time features
+(``renormalize`` is its map, which the batched shifter applies to the
+moments it already holds), and the 1-D efdmix is the reference definition
+that the batched hook is checked against. The training hooks
 ``mixstyle_var``, ``dsu_var`` and ``efdmix_hook`` are the only
 implementations of their transforms; they return Vars, and ``.value`` is the
 forward result. Sorting permutations are constants of the forward pass.
@@ -118,24 +119,7 @@ def dsu_var(x: Var, eps_mu, eps_sig, eps_std: float = EPS_STD) -> Var:
     return gamma * ((x - mu) / sig) + beta
 
 
-# -- efdm / efdmix -----------------------------------------------------------
-
-def efdm(x, y) -> np.ndarray:
-    """Replace x's order statistics with y's, exactly.
-
-    out[tau_i] = y[kappa_i] where tau/kappa sort x/y ascending. Values are
-    placed by assignment, so the output multiset equals y's bit for bit.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionError(f"efdm needs equal-length vectors, got {x.shape} and {y.shape}")
-    tau = sort_permutation(x)
-    kappa = sort_permutation(y)
-    out = np.empty_like(x)
-    out[tau] = y[kappa]
-    return out
-
+# -- efdmix ------------------------------------------------------------------
 
 def efdmix(x, y, lam: float) -> np.ndarray:
     """Sorted-value interpolation: out[tau_i] = lam*x[tau_i] + (1-lam)*y[kappa_i]."""

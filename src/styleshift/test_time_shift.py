@@ -144,20 +144,11 @@ def decide(phi_t, reg: DomainRegistry, alpha: float | None = None) -> ShiftDecis
     """Shift iff the mean distance to the centroids exceeds alpha * spread.
 
     The shift target is the nearest centroid, ties resolved toward the lower
-    domain id.
+    domain id. ``_decisions`` owns the rule; this is its one-row, one-alpha
+    call in proposed mode.
     """
-    phi = np.asarray(phi_t, dtype=np.float64).reshape(-1)
-    if phi.shape[0] != reg.centroids.shape[1]:
-        raise DimensionError("style vector length does not match registry")
-    alpha = reg.alpha_default if alpha is None else checked_alpha(alpha)
-    dists = np.linalg.norm(phi[None, :] - reg.centroids, axis=1)
-    avg = float(dists.mean())
-    threshold = float(alpha * reg.spread)
-    if avg > threshold:
-        return ShiftDecision(shifted=True, target=int(np.argmin(dists)),
-                             avg_distance=avg, threshold=threshold)
-    return ShiftDecision(shifted=False, target=None, avg_distance=avg,
-                         threshold=threshold)
+    phi = np.asarray(phi_t, dtype=np.float64).reshape(1, -1)
+    return _first_decision(_decisions(phi, reg, [alpha], PROPOSED))
 
 
 def ts_apply(f_t, reg: DomainRegistry, alpha: float | None = None,
@@ -167,14 +158,12 @@ def ts_apply(f_t, reg: DomainRegistry, alpha: float | None = None,
     map, shifted or kept, and its ``ShiftDecision``, whose ``target`` is None
     where the sample kept its style."""
     out, d = shift_batch(as_feature_map(f_t)[None], reg, [alpha], mode, sample_pool, rng)
-    target = int(d.target[0])
-    return out[0], ShiftDecision(bool(d.shifted[0, 0]), None if target < 0 else target,
-                                 float(d.avg_distance[0]), float(d.thresholds[0]))
+    return out[0], _first_decision(d)
 
 
 @dataclass(frozen=True)
 class BatchShift:
-    """The decisions ``shift_batch`` took for a batch at A alphas: whether each
+    """The decisions ``_decisions`` takes for a batch at A alphas: whether each
     shifted each sample, against its threshold, and per sample the nearest
     centroid (-1 where no alpha shifted it) and mean distance to the centroids."""
 
@@ -184,26 +173,19 @@ class BatchShift:
     thresholds: np.ndarray     # (A,)
 
 
-def shift_batch(feats, reg: DomainRegistry, alphas: list[float | None],
-                mode: ShiftMode = PROPOSED, sample_pool=None,
-                rng: np.random.Generator | None = None) -> tuple[np.ndarray, BatchShift]:
-    """Apply one shift mode to a (B, C, H, W) batch: the one test-time shifter.
+def _first_decision(d: BatchShift) -> ShiftDecision:
+    """Sample 0's decision at the first alpha; ``target`` is None where it kept its style."""
+    target = int(d.target[0])
+    return ShiftDecision(bool(d.shifted[0, 0]), None if target < 0 else target,
+                         float(d.avg_distance[0]), float(d.thresholds[0]))
 
-    Returns (features, BatchShift). Proposed and nearest_sample shift a sample
-    whose mean distance exceeds alpha * spread, for each of ``alphas`` (None is
-    the registry's); off's threshold is inf, and that of shift_all and
-    single_domain -inf, so they keep or shift every sample. The features are
-    the smallest alpha's, whose shifted samples hold every larger one's. A
-    shifted sample is renormalized (adain) to its nearest centroid, or in
-    nearest_sample mode to the closest of ``pool_size`` styles drawn from
-    ``sample_pool`` with ``rng``, one ``rng.choice`` call per shifted sample in
-    sample order. The work is one moment pass, one (B, N) distance matrix with
-    its row means and argmins, and one adain over the shifted rows, which
-    reuses those moments; a batch in which no sample shifts is returned as
-    given. Bit for bit, row b and its decisions are those of sample b shifted
-    alone (``ts_apply``), and ``shifted[a]`` that of a call at alpha a alone.
-    """
-    phi = batch_style_vectors(feats)
+
+def _decisions(phi: np.ndarray, reg: DomainRegistry, alphas: list[float | None],
+               mode: ShiftMode) -> BatchShift:
+    """The shift rule over (B, 2C) style vectors at each of ``alphas`` (None is
+    the registry's): shift a sample whose mean distance to the centroids
+    exceeds alpha * spread (off: inf; shift_all and single_domain: -inf) to
+    its nearest centroid, ties going to the lower domain id."""
     if phi.shape[1] != reg.centroids.shape[1]:
         raise DimensionError("style vector length does not match registry")
     if mode.kind == "single_domain" and reg.n_domains != 1:
@@ -216,13 +198,33 @@ def shift_batch(feats, reg: DomainRegistry, alphas: list[float | None],
     dists = np.linalg.norm(phi[:, None, :] - reg.centroids[None, :, :], axis=2)
     avg = dists.mean(axis=1)
     shifted = avg > thresholds[:, None]
-    moved = shifted.any(axis=0)  # the smallest alpha's row, which holds every larger one's
-    target = np.where(moved, dists.argmin(axis=1), -1)
-    rows = np.flatnonzero(moved)
-    decisions = BatchShift(shifted, target, avg, thresholds)
+    # any alpha's shift is the smallest alpha's, whose row holds every larger one's
+    target = np.where(shifted.any(axis=0), dists.argmin(axis=1), -1)
+    return BatchShift(shifted, target, avg, thresholds)
+
+
+def shift_batch(feats, reg: DomainRegistry, alphas: list[float | None],
+                mode: ShiftMode = PROPOSED, sample_pool=None,
+                rng: np.random.Generator | None = None) -> tuple[np.ndarray, BatchShift]:
+    """Apply one shift mode to a (B, C, H, W) batch: the one test-time shifter.
+
+    Returns (features, BatchShift); ``_decisions`` owns the shift rule. The
+    features are the smallest alpha's, whose shifted samples hold every larger
+    one's. A shifted sample is renormalized (adain) to its nearest centroid,
+    or in nearest_sample mode to the closest of ``pool_size`` styles drawn
+    from ``sample_pool`` with ``rng``, one ``rng.choice`` call per shifted
+    sample in sample order. The work is one moment pass, the decisions, and
+    one adain over the shifted rows, which reuses those moments; a batch in
+    which no sample shifts is returned as given. Bit for bit, row b and its
+    decisions are those of sample b shifted alone (``ts_apply``), and
+    ``shifted[a]`` that of a call at alpha a alone.
+    """
+    phi = batch_style_vectors(feats)
+    decisions = _decisions(phi, reg, alphas, mode)
+    rows = np.flatnonzero(decisions.target >= 0)
     if rows.size == 0:
         return np.asarray(feats, dtype=np.float64), decisions
-    goal = reg.centroids[target[rows]]
+    goal = reg.centroids[decisions.target[rows]]
     if mode.kind == "nearest_sample":
         if sample_pool is None:
             raise ConfigError("nearest_sample mode requires a sample_pool of style vectors")

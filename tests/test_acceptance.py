@@ -54,7 +54,10 @@ def test_criterion_1_stat_transplant():
         worst_sig = max(worst_sig, float(np.max(np.abs(
             tc.channel_std(out, 1e-9) - target.sigma))))
         x, y = rng.normal(size=(2, h * w))
-        assert np.array_equal(np.sort(so.efdm(x, y)), np.sort(y))
+        # efdm is the training hook at lambda 0: row 0 takes its partner y's values
+        mixed, _ = so.efdmix_hook(Var(np.stack([x, y]).reshape(2, 1, 1, h * w)), [1, 0],
+                                  [0.0, 0.0])
+        assert np.array_equal(np.sort(mixed.value[0].ravel()), np.sort(y))
     wall = time.perf_counter() - start
     ok = worst_mu < 1e-6 and worst_sig < 1e-6 and wall < 5.0
     report(1, ok, f"adain stat error mu {worst_mu:.2e} / sigma {worst_sig:.2e} "

@@ -1,5 +1,6 @@
-"""The verdicts of ``tools/bench_pairs.py`` on canned run values: no benchmark runs."""
+"""``tools/bench_pairs.py``'s verdicts and summary on canned run values: no benchmark runs."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,44 @@ def test_workload_prefixes_and_failed_shares(bench_pairs):
     runs = [{"failed": 1, "attempted": 10}, {"failed": 0, "attempted": 30}]
     assert bench_pairs.failed_share(runs) == 0.025
     assert bench_pairs.failed_share([]) == 0.0
+
+
+def test_summary_keeps_every_run_and_each_sides_first_stamp(bench_pairs, tmp_path,
+                                                            monkeypatch, capsys):
+    """The last stdout line holds each timed run, in run order, with its side,
+    pair, order in the pair, seed and summary, and each side's first machine
+    stamp: what a ``BENCH_*.json`` record needs. A canned ``run_bench`` stands
+    in for ``perfbench/run.py`` in two tmp checkouts."""
+    bench = {"workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+        (tmp_path / side / "perfbench" / "workloads.json").write_text(
+            json.dumps({"exact_counts": ["units"]}))
+    done = {"parent": 0, "change": 0}
+
+    def canned(checkout, workload, seed, trace):
+        side = checkout.name
+        done[side] += 1
+        summary = {"correct": True, "attempted": 2, "failed": 0,
+                   "metrics": {"wall_s": {"unit": "s", "value": float(done[side])},
+                               "units": {"unit": "count", "value": 3}}}
+        return summary, {"cpu_count": 2, "side": side, "run": done[side]}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", canned)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "w", "--pairs", "3", "--seed", "5"]) == 0
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["stamp"] == {side: {"cpu_count": 2, "side": side, "run": 1}
+                            for side in ("parent", "change")}
+    forward, backward = ["parent", "change"], ["change", "parent"]
+    assert [(r["side"], r["pair"], r["order_in_pair"]) for r in out["runs"]] == [
+        ("parent", 0, forward), ("change", 0, forward), ("change", 1, backward),
+        ("parent", 1, backward), ("parent", 2, forward), ("change", 2, forward)]
+    assert {(r["seed"], r["returncode"]) for r in out["runs"]} == {(5, 0)}
+    for side in ("parent", "change"):
+        results = [r["results"] for r in out["runs"] if r["side"] == side]
+        assert [res["w"]["result"]["metrics"]["wall_s"]["value"] for res in results] == \
+            [1.0, 2.0, 3.0]
+        assert results[0]["w"]["result"]["attempted"] == 2

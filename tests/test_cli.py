@@ -945,10 +945,12 @@ def test_malformed_document_exits_2(cli_workdir, case):
     ("sweep", "--param", "alpha", "--values", "1,-1"),
     ("sweep", "--param", "alpha", "--values", "nan"),
     ("sweep", "--param", "keep_fraction", "--values", "0.5,2"),
+    ("sweep", "--param", "keep_fraction", "--values", "0.5,0.5000001"),
 ], ids=lambda argv: "_".join(argv[:1] + argv[-2:]).replace("--", ""))
 def test_bad_numeric_flag_exits_2_before_work(cli_workdir, argv):
-    """alpha is a finite number >= 0 and a keep fraction lies in (0, 1]; a
-    sweep checks every point before its first training."""
+    """alpha is a finite number >= 0 and a keep fraction lies in (0, 1]; two
+    values of a data sweep may not name one point directory (``:g``); a sweep
+    checks every point before its first training."""
     command, tag = argv[0], "flag_" + "_".join(argv[1:]).replace(",", "_")
     args = {"stats": ("--checkpoint", "ckpt.json", "--dataset", "data",
                       "--out-registry", f"{tag}.out"),

@@ -257,7 +257,7 @@ def test_sb_transform_lambda_one_is_efdm():
     out = _restyle(f, f1, f2, 1.0)
     for c in range(2):
         np.testing.assert_array_equal(out[c].ravel(),
-                                      so.efdm(f[c].ravel(), f1[c].ravel()))
+                                      so.efdmix(f[c].ravel(), f1[c].ravel(), 0.0))
 
 
 def test_sb_transform_hand_case():

@@ -155,7 +155,7 @@ def test_dsu_monte_carlo_spread():
 def test_efdm_identity():
     rng = RNG(12)
     x = rng.normal(size=10)
-    np.testing.assert_array_equal(so.efdm(x, x), x)
+    np.testing.assert_array_equal(so.efdmix(x, x, 0.0), x)
 
 
 TIE_PRONE = st.one_of(st.sampled_from([-1.5, 0.0, 0.25, 2.0]),
@@ -169,33 +169,32 @@ TIE_PRONE = st.one_of(st.sampled_from([-1.5, 0.0, 0.25, 2.0]),
 def test_efdm_output_multiset_is_style_multiset(xy):
     # values drawn mostly from a small set, so both inputs carry ties
     x, y = (np.array(v) for v in xy)
-    out = so.efdm(x, y)
+    out = so.efdmix(x, y, 0.0)
     np.testing.assert_array_equal(np.sort(out), np.sort(y))
 
 
 def test_efdm_hand_case():
-    out = so.efdm([3.0, 1.0, 2.0], [10.0, 30.0, 20.0])
+    out = so.efdmix([3.0, 1.0, 2.0], [10.0, 30.0, 20.0], 0.0)
     np.testing.assert_array_equal(out, [30.0, 10.0, 20.0])
 
 
 def test_efdm_rank_preservation():
     rng = RNG(14)
     x = rng.permutation(20).astype(float)
-    out = so.efdm(x, rng.normal(size=20))
+    out = so.efdmix(x, rng.normal(size=20), 0.0)
     order = np.argsort(x)
     assert np.all(np.diff(out[order]) >= 0)
 
 
 def test_efdm_length_mismatch():
     with pytest.raises(DimensionError):
-        so.efdm([1.0, 2.0], [1.0, 2.0, 3.0])
+        so.efdmix([1.0, 2.0], [1.0, 2.0, 3.0], 0.0)
 
 
 def test_efdmix_lambda_bounds():
     rng = RNG(15)
     x, y = rng.normal(size=(2, 12))
     np.testing.assert_array_equal(so.efdmix(x, y, 1.0), x)
-    np.testing.assert_array_equal(so.efdmix(x, y, 0.0), so.efdm(x, y))
 
 
 def test_efdmix_hand_case():
@@ -215,7 +214,7 @@ def test_transforms_preserve_shape():
     assert so.mixstyle_var(Var(x), rng.uniform(size=4), rng.permutation(4)).shape == x.shape
     assert dsu_draw(x, rng).shape == x.shape
     v = rng.normal(size=15)
-    assert so.efdm(v, rng.normal(size=15)).shape == v.shape
+    assert so.efdmix(v, rng.normal(size=15), 0.0).shape == v.shape
 
 
 # -- sample_lambda --------------------------------------------------------------
@@ -283,16 +282,23 @@ def test_efdmix_hook_gradient_matches_finite_differences():
     assert rel_err(fd_grad(f, xv.copy()), x.grad) < 1e-4
 
 
-def test_efdmix_hook_matches_vector_op():
-    rng = RNG(25)
-    xv = rng.normal(size=(2, 3, 2, 2))
-    partner = np.array([1, 0])
-    lam = rng.uniform(size=2)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), b=st.integers(2, 6), c=st.integers(1, 3), h=st.integers(1, 4),
+       w=st.integers(1, 4))
+def test_efdmix_hook_matches_vector_op(data, b, c, h, w):
+    """Each (sample, channel) row of the hook equals plain efdmix of that row
+    against its partner's, bit for bit: on tie-prone values, at any partner
+    permutation, and at lambda 0 (efdm), 1 and in between."""
+    xv = np.array(data.draw(st.lists(TIE_PRONE, min_size=b * c * h * w,
+                                     max_size=b * c * h * w))).reshape(b, c, h, w)
+    partner = np.array(data.draw(st.permutations(range(b))))
+    lam = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                             min_size=b, max_size=b))
     out, _ = so.efdmix_hook(Var(xv), partner, lam)
-    for b in range(2):
-        for c in range(3):
-            expected = so.efdmix(xv[b, c].ravel(), xv[partner[b], c].ravel(), lam[b])
-            np.testing.assert_allclose(out.value[b, c].ravel(), expected, atol=1e-12)
+    for i in range(b):
+        for k in range(c):
+            expected = so.efdmix(xv[i, k].ravel(), xv[partner[i], k].ravel(), lam[i])
+            assert out.value[i, k].ravel().tobytes() == expected.tobytes()
 
 
 def test_dsu_clamps_negative_gamma():

@@ -26,7 +26,10 @@ Then it runs ``--trace 1`` once per side and compares every exact count that
 perfbench/workloads.json lists. Exits 1 on a ``worse`` verdict, on a larger
 share of failed operations in the change's runs than in the parent's, or on
 an exact count that differs; else 0. The last line of stdout is a JSON
-summary.
+summary. Besides the verdicts it holds every timed run under ``runs`` (its
+side, pair, order in the pair, seed and summary, in the ``runs`` schema of the
+``BENCH_*.json`` records) and each side's first ``stamp`` line under
+``stamp``, so a bench record can be written from that line alone.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ import sys
 from pathlib import Path
 
 
-def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """The JSON summary ``perfbench/run.py`` prints last, run in ``checkout``."""
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict | None]:
+    """The JSON summary ``perfbench/run.py`` prints last, run in ``checkout``,
+    and the machine stamp of its first ``stamp`` line (None without one)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", str(trace)],
@@ -50,7 +54,9 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{checkout}: perfbench/run.py --workload {workload} --trace {trace} "
                          f"exited {proc.returncode}")
-    return json.loads(lines[-1])
+    stamp = next((json.loads(line[len("stamp "):]) for line in lines
+                  if line.startswith("stamp ")), None)
+    return json.loads(lines[-1]), stamp
 
 
 def quartile_distance(values: list[float]) -> float:
@@ -110,11 +116,18 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
     sides = {"parent": args.parent, "change": args.change}
 
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    records, stamps = [], {}
     for i in range(args.pairs):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_bench(sides[side], args.workload, args.seed, 0))
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            summary, stamp = run_bench(sides[side], args.workload, args.seed, 0)
+            stamps.setdefault(side, stamp)
+            records.append({"side": side, "pair": i, "order_in_pair": list(order),
+                            "seed": args.seed, "returncode": 0,
+                            "results": {args.workload: {"result": summary}}})
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    runs = {side: [r["results"][args.workload]["result"] for r in records if r["side"] == side]
+            for side in sides}
 
     end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     rows = {}
@@ -132,7 +145,7 @@ def main(argv=None) -> int:
 
     exact = set(json.loads((args.parent / "perfbench" / "workloads.json").read_text())
                 ["exact_counts"])
-    traces = {side: run_bench(sides[side], args.workload, args.seed, 1) for side in sides}
+    traces = {side: run_bench(sides[side], args.workload, args.seed, 1)[0] for side in sides}
     counts = {key: (traces["parent"]["metrics"][key]["value"],
                     traces["change"]["metrics"].get(key, {}).get("value"))
               for key in traces["parent"]["metrics"] if metric_base(key, workloads) in exact}
@@ -152,7 +165,7 @@ def main(argv=None) -> int:
                       "metrics": rows, "gain": sorted(k for k, r in rows.items() if r["gain"]),
                       "failed_share": shares, "trace_failed": trace_failed,
                       "exact_counts": len(counts), "exact_counts_differ": sorted(differ),
-                      "ok": not bad}))
+                      "ok": not bad, "stamp": stamps, "runs": records}))
     return 1 if bad else 0
 
 
