@@ -14,6 +14,7 @@ count (see ``_pin_allocator``).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 
 import numpy as np
@@ -48,6 +49,41 @@ def _pin_allocator() -> None:
 
 
 _pin_allocator()
+
+
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy links, or
+    None where it links none (another BLAS, or a numpy built without one)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    put.argtypes, put.restype = (ctypes.c_int,), None
+    return get, put
+
+
+OPENBLAS_THREADS = _openblas_threads()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block, as the inference
+    workers (``micro_net``) need, one per CPU; restore its count after, which
+    runs a lone training faster on an idle host. A no-op without such an
+    OpenBLAS. The count is process-wide: other threads' BLAS calls meanwhile
+    run on one thread too."""
+    if OPENBLAS_THREADS is None:
+        yield
+        return
+    get, put = OPENBLAS_THREADS
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _spent(g):

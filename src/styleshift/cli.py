@@ -47,10 +47,10 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, columns, rows) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(columns)
+        out.writerows([_fmt(row[c]) for c in columns] for row in rows)
 
 
 def append_sidecar(path: Path, message: str) -> None:
@@ -89,7 +89,6 @@ def cmd_train(args) -> int:
     manifest, root = _load_dataset(workdir, dataset)
     t0 = time.perf_counter()
     net, metrics, _ = train_stage(cfg, manifest, root, cfg.train.seed)
-    net.tags = mn.CheckpointTags(cfg.train.sb, cfg.train.aug, cfg.train.seed)
 
     ckpt = workdir / args.out_checkpoint
     ckpt.parent.mkdir(parents=True, exist_ok=True)
@@ -216,6 +215,8 @@ SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def _svg_chart(series: dict[str, list[tuple[float, float]]], x_label: str,
                y_label: str) -> str:
+    # imported here: saxutils imports urllib.request, 7 MB that no other command needs
+    from xml.sax.saxutils import escape
     width, height, margin = 640, 420, 60
     xs = [p[0] for pts in series.values() for p in pts]
     ys = [p[1] for pts in series.values() for p in pts]
@@ -240,9 +241,9 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], x_label: str,
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
         f'stroke="black"/>',
         f'<text x="{width / 2:.1f}" y="{height - 15}" text-anchor="middle" '
-        f'font-size="14">{x_label}</text>',
+        f'font-size="14">{escape(x_label)}</text>',
         f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 18 {height / 2:.1f})">{y_label}</text>',
+        f'transform="rotate(-90 18 {height / 2:.1f})">{escape(y_label)}</text>',
     ]
     for tick in (x_lo, (x_lo + x_hi) / 2, x_hi):
         parts.append(f'<text x="{px(tick):.1f}" y="{height - margin + 18}" '
@@ -259,7 +260,7 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], x_label: str,
             parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" '
                          f'fill="{color}"/>')
         parts.append(f'<text x="{width - margin + 4}" y="{margin + 16 * i + 4}" '
-                     f'font-size="11" fill="{color}">{name}</text>')
+                     f'font-size="11" fill="{color}">{escape(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 

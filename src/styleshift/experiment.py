@@ -154,16 +154,17 @@ def fitted_net(net: mn.NetConfig | None, image_size: int, n_classes: int) -> mn.
 
 
 def train_stage(cfg: ExperimentConfig, manifest: dd.DatasetManifest, root, seed: int):
-    """Initialize and train cfg's network (``fitted_net`` to the dataset) on
-    the source split, with ``seed`` as the train seed. Returns (net, metrics,
-    source split). A net that does not fit the dataset, or balancing of fewer
-    than 2 domains, is a ConfigError."""
+    """Initialize, tag and train cfg's network (``fitted_net`` to the dataset)
+    on the source split, with ``seed`` as the train seed. Returns (net,
+    metrics, source split). A net that does not fit the dataset, or balancing
+    of fewer than 2 domains, is a ConfigError."""
     net_cfg = fitted_net(cfg.net, manifest.image_size, manifest.n_classes)
     split = source_split(manifest, root, cfg.protocol, cfg.pseudo_labels, seed)
     images, classes, doms, names = split
     if cfg.train.sb and len(names) < 2:
         raise ConfigError("style balancing needs at least 2 training domains")
     net = mn.MicroNet.init(net_cfg, seed=seed)
+    net.tags = mn.CheckpointTags(cfg.train.sb, cfg.train.aug, seed)
     metrics = mn.train(net, images, classes, doms, replace(cfg.train, seed=seed),
                        n_domains=len(names))
     return net, metrics, split

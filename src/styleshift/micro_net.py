@@ -25,28 +25,25 @@ alpha or many, with one ``shift_batch`` per chunk that decides every alpha;
 ``evaluate`` is its one-alpha call.
 
 Both inference passes run their slices of ``INFERENCE_CHUNK`` samples as tasks
-of ``_chunk_results`` on ``_inference_workers`` threads, the usable CPUs
-divided by the BLAS threads: with BLAS at its default of one thread per CPU
-there is one, and the chunks run inline. numpy releases the GIL in the GEMMs
-and the array ops, so two workers on two CPUs run close to twice as fast. Each
-task runs in its own copy of the caller's context (numpy's ``errstate`` lives
-there), the shifts run in chunk order, so nearest_sample draws exactly as a
-sequential pass would, and the error raised is that of the earliest chunk. Of
-the package's functions the workers call only ``MicroNet.infer`` and
-``shift_batch``; the rest run on the calling thread.
+of ``_chunk_results`` on ``_inference_workers`` threads, one per usable CPU,
+with BLAS on one thread while they run (``autodiff.one_blas_thread``); one,
+inline, where BLAS's threads cannot be set. numpy releases the GIL in the
+GEMMs and the array ops, so two workers on two CPUs run close to twice as
+fast. Each task runs in its own copy of the caller's context (numpy's
+``errstate`` lives there), the shifts run in chunk order, so nearest_sample
+draws exactly as a sequential pass would, and the error raised is that of the
+earliest chunk. Of the package's functions the workers call only
+``MicroNet.infer`` and ``shift_batch``; the rest run on the calling thread.
 """
 
 from __future__ import annotations
 
 import contextvars
-import ctypes
-import functools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -69,31 +66,15 @@ AUG_KINDS = ("none", "mixstyle", "dsu", "efdmix")
 INFERENCE_CHUNK = 16
 
 
-@functools.cache
-def _blas_thread_count():
-    """The thread-count getter of the OpenBLAS that numpy's wheel bundles, or
-    None where there is none (another BLAS, or a numpy built without it)."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
-        try:
-            getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        getter.argtypes, getter.restype = (), ctypes.c_int
-        return getter
-    return None
-
-
 def _inference_workers(chunks: int) -> int:
-    """Threads for ``chunks`` inference tasks: the usable CPUs over the BLAS
-    threads each GEMM may take, at least one and at most ``chunks``. One where
-    the BLAS thread count cannot be read: more workers than CPUs slow
-    inference down."""
-    getter = _blas_thread_count()
-    blas = getter() if getter is not None else 0
-    if blas < 1:
+    """Threads for ``chunks`` inference tasks: one per usable CPU, at most
+    ``chunks``. One where BLAS's thread count cannot be set
+    (``autodiff.OPENBLAS_THREADS``): its GEMMs may then take every CPU, and
+    more workers than CPUs slow inference down."""
+    if ad.OPENBLAS_THREADS is None:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(chunks, (cpus or 1) // blas))
+    return max(1, min(chunks, cpus or 1))
 
 
 def _chunks(n: int) -> list[slice]:
@@ -104,14 +85,15 @@ def _chunks(n: int) -> list[slice]:
 def _chunk_results(chunks: list[slice], task):
     """``task(i, chunk)`` for each of ``chunks``, yielded in chunk order. With
     one worker the tasks run inline; otherwise on a thread pool, each in its
-    own copy of the caller's context. A task's error is raised when its turn
-    to be yielded comes, so the earliest chunk's error is the one raised, and
-    the chunks not yet started are then cancelled."""
+    own copy of the caller's context, with BLAS on one thread until the last
+    result is yielded. A task's error is raised when its turn to be yielded
+    comes, so the earliest chunk's error is the one raised, and the chunks not
+    yet started are then cancelled."""
     workers = _inference_workers(len(chunks))
     if workers == 1:
         yield from map(task, range(len(chunks)), chunks)
         return
-    with ThreadPoolExecutor(workers) as pool:
+    with ad.one_blas_thread(), ThreadPoolExecutor(workers) as pool:
         # a context can be entered by one thread at a time: one copy per task
         contexts = [contextvars.copy_context() for _ in chunks]
         yield from pool.map(lambda ctx, i, chunk: ctx.run(task, i, chunk),

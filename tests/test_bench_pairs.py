@@ -88,12 +88,30 @@ def test_workload_prefixes_and_failed_shares(bench_pairs):
     assert bench_pairs.failed_share([]) == 0.0
 
 
-def test_summary_keeps_every_run_and_each_sides_first_stamp(bench_pairs, tmp_path,
-                                                            monkeypatch, capsys):
+# stands in for perfbench/run.py: run n prints a stamp, a named line (timed runs only) and
+# a summary, each holding n
+FAKE_RUN = """
+import json, sys
+from pathlib import Path
+count = Path("count")
+n = int(count.read_text()) + 1 if count.exists() else 1
+count.write_text(str(n))
+print("stamp " + json.dumps({"cpu_count": 2, "side": Path.cwd().name, "run": n}))
+print("  wall_s = 1.0 s")
+if sys.argv[sys.argv.index("--trace") + 1] == "0":
+    print("named " + json.dumps({"units": {"value": 3, "unit": "count"},
+                                 "setups": {"value": 10 * n, "unit": "count"}}))
+print(json.dumps({"correct": True, "attempted": 2, "failed": 0,
+                  "metrics": {"wall_s": {"unit": "s", "value": float(n)},
+                              "units": {"unit": "count", "value": 3}}}))
+"""
+
+
+def test_summary_keeps_every_run_and_each_sides_first_stamp(bench_pairs, tmp_path, capsys):
     """The last stdout line holds each timed run, in run order, with its side,
-    pair, order in the pair, seed and summary, and each side's first machine
-    stamp: what a ``BENCH_*.json`` record needs. A canned ``run_bench`` stands
-    in for ``perfbench/run.py`` in two tmp checkouts."""
+    pair, order in the pair, seed, named metrics and summary, and each side's
+    first machine stamp: what a ``BENCH_*.json`` record needs. A fake
+    ``perfbench/run.py`` stands in for the benchmark in two tmp checkouts."""
     bench = {"workloads": [{"name": "w"}],
              "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
     for side in ("parent", "change"):
@@ -101,17 +119,8 @@ def test_summary_keeps_every_run_and_each_sides_first_stamp(bench_pairs, tmp_pat
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
         (tmp_path / side / "perfbench" / "workloads.json").write_text(
             json.dumps({"exact_counts": ["units"]}))
-    done = {"parent": 0, "change": 0}
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
 
-    def canned(checkout, workload, seed, trace):
-        side = checkout.name
-        done[side] += 1
-        summary = {"correct": True, "attempted": 2, "failed": 0,
-                   "metrics": {"wall_s": {"unit": "s", "value": float(done[side])},
-                               "units": {"unit": "count", "value": 3}}}
-        return summary, {"cpu_count": 2, "side": side, "run": done[side]}
-
-    monkeypatch.setattr(bench_pairs, "run_bench", canned)
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                              "--workload", "w", "--pairs", "3", "--seed", "5"]) == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -127,3 +136,4 @@ def test_summary_keeps_every_run_and_each_sides_first_stamp(bench_pairs, tmp_pat
         assert [res["w"]["result"]["metrics"]["wall_s"]["value"] for res in results] == \
             [1.0, 2.0, 3.0]
         assert results[0]["w"]["result"]["attempted"] == 2
+        assert [res["w"]["named"]["setups"] for res in results] == [10, 20, 30]

@@ -463,6 +463,32 @@ def test_report_series_col_names_a_column_or_is_omitted(tmp_path, capsys):
     assert not (tmp_path / "typo.svg").exists() and not (tmp_path / "typo.csv").exists()
 
 
+def test_a_label_with_a_comma_survives_eval_and_report(tmp_path):
+    """``eval`` quotes a method label holding a comma, so ``report`` reads it
+    back as one series with the seed in its own column."""
+    _eval_setup(tmp_path)
+    assert run(tmp_path, "eval", "--checkpoint", "ckpt.json", "--registry", "reg.json",
+               "--mode", "off", "--dataset", "data", "--method-label", "a,b",
+               "--out-csv", "e.csv") == 0
+    assert {r["method"] for r in read_rows(tmp_path / "e.csv")} == {"a,b"}
+    assert run(tmp_path, "report", "--in-csv", "e.csv", "--out-svg", "c.svg",
+               "--x-col", "seed") == 0
+    means = read_rows(tmp_path / "e.csv.means.csv")
+    assert [(r["series"], r["seed"], r["n"]) for r in means] == [("a,b", "3.0", "3")]
+
+
+def test_report_chart_escapes_names_and_labels(tmp_path):
+    """Series names and axis labels are XML text in the chart: the SVG parses
+    and shows them as they are."""
+    import xml.etree.ElementTree as ET
+    (tmp_path / "in.csv").write_text("method,x<y&z,accuracy\nA&B<C,1,0.5\nA&B<C,2,0.7\n")
+    assert run(tmp_path, "report", "--in-csv", "in.csv", "--out-svg", "c.svg",
+               "--x-col", "x<y&z") == 0
+    svg = ET.parse(tmp_path / "c.svg")
+    texts = [el.text for el in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert "A&B<C" in texts and "x<y&z" in texts and "mean accuracy" in texts
+
+
 def test_report_tolerates_column_reordering(tmp_path):
     (tmp_path / "in.csv").write_text(
         "accuracy,method,value\n0.5,A,1\n0.7,A,1\n")
@@ -643,7 +669,6 @@ def test_eval_agrees_with_run_seed_in_every_mode(tmp_path, protocol, ev, rates):
     doc = {**SWEEP_CFG, "protocol": protocol, "seeds": [0],
            "train": {"epochs": 3, "batch_size": 10, "lr": 0.05}, "eval": ev}
     outcome = run_seed(from_json(ExperimentConfig, doc), 0, tmp_path)
-    outcome.net.tags = mn.CheckpointTags(seed=0)
     outcome.net.save(tmp_path / "net.ckpt")
     alpha = ["--alpha", str(ev["alpha"])] if "alpha" in ev else []
     single = ["--single-domain"] if protocol == "single_domain" else []
@@ -677,6 +702,15 @@ def test_run_seed_builds_no_pool_outside_nearest_sample(tmp_path, monkeypatch):
            "eval": {"mode": "proposed", "layer": "block1"}}
     run_seed(from_json(ExperimentConfig, doc), 0, tmp_path)
     assert layers == ["block1"]
+
+
+def test_run_seed_tags_its_net_with_the_config_and_seed(tmp_path):
+    """``run_seed``'s network carries the tags that ``train`` would save
+    with it: cfg's sb and aug, and the seed it was trained with."""
+    from styleshift.experiment import run_seed
+    doc = {**SWEEP_CFG, "train": {**SWEEP_CFG["train"], "epochs": 1, "aug": "dsu"}}
+    outcome = run_seed(from_json(ExperimentConfig, doc), 2, tmp_path)
+    assert outcome.net.tags == mn.CheckpointTags(sb=True, aug="dsu", seed=2)
 
 
 def test_sweep_keep_fraction_regenerates_data(tmp_path):

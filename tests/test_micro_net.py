@@ -706,8 +706,8 @@ def test_evaluate_alphas_refuses_nearest_sample():
 
 @contextlib.contextmanager
 def forced_workers(k):
-    """``k`` inference workers (at most one per chunk), whatever the CPUs and
-    the BLAS thread count."""
+    """``k`` inference workers (at most one per chunk), whatever the usable
+    CPUs."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mn, "_inference_workers", lambda chunks: min(k, chunks))
         yield mp

@@ -1,6 +1,8 @@
-"""The suite's settings: pyproject.toml's pytest settings report every failing
-test and go on, and conftest.py runs BLAS on one thread."""
+"""The suite's settings and the thread settings of inference:
+pyproject.toml's pytest settings report every failing test and go on, and
+the inference workers run BLAS on one thread."""
 
+import json
 import os
 import subprocess
 import sys
@@ -39,14 +41,51 @@ def test_a_failing_property_is_reported_and_the_session_goes_on(tmp_path):
     assert "Falsifying example" in out and "1 failed, 1 passed" in out, out
 
 
-def test_the_suite_runs_blas_on_one_thread():
-    """conftest.py pins BLAS to one thread before numpy loads, so inference
-    sizes its pool at one worker per usable CPU (where numpy's bundled
-    OpenBLAS reports its thread count)."""
-    from styleshift import micro_net as mn
-    getter = mn._blas_thread_count()
-    if getter is None:
+# prints the thread count of numpy's bundled OpenBLAS (null where there is none) before
+# and after importing the CLI, inside two inference workers and after them, and the
+# inference workers for 1000 chunks and for 1
+BLAS_PROBE = """
+import ctypes, json
+from pathlib import Path
+import numpy as np
+
+threads = None
+for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+    try:
+        threads = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        continue
+    threads.argtypes, threads.restype = (), ctypes.c_int
+    break
+if threads is None:
+    print("null")
+    raise SystemExit
+before = threads()
+from styleshift import cli
+mn = cli.mn
+workers = [mn._inference_workers(1000), mn._inference_workers(1)]
+imported = threads()
+mn._inference_workers = lambda chunks: 2
+inside = sorted(set(mn._chunk_results(mn._chunks(64), lambda i, chunk: threads())))
+print(json.dumps({"before": before, "imported": imported, "inside": inside,
+                  "after": threads(), "workers": workers}))
+"""
+
+
+def test_inference_workers_run_blas_on_one_thread():
+    """In a process whose environment sets no BLAS thread count, inference
+    runs one worker per usable CPU, and numpy's bundled OpenBLAS runs one
+    thread while they run. Importing the package and leaving the pool keep
+    BLAS's own count, at which a lone training runs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    probe = json.loads(out.stdout)
+    if probe is None:
         pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
-    assert getter() == 1
-    assert mn._inference_workers(1000) == len(os.sched_getaffinity(0))
-    assert mn._inference_workers(1) == 1
+    assert probe["workers"] == [len(os.sched_getaffinity(0)), 1]
+    assert probe["inside"] == [1]
+    assert probe["before"] == probe["imported"] == probe["after"]

@@ -27,9 +27,10 @@ perfbench/workloads.json lists. Exits 1 on a ``worse`` verdict, on a larger
 share of failed operations in the change's runs than in the parent's, or on
 an exact count that differs; else 0. The last line of stdout is a JSON
 summary. Besides the verdicts it holds every timed run under ``runs`` (its
-side, pair, order in the pair, seed and summary, in the ``runs`` schema of the
-``BENCH_*.json`` records) and each side's first ``stamp`` line under
-``stamp``, so a bench record can be written from that line alone.
+side, pair, order in the pair, seed, ``named`` line and summary, in the
+``runs`` schema of the ``BENCH_*.json`` records) and each side's first
+``stamp`` line under ``stamp``, so a bench record can be written from that
+line alone.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ import sys
 from pathlib import Path
 
 
-def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict | None]:
+def run_bench(checkout: Path, workload: str, seed: int,
+              trace: int) -> tuple[dict, dict | None, dict]:
     """The JSON summary ``perfbench/run.py`` prints last, run in ``checkout``,
-    and the machine stamp of its first ``stamp`` line (None without one)."""
+    the machine stamp of its first ``stamp`` line (None without one), and the
+    values of its ``named`` line ({} without one: ``--workload all`` folds
+    them into the summary)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", str(trace)],
@@ -54,9 +58,13 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dic
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{checkout}: perfbench/run.py --workload {workload} --trace {trace} "
                          f"exited {proc.returncode}")
-    stamp = next((json.loads(line[len("stamp "):]) for line in lines
-                  if line.startswith("stamp ")), None)
-    return json.loads(lines[-1]), stamp
+
+    def tagged(tag: str):
+        return next((json.loads(line[len(tag) + 1:]) for line in lines
+                     if line.startswith(tag + " ")), None)
+
+    named = tagged("named") or {}
+    return json.loads(lines[-1]), tagged("stamp"), {k: item["value"] for k, item in named.items()}
 
 
 def quartile_distance(values: list[float]) -> float:
@@ -120,11 +128,11 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            summary, stamp = run_bench(sides[side], args.workload, args.seed, 0)
+            summary, stamp, named = run_bench(sides[side], args.workload, args.seed, 0)
             stamps.setdefault(side, stamp)
             records.append({"side": side, "pair": i, "order_in_pair": list(order),
                             "seed": args.seed, "returncode": 0,
-                            "results": {args.workload: {"result": summary}}})
+                            "results": {args.workload: {"named": named, "result": summary}}})
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     runs = {side: [r["results"][args.workload]["result"] for r in records if r["side"] == side]
             for side in sides}

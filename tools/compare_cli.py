@@ -5,13 +5,16 @@ Usage: python tools/compare_cli.py PARENT CHANGE
 PARENT and CHANGE are two checkouts of this repository. The list runs in a
 fresh work directory for each checkout, with that checkout's ``src`` on
 PYTHONPATH, and runs twice: once with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-and MKL_NUM_THREADS at 1, and once with them unset. Its 56 commands write
-179 files. They cover gen-data, a 40-epoch style-balancing train, a 4-epoch
-train with each augmentation (mixstyle, dsu, efdmix), stats at block1 and
-block2, with pseudo labels and with --single-domain, eval in every mode
-(nearest-sample at two pool sizes and two seeds) and on the dsu network,
-alpha sweeps in every mode (one alpha, pseudo labels, the single-domain
-protocol), a keep_fraction sweep and two reports, one with --series-col.
+and MKL_NUM_THREADS at 1, and once with them unset. Inference sets BLAS to
+one thread while its workers run, so the runs differ in the BLAS threads of
+the rest, training above all; the unset run checks that they change no byte.
+Its 56 commands write 179 files. They cover gen-data, a 40-epoch
+style-balancing train, a 4-epoch train with each augmentation (mixstyle, dsu,
+efdmix), stats at block1 and block2, with pseudo labels and with
+--single-domain, eval in every mode (nearest-sample at two pool sizes and two
+seeds) and on the dsu network, alpha sweeps in every mode (one alpha, pseudo
+labels, the single-domain protocol), a keep_fraction sweep and two reports,
+one with --series-col.
 
 Every file the commands write, and a transcript of each command's exit
 status and output, is compared byte for byte; in the ``.log`` sidecars the
@@ -157,7 +160,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bad = False
     with tempfile.TemporaryDirectory() as tmp:
-        for blas, one in (("BLAS at 1 thread", True), ("BLAS default", False)):
+        for blas, one in (("BLAS at 1 thread", True), ("BLAS variables unset", False)):
             works = [Path(tmp) / f"{side}_{int(one)}" for side in ("parent", "change")]
             failed = [cmd for checkout, work in zip((args.parent, args.change), works)
                       for cmd in run_list(checkout, work, one)]
