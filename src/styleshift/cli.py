@@ -140,8 +140,7 @@ def cmd_eval(args) -> int:
     label = args.method_label or method_label(net.tags.sb, mode.kind, net.tags.aug)
     t0 = time.perf_counter()
     rows = evaluate_rows(net, registry, manifest, root, load_split(manifest, root, "test"), mode,
-                         [flags.alpha], lambda: np.random.Generator(np.random.PCG64(args.seed)),
-                         label, net.tags.seed)[0]
+                         [flags.alpha], args.seed, label, net.tags.seed)[0]
     out = workdir / args.out_csv
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, EVAL_COLUMNS, rows)

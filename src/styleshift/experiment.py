@@ -183,26 +183,21 @@ def registry_stage(net: mn.MicroNet, split, layer: str, alpha: float | None,
 
 def evaluate_rows(net: mn.MicroNet, registry: tts.DomainRegistry,
                   manifest: dd.DatasetManifest, root, test, mode: tts.ShiftMode,
-                  alphas: list[float | None], new_rng, label: str, seed: int,
+                  alphas: list[float | None], pool_seed: int, label: str, seed: int,
                   pool=None) -> list[list[dict]]:
     """One result row per test domain of ``test`` (images, classes, domain
-    ids) for each of ``alphas`` (None is the registry's), by
-    ``evaluate_alphas``: one call for every alpha, except in nearest_sample
-    mode, whose pool draws follow the samples an alpha shifts, so it makes one
-    call per alpha, each with a fresh rng from ``new_rng()``. Only that mode
-    uses a pool: ``pool``, style vectors at the registry's layer, or if None
-    those of the ``pool_domains`` training images under ``root``."""
-    groups = [alphas]
-    if mode.kind == "nearest_sample":
-        groups = [[alpha] for alpha in alphas]
-        if pool is None:
-            images = load_split(manifest, root, "train", pool_domains(manifest, registry))[0]
-            pool = net.style_vectors_at(images, registry.layer)
+    ids) for each of ``alphas`` (None is the registry's), by one
+    ``evaluate_alphas`` call for every alpha, in every mode. Only
+    nearest_sample mode uses a pool: ``pool``, style vectors at the registry's
+    layer, or if None those of the ``pool_domains`` training images under
+    ``root``; it draws each sample's pool-draw seed from ``_pool_rng(pool_seed)``."""
+    if mode.kind == "nearest_sample" and pool is None:
+        images = load_split(manifest, root, "train", pool_domains(manifest, registry))[0]
+        pool = net.style_vectors_at(images, registry.layer)
+    results = mn.evaluate_alphas(net, *test, registry, mode, alphas, pool, _pool_rng(pool_seed))
     return [[{"method": label, "target": manifest.styles[dom].name, "seed": seed,
               "accuracy": result.accuracy(dom), "shift_rate": result.shift_rate(dom)}
-             for dom in sorted(result.domains)]
-            for group in groups
-            for result in mn.evaluate_alphas(net, *test, registry, mode, group, pool, new_rng())]
+             for dom in sorted(result.domains)] for result in results]
 
 
 @dataclass
@@ -221,7 +216,7 @@ class SeedOutcome:
         return self.rows_per_alpha[0]
 
 
-def _pool_rng(seed: int) -> np.random.Generator:  # a fresh stream for each evaluation
+def _pool_rng(seed: int) -> np.random.Generator:  # an evaluation's pool-seed stream
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x9001])))
 
 
@@ -242,7 +237,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, workdir,
     test = load_split(manifest, data_dir, "test")  # after training: not in its peak
     mode = shift_mode_from_name(cfg.eval.mode, cfg.eval.pool_size)
     rows = evaluate_rows(net, registry, manifest, data_dir, test, mode,
-                         [cfg.eval.alpha] if alphas is None else alphas, lambda: _pool_rng(seed),
+                         [cfg.eval.alpha] if alphas is None else alphas, seed,
                          method_label(cfg.train.sb, mode.kind, cfg.train.aug), seed,
                          styles if split_is_pool else None)
     return SeedOutcome(seed=seed, manifest=manifest, net=net, registry=registry,

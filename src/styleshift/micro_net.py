@@ -30,10 +30,11 @@ with BLAS on one thread while they run (``autodiff.one_blas_thread``); one,
 inline, where BLAS's threads cannot be set. numpy releases the GIL in the
 GEMMs and the array ops, so two workers on two CPUs run close to twice as
 fast. Each task runs in its own copy of the caller's context (numpy's
-``errstate`` lives there), the shifts run in chunk order, so nearest_sample
-draws exactly as a sequential pass would, and the error raised is that of the
-earliest chunk. Of the package's functions the workers call only
-``MicroNet.infer`` and ``shift_batch``; the rest run on the calling thread.
+``errstate`` lives there) and depends on no other task: nearest_sample draws
+each sample's pool members from that sample's own seed, drawn on the calling
+thread. The error raised is that of the earliest chunk. Of the package's
+functions the workers call only ``MicroNet.infer`` and ``shift_batch``; the
+rest run on the calling thread.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -528,7 +528,9 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
     """Top-1 accuracy and shift rate per domain at each of ``alphas`` (None
     is the registry's), with the shifter at the registry's layer when the
     mode is not off. Non-finite logits that some alpha scores raise
-    ``DivergenceError`` instead of being scored.
+    ``DivergenceError`` instead of being scored. In nearest_sample mode
+    ``rng`` draws one pool-draw seed per sample, ``integers(2**63, size=n)``,
+    before any chunk runs; the other modes do not touch it.
 
     Alpha decides only which samples shift, and a larger alpha shifts a
     subset of a smaller one's samples. So each chunk runs ``MicroNet.infer``
@@ -536,16 +538,11 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
     rest of the network on the smallest alpha's features; a second pass from
     the hook, over the unshifted features, runs only when a sample is shifted
     by one alpha and kept by another. A sample's logits depend only on its
-    own columns of each GEMM, at a fixed place in a chunk of a fixed size, so
-    every alpha gets the bits of a call at that alpha alone. nearest_sample
-    takes one alpha only: its pool draws follow the samples that alpha shifts.
-
-    Task i of ``_chunk_results`` writes only chunk i's columns of the tallies
-    and shifts only after task i - 1 has, so the rng draws in sample order
-    whatever the number of workers."""
-    if mode.kind == "nearest_sample" and len(alphas) != 1:
-        raise ConfigError("nearest_sample draws pool members per shifted sample: "
-                          "evaluate each alpha on its own")
+    own columns of each GEMM, at a fixed place in a chunk of a fixed size,
+    and its pool draw only on its seed, so every alpha gets the bits of a
+    call at that alpha alone. Task i of ``_chunk_results`` writes only chunk
+    i's columns of the tallies, so they do not depend on the number of
+    workers."""
     x = np.asarray(images)
     y = np.asarray(class_labels, dtype=np.intp)
     doms = np.asarray(domain_labels, dtype=np.intp)
@@ -559,36 +556,32 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
         if registry.channels != net.config.channels_at(registry.layer):
             raise ConfigError("registry channel count does not match the hook")
         hook = registry.layer
+    seeds = None
+    if mode.kind == "nearest_sample":
+        if rng is None:
+            raise ConfigError("nearest_sample mode requires an rng for pool draws")
+        seeds = rng.integers(2**63, size=x.shape[0])
     correct = np.empty((len(alphas), x.shape[0]), dtype=bool)
     shifted = np.zeros((len(alphas), x.shape[0]), dtype=bool)
-    chunks = _chunks(x.shape[0])
-    shifts_done = [threading.Event() for _ in chunks]
 
     def run_chunk(i, sl):
         feats, moves = x[sl], shifted[:, sl]  # moves: (alphas, chunk)
-        try:
-            if hook is not None:
-                kept = net.infer(feats, hook)
-                if i:
-                    shifts_done[i - 1].wait()  # shifts run in chunk order: the rng's draws
-                feats, decisions = shift_batch(kept, registry, alphas, mode, sample_pool, rng)
-                moves[:] = decisions.shifted
-            shifts_done[i].set()
-            logits = [net.infer(feats, start=hook)]  # shift_batch leaves the rows it keeps as given
-            if (moves.any(axis=0) & ~moves.all(axis=0)).any():  # some alpha keeps a shifted sample
-                logits.append(net.infer(kept, start=hook))
-            finite = [np.isfinite(z).all(axis=1) for z in logits]
-            right = [z.argmax(axis=1) == y[sl] for z in logits]
-            if not np.where(moves, finite[0], finite[-1]).all():
-                raise DivergenceError(
-                    f"non-finite logits in the evaluation batch starting at sample {sl.start}")
-            correct[:, sl] = np.where(moves, right[0], right[-1])
-        except BaseException:  # the call raises: every later turn is freed, since a chunk
-            for done in shifts_done[i:]:  # that the runner cancels passes on none
-                done.set()
-            raise
+        if hook is not None:
+            kept = net.infer(feats, hook)
+            feats, decisions = shift_batch(kept, registry, alphas, mode, sample_pool,
+                                           None if seeds is None else seeds[sl])
+            moves[:] = decisions.shifted
+        logits = [net.infer(feats, start=hook)]  # shift_batch leaves the rows it keeps as given
+        if (moves.any(axis=0) & ~moves.all(axis=0)).any():  # some alpha keeps a shifted sample
+            logits.append(net.infer(kept, start=hook))
+        finite = [np.isfinite(z).all(axis=1) for z in logits]
+        right = [z.argmax(axis=1) == y[sl] for z in logits]
+        if not np.where(moves, finite[0], finite[-1]).all():
+            raise DivergenceError(
+                f"non-finite logits in the evaluation batch starting at sample {sl.start}")
+        correct[:, sl] = np.where(moves, right[0], right[-1])
 
-    for _ in _chunk_results(chunks, run_chunk):
+    for _ in _chunk_results(_chunks(x.shape[0]), run_chunk):
         pass
     ids, dom_index = np.unique(doms, return_inverse=True)
     tallies = [[np.bincount(dom_index[keep], minlength=ids.size).tolist()

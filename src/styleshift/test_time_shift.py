@@ -152,12 +152,13 @@ def decide(phi_t, reg: DomainRegistry, alpha: float | None = None) -> ShiftDecis
 
 
 def ts_apply(f_t, reg: DomainRegistry, alpha: float | None = None,
-             mode: ShiftMode = PROPOSED, sample_pool=None,
-             rng: np.random.Generator | None = None):
-    """``shift_batch`` on one (C, H, W) feature map at one alpha: returns the
-    map, shifted or kept, and its ``ShiftDecision``, whose ``target`` is None
-    where the sample kept its style."""
-    out, d = shift_batch(as_feature_map(f_t)[None], reg, [alpha], mode, sample_pool, rng)
+             mode: ShiftMode = PROPOSED, sample_pool=None, seed: int | None = None):
+    """``shift_batch`` on one (C, H, W) feature map at one alpha, with ``seed``
+    its nearest_sample pool-draw seed: returns the map, shifted or kept, and
+    its ``ShiftDecision``, whose ``target`` is None where the sample kept its
+    style."""
+    out, d = shift_batch(as_feature_map(f_t)[None], reg, [alpha], mode, sample_pool,
+                         None if seed is None else [seed])
     return out[0], _first_decision(d)
 
 
@@ -205,37 +206,40 @@ def _decisions(phi: np.ndarray, reg: DomainRegistry, alphas: list[float | None],
 
 def shift_batch(feats, reg: DomainRegistry, alphas: list[float | None],
                 mode: ShiftMode = PROPOSED, sample_pool=None,
-                rng: np.random.Generator | None = None) -> tuple[np.ndarray, BatchShift]:
+                seeds=None) -> tuple[np.ndarray, BatchShift]:
     """Apply one shift mode to a (B, C, H, W) batch: the one test-time shifter.
 
     Returns (features, BatchShift); ``_decisions`` owns the shift rule. The
     features are the smallest alpha's, whose shifted samples hold every larger
     one's. A shifted sample is renormalized (adain) to its nearest centroid,
     or in nearest_sample mode to the closest of ``pool_size`` styles drawn
-    from ``sample_pool`` with ``rng``, one ``rng.choice`` call per shifted
-    sample in sample order. The work is one moment pass, the decisions, and
-    one adain over the shifted rows, which reuses those moments; a batch in
-    which no sample shifts is returned as given. Bit for bit, row b and its
-    decisions are those of sample b shifted alone (``ts_apply``), and
-    ``shifted[a]`` that of a call at alpha a alone.
+    from ``sample_pool``: shifted row b draws them with a generator of its
+    own, seeded ``seeds[b]``, so its draw depends on no other sample, alpha
+    or batch. That mode needs the pool and B seeds whatever shifts. The work
+    is one moment pass, the decisions, and one adain over the shifted rows,
+    which reuses those moments; a batch in which no sample shifts is returned
+    as given. Bit for bit, row b and its decisions are those of sample b
+    shifted alone with ``seeds[b]`` (``ts_apply``), and ``shifted[a]`` that
+    of a call at alpha a alone.
     """
     phi = batch_style_vectors(feats)
     decisions = _decisions(phi, reg, alphas, mode)
-    rows = np.flatnonzero(decisions.target >= 0)
-    if rows.size == 0:
-        return np.asarray(feats, dtype=np.float64), decisions
-    goal = reg.centroids[decisions.target[rows]]
     if mode.kind == "nearest_sample":
         if sample_pool is None:
             raise ConfigError("nearest_sample mode requires a sample_pool of style vectors")
         pool = np.asarray(sample_pool, dtype=np.float64)
         if pool.ndim != 2 or pool.shape[1] != reg.centroids.shape[1]:
             raise DimensionError("sample_pool must be (M, 2C) matching the registry")
-        if rng is None:
-            raise ConfigError("nearest_sample mode requires an rng for pool draws")
+        if seeds is None or len(seeds) != phi.shape[0]:
+            raise ConfigError("nearest_sample mode requires one pool-draw seed per sample")
+    rows = np.flatnonzero(decisions.target >= 0)
+    if rows.size == 0:
+        return np.asarray(feats, dtype=np.float64), decisions
+    goal = reg.centroids[decisions.target[rows]]
+    if mode.kind == "nearest_sample":
         size = min(mode.pool_size, pool.shape[0])
-        cand = pool[np.stack([rng.choice(pool.shape[0], size=size, replace=False)
-                              for _ in rows])]                   # (S, size, 2C)
+        cand = pool[np.stack([np.random.Generator(np.random.PCG64(int(seeds[b]))).choice(
+            pool.shape[0], size=size, replace=False) for b in rows])]   # (S, size, 2C)
         near = np.linalg.norm(phi[rows, None, :] - cand, axis=2).argmin(axis=1)
         goal = cand[np.arange(rows.size), near]
     c = reg.channels

@@ -89,7 +89,8 @@ def test_workload_prefixes_and_failed_shares(bench_pairs):
 
 
 # stands in for perfbench/run.py: run n prints a stamp, a named line (timed runs only) and
-# a summary, each holding n
+# a summary, each holding n; with --workload all the summary folds the named values in under
+# w.<name>, as perfbench/run.py folds in each workload's
 FAKE_RUN = """
 import json, sys
 from pathlib import Path
@@ -98,42 +99,51 @@ n = int(count.read_text()) + 1 if count.exists() else 1
 count.write_text(str(n))
 print("stamp " + json.dumps({"cpu_count": 2, "side": Path.cwd().name, "run": n}))
 print("  wall_s = 1.0 s")
+metrics = {"wall_s": {"unit": "s", "value": float(n)}, "units": {"unit": "count", "value": 3}}
+named = {}
 if sys.argv[sys.argv.index("--trace") + 1] == "0":
-    print("named " + json.dumps({"units": {"value": 3, "unit": "count"},
-                                 "setups": {"value": 10 * n, "unit": "count"}}))
-print(json.dumps({"correct": True, "attempted": 2, "failed": 0,
-                  "metrics": {"wall_s": {"unit": "s", "value": float(n)},
-                              "units": {"unit": "count", "value": 3}}}))
+    named = {"units": {"value": 3, "unit": "count"}, "setups": {"value": 10 * n, "unit": "count"}}
+    print("named " + json.dumps(named))
+if sys.argv[sys.argv.index("--workload") + 1] == "all":
+    metrics = {"w." + k: item for k, item in {**metrics, **named}.items()}
+print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": metrics}))
 """
 
 
 def test_summary_keeps_every_run_and_each_sides_first_stamp(bench_pairs, tmp_path, capsys):
     """The last stdout line holds each timed run, in run order, with its side,
-    pair, order in the pair, seed, named metrics and summary, and each side's
-    first machine stamp: what a ``BENCH_*.json`` record needs. A fake
-    ``perfbench/run.py`` stands in for the benchmark in two tmp checkouts."""
+    pair, order in the pair, seed, named metrics and summary, each side's
+    first machine stamp, and the medians of the named metrics that have no
+    end-to-end row: what a ``BENCH_*.json`` record needs. A fake
+    ``perfbench/run.py`` stands in for the benchmark in two tmp checkouts,
+    run on its one workload ``w`` and on ``all``."""
     bench = {"workloads": [{"name": "w"}],
              "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
-    for side in ("parent", "change"):
-        (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
-        (tmp_path / side / "perfbench" / "workloads.json").write_text(
-            json.dumps({"exact_counts": ["units"]}))
-        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
+    for workload, prefix in (("w", ""), ("all", "w.")):
+        root = tmp_path / workload
+        for side in ("parent", "change"):
+            (root / side / "perfbench").mkdir(parents=True)
+            (root / side / "BENCHMARK.json").write_text(json.dumps(bench))
+            (root / side / "perfbench" / "workloads.json").write_text(
+                json.dumps({"exact_counts": ["units"]}))
+            (root / side / "perfbench" / "run.py").write_text(FAKE_RUN)
 
-    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                             "--workload", "w", "--pairs", "3", "--seed", "5"]) == 0
-    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert out["stamp"] == {side: {"cpu_count": 2, "side": side, "run": 1}
-                            for side in ("parent", "change")}
-    forward, backward = ["parent", "change"], ["change", "parent"]
-    assert [(r["side"], r["pair"], r["order_in_pair"]) for r in out["runs"]] == [
-        ("parent", 0, forward), ("change", 0, forward), ("change", 1, backward),
-        ("parent", 1, backward), ("parent", 2, forward), ("change", 2, forward)]
-    assert {(r["seed"], r["returncode"]) for r in out["runs"]} == {(5, 0)}
-    for side in ("parent", "change"):
-        results = [r["results"] for r in out["runs"] if r["side"] == side]
-        assert [res["w"]["result"]["metrics"]["wall_s"]["value"] for res in results] == \
-            [1.0, 2.0, 3.0]
-        assert results[0]["w"]["result"]["attempted"] == 2
-        assert [res["w"]["named"]["setups"] for res in results] == [10, 20, 30]
+        assert bench_pairs.main([str(root / "parent"), str(root / "change"),
+                                 "--workload", workload, "--pairs", "3", "--seed", "5"]) == 0
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert out["stamp"] == {side: {"cpu_count": 2, "side": side, "run": 1}
+                                for side in ("parent", "change")}
+        forward, backward = ["parent", "change"], ["change", "parent"]
+        assert [(r["side"], r["pair"], r["order_in_pair"]) for r in out["runs"]] == [
+            ("parent", 0, forward), ("change", 0, forward), ("change", 1, backward),
+            ("parent", 1, backward), ("parent", 2, forward), ("change", 2, forward)]
+        assert {(r["seed"], r["returncode"]) for r in out["runs"]} == {(5, 0)}
+        for side in ("parent", "change"):
+            results = [r["results"][workload] for r in out["runs"] if r["side"] == side]
+            assert [res["result"]["metrics"][prefix + "wall_s"]["value"] for res in results] == \
+                [1.0, 2.0, 3.0]
+            assert results[0]["result"]["attempted"] == 2
+            assert [res["named"][prefix + "setups"] for res in results] == [10, 20, 30]
+        assert out["named"] == {prefix + "units": {"parent_median": 3, "change_median": 3},
+                                prefix + "setups": {"parent_median": 20, "change_median": 20}}
+        assert list(out["metrics"]) == [prefix + "wall_s"]

@@ -515,26 +515,28 @@ def test_unknown_config_keys_exit_2(tmp_path):
     pytest.param({"eval": {"mode": "proposed", "layer": "block1"}, "pseudo_labels": 2},
                  id="proposed-pseudo-labels")])
 def test_sweep_alpha_trains_once_per_seed(tmp_path, monkeypatch, extra):
-    """An alpha sweep trains each seed once, and its CSV equals, byte for
-    byte, the rows of one ``run_seed`` per (alpha, seed) point: proposed mode
-    evaluates every alpha in one multi-alpha pass, nearest-sample one alpha
-    at a time, and a one-alpha ``run_seed`` runs ``evaluate``."""
+    """An alpha sweep trains and evaluates each seed once, in every mode: one
+    multi-alpha ``evaluate_alphas`` call per seed. Its CSV equals, byte for
+    byte, the rows of one ``run_seed`` per (alpha, seed) point."""
     from styleshift import micro_net as mn
     from styleshift.experiment import run_seed
     calls = []
-    train = mn.train
+    train, evaluate_alphas = mn.train, mn.evaluate_alphas
 
-    def counted_train(*args, **kwargs):
-        calls.append(1)
-        return train(*args, **kwargs)
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(mn, "train", counted_train)
+    monkeypatch.setattr(mn, "train", counted("train", train))
+    monkeypatch.setattr(mn, "evaluate_alphas", counted("evaluate_alphas", evaluate_alphas))
     doc = {**SWEEP_CFG, **extra}
     cfg = write_cfg(tmp_path, "exp.json", doc)
     alphas = (0.0, 1.5, 3.0)
     assert run(tmp_path, "sweep", "--config", cfg, "--param", "alpha",
                "--values", ",".join(map(str, alphas)), "--out-csv", "sweep.csv") == 0
-    assert len(calls) == len(doc["seeds"])
+    assert Counter(calls) == {"train": len(doc["seeds"]), "evaluate_alphas": len(doc["seeds"])}
 
     # each alpha alone through run_seed: one training per (alpha, seed) point
     base = from_json(ExperimentConfig, doc)
@@ -654,22 +656,26 @@ def test_single_domain_mode_through_cli(tmp_path):
     pytest.param("leave_one_out", {"mode": "shift-all", "layer": "block1"}, (1.0, 1.0, 1.0),
                  id="shift_all"),
     pytest.param("single_domain", {"mode": "nearest-sample", "layer": "block1", "alpha": 0.0,
-                                   "pool_size": 1000}, (1.0, 1.0, 1.0), id="nearest-sample")])
+                                   "pool_size": 2}, (1.0, 1.0, 1.0), id="nearest-sample")])
 def test_eval_agrees_with_run_seed_in_every_mode(tmp_path, protocol, ev, rates):
     """``eval`` of ``run_seed``'s network, with the registry ``stats`` builds
     from its data, gives ``run_seed``'s rows byte for byte in every mode, with
     the shift rates of the plain, bright and far domains given: proposed at
     alpha 3 shifts the far target and keeps both sources. Under the
     single-domain protocol ``eval`` pools the training images of the domains
-    its registry names, as ``run_seed`` does, so both give the same
-    nearest-sample rows. That pool size covers the whole pool, so every draw
-    is the whole pool in some order and the two paths' different pool seeds
-    pick the same nearest member."""
-    from styleshift.experiment import run_seed
+    its registry names, as ``run_seed`` does, and draws from the same pool
+    stream for the same seed, so both give the same nearest-sample rows. Its
+    pool size is below the pool's, so each draw is a strict subset of it, and
+    the network trains long enough that other draws give other accuracies."""
+    from styleshift.experiment import pool_domains, run_seed
     doc = {**SWEEP_CFG, "protocol": protocol, "seeds": [0],
-           "train": {"epochs": 3, "batch_size": 10, "lr": 0.05}, "eval": ev}
+           "train": {"epochs": 60, "batch_size": 5, "lr": 0.1}, "eval": ev}
     outcome = run_seed(from_json(ExperimentConfig, doc), 0, tmp_path)
     outcome.net.save(tmp_path / "net.ckpt")
+    if "pool_size" in ev:
+        pooled = outcome.manifest.records("train", pool_domains(outcome.manifest,
+                                                                outcome.registry))
+        assert len(pooled) > ev["pool_size"]
     alpha = ["--alpha", str(ev["alpha"])] if "alpha" in ev else []
     single = ["--single-domain"] if protocol == "single_domain" else []
     pool_size = ["--pool-size", str(ev["pool_size"])] if "pool_size" in ev else []

@@ -482,6 +482,12 @@ def test_evaluate_huge_alpha_matches_off():
     kept = mn.evaluate(net, x, y, two, registry=reg, mode=ts.PROPOSED, alpha=1e9)
     assert kept.overall_accuracy == off.overall_accuracy
     assert kept.shift_rate(0) == 0.0 and kept.shift_rate(1) == 0.0
+    near = ts.nearest_sample(5)
+    assert mn.evaluate(net, x, y, two, reg, near, 1e9, styles, RNG(0)).domains == kept.domains
+    # nearest_sample needs its pool and rng though no sample shifts
+    for pool, rng in ((None, RNG(0)), (styles, None)):
+        with pytest.raises(ConfigError):
+            mn.evaluate(net, x, y, two, reg, near, 1e9, pool, rng)
 
 
 def test_evaluate_shift_all_equals_alpha_zero():
@@ -633,16 +639,20 @@ def test_inference_from_a_hook_equals_the_full_pass(config, seed, n):
 
 def evaluate_at(net, x, y, d, registry, mode, alpha, pool=None, rng=None) -> mn.EvalResult:
     """Evaluation at one alpha restated chunk by chunk, the reference for
-    ``evaluate_alphas``: ``infer`` to the registry's hook, ``shift_batch`` at
-    alpha, ``infer`` from the hook, then a count per domain."""
+    ``evaluate_alphas``: in nearest_sample mode one pool-draw seed per sample
+    from ``rng``, then per chunk ``infer`` to the registry's hook,
+    ``shift_batch`` at alpha with the chunk's seeds, ``infer`` from the hook,
+    then a count per domain."""
     hook = None if mode.kind == "off" else registry.layer
+    seeds = rng.integers(2**63, size=len(x)) if mode.kind == "nearest_sample" else None
     correct, shifted = [], []
     for s in range(0, len(x), mn.INFERENCE_CHUNK):
         feats = x[s:s + mn.INFERENCE_CHUNK]
         flags = np.zeros(len(feats), dtype=bool)
         if hook is not None:
             feats, decisions = ts.shift_batch(net.infer(feats, hook), registry, [alpha], mode,
-                                              pool, rng)
+                                              pool, None if seeds is None else
+                                              seeds[s:s + mn.INFERENCE_CHUNK])
             flags = decisions.shifted[0]
         correct.append(net.infer(feats, start=hook).argmax(axis=1) == y[s:s + mn.INFERENCE_CHUNK])
         shifted.append(flags)
@@ -660,10 +670,9 @@ def test_evaluate_alphas_equals_evaluate_at_each_alpha(config, seed, n, n_domain
     """One multi-alpha evaluation gives, for every alpha of a list with 0,
     repeats, None (the registry's) and a value above every sample's distance,
     the very tallies of an evaluation at that alpha alone (``evaluate_at``),
-    in off, proposed and shift_all mode and in single_domain mode with a
-    one-domain registry; nearest_sample, which takes one alpha per call,
-    gives them for each alpha with equally seeded rngs. Batches of up to 70
-    samples cross the edges of the inference chunks."""
+    in off, proposed and shift_all mode, in single_domain mode with a
+    one-domain registry, and in nearest_sample mode with equally seeded rngs.
+    Batches of up to 70 samples cross the edges of the inference chunks."""
     net = mn.MicroNet.init(config, seed=seed)
     layer = data.draw(st.sampled_from(config.hook_names), label="layer")
     rng = RNG(seed)
@@ -683,23 +692,13 @@ def test_evaluate_alphas_equals_evaluate_at_each_alpha(config, seed, n, n_domain
                       label="inner alphas")
     alphas = data.draw(st.permutations([0.0, *inner, inner[0], float(ratio.max()) * 2 + 1]),
                        label="alphas")
+    pool = net.style_vectors_at(x_src, layer)
     for mode, registry in ((ts.OFF, reg), (ts.PROPOSED, reg), (ts.SHIFT_ALL, reg),
-                           (ts.SINGLE_DOMAIN, one)):
-        got = mn.evaluate_alphas(net, x, y, d, registry, mode, alphas)
-        want = [evaluate_at(net, x, y, d, registry, mode, alpha) for alpha in alphas]
+                           (ts.SINGLE_DOMAIN, one), (ts.nearest_sample(3), reg)):
+        got = mn.evaluate_alphas(net, x, y, d, registry, mode, alphas, pool, RNG(seed + 1))
+        want = [evaluate_at(net, x, y, d, registry, mode, alpha, pool, RNG(seed + 1))
+                for alpha in alphas]
         assert [r.domains for r in got] == [r.domains for r in want], mode.kind
-    pool, near = net.style_vectors_at(x_src, layer), ts.nearest_sample(3)
-    for alpha in alphas:
-        got = mn.evaluate_alphas(net, x, y, d, reg, near, [alpha], pool, RNG(seed + 1))
-        want = [evaluate_at(net, x, y, d, reg, near, alpha, pool, RNG(seed + 1))]
-        assert [r.domains for r in got] == [r.domains for r in want], (near.kind, alpha)
-
-
-def test_evaluate_alphas_refuses_nearest_sample():
-    net, x, y, d = _trained_toy()
-    reg = ts.registry_from_styles(net.style_vectors_at(x, "block1"), d, "block1")
-    with pytest.raises(ConfigError):
-        mn.evaluate_alphas(net, x, y, d, reg, ts.nearest_sample(5), [0.0, 1.0])
 
 
 # -- inference workers -----------------------------------------------------------
@@ -718,12 +717,13 @@ def forced_workers(k):
        codes=st.booleans(), data=st.data())
 def test_more_workers_give_the_same_bits(config, seed, n, codes, data):
     """With 1, 2 or 3 inference workers, ``evaluate_alphas`` gives the tallies
-    of the chunk-by-chunk ``evaluate_at`` in every mode, nearest_sample with
-    the same pool draws and rng end state, and ``style_vectors_at`` the bytes
-    of a sequential loop. The shifts run in chunk order even though the first
-    chunk's shift is held back: a later chunk that did not wait for its turn
-    would shift first. Given uint8 codes, both give what the sequential
-    reference gives on ``codes / 255.0``, the shifted features included."""
+    of the chunk-by-chunk ``evaluate_at`` in every mode, and
+    ``style_vectors_at`` the bytes of a sequential loop, even though the
+    first chunk's shift is held back, so later chunks shift first. The
+    caller's rng advances by exactly one ``integers(2**63, size=n)`` in
+    nearest_sample mode and not at all in the others. Given uint8 codes,
+    both give what the sequential reference gives on ``codes / 255.0``, the
+    shifted features included."""
     net = mn.MicroNet.init(config, seed=seed)
     layer = data.draw(st.sampled_from(config.hook_names), label="layer")
     rng = RNG(seed)
@@ -747,15 +747,13 @@ def test_more_workers_give_the_same_bits(config, seed, n, codes, data):
     ratio = np.array([ts.decide(p, reg, 0.0).avg_distance for p in styles]) \
         / max(reg.spread, 1e-300)
     alphas = [0.0, float(np.median(ratio)), None]
-    shifted_chunks = []
 
     def held_shift(feats, *args):
         if feats.tobytes() == hooked[0]:
             time.sleep(0.01)
-        shifted_chunks.append(feats.tobytes())
         return ts.shift_batch(feats, *args)
 
-    pool, near = net.style_vectors_at(x_src, layer), ts.nearest_sample(3)
+    pool = net.style_vectors_at(x_src, layer)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # the workers swap often, so a lost update would show
     try:
@@ -764,22 +762,16 @@ def test_more_workers_give_the_same_bits(config, seed, n, codes, data):
                 mp.setattr(mn, "shift_batch", held_shift)
                 assert net.style_vectors_at(x, layer).tobytes() == styles.tobytes(), k
                 for mode, registry in ((ts.OFF, reg), (ts.PROPOSED, reg), (ts.SHIFT_ALL, reg),
-                                       (ts.SINGLE_DOMAIN, one)):
-                    shifted_chunks.clear()
-                    got = mn.evaluate_alphas(net, x, y, d, registry, mode, alphas)
-                    want = [evaluate_at(net, ref, y, d, registry, mode, alpha)
-                            for alpha in alphas]
-                    assert [r.domains for r in got] == [r.domains for r in want], (k, mode.kind)
-                    assert shifted_chunks == ([] if mode.kind == "off" else hooked), \
-                        (k, mode.kind)
-                for alpha in alphas:
-                    shifted_chunks.clear()
+                                       (ts.SINGLE_DOMAIN, one), (ts.nearest_sample(3), reg)):
                     got_rng, want_rng = RNG(seed + 1), RNG(seed + 1)
-                    got = mn.evaluate(net, x, y, d, reg, near, alpha, pool, got_rng)
-                    want = evaluate_at(net, ref, y, d, reg, near, alpha, pool, want_rng)
-                    assert got.domains == want.domains, (k, alpha)
-                    assert shifted_chunks == hooked, (k, alpha)
-                    assert got_rng.bit_generator.state == want_rng.bit_generator.state, (k, alpha)
+                    got = mn.evaluate_alphas(net, x, y, d, registry, mode, alphas, pool, got_rng)
+                    want = [evaluate_at(net, ref, y, d, registry, mode, alpha, pool,
+                                        RNG(seed + 1)) for alpha in alphas]
+                    assert [r.domains for r in got] == [r.domains for r in want], (k, mode.kind)
+                    if mode.kind == "nearest_sample":
+                        want_rng.integers(2**63, size=n)
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state, \
+                        (k, mode.kind)
     finally:
         sys.setswitchinterval(switch)
 
@@ -855,8 +847,8 @@ def test_raising_chunks_raise_the_earliest_error_and_release_the_rest():
     - chunks 1 and 2 with non-finite logits raise the DivergenceError that
       names chunk 1's start, and no overflow warning escapes a worker;
     - chunk 1 failing in its shift, and chunk 2 in its logits, raise chunk
-      1's error, and the chunks behind it, which wait for its turn to shift,
-      are cancelled or finish: the process ends within its timeout."""
+      1's error, and the chunks behind it are cancelled or finish: the
+      process ends within its timeout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -893,7 +885,7 @@ for chunk in (8, 32):
     def held_shift(feats, *args):
         order.append(starts.get(feats.tobytes(), -1))
         if order[-1] == 0:
-            time.sleep(0.05)  # a later chunk that did not wait for its turn would shift first
+            time.sleep(0.05)  # the later chunks shift first
         return shift_batch(feats, *args)
 
     mn.shift_batch = held_shift
@@ -903,23 +895,24 @@ for chunk in (8, 32):
         draws = np.random.Generator(np.random.PCG64(73))
         res = mn.evaluate(net, x, labels, labels, reg, ts.nearest_sample(3), 0.0, pool, draws)
         results.append([res.domains, draws.bit_generator.state["state"]["state"]])
-    got[chunk] = {"order": order, "same": results[0] == results[1]}
+    got[chunk] = {"starts": sorted(order), "same": results[0] == results[1]}
 print(json.dumps(got))
 """
 
 
 def test_inference_chunk_is_read_once_per_call():
     """With ``mn.INFERENCE_CHUNK`` set to 8 or 32 after import, nearest_sample
-    evaluation on 1 and then 2 workers shifts its chunks of that size in chunk
-    order, even with the first chunk's shift held back, gives the same tallies
-    and rng end state on both, and finishes within the timeout."""
+    evaluation on 1 and then 2 workers shifts each chunk of that size once,
+    gives the same tallies and rng end state on both, even with the first
+    chunk's shift held back, and finishes within the timeout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", CHUNK_SIZES], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert json.loads(out.stdout) == {
-        str(chunk): {"order": 2 * list(range(0, 80, chunk)), "same": True} for chunk in (8, 32)}
+        str(chunk): {"starts": sorted(2 * list(range(0, 80, chunk))), "same": True}
+        for chunk in (8, 32)}
 
 
 INFERENCE_PEAK = """

@@ -172,13 +172,19 @@ def test_ts_apply_shift_all_equals_alpha_zero():
 
 
 def test_ts_apply_nearest_sample_needs_pool_and_rng():
+    """A missing pool, a pool of the wrong width, or a missing seed raises
+    whether or not the sample shifts: alpha 1e9 keeps it."""
     rng = RNG(7)
     reg, feats, styles = _feature_registry(rng)
-    with pytest.raises(ConfigError):
-        ts.ts_apply(feats[0] + 40.0, reg, alpha=0.0, mode=ts.nearest_sample(10))
-    with pytest.raises(ConfigError):
-        ts.ts_apply(feats[0] + 40.0, reg, alpha=0.0, mode=ts.nearest_sample(10),
-                    sample_pool=styles)
+    for alpha in (0.0, 1e9):
+        with pytest.raises(ConfigError):
+            ts.ts_apply(feats[0] + 40.0, reg, alpha=alpha, mode=ts.nearest_sample(10), seed=0)
+        with pytest.raises(DimensionError):
+            ts.ts_apply(feats[0] + 40.0, reg, alpha=alpha, mode=ts.nearest_sample(10),
+                        sample_pool=styles[:, 1:], seed=0)
+        with pytest.raises(ConfigError):
+            ts.ts_apply(feats[0] + 40.0, reg, alpha=alpha, mode=ts.nearest_sample(10),
+                        sample_pool=styles)
 
 
 def test_ts_apply_nearest_sample_shifts_to_pool_member():
@@ -186,7 +192,7 @@ def test_ts_apply_nearest_sample_shifts_to_pool_member():
     reg, feats, styles = _feature_registry(rng)
     far = feats[0] + 40.0
     out, decision = ts.ts_apply(far, reg, alpha=1.0, mode=ts.nearest_sample(8),
-                                sample_pool=styles, rng=RNG(9))
+                                sample_pool=styles, seed=9)
     assert decision.shifted
     phi_out = tc.style_vector(out)
     dists = np.linalg.norm(styles - phi_out[None, :], axis=1)
@@ -243,16 +249,15 @@ def test_ts_apply_every_mode_matches_restatement(seed, kind, n_domains, channels
     bit; proposed follows decide; shift_all and single_domain shift to the
     nearest centroid (the lowest id when every centroid is as near);
     nearest_sample shifts to the closest of the pool members a hand re-draw
-    from the same seed picks. A shifted output is adain to the target's stats,
-    bit for bit. ``degenerate`` makes every source sample and the test sample
-    one map, so every distance is 0.
+    with a generator seeded by the sample's seed picks. A shifted output is
+    adain to the target's stats, bit for bit. ``degenerate`` makes every
+    source sample and the test sample one map, so every distance is 0.
 
     Row b of ``shift_batch`` over a batch led by that sample equals sample b
-    shifted alone (``ts_apply``, a batch of one), in turn: outputs, decisions,
-    and the rng's state after the draws. Over the alphas (alpha, other_alpha),
-    row a of ``shifted`` and of ``thresholds`` equals a call at alpha a
-    alone, and the features, ``target`` and the rng's state equal those of the
-    call at the smaller alpha."""
+    shifted alone with ``seeds[b]`` (``ts_apply``, a batch of one): outputs
+    and decisions. Over the alphas (alpha, other_alpha), row a of ``shifted``
+    and of ``thresholds`` equals a call at alpha a alone, and the features
+    and ``target`` equal those of the call at the smaller alpha."""
     rng = RNG(seed)
     if kind == "single_domain":
         n_domains = 1
@@ -266,10 +271,9 @@ def test_ts_apply_every_mode_matches_restatement(seed, kind, n_domains, channels
                                   np.repeat(np.arange(n_domains), 3), "block2")
     pool = tc.batch_style_vectors(rng.normal(size=(10, channels, hw, hw)) * 2.0)
     mode = ts.nearest_sample(pool_size) if kind == "nearest_sample" else ts.ShiftMode(kind)
-    draw_seed = int(rng.integers(2**32))
-    draws = RNG(draw_seed)
+    draw_seed = int(rng.integers(2**63))
 
-    out, got = ts.ts_apply(f, reg, alpha, mode, sample_pool=pool, rng=draws)
+    out, got = ts.ts_apply(f, reg, alpha, mode, sample_pool=pool, seed=draw_seed)
 
     phi = tc.style_vector(f)
     dists = [float(np.linalg.norm(phi - c)) for c in reg.centroids]
@@ -295,38 +299,29 @@ def test_ts_apply_every_mode_matches_restatement(seed, kind, n_domains, channels
         assert out.tobytes() == f.tobytes()
     else:
         assert out.tobytes() == adain(f, tc.style_vector_to_stats(target)).tobytes()
-    assert draws.bit_generator.state == redraw.bit_generator.state
 
     scale = rng.uniform(0.5, 3.0, size=(batch - 1, 1, 1, 1))
     others = rng.normal(size=(batch - 1, channels, hw, hw)) * scale \
         + rng.uniform(-30.0, 30.0, size=(batch - 1, 1, 1, 1))
     feats_t = np.stack([f, *(np.broadcast_to(f, others.shape) if degenerate else others)])
-    one_by_one = RNG(draw_seed)
-    singles = [ts.ts_apply(g, reg, alpha, mode, sample_pool=pool, rng=one_by_one) for g in feats_t]
-    batched = RNG(draw_seed)
-    out_b, got_b = ts.shift_batch(feats_t, reg, [alpha], mode, sample_pool=pool, rng=batched)
+    seeds = rng.integers(2**63, size=batch)
+    singles = [ts.ts_apply(g, reg, alpha, mode, sample_pool=pool, seed=int(seed))
+               for g, seed in zip(feats_t, seeds)]
+    out_b, got_b = ts.shift_batch(feats_t, reg, [alpha], mode, sample_pool=pool, seeds=seeds)
     assert out_b.tobytes() == np.stack([o for o, _ in singles]).tobytes()
     assert got_b.shifted[0].tolist() == [d.shifted for _, d in singles]
     assert got_b.target.tolist() == [-1 if d.target is None else d.target for _, d in singles]
     assert got_b.avg_distance.tolist() == [d.avg_distance for _, d in singles]
     assert {*got_b.thresholds.tolist()} == {d.threshold for _, d in singles}
-    assert batched.bit_generator.state == one_by_one.bit_generator.state
 
     pair = [alpha, other_alpha]
-    alone = []
-    for a in pair:
-        draws = RNG(draw_seed)
-        alone.append((*ts.shift_batch(feats_t, reg, [a], mode, sample_pool=pool, rng=draws),
-                      draws.bit_generator.state))
-    both_draws = RNG(draw_seed)
-    out_2, got_2 = ts.shift_batch(feats_t, reg, pair, mode, sample_pool=pool, rng=both_draws)
-    assert got_2.shifted.tolist() == [d.shifted[0].tolist() for _, d, _ in alone]
-    assert got_2.thresholds.tolist() == [d.thresholds[0] for _, d, _ in alone]
-    out_s, got_s, state_s = alone[int(np.argmin(
-        [reg.alpha_default if a is None else a for a in pair]))]
+    alone = [ts.shift_batch(feats_t, reg, [a], mode, sample_pool=pool, seeds=seeds) for a in pair]
+    out_2, got_2 = ts.shift_batch(feats_t, reg, pair, mode, sample_pool=pool, seeds=seeds)
+    assert got_2.shifted.tolist() == [d.shifted[0].tolist() for _, d in alone]
+    assert got_2.thresholds.tolist() == [d.thresholds[0] for _, d in alone]
+    out_s, got_s = alone[int(np.argmin([reg.alpha_default if a is None else a for a in pair]))]
     assert out_2.tobytes() == out_s.tobytes()
     assert got_2.target.tolist() == got_s.target.tolist()
-    assert both_draws.bit_generator.state == state_s
 
 
 def test_shift_decision_vector_length_checked():

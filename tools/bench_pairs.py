@@ -20,14 +20,18 @@ neither) and a verdict against the metric's bound:
 Each row also says whether the change shows a gain on that metric: it wins at
 least nine tenths of the pairs, and its median is better than the parent's by
 more than the parent's quartile distance. The JSON summary lists the metrics
-with a gain under ``gain``.
+with a gain under ``gain``. Then one line per named metric (the workload's
+``named`` line, such as each mode's samples per second; with ``--workload
+all`` the summary's ``<workload>.<name>`` keys) that has no end-to-end row
+gives the parent and change medians, with no verdict; the JSON summary holds
+them under ``named``.
 
 Then it runs ``--trace 1`` once per side and compares every exact count that
 perfbench/workloads.json lists. Exits 1 on a ``worse`` verdict, on a larger
 share of failed operations in the change's runs than in the parent's, or on
 an exact count that differs; else 0. The last line of stdout is a JSON
 summary. Besides the verdicts it holds every timed run under ``runs`` (its
-side, pair, order in the pair, seed, ``named`` line and summary, in the
+side, pair, order in the pair, seed, named values and summary, in the
 ``runs`` schema of the ``BENCH_*.json`` records) and each side's first
 ``stamp`` line under ``stamp``, so a bench record can be written from that
 line alone.
@@ -47,8 +51,9 @@ def run_bench(checkout: Path, workload: str, seed: int,
               trace: int) -> tuple[dict, dict | None, dict]:
     """The JSON summary ``perfbench/run.py`` prints last, run in ``checkout``,
     the machine stamp of its first ``stamp`` line (None without one), and the
-    values of its ``named`` line ({} without one: ``--workload all`` folds
-    them into the summary)."""
+    values of its ``named`` line ({} without one), or with ``--workload all``
+    those of its summary, which folds each workload's named line in under
+    ``<workload>.<name>``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", str(trace)],
@@ -63,8 +68,9 @@ def run_bench(checkout: Path, workload: str, seed: int,
         return next((json.loads(line[len(tag) + 1:]) for line in lines
                      if line.startswith(tag + " ")), None)
 
-    named = tagged("named") or {}
-    return json.loads(lines[-1]), tagged("stamp"), {k: item["value"] for k, item in named.items()}
+    summary = json.loads(lines[-1])
+    named = summary["metrics"] if workload == "all" else tagged("named") or {}
+    return summary, tagged("stamp"), {k: item["value"] for k, item in named.items()}
 
 
 def quartile_distance(values: list[float]) -> float:
@@ -149,6 +155,16 @@ def main(argv=None) -> int:
         print(f"{key:<28} parent {r['parent_median']:.4g}  change {r['change_median']:.4g}  "
               f"quartile distance {r['parent_quartile_distance']:.3g} {m['unit']}  "
               f"wins {r['wins']}/{r['pairs']}  {r['verdict']}{'  gain' if r['gain'] else ''}")
+    named = {side: [r["results"][args.workload]["named"] for r in records if r["side"] == side]
+             for side in sides}
+    medians = {}
+    for key in named["parent"][0]:
+        values = {side: [run.get(key) for run in named[side]] for side in sides}
+        if key in rows or None in values["parent"] + values["change"]:
+            continue
+        medians[key] = {f"{side}_median": statistics.median(values[side]) for side in sides}
+        print(f"{key:<28} parent {medians[key]['parent_median']:.4g}  "
+              f"change {medians[key]['change_median']:.4g}  (named)")
     shares = {side: failed_share(runs[side]) for side in sides}
 
     exact = set(json.loads((args.parent / "perfbench" / "workloads.json").read_text())
@@ -171,6 +187,7 @@ def main(argv=None) -> int:
            or bool(differ))
     print(json.dumps({"workload": args.workload, "pairs": args.pairs, "seed": args.seed,
                       "metrics": rows, "gain": sorted(k for k, r in rows.items() if r["gain"]),
+                      "named": medians,
                       "failed_share": shares, "trace_failed": trace_failed,
                       "exact_counts": len(counts), "exact_counts_differ": sorted(differ),
                       "ok": not bad, "stamp": stamps, "runs": records}))
