@@ -10,14 +10,45 @@ differentiated once.
 
 Importing the module pins glibc's mmap and trim thresholds and its arena
 count (see ``_pin_allocator``).
+
+``RUNNER`` is the package's one pool of threads (``Runner``): one worker per
+usable CPU, the calling thread among them, or one where numpy's OpenBLAS
+thread count cannot be set. Inference runs its chunks on it (``micro_net``),
+and ``conv2d``, ``relu`` and ``avg_pool2`` split their forward and backward
+work over it. While any of its tasks runs, BLAS runs on one thread
+(``one_blas_thread``); a call made from inside a task runs inline. Every
+split keeps each output bit independent of the number of workers:
+
+- padding, the patch matrix, the col2im sums, the NCHW <-> channel-major
+  copies, ReLU and pooling are cut by ranges of samples (``_ranges``) or of
+  channels; each output element is computed by the same operations either
+  way, so any cut is exact;
+- the weight gradient ``dW = g2 @ cols.T`` sums over batch x pixels, so it
+  stays one GEMM, run while the patch-gradient tasks run;
+- the forward GEMM and the patch-gradient GEMM ``w2.T @ g2`` are cut only
+  along rows (output channels, input channels), into blocks that the shape
+  alone fixes (``_row_blocks``); ``conv2d`` and the inference pass both run
+  the one forward, ``conv_cm``, so they get the same blocks.
+
+Ops smaller than ``SPLIT_MIN`` elements, and convs under ``GEMM_SPLIT_MIN``
+multiply-adds, run whole, and the GEMMs split only where BLAS runs on one
+thread of its own: where it runs on more, its own threads split them
+better. No task calls an op that returns a Var, or creates
+a Var, so each op still runs, and can be timed, on the calling thread as one
+call.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
+import functools
+import os
+import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8   # glibc's mallopt ids
 
@@ -65,25 +96,181 @@ def _openblas_threads():
 
 
 OPENBLAS_THREADS = _openblas_threads()
+_blas_lock = threading.Lock()
+_blas_holds = [0, None]   # holds in force, and the count the first hold found
 
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run numpy's OpenBLAS on one thread inside the block, as the inference
-    workers (``micro_net``) need, one per CPU; restore its count after, which
-    runs a lone training faster on an idle host. A no-op without such an
-    OpenBLAS. The count is process-wide: other threads' BLAS calls meanwhile
-    run on one thread too."""
+    """Run numpy's OpenBLAS on one thread inside the block, as the runner's
+    tasks need, one per CPU; the last block to end restores the count the
+    first one found, so blocks that overlap in time (on several threads)
+    cannot restore each other's. A lone training on an idle host runs faster
+    at the default count. A no-op without such an OpenBLAS. The count is
+    process-wide: other threads' BLAS calls meanwhile run on one thread too."""
     if OPENBLAS_THREADS is None:
         yield
         return
     get, put = OPENBLAS_THREADS
-    before = get()
-    put(1)
+    with _blas_lock:
+        if not _blas_holds[0]:
+            _blas_holds[1] = get()
+            put(1)
+        _blas_holds[0] += 1
     try:
         yield
     finally:
-        put(before)
+        with _blas_lock:
+            _blas_holds[0] -= 1
+            if not _blas_holds[0]:
+                put(_blas_holds[1])
+
+
+def _own_blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS runs at outside the runner's holds
+    (``one_blas_thread``), or None where it cannot be read."""
+    if OPENBLAS_THREADS is None:
+        return None
+    with _blas_lock:
+        return _blas_holds[1] if _blas_holds[0] else OPENBLAS_THREADS[0]()
+
+
+def _usable_cpus() -> int:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
+_IN_TASK = contextvars.ContextVar("styleshift_runner_task", default=False)
+_TAKEN = (True, None)   # the outcome slot of a result already handed over
+
+
+class _Job:
+    """The tasks of one ``Runner.map`` call and their outcomes, ``(True,
+    value)`` or ``(False, exception)``, None while a task is not done. Every
+    field but ``fn``, ``args`` and ``contexts`` is guarded by the runner's
+    lock."""
+
+    __slots__ = ("fn", "args", "contexts", "helpers", "next", "running", "outcomes")
+
+    def __init__(self, fn, args: list, helpers: int):
+        self.fn, self.args, self.helpers = fn, args, helpers  # workers that may still join
+        # a context can be entered by one thread at a time: one copy per task
+        self.contexts = [contextvars.copy_context() for _ in args]
+        self.next = self.running = 0
+        self.outcomes = [None] * len(args)
+
+    def _call(self, i):
+        _IN_TASK.set(True)   # in this task's context copy: a nested map runs inline
+        return self.fn(*self.args[i])
+
+    def execute(self, i):
+        try:
+            return True, self.contexts[i].run(self._call, i)
+        except BaseException as exc:  # handed to the caller at this task's turn
+            return False, exc
+
+
+class Runner:
+    """One persistent pool for the package's parallel work: ``size - 1``
+    daemon threads, started on first use, and the thread that calls ``map``,
+    which takes tasks too, so up to ``size`` tasks run at once.
+
+    ``map(fn, *iterables)`` yields ``fn(*args)`` for each tuple of arguments,
+    in order. Each task runs in its own copy of the caller's context (numpy's
+    ``errstate`` lives there), and BLAS runs on one thread until the last
+    task is done (``one_blas_thread``). A task's error is raised when its
+    turn to be yielded comes, so the earliest task's error is the one raised;
+    the tasks not yet started are then dropped, and the call returns once the
+    running ones end, leaving the runner usable. With one task, a size of 1,
+    or when called from inside a task, ``map`` runs the tasks inline, one
+    after another: nested calls never wait on the pool they run in.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._cv = threading.Condition()
+        self._jobs: list[_Job] = []   # jobs with tasks not yet claimed
+        self._threads = 0
+
+    def seats(self) -> int:
+        """The tasks that ``map`` would run at once if called here now."""
+        return 1 if _IN_TASK.get() else max(1, self.size)
+
+    def map(self, fn, *iterables):
+        args = list(zip(*iterables))
+        if len(args) < 2 or self.seats() < 2:
+            for a in args:
+                yield fn(*a)
+            return
+        cv = self._cv
+        job = _Job(fn, args, min(self.size, len(args)) - 1)
+        with one_blas_thread():
+            with cv:
+                while self._threads < self.size - 1:
+                    threading.Thread(target=self._work, daemon=True,
+                                     name=f"styleshift-runner-{self._threads}").start()
+                    self._threads += 1
+                self._jobs.append(job)
+                cv.notify_all()
+            try:
+                for i in range(len(args)):
+                    with cv:
+                        while job.outcomes[i] is None:
+                            if job.next < len(args):
+                                self._run(job)
+                            else:
+                                cv.wait()
+                        ok, value = job.outcomes[i]
+                        job.outcomes[i] = _TAKEN
+                    if not ok:
+                        raise value
+                    yield value
+            finally:
+                with cv:
+                    if job.next < len(args):
+                        job.next = len(args)
+                        self._jobs.remove(job)
+                    while job.running:
+                        cv.wait()
+
+    def _run(self, job: _Job) -> None:
+        """Claim ``job``'s next task and run it, holding the lock only while
+        its state changes."""
+        i = job.next
+        job.next += 1
+        if job.next == len(job.args):
+            self._jobs.remove(job)
+        job.running += 1
+        self._cv.release()
+        try:
+            outcome = job.execute(i)
+        finally:
+            self._cv.acquire()
+        job.outcomes[i] = outcome
+        job.running -= 1
+        self._cv.notify_all()
+
+    def _work(self) -> None:
+        with self._cv:
+            while True:
+                job = next((j for j in self._jobs if j.helpers), None)
+                if job is None:
+                    self._cv.wait()
+                    continue
+                job.helpers -= 1
+                while job.next < len(job.args):
+                    self._run(job)
+
+
+# One worker per usable CPU; one where BLAS's thread count cannot be set: its
+# GEMMs may then take every CPU, and more workers than CPUs slow them down.
+RUNNER = Runner(1 if OPENBLAS_THREADS is None else _usable_cpus())
+
+
+def _each(fn, items) -> None:
+    """``fn(item)`` for each of ``items`` as tasks of ``RUNNER``."""
+    for _ in RUNNER.map(fn, items):
+        pass
 
 
 def _spent(g):
@@ -257,8 +444,21 @@ def sum_axes(a, axes, keepdims: bool = True) -> Var:
 
 def relu(a) -> Var:
     a = as_var(a)
-    mask = a.value > 0
-    return Var(np.maximum(a.value, 0.0), (a,), lambda g: (g * mask,))
+    v = a.value
+    out, mask = np.empty(v.shape), np.empty(v.shape, dtype=bool)
+    parts = _ranges(v.shape[0], v.size) if v.ndim else [...]
+
+    def forward(part):
+        np.greater(v[part], 0, out=mask[part])
+        np.maximum(v[part], 0.0, out=out[part])
+
+    def vjp(g):
+        dx = np.empty(v.shape)
+        _each(lambda part: np.multiply(g[part], mask[part], out=dx[part]), parts)
+        return (dx,)
+
+    _each(forward, parts)
+    return Var(out, (a,), vjp)
 
 
 def clamp_min(a, floor: float) -> Var:
@@ -289,87 +489,162 @@ def reshape(a, shape) -> Var:
 
 # -- network layers -------------------------------------------------------
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Channel-major padded input (Cin, B, Hp, Wp) -> patch matrix (Cin*kh*kw, B*OH*OW)."""
-    c, b = xp.shape[0], xp.shape[1]
-    cols = np.empty((c, kh, kw, b, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(c * kh * kw, b * oh * ow)
+# Below these sizes an op runs whole on the calling thread: waking a worker
+# took 30-75 us on the 2-vCPU host these were measured on, and a GEMM cut into
+# row blocks packs its other operand once per block. All are read at call time.
+SPLIT_MIN = 400_000             # elements of a data-movement or elementwise op
+GEMM_SPLIT_MIN = 10_000_000     # multiply-adds of a conv whose GEMMs split
 
 
-def pad_cm(x: np.ndarray, pad: int) -> np.ndarray:
-    """A channel-major (C, B, H, W) array zero-padded by ``pad`` on each side
-    of its trailing (H, W) axes, in a new buffer."""
-    c, b, h, w = x.shape
-    xp = np.zeros((c, b, h + 2 * pad, w + 2 * pad))
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    return xp
+def _splits_gemms(macs: int) -> bool:
+    """Whether a conv of ``macs`` multiply-adds splits its GEMMs over the
+    runner: at ``GEMM_SPLIT_MIN`` and above, and only where BLAS runs on one
+    thread of its own. Where it runs on more, its threads split a GEMM
+    without packing an operand once per block, and ran block2's forward at
+    batch 63 in 2.9 ms against 4.4 ms for the runner's row blocks."""
+    return macs >= GEMM_SPLIT_MIN and _own_blas_threads() == 1
 
 
-def conv_cm(xp: np.ndarray, w: np.ndarray, b: np.ndarray,
-            stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Channel-major 2-D convolution of a padded input (``pad_cm``):
-    (Cin, B, Hp, Wp) -> (Cout, B, OH, OW), and the (Cin*kh*kw, B*OH*OW) patch
-    matrix its one GEMM multiplied.
+def _ranges(n: int, size: int) -> list[slice]:
+    """``range(n)`` (the samples of an op over ``size`` elements) in one
+    contiguous slice per runner seat, or whole below ``SPLIT_MIN``. For data
+    movement and elementwise ops, where any cut gives the same bits."""
+    parts = min(n, RUNNER.seats()) if size >= SPLIT_MIN else 1
+    return [slice(n * k // parts, n * (k + 1) // parts) for k in range(max(parts, 1))]
 
-    The forward of ``conv2d`` and of the tape-free inference pass: both hand
-    this function the same values, so both get the same bits.
+
+def _row_blocks(n: int, split: bool) -> list[slice]:
+    """The row blocks of a conv GEMM over ``n`` output (forward) or input
+    (patch gradient) channels: two, cut at a multiple of 4 channels, when
+    the conv splits its GEMMs (``_splits_gemms``) and n is at least 8;
+    otherwise one.
+
+    Fixed by the shape (and BLAS's own thread count), never by the number of
+    workers, so the bits do not depend on it. On the OpenBLAS this was measured on (Sapphire Rapids),
+    blocks cut at a multiple of 4 rows gave the whole GEMM's bits at every
+    shape tried, at 1 and 2 BLAS threads. Cuts at other rows did not at some
+    small shapes, nor did 1-row blocks (numpy runs those as gemv), nor did
+    splits by columns (samples) on 8 px nets.
     """
-    cin, bs, hp, wp = xp.shape
+    if n < 8 or not split:
+        return [slice(0, n)]
+    cut = 4 * ((n + 4) // 8)
+    return [slice(0, cut), slice(cut, n)]
+
+
+def conv_cm(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 1,
+            nchw: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """2-D convolution of a channel-major input, (Cin, B, H, W) in any
+    strides, zero-padded by ``pad``: the (Cout, B, OH, OW) output, or with
+    ``nchw`` the (B, Cout, OH, OW) one, and the (Cin*kh*kw, B*OH*OW) patch
+    matrix its GEMM multiplied.
+
+    The forward of ``conv2d`` and of the tape-free inference pass, so both
+    get the same bits. The padding and the patch matrix are built per range
+    of samples (``_ranges``), then the GEMM, the bias and the output layout
+    per block of output channels (``_row_blocks``), each range or block a
+    task of ``RUNNER``.
+    """
+    cin, bs, h, wd = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
         raise ValueError(f"conv channel mismatch: input {cin}, weight {cin_w}")
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
-    y = w.reshape(cout, cin * kh * kw) @ cols
-    y += b[:, None]
-    return y.reshape(cout, bs, oh, ow), cols
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (wd + 2 * pad - kw) // stride + 1
+    cols = np.empty((cin, kh, kw, bs, oh, ow))
+
+    def patches(part):  # one copy of the padded samples' windows: one GIL release
+        xp = np.zeros((cin, part.stop - part.start, h + 2 * pad, wd + 2 * pad))
+        xp[:, :, pad:pad + h, pad:pad + wd] = x[:, part]
+        c, n, r, q = xp.strides
+        cols[:, :, :, part] = as_strided(xp, (cin, kh, kw, xp.shape[1], oh, ow),
+                                         (c, r, q, n, r * stride, q * stride), writeable=False)
+
+    _each(patches, _ranges(bs, cols.size))
+    cols = cols.reshape(cin * kh * kw, bs * oh * ow)
+    w2 = w.reshape(cout, cin * kh * kw)
+    y = np.empty((bs, cout, oh, ow) if nchw else (cout, bs, oh, ow))
+
+    def rows(r):
+        if nchw:  # the block, then its channels of the NCHW output
+            block = w2[r] @ cols
+            block += b[r, None]
+            y.transpose(1, 0, 2, 3)[r] = block.reshape(-1, bs, oh, ow)
+        else:  # straight into its rows of the channel-major output
+            block = y.reshape(cout, bs * oh * ow)[r]
+            np.matmul(w2[r], cols, out=block)
+            block += b[r, None]
+
+    _each(rows, _row_blocks(cout, _splits_gemms(cols.size * cout)))
+    return y, cols
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
     """2-D convolution, NCHW layout, square stride/pad.
 
-    The input is padded into a channel-major buffer (``pad_cm``) so that the
-    forward (``conv_cm``), the weight gradient and the patch gradient are each
-    one 2-D GEMM over the (Cin*kh*kw, B*OH*OW) patch matrix. An input that is
-    not a Var is a constant: the backward forms no gradient for it.
+    The forward is ``conv_cm`` on the input's channel-major view. The backward
+    forms the weight gradient with one GEMM over the (Cin*kh*kw, B*OH*OW)
+    patch matrix, and the patch gradient with one GEMM per block of input
+    channels (``_row_blocks``), each summed into that block's input gradient.
+    Where the conv splits its GEMMs (``_splits_gemms``), the weight task and
+    the block tasks run on ``RUNNER`` together. An input that is not a Var is a constant: the
+    backward forms no gradient for it.
     """
     needs_dx = isinstance(x, Var)
     x, w, b = as_var(x), as_var(w), as_var(b)
     bs, cin, h, wd = x.value.shape
     cout, _, kh, kw = w.value.shape
-    xp = pad_cm(x.value.transpose(1, 0, 2, 3), pad)
-    y, cols = conv_cm(xp, w.value, b.value, stride)
-    oh, ow = y.shape[2:]
-    padded = xp.shape
+    out, cols = conv_cm(x.value.transpose(1, 0, 2, 3), w.value, b.value, stride, pad, nchw=True)
+    oh, ow = out.shape[2:]
     w2 = w.value.reshape(cout, cin * kh * kw)
-    out = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+    split = _splits_gemms(cols.size * cout)
 
     def vjp(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(cout, bs * oh * ow)
-        dw = (g2 @ cols.T).reshape(w.value.shape)
-        db = g.sum(axis=(0, 2, 3))
-        if not needs_dx:
-            return (None, dw, db)
-        dcols = (w2.T @ g2).reshape(cin, kh, kw, bs, oh, ow)
-        dxp = np.zeros(padded)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
-        dx = np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3))
-        return (dx, dw, db)
+        g2, g_cm = np.empty((cout, bs, oh, ow)), g.transpose(1, 0, 2, 3)
+
+        def channel_major(part):
+            g2[:, part] = g_cm[:, part]
+
+        _each(channel_major, _ranges(bs, g.size))
+        g2 = g2.reshape(cout, bs * oh * ow)
+        grads = [None, None, None]
+
+        def weights():
+            grads[1] = (g2 @ cols.T).reshape(w.value.shape)
+            grads[2] = g.sum(axis=(0, 2, 3))
+
+        def inputs(c):
+            n = c.stop - c.start
+            dcols = (w2.T[c.start * kh * kw:c.stop * kh * kw] @ g2).reshape(n, kh, kw, bs, oh, ow)
+            dxp = np.zeros((n, bs, h + 2 * pad, wd + 2 * pad))
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
+            grads[0][:, c] = dxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
+
+        tasks = [weights]
+        if needs_dx:
+            grads[0] = np.empty((bs, cin, h, wd))
+            tasks += [functools.partial(inputs, c) for c in _row_blocks(cin, split)]
+        if split:
+            _each(lambda task: task(), tasks)
+        else:
+            for task in tasks:
+                task()
+        return tuple(grads)
 
     return Var(out, (x, w, b), vjp)
 
 
-def pool2(v: np.ndarray) -> np.ndarray:
-    """2x2 average of the trailing (H, W) axes, which must be even; the
-    forward of ``avg_pool2`` and of the tape-free inference pass."""
-    return (v[..., 0::2, 0::2] + v[..., 0::2, 1::2]
-            + v[..., 1::2, 0::2] + v[..., 1::2, 1::2]) * 0.25
+def pool2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2x2 average of the trailing (H, W) axes, which must be even, into
+    ``out`` where given; the forward of ``avg_pool2`` and of the tape-free
+    inference pass."""
+    out = np.add(v[..., 0::2, 0::2], v[..., 0::2, 1::2], out=out)
+    out += v[..., 1::2, 0::2]
+    out += v[..., 1::2, 1::2]
+    out *= 0.25
+    return out
 
 
 def avg_pool2(x) -> Var:
@@ -379,14 +654,20 @@ def avg_pool2(x) -> Var:
     h, w = v.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool2 needs even spatial dims, got {h}x{w}")
-    out = pool2(v)
+    out = np.empty(v.shape[:2] + (h // 2, w // 2))
+    parts = _ranges(v.shape[0], v.size)
+    _each(lambda part: pool2(v[part], out[part]), parts)
 
     def vjp(g):
-        quarter = g * 0.25
         dx = np.empty_like(v)
-        for i in (0, 1):
-            for j in (0, 1):
-                dx[:, :, i::2, j::2] = quarter
+
+        def spread(part):
+            quarter, part_dx = g[part] * 0.25, dx[part]
+            for i in (0, 1):
+                for j in (0, 1):
+                    part_dx[:, :, i::2, j::2] = quarter
+
+        _each(spread, parts)
         return (dx,)
 
     return Var(out, (x,), vjp)

@@ -25,24 +25,24 @@ alpha or many, with one ``shift_batch`` per chunk that decides every alpha;
 ``evaluate`` is its one-alpha call.
 
 Both inference passes run their slices of ``INFERENCE_CHUNK`` samples as tasks
-of ``_chunk_results`` on ``_inference_workers`` threads, one per usable CPU,
-with BLAS on one thread while they run (``autodiff.one_blas_thread``); one,
+of ``autodiff.RUNNER``, the package's one pool: one worker per usable CPU, the
+calling thread among them, with BLAS on one thread while they run; one,
 inline, where BLAS's threads cannot be set. numpy releases the GIL in the
 GEMMs and the array ops, so two workers on two CPUs run close to twice as
-fast. Each task runs in its own copy of the caller's context (numpy's
-``errstate`` lives there) and depends on no other task: nearest_sample draws
-each sample's pool members from that sample's own seed, drawn on the calling
-thread. The error raised is that of the earliest chunk. Of the package's
-functions the workers call only ``MicroNet.infer`` and ``shift_batch``; the
-rest run on the calling thread.
+fast. The runner yields the chunks' results in order, and each task runs in
+its own copy of the caller's context (numpy's ``errstate`` lives there) and
+depends on no other task: nearest_sample draws each sample's pool members
+from that sample's own seed, drawn on the calling thread. The error raised is
+that of the earliest chunk. Of the package's functions the inference tasks
+call only ``MicroNet.infer`` and ``shift_batch``; the rest run on the calling
+thread. The conv, ReLU and pool ops of ``forward``, and the conv of ``infer``
+(``autodiff.conv_cm``), split their own work over the same runner, except
+inside an inference task, where they run inline.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,38 +66,9 @@ AUG_KINDS = ("none", "mixstyle", "dsu", "efdmix")
 INFERENCE_CHUNK = 16
 
 
-def _inference_workers(chunks: int) -> int:
-    """Threads for ``chunks`` inference tasks: one per usable CPU, at most
-    ``chunks``. One where BLAS's thread count cannot be set
-    (``autodiff.OPENBLAS_THREADS``): its GEMMs may then take every CPU, and
-    more workers than CPUs slow inference down."""
-    if ad.OPENBLAS_THREADS is None:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(chunks, cpus or 1))
-
-
 def _chunks(n: int) -> list[slice]:
     """``range(n)`` in slices of ``INFERENCE_CHUNK`` samples, read at call time."""
     return [slice(start, start + INFERENCE_CHUNK) for start in range(0, n, INFERENCE_CHUNK)]
-
-
-def _chunk_results(chunks: list[slice], task):
-    """``task(i, chunk)`` for each of ``chunks``, yielded in chunk order. With
-    one worker the tasks run inline; otherwise on a thread pool, each in its
-    own copy of the caller's context, with BLAS on one thread until the last
-    result is yielded. A task's error is raised when its turn to be yielded
-    comes, so the earliest chunk's error is the one raised, and the chunks not
-    yet started are then cancelled."""
-    workers = _inference_workers(len(chunks))
-    if workers == 1:
-        yield from map(task, range(len(chunks)), chunks)
-        return
-    with ad.one_blas_thread(), ThreadPoolExecutor(workers) as pool:
-        # a context can be entered by one thread at a time: one copy per task
-        contexts = [contextvars.copy_context() for _ in chunks]
-        yield from pool.map(lambda ctx, i, chunk: ctx.run(task, i, chunk),
-                            contexts, range(len(chunks)), chunks)
 
 
 @dataclass(frozen=True)
@@ -368,7 +339,8 @@ class MicroNet:
 
         Activations stay channel-major, (C, B, H, W), the layout the conv GEMM
         produces, so no block transposes its output, and ReLU runs in place;
-        ``autodiff.conv_cm`` gets the very patch matrices it gets in ``conv2d``.
+        ``autodiff.conv_cm``, the forward ``conv2d`` runs too, builds the very
+        patch matrices and GEMM row blocks it builds there.
         Returns the (B, n_classes) logits, or with ``hook`` the pass stops at
         that block and returns its (B, C, H, W) output. With ``start`` x is
         the (B, C, H, W) output of that block and only the blocks after it
@@ -385,7 +357,7 @@ class MicroNet:
         h = as_pixels(x).transpose(1, 0, 2, 3)
         for i in range(first, len(self.config.blocks)):
             blk = self.config.blocks[i]
-            h = ad.conv_cm(ad.pad_cm(h, 1), self.params[f"conv{i}_w"],  # frees the patches
+            h = ad.conv_cm(h, self.params[f"conv{i}_w"],  # [0] frees the patches
                            self.params[f"conv{i}_b"], blk.stride)[0]
             np.maximum(h, 0.0, out=h)
             if blk.pool:
@@ -397,11 +369,11 @@ class MicroNet:
 
     def style_vectors_at(self, x, layer: str) -> np.ndarray:
         """Per-sample style vectors at one hook (``infer`` checks it) from
-        tape-free passes that stop there: the passes run as pool tasks
-        (``_chunk_results``), the style vectors on the calling thread."""
+        tape-free passes that stop there: the passes run as tasks of
+        ``autodiff.RUNNER``, the style vectors on the calling thread."""
         x = np.asarray(x)
-        return np.concatenate([batch_style_vectors(h) for h in _chunk_results(
-            _chunks(x.shape[0]), lambda i, sl: self.infer(x[sl], layer))], axis=0)
+        return np.concatenate([batch_style_vectors(h) for h in ad.RUNNER.map(
+            lambda sl: self.infer(x[sl], layer), _chunks(x.shape[0]))], axis=0)
 
     # -- persistence ------------------------------------------------------
 
@@ -540,7 +512,7 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
     by one alpha and kept by another. A sample's logits depend only on its
     own columns of each GEMM, at a fixed place in a chunk of a fixed size,
     and its pool draw only on its seed, so every alpha gets the bits of a
-    call at that alpha alone. Task i of ``_chunk_results`` writes only chunk
+    call at that alpha alone. Task i of ``autodiff.RUNNER`` writes only chunk
     i's columns of the tallies, so they do not depend on the number of
     workers."""
     x = np.asarray(images)
@@ -564,7 +536,7 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
     correct = np.empty((len(alphas), x.shape[0]), dtype=bool)
     shifted = np.zeros((len(alphas), x.shape[0]), dtype=bool)
 
-    def run_chunk(i, sl):
+    def run_chunk(sl):
         feats, moves = x[sl], shifted[:, sl]  # moves: (alphas, chunk)
         if hook is not None:
             kept = net.infer(feats, hook)
@@ -581,7 +553,7 @@ def evaluate_alphas(net: MicroNet, images, class_labels, domain_labels,
                 f"non-finite logits in the evaluation batch starting at sample {sl.start}")
         correct[:, sl] = np.where(moves, right[0], right[-1])
 
-    for _ in _chunk_results(_chunks(x.shape[0]), run_chunk):
+    for _ in ad.RUNNER.map(run_chunk, _chunks(x.shape[0])):
         pass
     ids, dom_index = np.unique(doms, return_inverse=True)
     tallies = [[np.bincount(dom_index[keep], minlength=ids.size).tolist()

@@ -4,7 +4,10 @@ Each op is checked against a direct implementation written for clarity, not
 speed: a nested-loop convolution, a reshape-mean pool and ``max(x, 0)``.
 Shapes are drawn with hypothesis so strided, unpadded, odd-sized and
 multi-channel cases are covered, not only the network's 3x3/stride-1/pad-1.
+The runner that splits the ops over threads is checked at the end.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from styleshift import autodiff as ad
 from styleshift.autodiff import Var
 
-from helpers import fd_grad, rel_err, weighted_sum
+from helpers import fd_grad, rel_err, split_everything, weighted_sum
 
 RNG = lambda seed: np.random.Generator(np.random.PCG64(seed))
 
@@ -155,3 +158,104 @@ def test_second_backward_through_a_freed_graph_raises():
     assert hidden.grad is None
     np.testing.assert_array_equal(x.grad, grads[0])
     np.testing.assert_array_equal(w.grad, grads[1])
+
+
+# -- the runner ------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(case=conv_cases(), cout=st.sampled_from([8, 9, 12]))
+def test_split_conv_gives_the_bits_of_one_worker(case, cout):
+    """conv2d's output and its input, weight and bias gradients have the
+    same bytes on 1, 2 and 3 workers when every op splits, with 8 or more
+    output and input channels and BLAS on one thread, so that both GEMMs
+    split into row blocks."""
+    x, w, _, stride, pad, rng = case
+    x = np.repeat(x, 4, axis=1)
+    w = rng.normal(size=(cout, x.shape[1], *w.shape[2:]))
+    b, g = rng.normal(size=cout), None
+    got = set()
+    for k in (1, 2, 3):
+        with split_everything(k):
+            xv, wv, bv = Var(x), Var(w), Var(b)
+            out = ad.conv2d(xv, wv, bv, stride=stride, pad=pad)
+            g = rng.normal(size=out.value.shape) if g is None else g
+            out.backward(seed=g)
+        got.add(tuple(v.tobytes() for v in (out.value, xv.grad, wv.grad, bv.grad)))
+    assert len(got) == 1
+
+
+def test_an_error_in_a_split_ops_task_is_raised_on_the_caller(monkeypatch):
+    """A task of a split avg_pool2 that raises (the second range of samples
+    here) raises its own error on the calling thread; the runner then still
+    splits ops and gives the bits of the inline pass."""
+    pool2 = ad.pool2
+
+    def picky(v, out=None):
+        if not np.isfinite(v).all():
+            raise FloatingPointError("a sample that is not finite")
+        return pool2(v, out)
+
+    monkeypatch.setattr(ad.RUNNER, "size", 2)
+    monkeypatch.setattr(ad, "SPLIT_MIN", 0)
+    x = RNG(3).normal(size=(4, 2, 4, 4))
+    bad = x.copy()
+    bad[3] = np.inf
+    with monkeypatch.context() as mp:
+        mp.setattr(ad, "pool2", picky)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            ad.avg_pool2(Var(bad))
+    split = ad.avg_pool2(Var(x)).value
+    with monkeypatch.context() as mp:
+        mp.setattr(ad.RUNNER, "size", 1)
+        assert split.tobytes() == ad.avg_pool2(Var(x)).value.tobytes()
+
+
+def test_runner_raises_the_earliest_error_and_stays_usable():
+    """Tasks 1 and 3 raise: task 1's error is the one raised, after task 0's
+    result was yielded, and a later map runs every task."""
+    runner = ad.Runner(3)
+
+    def task(i):
+        if i in (1, 3):
+            raise KeyError(i)
+        return i
+
+    got = []
+    with pytest.raises(KeyError) as caught:
+        for value in runner.map(task, range(6)):
+            got.append(value)
+    assert got == [0] and caught.value.args == (1,)
+    assert list(runner.map(lambda i: i * i, range(8))) == [i * i for i in range(8)]
+
+
+def test_a_nested_map_runs_inline_on_the_tasks_thread():
+    """A map called inside a task runs its tasks on that task's thread, and
+    the runner offers one seat there; outside a task it offers its size."""
+    runner = ad.Runner(2)
+
+    def outer(i):
+        inner = list(runner.map(lambda j: threading.get_ident(), range(4)))
+        return threading.get_ident(), inner, runner.seats()
+
+    for ident, inner, seats in runner.map(outer, range(4)):
+        assert inner == [ident] * 4 and seats == 1
+    assert runner.seats() == 2
+
+
+@pytest.mark.skipif(ad.OPENBLAS_THREADS is None, reason="numpy bundles no settable OpenBLAS")
+def test_overlapping_blas_holds_restore_the_count_once():
+    """Two holds that overlap in time keep BLAS at one thread until the last
+    one ends, which restores the count the first one found."""
+    get, put = ad.OPENBLAS_THREADS
+    before = get()
+    put(2)
+    try:
+        first, second = ad.one_blas_thread(), ad.one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert get() == 1
+        second.__exit__(None, None, None)
+        assert get() == 2
+    finally:
+        put(before)

@@ -559,10 +559,10 @@ def _sweep_evaluation_convs(tmp_path, monkeypatch, values: str):
     shapes, evals, inside = [], [], []
     conv_cm, evaluate_alphas = ad.conv_cm, mn.evaluate_alphas
 
-    def counted_conv(xp, w, *args):
+    def counted_conv(x, w, *args, **kwargs):
         if inside:
             shapes.append(w.shape)
-        return conv_cm(xp, w, *args)
+        return conv_cm(x, w, *args, **kwargs)
 
     def marked(*args, **kwargs):
         inside.append(1)

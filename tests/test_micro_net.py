@@ -7,7 +7,7 @@ import sys
 import time
 import tracemalloc
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from styleshift.errors import ConfigError, DivergenceError
 from styleshift.style_balance import BatchMeta
 from styleshift.tensor_core import batch_style_vectors, from_json
 
-from helpers import checkpoint_tags, net_configs, step_grad_digests
+from helpers import checkpoint_tags, net_configs, split_everything, step_grad_digests
 
 RNG = lambda seed: np.random.Generator(np.random.PCG64(seed))
 
@@ -705,10 +705,10 @@ def test_evaluate_alphas_equals_evaluate_at_each_alpha(config, seed, n, n_domain
 
 @contextlib.contextmanager
 def forced_workers(k):
-    """``k`` inference workers (at most one per chunk), whatever the usable
+    """A runner of ``k`` workers (at most one per task), whatever the usable
     CPUs."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mn, "_inference_workers", lambda chunks: min(k, chunks))
+        mp.setattr(ad.RUNNER, "size", k)
         yield mp
 
 
@@ -776,6 +776,59 @@ def test_more_workers_give_the_same_bits(config, seed, n, codes, data):
         sys.setswitchinterval(switch)
 
 
+def training_nets():
+    """Random nets, and the same nets four times as wide, whose 8 to 20
+    channels split the conv GEMMs into row blocks."""
+    return net_configs().flatmap(lambda config: st.sampled_from([config, replace(
+        config, blocks=tuple(replace(blk, out_channels=4 * blk.out_channels)
+                             for blk in config.blocks))]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=training_nets(), seed=st.integers(0, 2**16), n=st.integers(2, 30),
+       style=st.sampled_from(["sb", *mn.AUG_KINDS[1:]]))
+def test_training_gives_the_same_bits_on_any_number_of_workers(config, seed, n, style):
+    """With every op split, however small (``split_everything``: the GEMMs
+    too), a runner of 1, 2 or 3 workers gives the same
+    gradient bytes for one recorded step (``step_grad_digests``) and the same
+    parameter bytes after a 2-epoch ``train`` with style balancing or an
+    augmentation, each hook firing on every batch."""
+    doc = json.loads(json.dumps(asdict(config)))
+    rng = RNG(seed)
+    size = config.image_size
+    x = rng.integers(0, 256, size=(n, config.in_channels, size, size), dtype=np.uint8)
+    y = rng.integers(0, config.n_classes, n)
+    doms = np.arange(n) % 3
+    cfg = mn.TrainConfig(epochs=2, batch_size=7, lr=0.01, seed=seed, sb=style == "sb",
+                         sb_prob=1.0, aug="none" if style == "sb" else style, aug_prob=1.0)
+    got = []
+    for k in (1, 2, 3):
+        with split_everything(k):
+            net = mn.MicroNet.init(config, seed=seed)
+            mn.train(net, x, y, doms, cfg, n_domains=3)
+            got.append((step_grad_digests(doc, seed, seed + 1),
+                        {name: v.tobytes() for name, v in net.params.items()}))
+    assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.skipif(ad.OPENBLAS_THREADS is None, reason="numpy bundles no settable OpenBLAS")
+def test_training_leaves_blas_at_its_own_count():
+    """A training whose ops split over the runner reads numpy's OpenBLAS
+    thread count before and after as the same number."""
+    get, _ = ad.OPENBLAS_THREADS
+    rng = RNG(5)
+    x = rng.integers(0, 256, size=(24, 1, 16, 16), dtype=np.uint8)
+    before = get()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad.RUNNER, "size", 2)
+        mp.setattr(ad, "SPLIT_MIN", 0)
+        mp.setattr(ad, "GEMM_SPLIT_MIN", 0)
+        mn.train(mn.MicroNet.init(mn.NetConfig(image_size=16), seed=5), x,
+                 rng.integers(0, 7, 24), np.arange(24) % 3,
+                 mn.TrainConfig(epochs=1, batch_size=12, sb=True), n_domains=3)
+    assert get() == before
+
+
 @settings(max_examples=25, deadline=None)
 @given(config=inference_nets(), seed=st.integers(0, 2**16), n=st.integers(1, 40),
        aug=st.sampled_from(mn.AUG_KINDS), sb=st.booleans())
@@ -809,6 +862,7 @@ def test_codes_give_the_bits_of_their_scaled_floats(config, seed, n, aug, sb):
 RAISING_CHUNKS = """
 import json, sys, warnings
 import numpy as np
+from styleshift import autodiff as ad
 from styleshift import micro_net as mn
 from styleshift import test_time_shift as ts
 from styleshift.tensor_core import batch_style_vectors
@@ -828,7 +882,7 @@ poisoned = x.copy()
 poisoned[c:2 * c] = np.inf      # chunk 1's features are not finite: its shift raises
 got = {}
 for k in (1, 2, 3):
-    mn._inference_workers = lambda chunks, k=k: min(k, chunks)
+    ad.RUNNER.size = k
     for case, run in (("logits", lambda: mn.evaluate(net, x, labels, labels)),
                       ("shift", lambda: mn.evaluate(net, poisoned, labels, labels, reg,
                                                     ts.PROPOSED, alpha=1e6))):
@@ -864,6 +918,7 @@ def test_raising_chunks_raise_the_earliest_error_and_release_the_rest():
 CHUNK_SIZES = """
 import json, time
 import numpy as np
+from styleshift import autodiff as ad
 from styleshift import micro_net as mn
 from styleshift import test_time_shift as ts
 from styleshift.tensor_core import batch_style_vectors
@@ -891,7 +946,7 @@ for chunk in (8, 32):
     mn.shift_batch = held_shift
     results = []
     for k in (1, 2):
-        mn._inference_workers = lambda chunks, k=k: min(k, chunks)
+        ad.RUNNER.size = k
         draws = np.random.Generator(np.random.PCG64(73))
         res = mn.evaluate(net, x, labels, labels, reg, ts.nearest_sample(3), 0.0, pool, draws)
         results.append([res.domains, draws.bit_generator.state["state"]["state"]])
@@ -919,11 +974,12 @@ INFERENCE_PEAK = """
 import sys
 import numpy as np
 from helpers import peak_kib
+from styleshift import autodiff as ad
 from styleshift import micro_net as mn
 from styleshift import test_time_shift as ts
 
 workers = int(sys.argv[1])
-mn._inference_workers = lambda chunks: min(workers, chunks)
+ad.RUNNER.size = workers
 net = mn.MicroNet.init(mn.NetConfig(), seed=0)
 rng = np.random.Generator(np.random.PCG64(0))
 reg = ts.registry_from_styles(rng.uniform(0.05, 1.0, (30, 16)), np.repeat([0, 1, 2], 10), "block1")

@@ -42,8 +42,8 @@ def test_a_failing_property_is_reported_and_the_session_goes_on(tmp_path):
 
 
 # prints the thread count of numpy's bundled OpenBLAS (null where there is none) before
-# and after importing the CLI, inside two inference workers and after them, and the
-# inference workers for 1000 chunks and for 1
+# and after importing the CLI, inside the tasks of a two-worker runner and after them, and
+# the runner's size and the count inside a lone task
 BLAS_PROBE = """
 import ctypes, json
 from pathlib import Path
@@ -62,21 +62,22 @@ if threads is None:
     raise SystemExit
 before = threads()
 from styleshift import cli
-mn = cli.mn
-workers = [mn._inference_workers(1000), mn._inference_workers(1)]
+ad, mn = cli.mn.ad, cli.mn
+workers = [ad.RUNNER.size, *ad.RUNNER.map(lambda chunk: threads(), mn._chunks(1))]
 imported = threads()
-mn._inference_workers = lambda chunks: 2
-inside = sorted(set(mn._chunk_results(mn._chunks(64), lambda i, chunk: threads())))
+ad.RUNNER.size = 2
+inside = sorted(set(ad.RUNNER.map(lambda chunk: threads(), mn._chunks(64))))
 print(json.dumps({"before": before, "imported": imported, "inside": inside,
                   "after": threads(), "workers": workers}))
 """
 
 
 def test_inference_workers_run_blas_on_one_thread():
-    """In a process whose environment sets no BLAS thread count, inference
-    runs one worker per usable CPU, and numpy's bundled OpenBLAS runs one
-    thread while they run. Importing the package and leaving the pool keep
-    BLAS's own count, at which a lone training runs."""
+    """In a process whose environment sets no BLAS thread count, the runner
+    has one worker per usable CPU, and numpy's bundled OpenBLAS runs one
+    thread while its tasks run. Importing the package, a lone task (which
+    runs inline) and leaving the runner keep BLAS's own count, at which a
+    lone training runs."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {key: value for key, value in os.environ.items()
            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -86,6 +87,6 @@ def test_inference_workers_run_blas_on_one_thread():
     probe = json.loads(out.stdout)
     if probe is None:
         pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
-    assert probe["workers"] == [len(os.sched_getaffinity(0)), 1]
+    assert probe["workers"] == [len(os.sched_getaffinity(0)), probe["before"]]
     assert probe["inside"] == [1]
     assert probe["before"] == probe["imported"] == probe["after"]

@@ -76,6 +76,8 @@ CONFIGS = {
 REGISTRIES = {"b1": ["--layer", "block1", "--alpha", "3"], "b2": ["--layer", "block2"],
               "pl": ["--layer", "block1", "--pseudo-labels", "3"],
               "sd": ["--layer", "block1", "--single-domain"]}
+# Both nearest-sample pool sizes stay below the 48 training images of the source
+# domains that the pool draws from, so every nearest-sample file shows the draws.
 EVALS = {"off": ["--mode", "off"], "proposed": ["--mode", "proposed"],
          "alpha0": ["--mode", "proposed", "--alpha", "0"],
          "alpha1.5": ["--mode", "proposed", "--alpha", "1.5"],
@@ -83,7 +85,7 @@ EVALS = {"off": ["--mode", "off"], "proposed": ["--mode", "proposed"],
          "shift_all": ["--mode", "shift-all"],
          **{f"nearest{size}_seed{seed}": ["--mode", "nearest-sample", "--pool-size", str(size),
                                           "--seed", str(seed)]
-            for size in (5, 100) for seed in (0, 1)}}
+            for size in (5, 20) for seed in (0, 1)}}
 # (output name, config, parameter, values)
 SWEEPS = [(Path(name).stem, name, "alpha", "0,1.5,3,6") for name in CONFIGS
           if name.startswith("sweep_")]
