@@ -19,10 +19,10 @@ work over it. While any of its tasks runs, BLAS runs on one thread
 (``one_blas_thread``); a call made from inside a task runs inline. Every
 split keeps each output bit independent of the number of workers:
 
-- padding, the patch matrix, the col2im sums, the NCHW <-> channel-major
-  copies, ReLU and pooling are cut by ranges of samples (``_ranges``) or of
-  channels; each output element is computed by the same operations either
-  way, so any cut is exact;
+- padding and the patch matrix are cut by ranges of samples (``_ranges``),
+  the col2im sums, ReLU and pooling by ranges of channels; each output
+  element is computed by the same operations either way, so any cut is
+  exact;
 - the weight gradient ``dW = g2 @ cols.T`` sums over batch x pixels, so it
   stays one GEMM, run while the patch-gradient tasks run;
 - the forward GEMM and the patch-gradient GEMM ``w2.T @ g2`` are cut only
@@ -506,7 +506,7 @@ def _splits_gemms(macs: int) -> bool:
 
 
 def _ranges(n: int, size: int) -> list[slice]:
-    """``range(n)`` (the samples of an op over ``size`` elements) in one
+    """``range(n)`` (the samples or channels of an op over ``size`` elements) in one
     contiguous slice per runner seat, or whole below ``SPLIT_MIN``. For data
     movement and elementwise ops, where any cut gives the same bits."""
     parts = min(n, RUNNER.seats()) if size >= SPLIT_MIN else 1
@@ -532,18 +532,16 @@ def _row_blocks(n: int, split: bool) -> list[slice]:
     return [slice(0, cut), slice(cut, n)]
 
 
-def conv_cm(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 1,
-            nchw: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def conv_cm(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
+            pad: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """2-D convolution of a channel-major input, (Cin, B, H, W) in any
-    strides, zero-padded by ``pad``: the (Cout, B, OH, OW) output, or with
-    ``nchw`` the (B, Cout, OH, OW) one, and the (Cin*kh*kw, B*OH*OW) patch
-    matrix its GEMM multiplied.
+    strides, zero-padded by ``pad``: the (Cout, B, OH, OW) output and the
+    (Cin*kh*kw, B*OH*OW) patch matrix its GEMM multiplied.
 
     The forward of ``conv2d`` and of the tape-free inference pass, so both
     get the same bits. The padding and the patch matrix are built per range
-    of samples (``_ranges``), then the GEMM, the bias and the output layout
-    per block of output channels (``_row_blocks``), each range or block a
-    task of ``RUNNER``.
+    of samples (``_ranges``), then the GEMM and the bias per block of output
+    channels (``_row_blocks``), each range or block a task of ``RUNNER``.
     """
     cin, bs, h, wd = x.shape
     cout, cin_w, kh, kw = w.shape
@@ -563,55 +561,43 @@ def conv_cm(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: i
     _each(patches, _ranges(bs, cols.size))
     cols = cols.reshape(cin * kh * kw, bs * oh * ow)
     w2 = w.reshape(cout, cin * kh * kw)
-    y = np.empty((bs, cout, oh, ow) if nchw else (cout, bs, oh, ow))
+    y = np.empty((cout, bs, oh, ow))
 
-    def rows(r):
-        if nchw:  # the block, then its channels of the NCHW output
-            block = w2[r] @ cols
-            block += b[r, None]
-            y.transpose(1, 0, 2, 3)[r] = block.reshape(-1, bs, oh, ow)
-        else:  # straight into its rows of the channel-major output
-            block = y.reshape(cout, bs * oh * ow)[r]
-            np.matmul(w2[r], cols, out=block)
-            block += b[r, None]
+    def rows(r):  # straight into its rows of the output
+        block = y.reshape(cout, bs * oh * ow)[r]
+        np.matmul(w2[r], cols, out=block)
+        block += b[r, None]
 
     _each(rows, _row_blocks(cout, _splits_gemms(cols.size * cout)))
     return y, cols
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
-    """2-D convolution, NCHW layout, square stride/pad.
+    """2-D convolution, channel-major: (Cin, B, H, W) -> (Cout, B, OH, OW).
 
-    The forward is ``conv_cm`` on the input's channel-major view. The backward
-    forms the weight gradient with one GEMM over the (Cin*kh*kw, B*OH*OW)
-    patch matrix, and the patch gradient with one GEMM per block of input
-    channels (``_row_blocks``), each summed into that block's input gradient.
-    Where the conv splits its GEMMs (``_splits_gemms``), the weight task and
-    the block tasks run on ``RUNNER`` together. An input that is not a Var is a constant: the
-    backward forms no gradient for it.
+    The forward is ``conv_cm``. The backward forms the weight gradient with
+    one GEMM over the patch matrix, and the patch gradient with one GEMM per
+    block of input channels (``_row_blocks``), each summed into that block's
+    input gradient. Where the conv splits its GEMMs (``_splits_gemms``), the
+    weight task and the block tasks run on ``RUNNER`` together. An input that
+    is not a Var is a constant: the backward forms no gradient for it.
     """
     needs_dx = isinstance(x, Var)
     x, w, b = as_var(x), as_var(w), as_var(b)
-    bs, cin, h, wd = x.value.shape
+    cin, bs, h, wd = x.value.shape
     cout, _, kh, kw = w.value.shape
-    out, cols = conv_cm(x.value.transpose(1, 0, 2, 3), w.value, b.value, stride, pad, nchw=True)
+    out, cols = conv_cm(x.value, w.value, b.value, stride, pad)
     oh, ow = out.shape[2:]
     w2 = w.value.reshape(cout, cin * kh * kw)
     split = _splits_gemms(cols.size * cout)
 
     def vjp(g):
-        g2, g_cm = np.empty((cout, bs, oh, ow)), g.transpose(1, 0, 2, 3)
-
-        def channel_major(part):
-            g2[:, part] = g_cm[:, part]
-
-        _each(channel_major, _ranges(bs, g.size))
-        g2 = g2.reshape(cout, bs * oh * ow)
-        grads = [None, None, None]
+        g2, grads = g.reshape(cout, bs * oh * ow), [None, None, None]
 
         def weights():
             grads[1] = (g2 @ cols.T).reshape(w.value.shape)
-            grads[2] = g.sum(axis=(0, 2, 3))
+            # per-plane sums, then over samples: the bits of the (B, Cout, OH, OW) sum
+            grads[2] = np.ascontiguousarray(g.sum(axis=(2, 3)).T).sum(axis=0)
 
         def inputs(c):
             n = c.stop - c.start
@@ -620,11 +606,11 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
-            grads[0][:, c] = dxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
+            grads[0][c] = dxp[:, :, pad:pad + h, pad:pad + wd]
 
         tasks = [weights]
         if needs_dx:
-            grads[0] = np.empty((bs, cin, h, wd))
+            grads[0] = np.empty((cin, bs, h, wd))
             tasks += [functools.partial(inputs, c) for c in _row_blocks(cin, split)]
         if split:
             _each(lambda task: task(), tasks)
@@ -674,14 +660,11 @@ def avg_pool2(x) -> Var:
 
 
 def global_avg_pool(x) -> Var:
-    """(B, C, H, W) -> (B, C) spatial mean."""
+    """(C, B, H, W) -> (B, C) spatial mean, computed as ``MicroNet.infer`` computes it."""
     x = as_var(x)
-    b, c, h, w = x.value.shape
-
-    def vjp(g):
-        return (np.broadcast_to(g[:, :, None, None], x.value.shape) / (h * w),)
-
-    return Var(x.value.mean(axis=(2, 3)), (x,), vjp)
+    plane = x.value.shape[2] * x.value.shape[3]
+    return Var(np.ascontiguousarray(x.value.mean(axis=(2, 3)).T), (x,),
+               lambda g: (np.broadcast_to(g.T[:, :, None, None], x.value.shape) / plane,))
 
 
 def linear(x, w, b) -> Var:

@@ -1,10 +1,12 @@
 """A small convolutional classifier with named hook points.
 
 Each block is conv3x3 -> ReLU -> optional 2x2 average pool, followed by a
-global-average-pool linear head. There are no normalization layers, so the
-channel statistics observed at the hooks are unconfounded. Style transforms
-attach at hooks during training (balancing first, then augmentation); the
-test-time shifter attaches at one hook during evaluation.
+global-average-pool linear head. Activations are channel-major,
+(C, B, H, W), inside the network, and (B, C, H, W) at the hooks and at
+``infer``'s ``hook`` and ``start``. There are no normalization layers, so
+the channel statistics observed at the hooks are unconfounded. Style
+transforms attach at hooks during training (balancing first, then
+augmentation); the test-time shifter attaches at one hook during evaluation.
 
 Images may arrive as the uint8 codes ``domain_data.load_images`` returns:
 ``forward`` and ``infer`` scale each batch they are given (``as_pixels``), so
@@ -271,6 +273,20 @@ class EfdmixHookOp:
 
 # -- the network -------------------------------------------------------------
 
+def _samples_first(h: Var) -> Var:
+    """A C-contiguous (B, C, H, W) copy of a (C, B, H, W) Var; its gradient goes back as a view.
+    h then holds a view of the copy, so the tape keeps the block's output once."""
+    copy = np.ascontiguousarray(h.value.transpose(1, 0, 2, 3))
+    h.value = copy.transpose(1, 0, 2, 3)
+    return Var(copy, (h,), lambda g: (g.transpose(1, 0, 2, 3),))
+
+
+def _channels_first(h: Var) -> Var:
+    """A (C, B, H, W) view of a (B, C, H, W) Var; its gradient goes back C-contiguous."""
+    return Var(h.value.transpose(1, 0, 2, 3), (h,),
+               lambda g: (np.ascontiguousarray(g.transpose(1, 0, 2, 3)),))
+
+
 @dataclass
 class ForwardResult:
     logits: Var
@@ -311,6 +327,9 @@ class MicroNet:
 
         Images enter as a constant, scaled by ``as_pixels`` where they are
         uint8 codes, so no gradient is formed for them unless x is a Var.
+        The taped ops run channel-major; a block's hook ops get a C-contiguous
+        (B, C, H, W) copy of its output, which ``hook_inputs`` records (a view
+        where no op runs), and the next block reads theirs as a view.
         """
         by_hook: dict[str, list] = {}
         for name, op in hook_ops or []:
@@ -318,7 +337,7 @@ class MicroNet:
                 raise ConfigError(f"unknown hook {name!r}")
             by_hook.setdefault(name, []).append(op)
         pv = {name: Var(val) for name, val in self.params.items()}
-        h = x if isinstance(x, Var) else as_pixels(x)
+        h = _channels_first(x) if isinstance(x, Var) else as_pixels(x).transpose(1, 0, 2, 3)
         hook_inputs: dict[str, Var] = {}
         for i, blk in enumerate(self.config.blocks):
             name = f"block{i + 1}"
@@ -326,9 +345,13 @@ class MicroNet:
             h = ad.relu(h)
             if blk.pool:
                 h = ad.avg_pool2(h)
-            hook_inputs[name] = h
-            for op in by_hook.get(name, []):
+            if name not in by_hook:
+                hook_inputs[name] = Var(h.value.transpose(1, 0, 2, 3))
+                continue
+            h = hook_inputs[name] = _samples_first(h)
+            for op in by_hook[name]:
                 h = op(h)
+            h = _channels_first(h)
         feats = ad.global_avg_pool(h)
         logits = ad.linear(feats, pv["head_w"], pv["head_b"])
         return ForwardResult(logits=logits, hook_inputs=hook_inputs, param_vars=pv)
@@ -337,15 +360,14 @@ class MicroNet:
         """The tape-free pass over one batch: plain numpy, no Var, and bit for
         bit the values ``forward`` records.
 
-        Activations stay channel-major, (C, B, H, W), the layout the conv GEMM
-        produces, so no block transposes its output, and ReLU runs in place;
-        ``autodiff.conv_cm``, the forward ``conv2d`` runs too, builds the very
-        patch matrices and GEMM row blocks it builds there.
-        Returns the (B, n_classes) logits, or with ``hook`` the pass stops at
-        that block and returns its (B, C, H, W) output. With ``start`` x is
-        the (B, C, H, W) output of that block and only the blocks after it
-        run; without it x is a batch of images, which ``as_pixels`` scales
-        where they are uint8 codes. So ``infer(infer(x, h), start=h)`` is
+        Activations are channel-major, (C, B, H, W), as in ``forward``, and
+        ReLU runs in place; ``autodiff.conv_cm``, the forward ``conv2d`` runs
+        too, builds the very patch matrices and GEMM row blocks it builds
+        there. Returns the (B, n_classes) logits, or with ``hook`` the pass
+        stops at that block and returns its C-contiguous (B, C, H, W) output.
+        With ``start`` x is the (B, C, H, W) output of that block and only the
+        blocks after it run; without it x is a batch of images, which
+        ``as_pixels`` scales where they are uint8 codes. So ``infer(infer(x, h), start=h)`` is
         ``infer(x)`` byte for byte; evaluation shifts the features in between.
         """
         for name in (hook, start):

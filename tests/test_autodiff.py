@@ -2,6 +2,8 @@
 
 Each op is checked against a direct implementation written for clarity, not
 speed: a nested-loop convolution, a reshape-mean pool and ``max(x, 0)``.
+The layers take channel-major (C, B, H, W) activations; the NCHW references
+get the transposed arrays.
 Shapes are drawn with hypothesis so strided, unpadded, odd-sized and
 multi-channel cases are covered, not only the network's 3x3/stride-1/pad-1.
 The runner that splits the ops over threads is checked at the end.
@@ -40,6 +42,15 @@ def conv_reference(x, w, b, stride, pad):
     return out
 
 
+def swap(a):
+    """(B, C, H, W) <-> (C, B, H, W)."""
+    return a.transpose(1, 0, 2, 3)
+
+
+def conv_reference_cm(x, w, b, stride, pad):
+    return swap(conv_reference(swap(x), w, b, stride, pad))
+
+
 @st.composite
 def conv_cases(draw):
     stride = draw(st.sampled_from([1, 2]))
@@ -51,7 +62,7 @@ def conv_cases(draw):
     h = draw(st.integers(max(k - 2 * pad, 1), 7))
     wd = draw(st.integers(max(k - 2 * pad, 1), 7))
     rng = RNG(draw(st.integers(0, 2**32 - 1)))
-    x = rng.normal(size=(batch, cin, h, wd))
+    x = rng.normal(size=(cin, batch, h, wd))   # channel-major, as conv2d takes it
     w = rng.normal(size=(cout, cin, k, k))
     b = rng.normal(size=cout)
     return x, w, b, stride, pad, rng
@@ -62,7 +73,7 @@ def conv_cases(draw):
 def test_conv2d_forward_matches_nested_loops(case):
     x, w, b, stride, pad, _ = case
     out = ad.conv2d(Var(x), Var(w), Var(b), stride=stride, pad=pad).value
-    np.testing.assert_allclose(out, conv_reference(x, w, b, stride, pad),
+    np.testing.assert_allclose(out, conv_reference_cm(x, w, b, stride, pad),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -70,12 +81,12 @@ def test_conv2d_forward_matches_nested_loops(case):
 @given(conv_cases())
 def test_conv2d_gradients_match_finite_differences(case):
     x, w, b, stride, pad, rng = case
-    probe = rng.normal(size=conv_reference(x, w, b, stride, pad).shape)
+    probe = rng.normal(size=conv_reference_cm(x, w, b, stride, pad).shape)
     xv, wv, bv = Var(x), Var(w), Var(b)
     weighted_sum(ad.conv2d(xv, wv, bv, stride=stride, pad=pad), probe).backward()
 
     def loss(xx, ww, bb):
-        return float(np.sum(probe * conv_reference(xx, ww, bb, stride, pad)))
+        return float(np.sum(probe * conv_reference_cm(xx, ww, bb, stride, pad)))
 
     # the loss is linear in each argument, so central differences have no
     # truncation error and a large step keeps rounding noise far below 1e-4
@@ -87,7 +98,24 @@ def test_conv2d_gradients_match_finite_differences(case):
 
 def test_conv2d_rejects_channel_mismatch():
     with pytest.raises(ValueError):
-        ad.conv2d(Var(np.zeros((1, 2, 4, 4))), Var(np.zeros((1, 3, 3, 3))), Var(np.zeros(1)))
+        ad.conv2d(Var(np.zeros((2, 1, 4, 4))), Var(np.zeros((1, 3, 3, 3))), Var(np.zeros(1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cout=st.integers(2, 17), batch=st.integers(1, 64), h=st.integers(1, 32),
+       wd=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+def test_conv2d_bias_gradient_has_the_bits_of_the_nchw_sum(cout, batch, h, wd, seed):
+    """With 2 or more output channels, conv2d's bias gradient is byte for
+    byte the sum over (B, OH, OW) of the same gradient laid out NCHW, so the
+    layout does not reach a trained bias."""
+    rng = RNG(seed)
+    bv = Var(rng.normal(size=cout))
+    out = ad.conv2d(rng.normal(size=(1, batch, h, wd)), rng.normal(size=(cout, 1, 1, 1)), bv,
+                    pad=0)
+    g = rng.normal(size=out.shape)
+    out.backward(seed=g)
+    want = np.ascontiguousarray(swap(g)).sum(axis=(0, 2, 3))
+    assert bv.grad.tobytes() == want.tobytes()
 
 
 def pool_reference(x):
@@ -117,6 +145,25 @@ def test_avg_pool2_matches_reshape_mean_and_its_adjoint(batch, ch, h, w, seed):
 def test_avg_pool2_rejects_odd_sizes(shape):
     with pytest.raises(ValueError):
         ad.avg_pool2(Var(np.zeros(shape)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_global_avg_pool_matches_plane_means_and_its_adjoint(ch, batch, h, w, seed):
+    """(C, B, H, W) -> the C-contiguous (B, C) means of each plane; the
+    backward is the exact adjoint."""
+    rng = RNG(seed)
+    x = rng.uniform(-1.0, 1.0, size=(ch, batch, h, w))
+    xv = Var(x)
+    out = ad.global_avg_pool(xv)
+    want = [[np.mean(x[c, n]) for c in range(ch)] for n in range(batch)]
+    assert out.value.flags.c_contiguous
+    assert np.max(np.abs(out.value - want)) <= 1e-15
+    g = rng.uniform(-1.0, 1.0, size=out.shape)
+    out.backward(seed=g)
+    lhs, rhs = np.sum(out.value * g), np.sum(x * xv.grad)
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(x * xv.grad))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -170,8 +217,8 @@ def test_split_conv_gives_the_bits_of_one_worker(case, cout):
     output and input channels and BLAS on one thread, so that both GEMMs
     split into row blocks."""
     x, w, _, stride, pad, rng = case
-    x = np.repeat(x, 4, axis=1)
-    w = rng.normal(size=(cout, x.shape[1], *w.shape[2:]))
+    x = np.repeat(x, 4, axis=0)
+    w = rng.normal(size=(cout, x.shape[0], *w.shape[2:]))
     b, g = rng.normal(size=cout), None
     got = set()
     for k in (1, 2, 3):
@@ -185,7 +232,7 @@ def test_split_conv_gives_the_bits_of_one_worker(case, cout):
 
 
 def test_an_error_in_a_split_ops_task_is_raised_on_the_caller(monkeypatch):
-    """A task of a split avg_pool2 that raises (the second range of samples
+    """A task of a split avg_pool2 that raises (the second range of channels
     here) raises its own error on the calling thread; the runner then still
     splits ops and gives the bits of the inline pass."""
     pool2 = ad.pool2

@@ -111,6 +111,33 @@ def test_hook_inputs_are_pre_transform():
                                   plain.hook_inputs["block1"].value)
 
 
+def test_hook_ops_get_c_contiguous_sample_major_values_and_gradients():
+    """At every hook, the last one included, a hook op gets its block's
+    output as a C-contiguous float64 (B, C, H, W) array, and its vjp a
+    C-contiguous gradient of that shape: the ops reduce over samples, and on
+    a view of channel-major memory those reductions round differently."""
+    cfg = mn.NetConfig(in_channels=2, image_size=12,
+                       blocks=(mn.BlockSpec(3), mn.BlockSpec(4), mn.BlockSpec(6, stride=2)),
+                       n_classes=3)
+    net = mn.MicroNet.init(cfg, seed=56)
+    seen = []
+
+    def record(v):
+        def vjp(g):
+            seen.append(("grad", g.dtype, g.shape, g.flags.c_contiguous))
+            return (g,)
+
+        seen.append(("value", v.value.dtype, v.shape, v.value.flags.c_contiguous))
+        return Var(v.value, (v,), vjp)
+
+    res = net.forward(RNG(57).normal(size=(5, 2, 12, 12)),
+                      hook_ops=[(hook, record) for hook in cfg.hook_names])
+    ad.softmax_cross_entropy(res.logits, RNG(58).integers(0, 3, size=5)).backward()
+    shapes = [(5, 3, 6, 6), (5, 4, 3, 3), (5, 6, 1, 1)]
+    assert seen == [("value", np.float64, s, True) for s in shapes] + \
+                   [("grad", np.float64, s, True) for s in reversed(shapes)]
+
+
 def test_forward_rejects_unknown_hook():
     net = mn.MicroNet.init(TINY, seed=5)
     with pytest.raises(ConfigError):

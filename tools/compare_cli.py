@@ -8,13 +8,15 @@ PYTHONPATH, and runs twice: once with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS at 1, and once with them unset. Inference sets BLAS to
 one thread while its workers run, so the runs differ in the BLAS threads of
 the rest, training above all; the unset run checks that they change no byte.
-Its 56 commands write 179 files. They cover gen-data, a 40-epoch
-style-balancing train, a 4-epoch train with each augmentation (mixstyle, dsu,
-efdmix), stats at block1 and block2, with pseudo labels and with
---single-domain, eval in every mode (nearest-sample at two pool sizes and two
-seeds) and on the dsu network, alpha sweeps in every mode (one alpha, pseudo
-labels, the single-domain protocol), a keep_fraction sweep and two reports,
-one with --series-col.
+Its 60 commands write 191 files. They cover gen-data at 16 and 32 px, a
+40-epoch style-balancing train, a 4-epoch train with each augmentation
+(mixstyle, dsu, efdmix), stats at block1 and block2, with pseudo labels and
+with --single-domain, eval in every mode (nearest-sample at two pool sizes
+and two seeds) and on the dsu network, a 3-epoch batch-63 train at 32 px with
+balancing and dsu, large enough that its conv, ReLU, pool and GEMM work
+splits over the runner, with stats and eval of it, alpha sweeps in every mode
+(one alpha, pseudo labels, the single-domain protocol), a keep_fraction sweep
+and two reports, one with --series-col.
 
 Every file the commands write, and a transcript of each command's exit
 status and output, is compared byte for byte; in the ``.log`` sidecars the
@@ -39,6 +41,10 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DATA = {"n_classes": 4, "n_sources": 3, "per_cell_train": 6, "per_cell_test": 8,
         "image_size": 16, "target_preset": "far",
         "imbalance": {"kind": "class", "class_subsets": [[0, 1, 2], [1, 2, 3], [0, 3]]}}
+# 32 px and batch 63 reach ``autodiff.SPLIT_MIN`` at block1's ReLU and
+# ``GEMM_SPLIT_MIN`` at block2's conv, so this training runs the split ops.
+DATA_32 = {"n_classes": 4, "n_sources": 3, "per_cell_train": 16, "per_cell_test": 8,
+           "image_size": 32, "target_preset": "far"}
 SWEEP = {"data": DATA, "train": {"epochs": 6, "batch_size": 12, "lr": 0.05, "sb": True},
          "eval": {"mode": "proposed", "layer": "block1"}, "seeds": [0, 1]}
 
@@ -52,6 +58,7 @@ def _sweep(**changes) -> dict:
 
 CONFIGS = {
     "data.json": DATA,
+    "data_32.json": DATA_32,
     "train.json": {"dataset": "data",
                    "train": {"epochs": 40, "batch_size": 12, "lr": 0.05, "sb": True,
                              "sb_hooks": ["block1", "block2"]}},
@@ -59,6 +66,9 @@ CONFIGS = {
                              "train": {"epochs": 4, "batch_size": 12, "lr": 0.05, "aug": aug,
                                        "aug_prob": 1.0}}
        for aug in AUGS},
+    "train_32.json": {"dataset": "data_32",
+                      "train": {"epochs": 3, "batch_size": 63, "lr": 0.05, "sb": True,
+                                "aug": "dsu", "aug_prob": 1.0}},
     "sweep_block1.json": _sweep(),
     "sweep_block2.json": _sweep(eval={"layer": "block2"}),
     "sweep_pseudo.json": _sweep(pseudo_labels=3),
@@ -98,6 +108,7 @@ def commands() -> list[list[str]]:
     evals += [("sd", "single", ["--mode", "single-domain"]),
               ("sd", "nearest5_seed0", EVALS["nearest5_seed0"])]
     return [["gen-data", "--config", "data.json", "--out", "data", "--seed", "0"],
+            ["gen-data", "--config", "data_32.json", "--out", "data_32", "--seed", "0"],
             ["train", "--config", "train.json", "--out-checkpoint", "ckpt.json",
              "--audit-log", "audit.jsonl"],
             *(["train", "--config", f"train_{aug}.json", "--out-checkpoint", f"ckpt_{aug}.json",
@@ -108,6 +119,12 @@ def commands() -> list[list[str]]:
              "--out-registry", "reg_dsu.json"],
             ["eval", "--checkpoint", "ckpt_dsu.json", "--registry", "reg_dsu.json",
              "--dataset", "data", "--out-csv", "eval_dsu.csv"],
+            ["train", "--config", "train_32.json", "--out-checkpoint", "ckpt_32.json",
+             "--audit-log", "audit_32.jsonl"],
+            ["stats", "--checkpoint", "ckpt_32.json", "--dataset", "data_32", "--layer", "block1",
+             "--out-registry", "reg_32.json"],
+            ["eval", "--checkpoint", "ckpt_32.json", "--registry", "reg_32.json",
+             "--dataset", "data_32", "--out-csv", "eval_32.csv"],
             *(["eval", "--checkpoint", "ckpt.json", "--registry", f"reg_{reg}.json", *flags,
                "--dataset", "data", "--out-csv", f"eval_{reg}_{name}.csv"]
               for reg, name, flags in evals),
