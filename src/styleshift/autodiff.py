@@ -11,13 +11,15 @@ differentiated once.
 Importing the module pins glibc's mmap and trim thresholds and its arena
 count (see ``_pin_allocator``).
 
-``RUNNER`` is the package's one pool of threads (``Runner``): one worker per
-usable CPU, the calling thread among them, or one where numpy's OpenBLAS
-thread count cannot be set. Inference runs its chunks on it (``micro_net``),
-and ``conv2d``, ``relu`` and ``avg_pool2`` split their forward and backward
-work over it. While any of its tasks runs, BLAS runs on one thread
-(``one_blas_thread``); a call made from inside a task runs inline. Every
-split keeps each output bit independent of the number of workers:
+``RUNNER`` is the package's one pool of threads (``Runner``): a persistent
+``ThreadPoolExecutor`` whose threads help the calling thread drain one queue
+of tasks per ``map`` call, up to one task per usable CPU at once, or every
+task inline where numpy's OpenBLAS thread count cannot be set. Inference
+runs its chunks on it (``micro_net``), and ``conv2d``, ``relu`` and
+``avg_pool2`` split their forward and backward work over it. While any of
+its tasks runs, BLAS runs on one thread (``one_blas_thread``); a call made
+from inside a task runs inline. Every split keeps each output bit
+independent of the number of workers:
 
 - padding and the patch matrix are cut by ranges of samples (``_ranges``),
   the col2im sums, ReLU and pooling by ranges of channels; each output
@@ -45,7 +47,9 @@ import contextvars
 import ctypes
 import functools
 import os
+import queue
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -63,10 +67,10 @@ def _pin_allocator() -> None:
     anew: about 40% slower training. Both thresholds are set because setting
     either turns the dynamic adjustment off; 32 MiB is the largest mmap
     threshold glibc accepts on 64-bit. One arena serves every thread: the
-    inference workers (``micro_net``) would otherwise each get an arena of
-    their own, whose freed pages the pinned trim threshold never gives back,
-    so each worker would add its chunks' memory to the peak. Where the C
-    library has no ``mallopt`` (not glibc) this does nothing.
+    runner's threads (``RUNNER``) would otherwise each get an arena of their
+    own, whose freed pages the pinned trim threshold never gives back, so
+    each thread would add its tasks' memory to the peak. Where the C library
+    has no ``mallopt`` (not glibc) this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -141,56 +145,56 @@ def _usable_cpus() -> int:
 
 
 _IN_TASK = contextvars.ContextVar("styleshift_runner_task", default=False)
-_TAKEN = (True, None)   # the outcome slot of a result already handed over
 
 
-class _Job:
-    """The tasks of one ``Runner.map`` call and their outcomes, ``(True,
-    value)`` or ``(False, exception)``, None while a task is not done. Every
-    field but ``fn``, ``args`` and ``contexts`` is guarded by the runner's
-    lock."""
+def _task(fn, args):
+    _IN_TASK.set(True)   # in this task's context copy: a nested map runs inline
+    return fn(*args)
 
-    __slots__ = ("fn", "args", "contexts", "helpers", "next", "running", "outcomes")
 
-    def __init__(self, fn, args: list, helpers: int):
-        self.fn, self.args, self.helpers = fn, args, helpers  # workers that may still join
-        # a context can be entered by one thread at a time: one copy per task
-        self.contexts = [contextvars.copy_context() for _ in args]
-        self.next = self.running = 0
-        self.outcomes = [None] * len(args)
-
-    def _call(self, i):
-        _IN_TASK.set(True)   # in this task's context copy: a nested map runs inline
-        return self.fn(*self.args[i])
-
-    def execute(self, i):
+def _run_next(fn, claims: queue.SimpleQueue) -> bool:
+    """Claim the next task of one ``Runner.map`` call and run it into its
+    future, unless the caller cancelled it; False once none is left."""
+    try:
+        future, args, context = claims.get_nowait()
+    except queue.Empty:
+        return False
+    if future.set_running_or_notify_cancel():
         try:
-            return True, self.contexts[i].run(self._call, i)
-        except BaseException as exc:  # handed to the caller at this task's turn
-            return False, exc
+            future.set_result(context.run(_task, fn, args))
+        except BaseException as exc:  # re-raised by the caller at this task's turn
+            future.set_exception(exc)
+    return True
+
+
+def _drain(fn, claims: queue.SimpleQueue) -> None:
+    while _run_next(fn, claims):
+        pass
 
 
 class Runner:
-    """One persistent pool for the package's parallel work: ``size - 1``
-    daemon threads, started on first use, and the thread that calls ``map``,
-    which takes tasks too, so up to ``size`` tasks run at once.
+    """One persistent pool for the package's parallel work: a
+    ``ThreadPoolExecutor``, started on first use at its default size, and
+    the thread that calls ``map``. ``size`` is read at each call.
 
     ``map(fn, *iterables)`` yields ``fn(*args)`` for each tuple of arguments,
-    in order. Each task runs in its own copy of the caller's context (numpy's
-    ``errstate`` lives there), and BLAS runs on one thread until the last
-    task is done (``one_blas_thread``). A task's error is raised when its
+    in order. The call puts one claim per task on a queue of its own: the
+    task's future, its arguments and its own copy of the caller's context
+    (numpy's ``errstate`` lives there). Up to ``size - 1`` helpers on the
+    executor drain the queue, and so does the caller whenever the result it
+    is to yield next is not done, so up to ``size`` tasks run at once; BLAS
+    runs on one thread until the last task is done (``one_blas_thread``).
+    The runner drops each result once it is yielded. A task's error is raised when its
     turn to be yielded comes, so the earliest task's error is the one raised;
-    the tasks not yet started are then dropped, and the call returns once the
-    running ones end, leaving the runner usable. With one task, a size of 1,
-    or when called from inside a task, ``map`` runs the tasks inline, one
+    the tasks not yet started are then cancelled, and the call returns once
+    the running ones end, leaving the runner usable. With one task, a size of
+    1, or when called from inside a task, ``map`` runs the tasks inline, one
     after another: nested calls never wait on the pool they run in.
     """
 
     def __init__(self, size: int):
         self.size = size
-        self._cv = threading.Condition()
-        self._jobs: list[_Job] = []   # jobs with tasks not yet claimed
-        self._threads = 0
+        self._pool: ThreadPoolExecutor | None = None
 
     def seats(self) -> int:
         """The tasks that ``map`` would run at once if called here now."""
@@ -202,64 +206,24 @@ class Runner:
             for a in args:
                 yield fn(*a)
             return
-        cv = self._cv
-        job = _Job(fn, args, min(self.size, len(args)) - 1)
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(thread_name_prefix="styleshift-runner")
+        claims = queue.SimpleQueue()
+        futures = [Future() for _ in args]
+        for future, a in zip(futures, args):   # a context is entered by one thread at a time
+            claims.put((future, a, contextvars.copy_context()))
         with one_blas_thread():
-            with cv:
-                while self._threads < self.size - 1:
-                    threading.Thread(target=self._work, daemon=True,
-                                     name=f"styleshift-runner-{self._threads}").start()
-                    self._threads += 1
-                self._jobs.append(job)
-                cv.notify_all()
+            for _ in range(min(self.size, len(args)) - 1):
+                self._pool.submit(_drain, fn, claims)
             try:
-                for i in range(len(args)):
-                    with cv:
-                        while job.outcomes[i] is None:
-                            if job.next < len(args):
-                                self._run(job)
-                            else:
-                                cv.wait()
-                        ok, value = job.outcomes[i]
-                        job.outcomes[i] = _TAKEN
-                    if not ok:
-                        raise value
-                    yield value
+                for i in range(len(futures)):
+                    future, futures[i] = futures[i], None
+                    while not future.done() and _run_next(fn, claims):
+                        pass
+                    yield future.result()
             finally:
-                with cv:
-                    if job.next < len(args):
-                        job.next = len(args)
-                        self._jobs.remove(job)
-                    while job.running:
-                        cv.wait()
-
-    def _run(self, job: _Job) -> None:
-        """Claim ``job``'s next task and run it, holding the lock only while
-        its state changes."""
-        i = job.next
-        job.next += 1
-        if job.next == len(job.args):
-            self._jobs.remove(job)
-        job.running += 1
-        self._cv.release()
-        try:
-            outcome = job.execute(i)
-        finally:
-            self._cv.acquire()
-        job.outcomes[i] = outcome
-        job.running -= 1
-        self._cv.notify_all()
-
-    def _work(self) -> None:
-        with self._cv:
-            while True:
-                job = next((j for j in self._jobs if j.helpers), None)
-                if job is None:
-                    self._cv.wait()
-                    continue
-                job.helpers -= 1
-                while job.next < len(job.args):
-                    self._run(job)
+                left = [f for f in futures if f is not None and not f.cancel()]
+                wait(left)
 
 
 # One worker per usable CPU; one where BLAS's thread count cannot be set: its

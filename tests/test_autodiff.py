@@ -9,7 +9,10 @@ multi-channel cases are covered, not only the network's 3x3/stride-1/pad-1.
 The runner that splits the ops over threads is checked at the end.
 """
 
+import sys
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -287,6 +290,86 @@ def test_a_nested_map_runs_inline_on_the_tasks_thread():
     for ident, inner, seats in runner.map(outer, range(4)):
         assert inner == [ident] * 4 and seats == 1
     assert runner.seats() == 2
+
+
+class Result:
+    """A task's result that a weakref can follow."""
+
+
+def gone(ref, timeout=2.0) -> bool:
+    """Whether ``ref``'s object is freed within ``timeout`` s: a worker may
+    still be returning from the task that made it."""
+    deadline = time.monotonic() + timeout
+    while ref() is not None and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return ref() is None
+
+
+def test_the_runner_keeps_no_result_it_has_yielded():
+    """While a map is still running, every result it yielded before the
+    current one is freed."""
+    refs = []
+    for value in ad.Runner(2).map(lambda i: Result(), range(64)):
+        assert all(gone(ref) for ref in refs)
+        refs.append(weakref.ref(value))
+
+
+def test_closing_a_map_starts_no_further_task():
+    """Once ``close()`` of a map that has yielded its first result returns,
+    no further task starts, and the tasks not yet started never run."""
+    started = []
+
+    def task(i):
+        started.append(i)
+        time.sleep(0.001)
+        return i
+
+    tasks = ad.Runner(2).map(task, range(500))
+    assert next(tasks) == 0
+    tasks.close()
+    count = len(started)
+    time.sleep(0.05)
+    assert len(started) == count < 500
+
+
+def test_a_tasks_interrupt_reaches_the_caller_at_its_turn():
+    """A task that raises KeyboardInterrupt hands it to the caller after the
+    earlier tasks' results, and the next map runs every task."""
+    runner = ad.Runner(2)
+
+    def task(i):
+        if i == 3:
+            raise KeyboardInterrupt
+        return i
+
+    got = []
+    with pytest.raises(KeyboardInterrupt):
+        for value in runner.map(task, range(8)):
+            got.append(value)
+    assert got == [0, 1, 2]
+    assert list(runner.map(lambda i: -i, range(8))) == [-i for i in range(8)]
+
+
+def test_a_map_runs_on_at_most_size_threads_the_caller_among_them():
+    """With more seats than CPUs and a short switch interval, a map of many
+    short tasks yields in order from at most ``size`` threads, the caller's
+    among them. Every other task sleeps, so no thread can take them all."""
+    size = ad._usable_cpus() + 1
+
+    def task(i):
+        if i % 2:
+            time.sleep(0.0002)
+        return i, sum(range(i % 50)), threading.get_ident()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = list(ad.Runner(size).map(task, range(1000)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [row[:2] for row in got] == [(i, sum(range(i % 50))) for i in range(1000)]
+    threads = {row[2] for row in got}
+    assert threading.get_ident() in threads and len(threads) <= size
 
 
 @pytest.mark.skipif(ad.OPENBLAS_THREADS is None, reason="numpy bundles no settable OpenBLAS")
