@@ -15,29 +15,12 @@ count (see ``_pin_allocator``).
 ``ThreadPoolExecutor`` whose threads help the calling thread drain one queue
 of tasks per ``map`` call, up to one task per usable CPU at once, or every
 task inline where numpy's OpenBLAS thread count cannot be set. Inference
-runs its chunks on it (``micro_net``), and ``conv2d``, ``relu`` and
-``avg_pool2`` split their forward and backward work over it. While any of
-its tasks runs, BLAS runs on one thread (``one_blas_thread``); a call made
-from inside a task runs inline. Every split keeps each output bit
-independent of the number of workers:
-
-- padding and the patch matrix are cut by ranges of samples (``_ranges``),
-  the col2im sums, ReLU and pooling by ranges of channels; each output
-  element is computed by the same operations either way, so any cut is
-  exact;
-- the weight gradient ``dW = g2 @ cols.T`` sums over batch x pixels, so it
-  stays one GEMM, run while the patch-gradient tasks run;
-- the forward GEMM and the patch-gradient GEMM ``w2.T @ g2`` are cut only
-  along rows (output channels, input channels), into blocks that the shape
-  alone fixes (``_row_blocks``); ``conv2d`` and the inference pass both run
-  the one forward, ``conv_cm``, so they get the same blocks.
-
-Ops smaller than ``SPLIT_MIN`` elements, and convs under ``GEMM_SPLIT_MIN``
-multiply-adds, run whole, and the GEMMs split only where BLAS runs on one
-thread of its own: where it runs on more, its own threads split them
-better. No task calls an op that returns a Var, or creates
-a Var, so each op still runs, and can be timed, on the calling thread as one
-call.
+runs its chunks on it (``micro_net``); while any of its tasks runs, BLAS
+runs on one thread (``one_blas_thread``), and a call made from inside a task
+runs inline. The layers (``conv2d``, ``relu``, ``avg_pool2``, and
+``conv_cm``, the conv forward that inference shares) never use the runner:
+each runs whole on the thread that calls it, so training runs on the calling
+thread, with BLAS at its own thread count.
 """
 
 from __future__ import annotations
@@ -45,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
-import functools
 import os
 import queue
 import threading
@@ -67,7 +49,7 @@ def _pin_allocator() -> None:
     anew: about 40% slower training. Both thresholds are set because setting
     either turns the dynamic adjustment off; 32 MiB is the largest mmap
     threshold glibc accepts on 64-bit. One arena serves every thread: the
-    runner's threads (``RUNNER``) would otherwise each get an arena of their
+    runner's threads (``Runner``) would otherwise each get an arena of their
     own, whose freed pages the pinned trim threshold never gives back, so
     each thread would add its tasks' memory to the peak. Where the C library
     has no ``mallopt`` (not glibc) this does nothing.
@@ -130,15 +112,6 @@ def one_blas_thread():
                 put(_blas_holds[1])
 
 
-def _own_blas_threads() -> int | None:
-    """The thread count numpy's OpenBLAS runs at outside the runner's holds
-    (``one_blas_thread``), or None where it cannot be read."""
-    if OPENBLAS_THREADS is None:
-        return None
-    with _blas_lock:
-        return _blas_holds[1] if _blas_holds[0] else OPENBLAS_THREADS[0]()
-
-
 def _usable_cpus() -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return cpus or 1
@@ -174,8 +147,9 @@ def _drain(fn, claims: queue.SimpleQueue) -> None:
 
 class Runner:
     """One persistent pool for the package's parallel work: a
-    ``ThreadPoolExecutor``, started on first use at its default size, and
-    the thread that calls ``map``. ``size`` is read at each call.
+    ``ThreadPoolExecutor`` of ``size - 1`` threads, started on first use and
+    started again when ``size``, read at each call, has changed, and the
+    thread that calls ``map``.
 
     ``map(fn, *iterables)`` yields ``fn(*args)`` for each tuple of arguments,
     in order. The call puts one claim per task on a queue of its own: the
@@ -195,19 +169,21 @@ class Runner:
     def __init__(self, size: int):
         self.size = size
         self._pool: ThreadPoolExecutor | None = None
-
-    def seats(self) -> int:
-        """The tasks that ``map`` would run at once if called here now."""
-        return 1 if _IN_TASK.get() else max(1, self.size)
+        self._pool_threads = 0
 
     def map(self, fn, *iterables):
         args = list(zip(*iterables))
-        if len(args) < 2 or self.seats() < 2:
+        if len(args) < 2 or self.size < 2 or _IN_TASK.get():
             for a in args:
                 yield fn(*a)
             return
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(thread_name_prefix="styleshift-runner")
+        # an executor starts threads up to its max_workers whenever none is idle,
+        # as when a helper of the last map is still returning: hold it at size - 1
+        if self._pool_threads != self.size - 1:
+            if self._pool is not None:
+                self._pool.shutdown()
+            self._pool = ThreadPoolExecutor(self.size - 1, thread_name_prefix="styleshift-runner")
+            self._pool_threads = self.size - 1
         claims = queue.SimpleQueue()
         futures = [Future() for _ in args]
         for future, a in zip(futures, args):   # a context is entered by one thread at a time
@@ -229,12 +205,6 @@ class Runner:
 # One worker per usable CPU; one where BLAS's thread count cannot be set: its
 # GEMMs may then take every CPU, and more workers than CPUs slow them down.
 RUNNER = Runner(1 if OPENBLAS_THREADS is None else _usable_cpus())
-
-
-def _each(fn, items) -> None:
-    """``fn(item)`` for each of ``items`` as tasks of ``RUNNER``."""
-    for _ in RUNNER.map(fn, items):
-        pass
 
 
 def _spent(g):
@@ -408,21 +378,8 @@ def sum_axes(a, axes, keepdims: bool = True) -> Var:
 
 def relu(a) -> Var:
     a = as_var(a)
-    v = a.value
-    out, mask = np.empty(v.shape), np.empty(v.shape, dtype=bool)
-    parts = _ranges(v.shape[0], v.size) if v.ndim else [...]
-
-    def forward(part):
-        np.greater(v[part], 0, out=mask[part])
-        np.maximum(v[part], 0.0, out=out[part])
-
-    def vjp(g):
-        dx = np.empty(v.shape)
-        _each(lambda part: np.multiply(g[part], mask[part], out=dx[part]), parts)
-        return (dx,)
-
-    _each(forward, parts)
-    return Var(out, (a,), vjp)
+    mask = a.value > 0
+    return Var(np.maximum(a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
 def clamp_min(a, floor: float) -> Var:
@@ -453,59 +410,14 @@ def reshape(a, shape) -> Var:
 
 # -- network layers -------------------------------------------------------
 
-# Below these sizes an op runs whole on the calling thread: waking a worker
-# took 30-75 us on the 2-vCPU host these were measured on, and a GEMM cut into
-# row blocks packs its other operand once per block. All are read at call time.
-SPLIT_MIN = 400_000             # elements of a data-movement or elementwise op
-GEMM_SPLIT_MIN = 10_000_000     # multiply-adds of a conv whose GEMMs split
-
-
-def _splits_gemms(macs: int) -> bool:
-    """Whether a conv of ``macs`` multiply-adds splits its GEMMs over the
-    runner: at ``GEMM_SPLIT_MIN`` and above, and only where BLAS runs on one
-    thread of its own. Where it runs on more, its threads split a GEMM
-    without packing an operand once per block, and ran block2's forward at
-    batch 63 in 2.9 ms against 4.4 ms for the runner's row blocks."""
-    return macs >= GEMM_SPLIT_MIN and _own_blas_threads() == 1
-
-
-def _ranges(n: int, size: int) -> list[slice]:
-    """``range(n)`` (the samples or channels of an op over ``size`` elements) in one
-    contiguous slice per runner seat, or whole below ``SPLIT_MIN``. For data
-    movement and elementwise ops, where any cut gives the same bits."""
-    parts = min(n, RUNNER.seats()) if size >= SPLIT_MIN else 1
-    return [slice(n * k // parts, n * (k + 1) // parts) for k in range(max(parts, 1))]
-
-
-def _row_blocks(n: int, split: bool) -> list[slice]:
-    """The row blocks of a conv GEMM over ``n`` output (forward) or input
-    (patch gradient) channels: two, cut at a multiple of 4 channels, when
-    the conv splits its GEMMs (``_splits_gemms``) and n is at least 8;
-    otherwise one.
-
-    Fixed by the shape (and BLAS's own thread count), never by the number of
-    workers, so the bits do not depend on it. On the OpenBLAS this was measured on (Sapphire Rapids),
-    blocks cut at a multiple of 4 rows gave the whole GEMM's bits at every
-    shape tried, at 1 and 2 BLAS threads. Cuts at other rows did not at some
-    small shapes, nor did 1-row blocks (numpy runs those as gemv), nor did
-    splits by columns (samples) on 8 px nets.
-    """
-    if n < 8 or not split:
-        return [slice(0, n)]
-    cut = 4 * ((n + 4) // 8)
-    return [slice(0, cut), slice(cut, n)]
-
-
 def conv_cm(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
             pad: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """2-D convolution of a channel-major input, (Cin, B, H, W) in any
     strides, zero-padded by ``pad``: the (Cout, B, OH, OW) output and the
-    (Cin*kh*kw, B*OH*OW) patch matrix its GEMM multiplied.
+    (Cin*kh*kw, B*OH*OW) patch matrix its one GEMM multiplied.
 
     The forward of ``conv2d`` and of the tape-free inference pass, so both
-    get the same bits. The padding and the patch matrix are built per range
-    of samples (``_ranges``), then the GEMM and the bias per block of output
-    channels (``_row_blocks``), each range or block a task of ``RUNNER``.
+    get the same bits.
     """
     cin, bs, h, wd = x.shape
     cout, cin_w, kh, kw = w.shape
@@ -513,38 +425,26 @@ def conv_cm(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
         raise ValueError(f"conv channel mismatch: input {cin}, weight {cin_w}")
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
-    cols = np.empty((cin, kh, kw, bs, oh, ow))
-
-    def patches(part):  # one copy of the padded samples' windows: one GIL release
-        xp = np.zeros((cin, part.stop - part.start, h + 2 * pad, wd + 2 * pad))
-        xp[:, :, pad:pad + h, pad:pad + wd] = x[:, part]
-        c, n, r, q = xp.strides
-        cols[:, :, :, part] = as_strided(xp, (cin, kh, kw, xp.shape[1], oh, ow),
-                                         (c, r, q, n, r * stride, q * stride), writeable=False)
-
-    _each(patches, _ranges(bs, cols.size))
+    xp = np.zeros((cin, bs, h + 2 * pad, wd + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + wd] = x
+    c, n, r, q = xp.strides
+    cols = np.ascontiguousarray(as_strided(xp, (cin, kh, kw, bs, oh, ow),
+                                           (c, r, q, n, r * stride, q * stride), writeable=False))
+    del xp   # freed before the GEMM's output is allocated
     cols = cols.reshape(cin * kh * kw, bs * oh * ow)
-    w2 = w.reshape(cout, cin * kh * kw)
     y = np.empty((cout, bs, oh, ow))
-
-    def rows(r):  # straight into its rows of the output
-        block = y.reshape(cout, bs * oh * ow)[r]
-        np.matmul(w2[r], cols, out=block)
-        block += b[r, None]
-
-    _each(rows, _row_blocks(cout, _splits_gemms(cols.size * cout)))
+    np.matmul(w.reshape(cout, cin * kh * kw), cols, out=y.reshape(cout, bs * oh * ow))
+    y += b[:, None, None, None]
     return y, cols
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
     """2-D convolution, channel-major: (Cin, B, H, W) -> (Cout, B, OH, OW).
 
-    The forward is ``conv_cm``. The backward forms the weight gradient with
-    one GEMM over the patch matrix, and the patch gradient with one GEMM per
-    block of input channels (``_row_blocks``), each summed into that block's
-    input gradient. Where the conv splits its GEMMs (``_splits_gemms``), the
-    weight task and the block tasks run on ``RUNNER`` together. An input that
-    is not a Var is a constant: the backward forms no gradient for it.
+    The forward is ``conv_cm``. The backward forms the weight gradient and
+    the patch gradient with one GEMM each over the patch matrix, and sums the
+    patch gradient into the input gradient. An input that is not a Var is a
+    constant: the backward forms no gradient for it.
     """
     needs_dx = isinstance(x, Var)
     x, w, b = as_var(x), as_var(w), as_var(b)
@@ -553,44 +453,28 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
     out, cols = conv_cm(x.value, w.value, b.value, stride, pad)
     oh, ow = out.shape[2:]
     w2 = w.value.reshape(cout, cin * kh * kw)
-    split = _splits_gemms(cols.size * cout)
 
     def vjp(g):
-        g2, grads = g.reshape(cout, bs * oh * ow), [None, None, None]
-
-        def weights():
-            grads[1] = (g2 @ cols.T).reshape(w.value.shape)
-            # per-plane sums, then over samples: the bits of the (B, Cout, OH, OW) sum
-            grads[2] = np.ascontiguousarray(g.sum(axis=(2, 3)).T).sum(axis=0)
-
-        def inputs(c):
-            n = c.stop - c.start
-            dcols = (w2.T[c.start * kh * kw:c.stop * kh * kw] @ g2).reshape(n, kh, kw, bs, oh, ow)
-            dxp = np.zeros((n, bs, h + 2 * pad, wd + 2 * pad))
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
-            grads[0][c] = dxp[:, :, pad:pad + h, pad:pad + wd]
-
-        tasks = [weights]
-        if needs_dx:
-            grads[0] = np.empty((cin, bs, h, wd))
-            tasks += [functools.partial(inputs, c) for c in _row_blocks(cin, split)]
-        if split:
-            _each(lambda task: task(), tasks)
-        else:
-            for task in tasks:
-                task()
-        return tuple(grads)
+        g2 = g.reshape(cout, bs * oh * ow)
+        dw = (g2 @ cols.T).reshape(w.value.shape)
+        # per-plane sums, then over samples: the bits of the (B, Cout, OH, OW) sum
+        db = np.ascontiguousarray(g.sum(axis=(2, 3)).T).sum(axis=0)
+        if not needs_dx:
+            return (None, dw, db)
+        dcols = (w2.T @ g2).reshape(cin, kh, kw, bs, oh, ow)
+        dxp = np.zeros((cin, bs, h + 2 * pad, wd + 2 * pad))
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
+        return (np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + wd]), dw, db)
 
     return Var(out, (x, w, b), vjp)
 
 
-def pool2(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """2x2 average of the trailing (H, W) axes, which must be even, into
-    ``out`` where given; the forward of ``avg_pool2`` and of the tape-free
-    inference pass."""
-    out = np.add(v[..., 0::2, 0::2], v[..., 0::2, 1::2], out=out)
+def pool2(v: np.ndarray) -> np.ndarray:
+    """2x2 average of the trailing (H, W) axes, which must be even; the
+    forward of ``avg_pool2`` and of the tape-free inference pass."""
+    out = v[..., 0::2, 0::2] + v[..., 0::2, 1::2]
     out += v[..., 1::2, 0::2]
     out += v[..., 1::2, 1::2]
     out *= 0.25
@@ -604,23 +488,16 @@ def avg_pool2(x) -> Var:
     h, w = v.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool2 needs even spatial dims, got {h}x{w}")
-    out = np.empty(v.shape[:2] + (h // 2, w // 2))
-    parts = _ranges(v.shape[0], v.size)
-    _each(lambda part: pool2(v[part], out[part]), parts)
 
     def vjp(g):
+        quarter = g * 0.25
         dx = np.empty_like(v)
-
-        def spread(part):
-            quarter, part_dx = g[part] * 0.25, dx[part]
-            for i in (0, 1):
-                for j in (0, 1):
-                    part_dx[:, :, i::2, j::2] = quarter
-
-        _each(spread, parts)
+        for i in (0, 1):
+            for j in (0, 1):
+                dx[:, :, i::2, j::2] = quarter
         return (dx,)
 
-    return Var(out, (x,), vjp)
+    return Var(pool2(v), (x,), vjp)
 
 
 def global_avg_pool(x) -> Var:

@@ -33,7 +33,6 @@ from .experiment import (
     method_label,
     registry_stage,
     run_seed,
-    shift_mode_from_name,
     source_split,
     train_stage,
 )
@@ -133,7 +132,7 @@ def cmd_eval(args) -> int:
     flags = EvalConfig(mode=args.mode, alpha=args.alpha, pool_size=args.pool_size)
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    mode = shift_mode_from_name(flags.mode, flags.pool_size)
+    mode = tts.ShiftMode(flags.mode, flags.pool_size)
     net = mn.MicroNet.load(workdir / args.checkpoint)
     registry = tts.load_registry(workdir / args.registry)
     manifest, root = _load_dataset(workdir, args.dataset)

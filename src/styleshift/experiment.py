@@ -235,7 +235,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, workdir,
     # images clustered into pseudo labels, whose pool is every source domain's
     split_is_pool = pool_domains(manifest, registry) == split_domains(manifest, cfg.protocol)
     test = load_split(manifest, data_dir, "test")  # after training: not in its peak
-    mode = shift_mode_from_name(cfg.eval.mode, cfg.eval.pool_size)
+    mode = tts.ShiftMode(cfg.eval.mode, cfg.eval.pool_size)
     rows = evaluate_rows(net, registry, manifest, data_dir, test, mode,
                          [cfg.eval.alpha] if alphas is None else alphas, seed,
                          method_label(cfg.train.sb, mode.kind, cfg.train.aug), seed,

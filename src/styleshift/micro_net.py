@@ -37,9 +37,9 @@ depends on no other task: nearest_sample draws each sample's pool members
 from that sample's own seed, drawn on the calling thread. The error raised is
 that of the earliest chunk. Of the package's functions the inference tasks
 call only ``MicroNet.infer`` and ``shift_batch``; the rest run on the calling
-thread. The conv, ReLU and pool ops of ``forward``, and the conv of ``infer``
-(``autodiff.conv_cm``), split their own work over the same runner, except
-inside an inference task, where they run inline.
+thread. Training runs on the calling thread too, every op of ``forward`` and
+its backward whole, with BLAS at its own thread count: only inference chunks
+use the runner.
 """
 
 from __future__ import annotations
@@ -362,8 +362,7 @@ class MicroNet:
 
         Activations are channel-major, (C, B, H, W), as in ``forward``, and
         ReLU runs in place; ``autodiff.conv_cm``, the forward ``conv2d`` runs
-        too, builds the very patch matrices and GEMM row blocks it builds
-        there. Returns the (B, n_classes) logits, or with ``hook`` the pass
+        too, builds the very patch matrices and GEMMs it builds there. Returns the (B, n_classes) logits, or with ``hook`` the pass
         stops at that block and returns its C-contiguous (B, C, H, W) output.
         With ``start`` x is the (B, C, H, W) output of that block and only the
         blocks after it run; without it x is a batch of images, which

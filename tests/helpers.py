@@ -1,14 +1,11 @@
 """Shared numerical oracles for the test suite."""
 
-import contextlib
 import hashlib
 
 import numpy as np
-import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from styleshift import autodiff as ad
 from styleshift.autodiff import Var, mul, softmax_cross_entropy, sum_axes
 from styleshift.errors import ConfigError
 from styleshift.micro_net import AUG_KINDS, BlockSpec, CheckpointTags, MicroNet, NetConfig
@@ -52,27 +49,6 @@ def weighted_sum(out_var: Var, weights) -> Var:
     s = sum_axes(mul(out_var, np.asarray(weights, dtype=np.float64)),
                  tuple(range(out_var.value.ndim)), keepdims=False)
     return s
-
-
-@contextlib.contextmanager
-def split_everything(workers: int):
-    """A runner of ``workers`` that splits every op, however small, with
-    numpy's OpenBLAS (where its count can be set) on one thread of its own,
-    so that the conv GEMMs split too."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ad.RUNNER, "size", workers)
-        mp.setattr(ad, "SPLIT_MIN", 0)
-        mp.setattr(ad, "GEMM_SPLIT_MIN", 0)
-        if ad.OPENBLAS_THREADS is None:
-            yield
-            return
-        get, put = ad.OPENBLAS_THREADS
-        before = get()
-        put(1)
-        try:
-            yield
-        finally:
-            put(before)
 
 
 def step_grad_digests(net_cfg: dict, net_seed: int, data_seed: int) -> dict:

@@ -6,7 +6,7 @@ The layers take channel-major (C, B, H, W) activations; the NCHW references
 get the transposed arrays.
 Shapes are drawn with hypothesis so strided, unpadded, odd-sized and
 multi-channel cases are covered, not only the network's 3x3/stride-1/pad-1.
-The runner that splits the ops over threads is checked at the end.
+The runner that inference runs its chunks on is checked at the end.
 """
 
 import sys
@@ -23,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 from styleshift import autodiff as ad
 from styleshift.autodiff import Var
 
-from helpers import fd_grad, rel_err, split_everything, weighted_sum
+from helpers import fd_grad, rel_err, weighted_sum
 
 RNG = lambda seed: np.random.Generator(np.random.PCG64(seed))
 
@@ -212,54 +212,6 @@ def test_second_backward_through_a_freed_graph_raises():
 
 # -- the runner ------------------------------------------------------------------
 
-@settings(max_examples=30, deadline=None)
-@given(case=conv_cases(), cout=st.sampled_from([8, 9, 12]))
-def test_split_conv_gives_the_bits_of_one_worker(case, cout):
-    """conv2d's output and its input, weight and bias gradients have the
-    same bytes on 1, 2 and 3 workers when every op splits, with 8 or more
-    output and input channels and BLAS on one thread, so that both GEMMs
-    split into row blocks."""
-    x, w, _, stride, pad, rng = case
-    x = np.repeat(x, 4, axis=0)
-    w = rng.normal(size=(cout, x.shape[0], *w.shape[2:]))
-    b, g = rng.normal(size=cout), None
-    got = set()
-    for k in (1, 2, 3):
-        with split_everything(k):
-            xv, wv, bv = Var(x), Var(w), Var(b)
-            out = ad.conv2d(xv, wv, bv, stride=stride, pad=pad)
-            g = rng.normal(size=out.value.shape) if g is None else g
-            out.backward(seed=g)
-        got.add(tuple(v.tobytes() for v in (out.value, xv.grad, wv.grad, bv.grad)))
-    assert len(got) == 1
-
-
-def test_an_error_in_a_split_ops_task_is_raised_on_the_caller(monkeypatch):
-    """A task of a split avg_pool2 that raises (the second range of channels
-    here) raises its own error on the calling thread; the runner then still
-    splits ops and gives the bits of the inline pass."""
-    pool2 = ad.pool2
-
-    def picky(v, out=None):
-        if not np.isfinite(v).all():
-            raise FloatingPointError("a sample that is not finite")
-        return pool2(v, out)
-
-    monkeypatch.setattr(ad.RUNNER, "size", 2)
-    monkeypatch.setattr(ad, "SPLIT_MIN", 0)
-    x = RNG(3).normal(size=(4, 2, 4, 4))
-    bad = x.copy()
-    bad[3] = np.inf
-    with monkeypatch.context() as mp:
-        mp.setattr(ad, "pool2", picky)
-        with pytest.raises(FloatingPointError, match="not finite"):
-            ad.avg_pool2(Var(bad))
-    split = ad.avg_pool2(Var(x)).value
-    with monkeypatch.context() as mp:
-        mp.setattr(ad.RUNNER, "size", 1)
-        assert split.tobytes() == ad.avg_pool2(Var(x)).value.tobytes()
-
-
 def test_runner_raises_the_earliest_error_and_stays_usable():
     """Tasks 1 and 3 raise: task 1's error is the one raised, after task 0's
     result was yielded, and a later map runs every task."""
@@ -279,17 +231,34 @@ def test_runner_raises_the_earliest_error_and_stays_usable():
 
 
 def test_a_nested_map_runs_inline_on_the_tasks_thread():
-    """A map called inside a task runs its tasks on that task's thread, and
-    the runner offers one seat there; outside a task it offers its size."""
+    """A map called inside a task runs its tasks on that task's thread."""
     runner = ad.Runner(2)
 
     def outer(i):
         inner = list(runner.map(lambda j: threading.get_ident(), range(4)))
-        return threading.get_ident(), inner, runner.seats()
+        return threading.get_ident(), inner
 
-    for ident, inner, seats in runner.map(outer, range(4)):
-        assert inner == [ident] * 4 and seats == 1
-    assert runner.seats() == 2
+    for ident, inner in runner.map(outer, range(4)):
+        assert inner == [ident] * 4
+
+
+def runner_threads() -> set:
+    return {t.ident for t in threading.enumerate() if t.name.startswith("styleshift-runner")}
+
+
+def test_back_to_back_maps_start_at_most_size_minus_one_threads():
+    """2000 maps in a row on a runner of size 2 leave at most one thread of
+    it alive, though a helper of one map may still be returning when the
+    next one starts; a runner resized to 3 then runs on at most two."""
+    before = runner_threads()
+    runner = ad.Runner(2)
+    for i in range(2000):
+        assert list(runner.map(lambda j: j + i, range(2))) == [i, i + 1]
+    assert len(runner_threads() - before) <= 1
+    runner.size = 3
+    for i in range(200):
+        assert list(runner.map(lambda j: j + i, range(3))) == [i, i + 1, i + 2]
+    assert len(runner_threads() - before) <= 2
 
 
 class Result:

@@ -24,7 +24,7 @@ from styleshift.errors import ConfigError, DivergenceError
 from styleshift.style_balance import BatchMeta
 from styleshift.tensor_core import batch_style_vectors, from_json
 
-from helpers import checkpoint_tags, net_configs, split_everything, step_grad_digests
+from helpers import checkpoint_tags, net_configs, step_grad_digests
 
 RNG = lambda seed: np.random.Generator(np.random.PCG64(seed))
 
@@ -804,8 +804,8 @@ def test_more_workers_give_the_same_bits(config, seed, n, codes, data):
 
 
 def training_nets():
-    """Random nets, and the same nets four times as wide, whose 8 to 20
-    channels split the conv GEMMs into row blocks."""
+    """Random nets, and the same nets four times as wide, with 8 to 20
+    channels."""
     return net_configs().flatmap(lambda config: st.sampled_from([config, replace(
         config, blocks=tuple(replace(blk, out_channels=4 * blk.out_channels)
                              for blk in config.blocks))]))
@@ -815,8 +815,7 @@ def training_nets():
 @given(config=training_nets(), seed=st.integers(0, 2**16), n=st.integers(2, 30),
        style=st.sampled_from(["sb", *mn.AUG_KINDS[1:]]))
 def test_training_gives_the_same_bits_on_any_number_of_workers(config, seed, n, style):
-    """With every op split, however small (``split_everything``: the GEMMs
-    too), a runner of 1, 2 or 3 workers gives the same
+    """A runner of 1, 2 or 3 workers gives the same
     gradient bytes for one recorded step (``step_grad_digests``) and the same
     parameter bytes after a 2-epoch ``train`` with style balancing or an
     augmentation, each hook firing on every batch."""
@@ -830,7 +829,7 @@ def test_training_gives_the_same_bits_on_any_number_of_workers(config, seed, n, 
                          sb_prob=1.0, aug="none" if style == "sb" else style, aug_prob=1.0)
     got = []
     for k in (1, 2, 3):
-        with split_everything(k):
+        with forced_workers(k):
             net = mn.MicroNet.init(config, seed=seed)
             mn.train(net, x, y, doms, cfg, n_domains=3)
             got.append((step_grad_digests(doc, seed, seed + 1),
@@ -838,21 +837,24 @@ def test_training_gives_the_same_bits_on_any_number_of_workers(config, seed, n, 
     assert got[0] == got[1] == got[2]
 
 
-@pytest.mark.skipif(ad.OPENBLAS_THREADS is None, reason="numpy bundles no settable OpenBLAS")
 def test_training_leaves_blas_at_its_own_count():
-    """A training whose ops split over the runner reads numpy's OpenBLAS
-    thread count before and after as the same number."""
-    get, _ = ad.OPENBLAS_THREADS
+    """A 32 px, batch-63 training with style balancing and DSU, at a runner
+    of 2 workers, never calls the runner, and reads numpy's OpenBLAS thread
+    count (where it can be read) before and after as the same number."""
+    get = ad.OPENBLAS_THREADS[0] if ad.OPENBLAS_THREADS else lambda: None
     rng = RNG(5)
-    x = rng.integers(0, 256, size=(24, 1, 16, 16), dtype=np.uint8)
+    x = rng.integers(0, 256, size=(63, 1, 32, 32), dtype=np.uint8)
     before = get()
+
+    def refuse(*args):
+        raise AssertionError("training called the runner")
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad.RUNNER, "size", 2)
-        mp.setattr(ad, "SPLIT_MIN", 0)
-        mp.setattr(ad, "GEMM_SPLIT_MIN", 0)
-        mn.train(mn.MicroNet.init(mn.NetConfig(image_size=16), seed=5), x,
-                 rng.integers(0, 7, 24), np.arange(24) % 3,
-                 mn.TrainConfig(epochs=1, batch_size=12, sb=True), n_domains=3)
+        mp.setattr(ad.RUNNER, "map", refuse)
+        mn.train(mn.MicroNet.init(mn.NetConfig(), seed=5), x, rng.integers(0, 7, 63),
+                 np.arange(63) % 3, mn.TrainConfig(epochs=2, batch_size=63, sb=True, sb_prob=1.0,
+                                                   aug="dsu", aug_prob=1.0), n_domains=3)
     assert get() == before
 
 

@@ -13,8 +13,8 @@ Its 60 commands write 191 files. They cover gen-data at 16 and 32 px, a
 (mixstyle, dsu, efdmix), stats at block1 and block2, with pseudo labels and
 with --single-domain, eval in every mode (nearest-sample at two pool sizes
 and two seeds) and on the dsu network, a 3-epoch batch-63 train at 32 px with
-balancing and dsu, large enough that its conv, ReLU, pool and GEMM work
-splits over the runner, with stats and eval of it, alpha sweeps in every mode
+balancing and dsu, the training shape of the benchmark's sweep-aug workload,
+with stats and eval of it, alpha sweeps in every mode
 (one alpha, pseudo labels, the single-domain protocol), a keep_fraction sweep
 and two reports, one with --series-col.
 
@@ -41,8 +41,8 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DATA = {"n_classes": 4, "n_sources": 3, "per_cell_train": 6, "per_cell_test": 8,
         "image_size": 16, "target_preset": "far",
         "imbalance": {"kind": "class", "class_subsets": [[0, 1, 2], [1, 2, 3], [0, 3]]}}
-# 32 px and batch 63 reach ``autodiff.SPLIT_MIN`` at block1's ReLU and
-# ``GEMM_SPLIT_MIN`` at block2's conv, so this training runs the split ops.
+# 32 px and batch 63: the largest ops that training runs, as in the
+# benchmark's sweep-aug workload, and full-size inference chunks.
 DATA_32 = {"n_classes": 4, "n_sources": 3, "per_cell_train": 16, "per_cell_test": 8,
            "image_size": 32, "target_preset": "far"}
 SWEEP = {"data": DATA, "train": {"epochs": 6, "batch_size": 12, "lr": 0.05, "sb": True},

@@ -48,7 +48,8 @@ DECLARED = {
     "bound by perfbench/": (
         "micro_net.evaluate", "test_time_shift.ts_apply", "test_time_shift.decide",
         "test_time_shift._first_decision", "test_time_shift.build_registry",
-        "tensor_core.style_vector", "autodiff.sum_axes", "autodiff.reshape"),
+        "tensor_core.style_vector", "autodiff.sum_axes", "autodiff.reshape",
+        "experiment.shift_mode_from_name"),
     "error paths": ("autodiff._spent", "errors.PnmParseError.__init__"),
     "test conveniences": (
         "autodiff.Var.shape", "autodiff.Var.__radd__", "autodiff.Var.__rsub__",
