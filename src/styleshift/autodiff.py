@@ -8,6 +8,13 @@ a vjp) after calling ``backward`` on a scalar; intermediate gradients are not
 kept, and ``backward`` frees the graph as it sweeps it, so a graph can be
 differentiated once.
 
+The tape keeps only what the vjps read. ``chain`` folds a conv block's
+``conv2d`` -> ``relu`` [-> ``avg_pool2``] nodes into one, so per block it
+keeps the conv's patch matrix (or its input, where that is a constant), the
+ReLU mask and the block's output; the conv and ReLU outputs, which no vjp
+reads, are freed as the block's forward ends, and the pool keeps only a
+shape.
+
 Importing the module pins glibc's mmap and trim thresholds and its arena
 count (see ``_pin_allocator``).
 
@@ -410,6 +417,22 @@ def reshape(a, shape) -> Var:
 
 # -- network layers -------------------------------------------------------
 
+def _patches(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """The (Cin*kh*kw, B*OH*OW) patch matrix of a channel-major input,
+    (Cin, B, H, W) in any strides, zero-padded by ``pad``: the one im2col,
+    which ``conv_cm`` multiplies and ``conv2d``'s backward rebuilds for a
+    constant input."""
+    cin, bs, h, wd = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (wd + 2 * pad - kw) // stride + 1
+    xp = np.zeros((cin, bs, h + 2 * pad, wd + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + wd] = x
+    c, n, r, q = xp.strides
+    cols = np.ascontiguousarray(as_strided(xp, (cin, kh, kw, bs, oh, ow),
+                                           (c, r, q, n, r * stride, q * stride), writeable=False))
+    return cols.reshape(cin * kh * kw, bs * oh * ow)   # the padded copy is freed on return
+
+
 def conv_cm(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
             pad: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """2-D convolution of a channel-major input, (Cin, B, H, W) in any
@@ -425,13 +448,7 @@ def conv_cm(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
         raise ValueError(f"conv channel mismatch: input {cin}, weight {cin_w}")
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
-    xp = np.zeros((cin, bs, h + 2 * pad, wd + 2 * pad))
-    xp[:, :, pad:pad + h, pad:pad + wd] = x
-    c, n, r, q = xp.strides
-    cols = np.ascontiguousarray(as_strided(xp, (cin, kh, kw, bs, oh, ow),
-                                           (c, r, q, n, r * stride, q * stride), writeable=False))
-    del xp   # freed before the GEMM's output is allocated
-    cols = cols.reshape(cin * kh * kw, bs * oh * ow)
+    cols = _patches(x, kh, kw, stride, pad)
     y = np.empty((cout, bs, oh, ow))
     np.matmul(w.reshape(cout, cin * kh * kw), cols, out=y.reshape(cout, bs * oh * ow))
     y += b[:, None, None, None]
@@ -445,6 +462,10 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
     the patch gradient with one GEMM each over the patch matrix, and sums the
     patch gradient into the input gradient. An input that is not a Var is a
     constant: the backward forms no gradient for it.
+
+    The tape keeps the patch matrix for a Var input. For a constant input,
+    whose patch matrix is kh*kw times its size, it keeps the input instead
+    and the backward rebuilds the patches (``_patches``), the same bits.
     """
     needs_dx = isinstance(x, Var)
     x, w, b = as_var(x), as_var(w), as_var(b)
@@ -453,10 +474,13 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
     out, cols = conv_cm(x.value, w.value, b.value, stride, pad)
     oh, ow = out.shape[2:]
     w2 = w.value.reshape(cout, cin * kh * kw)
+    if not needs_dx:
+        cols = None
 
     def vjp(g):
         g2 = g.reshape(cout, bs * oh * ow)
-        dw = (g2 @ cols.T).reshape(w.value.shape)
+        patches = cols if needs_dx else _patches(x.value, kh, kw, stride, pad)
+        dw = (g2 @ patches.T).reshape(w.value.shape)
         # per-plane sums, then over samples: the bits of the (B, Cout, OH, OW) sum
         db = np.ascontiguousarray(g.sum(axis=(2, 3)).T).sum(axis=0)
         if not needs_dx:
@@ -482,22 +506,51 @@ def pool2(v: np.ndarray) -> np.ndarray:
 
 
 def avg_pool2(x) -> Var:
-    """2x2 average pooling; spatial dims must be even."""
+    """2x2 average pooling; spatial dims must be even. The tape keeps only
+    the input's shape: the gradient spreads a quarter of g over each 2x2
+    window, C-contiguous."""
     x = as_var(x)
     v = x.value
-    h, w = v.shape[2:]
+    shape = v.shape
+    h, w = shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool2 needs even spatial dims, got {h}x{w}")
 
     def vjp(g):
         quarter = g * 0.25
-        dx = np.empty_like(v)
+        dx = np.empty(shape)
         for i in (0, 1):
             for j in (0, 1):
                 dx[:, :, i::2, j::2] = quarter
         return (dx,)
 
     return Var(pool2(v), (x,), vjp)
+
+
+def chain(*nodes: Var) -> Var:
+    """Fold a chain of nodes, each the only consumer of the one before it,
+    into one tape node: a conv block's ``conv2d`` -> ``relu`` [-> ``avg_pool2``].
+
+    The node has the last node's value, the first node's parents and a vjp
+    that runs the nodes' vjps from last to first. It keeps the vjps, not the
+    nodes, so once the caller drops them their values are freed: per block
+    the tape keeps the conv's patch matrix (or its constant input), the ReLU
+    mask and the block's output. The folded nodes are spent, as ``backward``
+    leaves a node whose vjp has run.
+    """
+    for prev, node in zip(nodes, nodes[1:]):
+        if len(node._parents) != 1 or node._parents[0] is not prev:
+            raise ValueError("chain needs each node to have the one before it as its only parent")
+    parents, vjps = nodes[0]._parents, [node._vjp for node in nodes]
+    for node in nodes:
+        node._parents, node._vjp = (), _spent
+
+    def vjp(g):
+        for step in reversed(vjps[1:]):
+            (g,) = step(g)
+        return vjps[0](g)
+
+    return Var(nodes[-1].value, parents, vjp)
 
 
 def global_avg_pool(x) -> Var:

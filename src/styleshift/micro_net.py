@@ -287,6 +287,14 @@ def _channels_first(h: Var) -> Var:
                lambda g: (np.ascontiguousarray(g.transpose(1, 0, 2, 3)),))
 
 
+def _conv_block(h, w: Var, b: Var, blk: BlockSpec) -> Var:
+    """conv3x3 -> ReLU [-> 2x2 pool] as one tape node (``autodiff.chain``):
+    the conv and ReLU outputs are freed when this returns."""
+    conv = ad.conv2d(h, w, b, stride=blk.stride, pad=1)
+    act = ad.relu(conv)
+    return ad.chain(conv, act, ad.avg_pool2(act)) if blk.pool else ad.chain(conv, act)
+
+
 @dataclass
 class ForwardResult:
     logits: Var
@@ -327,6 +335,7 @@ class MicroNet:
 
         Images enter as a constant, scaled by ``as_pixels`` where they are
         uint8 codes, so no gradient is formed for them unless x is a Var.
+        Each block's conv, ReLU and pool are one tape node (``_conv_block``).
         The taped ops run channel-major; a block's hook ops get a C-contiguous
         (B, C, H, W) copy of its output, which ``hook_inputs`` records (a view
         where no op runs), and the next block reads theirs as a view.
@@ -341,10 +350,7 @@ class MicroNet:
         hook_inputs: dict[str, Var] = {}
         for i, blk in enumerate(self.config.blocks):
             name = f"block{i + 1}"
-            h = ad.conv2d(h, pv[f"conv{i}_w"], pv[f"conv{i}_b"], stride=blk.stride, pad=1)
-            h = ad.relu(h)
-            if blk.pool:
-                h = ad.avg_pool2(h)
+            h = _conv_block(h, pv[f"conv{i}_w"], pv[f"conv{i}_b"], blk)
             if name not in by_hook:
                 hook_inputs[name] = Var(h.value.transpose(1, 0, 2, 3))
                 continue

@@ -210,6 +210,68 @@ def test_second_backward_through_a_freed_graph_raises():
     np.testing.assert_array_equal(w.grad, grads[1])
 
 
+# -- chained conv blocks -----------------------------------------------------------
+
+@st.composite
+def block_cases(draw):
+    """A channel-major conv -> relu [-> pool] block whose 3x3 conv output is
+    even wherever it is pooled."""
+    stride = draw(st.sampled_from([1, 2]))
+    pad = draw(st.sampled_from([0, 1]))
+    pool = draw(st.booleans())
+    oh, ow = (draw(even if pool else st.integers(1, 7)) for _ in range(2))
+    h, wd = ((o - 1) * stride + 3 - 2 * pad + draw(st.integers(0, stride - 1)) for o in (oh, ow))
+    cin, cout, batch = draw(st.sampled_from([1, 3])), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(cin, batch, h, wd))
+    w, b = rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout)
+    g = rng.normal(size=(cout, batch, oh // 2, ow // 2) if pool else (cout, batch, oh, ow))
+    return x, w, b, stride, pad, pool, draw(st.booleans()), g
+
+
+def _block_nodes(x, w, b, stride, pad, pool):
+    nodes = [ad.conv2d(x, w, b, stride=stride, pad=pad)]
+    nodes.append(ad.relu(nodes[-1]))
+    if pool:
+        nodes.append(ad.avg_pool2(nodes[-1]))
+    return nodes
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_cases())
+def test_a_chained_block_gives_the_bits_of_its_ops_and_frees_their_outputs(case):
+    """One chain node gives the value and the input, weight and bias
+    gradients of conv2d -> relu [-> avg_pool2] byte for byte, for a Var or a
+    constant input; once its ops' nodes are dropped their outputs are freed,
+    and a second backward through it raises."""
+    x, w, b, stride, pad, pool, constant, g = case
+    runs = []
+    for chained in (False, True):
+        leaves = [x if constant else Var(x), Var(w), Var(b)]
+        nodes = _block_nodes(*leaves, stride, pad, pool)
+        if chained:
+            inner = [weakref.ref(node.value) for node in nodes[:-1]]
+            out = ad.chain(*nodes)
+            del nodes
+            assert all(ref() is None for ref in inner)
+        else:
+            out = nodes[-1]
+        value = out.value.tobytes()
+        out.backward(seed=g)
+        runs.append([value] + [v.grad.tobytes() for v in leaves if isinstance(v, Var)])
+    assert runs[1] == runs[0]
+    with pytest.raises(RuntimeError, match="freed"):
+        out.backward(seed=g)
+
+
+def test_chain_rejects_nodes_that_do_not_consume_the_one_before():
+    a, b = Var(np.ones(3)), Var(np.ones(3))
+    with pytest.raises(ValueError):
+        ad.chain(ad.relu(a), ad.relu(b))
+    with pytest.raises(ValueError):
+        ad.chain(a, ad.add(a, b))
+
+
 # -- the runner ------------------------------------------------------------------
 
 def test_runner_raises_the_earliest_error_and_stays_usable():

@@ -52,8 +52,9 @@ def test_traced_sb_training_and_shifted_eval_reach_the_wrapped_names(tracer_modu
         lost = tracer.restore()
     assert lost == []
     m = tracer_module.layer_metrics(tracer)
+    # the three vjps a block's chain node runs are timed under their own names
     for key in ("tensor_core.batch_style_vectors_s", "autodiff.conv2d.block1.bwd_s",
-                "micro_net.evaluate.self_s"):
+                "autodiff.relu.bwd_s", "autodiff.avg_pool2.bwd_s", "micro_net.evaluate.self_s"):
         assert m[key] > 0, key
     _assert_evaluate_reaches_no_per_sample_probe(m)
 
