@@ -8,12 +8,17 @@ a vjp) after calling ``backward`` on a scalar; intermediate gradients are not
 kept, and ``backward`` frees the graph as it sweeps it, so a graph can be
 differentiated once.
 
-The tape keeps only what the vjps read. ``chain`` folds a conv block's
-``conv2d`` -> ``relu`` [-> ``avg_pool2``] nodes into one, so per block it
-keeps the conv's patch matrix (or its input, where that is a constant), the
-ReLU mask and the block's output; the conv and ReLU outputs, which no vjp
-reads, are freed as the block's forward ends, and the pool keeps only a
-shape.
+The tape keeps only what the vjps read. Each vjp closes over the arrays and
+shapes it reads, not over its op's input Vars, and ``fold`` turns a subgraph
+into one tape node that keeps the interior vjps and not the interior Vars.
+So per conv block (``conv2d`` -> ``relu`` [-> ``avg_pool2``]) the tape keeps
+the conv's patch matrix (or its input, where that is a constant), the ReLU
+mask and the block's output, and the pool only a shape; per hooked block
+one more node keeps what the hook ops' vjps read. Values no vjp reads, such
+as the conv and ReLU outputs, are freed as the block's forward ends.
+``twin`` gives a second node of an op over the same array, where the graph
+needs the op twice. ``backward`` hands each gradient to its vjp without
+holding it, so a fold frees each gradient once the vjp it feeds returns.
 
 Importing the module pins glibc's mmap and trim thresholds and its arena
 count (see ``_pin_allocator``).
@@ -219,6 +224,32 @@ def _spent(g):
                        "already freed; run the forward again")
 
 
+def _accumulate(grads: dict, keys, pgs) -> None:
+    """Add each parent gradient of ``pgs`` into ``grads`` under its key, after
+    what is there: the one summation order of ``backward`` and ``fold``. A
+    None gradient adds nothing. Returning drops the last one, so only
+    ``grads`` holds them."""
+    for key, pg in zip(keys, pgs):
+        if pg is not None:
+            grads[key] = grads[key] + pg if key in grads else pg
+
+
+def _post_order(root, seen: set) -> list:
+    """The nodes above ``root`` in depth-first post-order, parents before
+    their consumers: the one sweep order of ``backward`` and ``fold``. Nodes
+    whose id is in ``seen`` are not entered; ``seen`` gains every id met."""
+    order, stack = [], [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents)
+    return order
+
+
 class Var:
     """A node in the computation graph holding a float64 array."""
 
@@ -243,44 +274,20 @@ class Var:
             if self.value.size != 1:
                 raise ValueError("backward() without seed requires a scalar")
             seed = np.ones_like(self.value)
-        order = []
-        seen = set()
-
-        def visit(node):
-            stack = [(node, False)]
-            while stack:
-                n, expanded = stack.pop()
-                if expanded:
-                    order.append(n)
-                    continue
-                if id(n) in seen:
-                    continue
-                seen.add(id(n))
-                stack.append((n, True))
-                for p in n._parents:
-                    stack.append((p, False))
-
-        visit(self)
+        order = _post_order(self, set())
         grads = {id(self): np.asarray(seed, dtype=np.float64)}
         while order:  # reverse topological order; popping drops the sweep's reference
             node = order.pop()
-            g = grads.pop(id(node), None)
             if node._vjp is None:  # a leaf: the only nodes that keep .grad
+                g = grads.pop(id(node), None)
                 if g is not None:
                     node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
             parents, vjp = node._parents, node._vjp
             # every consumer of this node has run: free its closure and inputs
             node._parents, node._vjp = (), _spent
-            if g is None:
-                continue
-            for parent, pg in zip(parents, vjp(g)):
-                if pg is None:
-                    continue
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
-                else:
-                    grads[id(parent)] = pg
+            if id(node) in grads:   # handed over, not held: a fold's vjp frees it
+                _accumulate(grads, [id(p) for p in parents], vjp(grads.pop(id(node))))
 
     # -- operator sugar --------------------------------------------------
     def __add__(self, other):
@@ -327,29 +334,29 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.value + b.value, (a, b),
-              lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
-    return out
+    ash, bsh = a.value.shape, b.value.shape
+    return Var(a.value + b.value, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
 
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return Var(a.value - b.value, (a, b),
-               lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)))
+    ash, bsh = a.value.shape, b.value.shape
+    return Var(a.value - b.value, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
 
 
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return Var(a.value * b.value, (a, b),
-               lambda g: (_unbroadcast(g * b.value, a.value.shape),
-                          _unbroadcast(g * a.value, b.value.shape)))
+    av, bv = a.value, b.value
+    return Var(av * bv, (a, b),
+               lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)))
 
 
 def div(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return Var(a.value / b.value, (a, b),
-               lambda g: (_unbroadcast(g / b.value, a.value.shape),
-                          _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)))
+    av, bv = a.value, b.value
+    return Var(av / bv, (a, b),
+               lambda g: (_unbroadcast(g / bv, av.shape),
+                          _unbroadcast(-g * av / (bv * bv), bv.shape)))
 
 
 def sqrt(a) -> Var:
@@ -361,12 +368,13 @@ def sqrt(a) -> Var:
 def mean(a, axes, keepdims: bool = True) -> Var:
     a = as_var(a)
     axes = tuple(axes)
-    count = float(np.prod([a.value.shape[ax] for ax in axes]))
+    shape = a.value.shape
+    count = float(np.prod([shape[ax] for ax in axes]))
     out_val = a.value.mean(axis=axes, keepdims=keepdims)
 
     def vjp(g):
         gg = g if keepdims else np.expand_dims(g, axes)
-        return (np.broadcast_to(gg, a.value.shape) / count,)
+        return (np.broadcast_to(gg, shape) / count,)
 
     return Var(out_val, (a,), vjp)
 
@@ -374,11 +382,12 @@ def mean(a, axes, keepdims: bool = True) -> Var:
 def sum_axes(a, axes, keepdims: bool = True) -> Var:
     a = as_var(a)
     axes = tuple(axes)
+    shape = a.value.shape
     out_val = a.value.sum(axis=axes, keepdims=keepdims)
 
     def vjp(g):
         gg = g if keepdims else np.expand_dims(g, axes)
-        return (np.broadcast_to(gg, a.value.shape).copy(),)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     return Var(out_val, (a,), vjp)
 
@@ -400,9 +409,10 @@ def take_batch(a, index) -> Var:
     """Index the leading axis with a fixed integer array (e.g. a permutation)."""
     a = as_var(a)
     index = np.asarray(index, dtype=np.intp)
+    shape = a.value.shape
 
     def vjp(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros(shape)
         np.add.at(out, index, g)
         return (out,)
 
@@ -469,8 +479,9 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
     """
     needs_dx = isinstance(x, Var)
     x, w, b = as_var(x), as_var(w), as_var(b)
+    xv = None if needs_dx else x.value
     cin, bs, h, wd = x.value.shape
-    cout, _, kh, kw = w.value.shape
+    cout, _, kh, kw = wshape = w.value.shape
     out, cols = conv_cm(x.value, w.value, b.value, stride, pad)
     oh, ow = out.shape[2:]
     w2 = w.value.reshape(cout, cin * kh * kw)
@@ -479,8 +490,8 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
 
     def vjp(g):
         g2 = g.reshape(cout, bs * oh * ow)
-        patches = cols if needs_dx else _patches(x.value, kh, kw, stride, pad)
-        dw = (g2 @ patches.T).reshape(w.value.shape)
+        patches = cols if needs_dx else _patches(xv, kh, kw, stride, pad)
+        dw = (g2 @ patches.T).reshape(wshape)
         # per-plane sums, then over samples: the bits of the (B, Cout, OH, OW) sum
         db = np.ascontiguousarray(g.sum(axis=(2, 3)).T).sum(axis=0)
         if not needs_dx:
@@ -527,47 +538,82 @@ def avg_pool2(x) -> Var:
     return Var(pool2(v), (x,), vjp)
 
 
-def chain(*nodes: Var) -> Var:
-    """Fold a chain of nodes, each the only consumer of the one before it,
-    into one tape node: a conv block's ``conv2d`` -> ``relu`` [-> ``avg_pool2``].
+def twin(v: Var) -> Var:
+    """A second node of the op that made ``v``: the same array, parents and
+    vjp. Where an op would run twice on the same inputs (``x - mu`` in
+    ``style_ops``), its twin gives the graph, and so the gradient bits, of
+    the second run without a second array."""
+    return Var(v.value, v._parents, v._vjp)
 
-    The node has the last node's value, the first node's parents and a vjp
-    that runs the nodes' vjps from last to first. It keeps the vjps, not the
-    nodes, so once the caller drops them their values are freed: per block
-    the tape keeps the conv's patch matrix (or its constant input), the ReLU
-    mask and the block's output. The folded nodes are spent, as ``backward``
-    leaves a node whose vjp has run.
+
+def fold(out: Var, inputs) -> Var:
+    """Fold the subgraph between the Vars ``inputs`` and ``out`` into one
+    tape node: a conv block's ``conv2d`` -> ``relu`` [-> ``avg_pool2``], or
+    the hook ops between a block and the next.
+
+    The node has ``out``'s value and a vjp that runs the interior nodes' vjps
+    in the order ``backward`` would, summing each gradient as ``backward``
+    sums it. Its parents are ``inputs``, then every leaf of the subgraph that
+    is not named, in the order the walk meets them, so every Var gets the
+    gradient it gets unfolded. Each parent's gradient is the sum of what the
+    interior hands it: the bits are the unfolded graph's wherever a parent is
+    consumed only inside the subgraph, or gets one gradient from it.
+
+    The node keeps the interior vjps and how they link, not the interior
+    Vars, so once the caller drops them every value that no vjp closes over is
+    freed. ``out`` must be the only interior node that anything outside the
+    subgraph consumes. The interior nodes are spent, as ``backward`` leaves a
+    node whose vjp has run. Raises ``ValueError``, changing no node, when
+    ``out`` is a leaf or a named input, or does not reach every named input.
     """
-    for prev, node in zip(nodes, nodes[1:]):
-        if len(node._parents) != 1 or node._parents[0] is not prev:
-            raise ValueError("chain needs each node to have the one before it as its only parent")
-    parents, vjps = nodes[0]._parents, [node._vjp for node in nodes]
+    parents = list(inputs)
+    slot = {id(v): -1 - k for k, v in enumerate(parents)}   # parent k: -1 - k
+    if id(out) in slot or out._vjp is None:
+        raise ValueError("fold needs out to be computed from its inputs, not a leaf or one of them")
+    order = _post_order(out, set(slot))   # stopping at the inputs
+    named = len(parents)
+    for node in order:
+        if node._vjp is None:
+            slot[id(node)] = -1 - len(parents)
+            parents.append(node)
+    nodes = [node for node in reversed(order) if node._vjp is not None]
+    slot.update((id(node), i) for i, node in enumerate(nodes))
+    steps = [(node._vjp, [slot[id(p)] for p in node._parents]) for node in nodes]
+    reached = {link for _, links in steps for link in links}
+    if not all(-1 - k in reached for k in range(named)):
+        raise ValueError("fold needs out to reach every named input")
     for node in nodes:
         node._parents, node._vjp = (), _spent
+    n_parents = len(parents)
 
     def vjp(g):
-        for step in reversed(vjps[1:]):
-            (g,) = step(g)
-        return vjps[0](g)
+        grads = {0: g}
+        del g   # each gradient is held by grads alone, and freed by the vjp it is handed to
+        for i, (step, links) in enumerate(steps):
+            if i in grads:
+                _accumulate(grads, links, step(grads.pop(i)))
+        return tuple(grads.get(-1 - k) for k in range(n_parents))
 
-    return Var(nodes[-1].value, parents, vjp)
+    return Var(out.value, tuple(parents), vjp)
 
 
 def global_avg_pool(x) -> Var:
     """(C, B, H, W) -> (B, C) spatial mean, computed as ``MicroNet.infer`` computes it."""
     x = as_var(x)
-    plane = x.value.shape[2] * x.value.shape[3]
+    shape = x.value.shape
+    plane = shape[2] * shape[3]
     return Var(np.ascontiguousarray(x.value.mean(axis=(2, 3)).T), (x,),
-               lambda g: (np.broadcast_to(g.T[:, :, None, None], x.value.shape) / plane,))
+               lambda g: (np.broadcast_to(g.T[:, :, None, None], shape) / plane,))
 
 
 def linear(x, w, b) -> Var:
     """(B, F) @ (F, K) + (K,)."""
     x, w, b = as_var(x), as_var(w), as_var(b)
-    out = x.value @ w.value + b.value
+    xv, wv = x.value, w.value
+    out = xv @ wv + b.value
 
     def vjp(g):
-        return (g @ w.value.T, x.value.T @ g, g.sum(axis=0))
+        return (g @ wv.T, xv.T @ g, g.sum(axis=0))
 
     return Var(out, (x, w, b), vjp)
 

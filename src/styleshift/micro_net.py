@@ -265,9 +265,9 @@ class EfdmixHookOp:
         return cls(rng.permutation(batch_size), rng.beta(lambda_shape, lambda_shape, batch_size))
 
     def __call__(self, v: Var) -> Var:
-        out, state = efdmix_hook(v, self.perm, self.lambdas, frozen=self._state)
+        out, tau = efdmix_hook(v, self.perm, self.lambdas, frozen=self._state)
         if self._state is None:
-            self._state = state
+            self._state = tau
         return out
 
 
@@ -288,11 +288,35 @@ def _channels_first(h: Var) -> Var:
 
 
 def _conv_block(h, w: Var, b: Var, blk: BlockSpec) -> Var:
-    """conv3x3 -> ReLU [-> 2x2 pool] as one tape node (``autodiff.chain``):
+    """conv3x3 -> ReLU [-> 2x2 pool] as one tape node (``autodiff.fold``):
     the conv and ReLU outputs are freed when this returns."""
-    conv = ad.conv2d(h, w, b, stride=blk.stride, pad=1)
-    act = ad.relu(conv)
-    return ad.chain(conv, act, ad.avg_pool2(act)) if blk.pool else ad.chain(conv, act)
+    out = ad.relu(ad.conv2d(h, w, b, stride=blk.stride, pad=1))
+    return ad.fold(ad.avg_pool2(out) if blk.pool else out,
+                   [v for v in (h, w, b) if isinstance(v, Var)])
+
+
+def _block(h, w: Var, b: Var, blk: BlockSpec, ops) -> tuple[Var, Var]:
+    """One block of ``forward``: its channel-major output and its (B, C, H, W)
+    hook input.
+
+    The conv block is one tape node (``_conv_block``). Where ``ops`` run, the
+    hook input is a C-contiguous copy (``_samples_first``), and the ops and
+    the change back to channel-major are folded into a second node, once the
+    ops have returned, so the vjps the tracer times are the ones it keeps;
+    backward then frees the ops' vjps before it runs the conv block's. With
+    no ops the hook input is a view.
+    """
+    block = _conv_block(h, w, b, blk)
+    if not ops:
+        return block, Var(block.value.transpose(1, 0, 2, 3))
+    h = hook_input = _samples_first(block)
+    for op in ops:
+        h = op(h)
+    out = _channels_first(h)
+    try:
+        return ad.fold(out, [block]), hook_input
+    except ValueError:   # the ops dropped their input for another Var: nothing to fold
+        return out, hook_input
 
 
 @dataclass
@@ -335,10 +359,12 @@ class MicroNet:
 
         Images enter as a constant, scaled by ``as_pixels`` where they are
         uint8 codes, so no gradient is formed for them unless x is a Var.
-        Each block's conv, ReLU and pool are one tape node (``_conv_block``).
-        The taped ops run channel-major; a block's hook ops get a C-contiguous
-        (B, C, H, W) copy of its output, which ``hook_inputs`` records (a view
-        where no op runs), and the next block reads theirs as a view.
+        Each block's conv, ReLU and pool are one tape node, and its hook ops
+        one more (``_block``). The taped ops run channel-major; a block's hook
+        ops get a C-contiguous (B, C, H, W) copy of its output, which
+        ``hook_inputs`` records (a view where no op runs; folded into the
+        ops' node, it holds the value and no graph), and the next block reads
+        theirs as a view.
         """
         by_hook: dict[str, list] = {}
         for name, op in hook_ops or []:
@@ -350,14 +376,8 @@ class MicroNet:
         hook_inputs: dict[str, Var] = {}
         for i, blk in enumerate(self.config.blocks):
             name = f"block{i + 1}"
-            h = _conv_block(h, pv[f"conv{i}_w"], pv[f"conv{i}_b"], blk)
-            if name not in by_hook:
-                hook_inputs[name] = Var(h.value.transpose(1, 0, 2, 3))
-                continue
-            h = hook_inputs[name] = _samples_first(h)
-            for op in by_hook[name]:
-                h = op(h)
-            h = _channels_first(h)
+            h, hook_inputs[name] = _block(h, pv[f"conv{i}_w"], pv[f"conv{i}_b"], blk,
+                                          by_hook.get(name, []))
         feats = ad.global_avg_pool(h)
         logits = ad.linear(feats, pv["head_w"], pv["head_b"])
         return ForwardResult(logits=logits, hook_inputs=hook_inputs, param_vars=pv)

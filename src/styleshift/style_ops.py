@@ -72,11 +72,18 @@ def renormalize(content: np.ndarray, mu, sigma, target_mu, target_sigma) -> np.n
             / sigma[..., None, None] + target_mu[..., None, None])
 
 
-def _var_moments(x: Var, eps_std: float) -> tuple[Var, Var]:
-    """Differentiable per-channel mean and stabilized std of a (B, C, H, W) Var."""
+def _var_moments(x: Var, eps_std: float) -> tuple[Var, Var, Var]:
+    """Differentiable per-channel mean, centred activation ``x - mu`` and
+    stabilized std of a (B, C, H, W) Var.
+
+    ``x - mu`` is formed once. The square's second factor and the returned
+    centred activation, which the callers normalise, are its twins
+    (``autodiff.twin``): three nodes of the graph that forms it three times,
+    so the gradient bits are that graph's, over one array."""
     mu = ad.mean(x, (2, 3))
-    sig = ad.sqrt(ad.mean((x - mu) * (x - mu), (2, 3)) + eps_std * eps_std)
-    return mu, sig
+    centred = ad.sub(x, mu)
+    sig = ad.sqrt(ad.mean(centred * ad.twin(centred), (2, 3)) + eps_std * eps_std)
+    return mu, sig, ad.twin(centred)
 
 
 # -- mixstyle ----------------------------------------------------------------
@@ -86,15 +93,16 @@ def mixstyle_var(x: Var, lambdas, partner, eps_std: float = EPS_STD) -> Var:
 
     lambdas is one coefficient per sample; partner is a permutation of the
     batch indices pairing each sample with a style donor. Gradients flow
-    through the channel stats.
+    through the channel stats. The normalised ``x - mu`` shares its array
+    with the one the std squares (``_var_moments``).
     """
     b = x.value.shape[0]
     lam = _check_lambda(lambdas).reshape(b, 1, 1, 1)
     partner = _check_permutation(partner, b)
-    mu, sig = _var_moments(x, eps_std)
+    mu, sig, centred = _var_moments(x, eps_std)
     beta = lam * mu + (1.0 - lam) * ad.take_batch(mu, partner)
     gamma = lam * sig + (1.0 - lam) * ad.take_batch(sig, partner)
-    return gamma * ((x - mu) / sig) + beta
+    return gamma * (centred / sig) + beta
 
 
 # -- dsu ---------------------------------------------------------------------
@@ -102,13 +110,14 @@ def mixstyle_var(x: Var, lambdas, partner, eps_std: float = EPS_STD) -> Var:
 def dsu_var(x: Var, eps_mu, eps_sig, eps_std: float = EPS_STD) -> Var:
     """Perturb each sample's channel stats with the Gaussian draws eps_mu /
     eps_sig (each (B, C)) scaled by the batch spread of those stats; the
-    perturbed std is floored at eps_std."""
+    perturbed std is floored at eps_std. The normalised ``x - mu`` shares
+    its array with the one the std squares (``_var_moments``)."""
     b, c = x.value.shape[0], x.value.shape[1]
     if b < 2:
         raise InsufficientBatchError("dsu needs a batch of at least 2 samples")
     eps_mu = np.asarray(eps_mu, dtype=np.float64).reshape(b, c, 1, 1)
     eps_sig = np.asarray(eps_sig, dtype=np.float64).reshape(b, c, 1, 1)
-    mu, sig = _var_moments(x, eps_std)
+    mu, sig, centred = _var_moments(x, eps_std)
     mu_c = ad.mean(mu, (0,))
     sig_c = ad.mean(sig, (0,))
     # clamp keeps sqrt differentiable when the batch stats are degenerate
@@ -116,7 +125,7 @@ def dsu_var(x: Var, eps_mu, eps_sig, eps_std: float = EPS_STD) -> Var:
     spread_sig = ad.sqrt(ad.clamp_min(ad.mean((sig - sig_c) * (sig - sig_c), (0,)), 1e-24))
     beta = mu + eps_mu * spread_mu
     gamma = ad.clamp_min(sig + eps_sig * spread_sig, eps_std)
-    return gamma * ((x - mu) / sig) + beta
+    return gamma * (centred / sig) + beta
 
 
 # -- efdmix ------------------------------------------------------------------
@@ -138,19 +147,18 @@ def efdmix(x, y, lam: float) -> np.ndarray:
 def efdmix_hook(x: Var, partner, lambdas, frozen=None):
     """Batch efdmix between each sample and its partner, channel-wise.
 
-    Returns (output, state); passing ``state`` back as ``frozen`` replays the
-    transform with the original sorting permutations held fixed, which is what
-    finite-difference checks difference against.
+    Returns (output, tau), tau being each channel's sorting permutation;
+    passing tau back as ``frozen`` replays the transform with the original
+    sorting permutations held fixed, which is what finite-difference checks
+    difference against. The ranks, ``argsort(tau)``, are formed again on a
+    replay, the same bits, so the state is tau alone.
     """
     b, c, h, w = x.value.shape
     partner = _check_permutation(partner, b)
     lam = _check_lambda(lambdas).reshape(b, 1, 1)
     v = x.value.reshape(b, c, h * w)
-    if frozen is None:
-        tau = np.argsort(v, axis=-1, kind="stable")
-        ranks = np.argsort(tau, axis=-1, kind="stable")
-    else:
-        tau, ranks = frozen
+    tau = np.argsort(v, axis=-1, kind="stable") if frozen is None else frozen
+    ranks = np.argsort(tau, axis=-1, kind="stable")
     sorted_vals = np.take_along_axis(v, tau, axis=-1)
     matched = np.take_along_axis(sorted_vals[partner], ranks, axis=-1)
     out = lam * v + (1.0 - lam) * matched
@@ -163,4 +171,4 @@ def efdmix_hook(x: Var, partner, lambdas, frozen=None):
         np.put_along_axis(routed, tau, donated[inv_partner], axis=-1)
         return ((lam * g + routed).reshape(b, c, h, w),)
 
-    return Var(out.reshape(b, c, h, w), (x,), vjp), (tau, ranks)
+    return Var(out.reshape(b, c, h, w), (x,), vjp), tau

@@ -210,7 +210,7 @@ def test_second_backward_through_a_freed_graph_raises():
     np.testing.assert_array_equal(w.grad, grads[1])
 
 
-# -- chained conv blocks -----------------------------------------------------------
+# -- folded conv blocks -------------------------------------------------------------
 
 @st.composite
 def block_cases(draw):
@@ -239,19 +239,19 @@ def _block_nodes(x, w, b, stride, pad, pool):
 
 @settings(max_examples=40, deadline=None)
 @given(block_cases())
-def test_a_chained_block_gives_the_bits_of_its_ops_and_frees_their_outputs(case):
-    """One chain node gives the value and the input, weight and bias
+def test_a_folded_block_gives_the_bits_of_its_ops_and_frees_their_outputs(case):
+    """One fold node gives the value and the input, weight and bias
     gradients of conv2d -> relu [-> avg_pool2] byte for byte, for a Var or a
     constant input; once its ops' nodes are dropped their outputs are freed,
     and a second backward through it raises."""
     x, w, b, stride, pad, pool, constant, g = case
     runs = []
-    for chained in (False, True):
+    for folded in (False, True):
         leaves = [x if constant else Var(x), Var(w), Var(b)]
         nodes = _block_nodes(*leaves, stride, pad, pool)
-        if chained:
+        if folded:
             inner = [weakref.ref(node.value) for node in nodes[:-1]]
-            out = ad.chain(*nodes)
+            out = ad.fold(nodes[-1], [v for v in leaves if isinstance(v, Var)])
             del nodes
             assert all(ref() is None for ref in inner)
         else:
@@ -264,12 +264,31 @@ def test_a_chained_block_gives_the_bits_of_its_ops_and_frees_their_outputs(case)
         out.backward(seed=g)
 
 
-def test_chain_rejects_nodes_that_do_not_consume_the_one_before():
+def test_fold_rejects_an_out_that_does_not_reach_a_named_input():
     a, b = Var(np.ones(3)), Var(np.ones(3))
     with pytest.raises(ValueError):
-        ad.chain(ad.relu(a), ad.relu(b))
+        ad.fold(ad.relu(b), [ad.relu(a)])
     with pytest.raises(ValueError):
-        ad.chain(a, ad.add(a, b))
+        ad.fold(ad.add(a, b), [a, ad.relu(b)])
+    with pytest.raises(ValueError):
+        ad.fold(a, [a])
+
+
+def test_a_twin_gives_the_bits_of_running_its_op_again():
+    """``(x - m) * twin(x - m)`` gives the value and gradients of
+    ``(x - m) * (x - m)`` byte for byte, with one array for both factors."""
+    rng = RNG(7)
+    xs, ms, g = rng.normal(size=(3, 4)), rng.normal(size=(3, 1)), rng.normal(size=(3, 4))
+    runs = []
+    for twinned in (False, True):
+        x, m = Var(xs), Var(ms)
+        d = ad.sub(x, m)
+        e = ad.twin(d) if twinned else ad.sub(x, m)
+        assert (e.value is d.value) == twinned
+        out = ad.mul(d, e)
+        out.backward(seed=g)
+        runs.append([out.value.tobytes(), x.grad.tobytes(), m.grad.tobytes()])
+    assert runs[1] == runs[0]
 
 
 # -- the runner ------------------------------------------------------------------

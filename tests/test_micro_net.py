@@ -294,6 +294,26 @@ def test_sb_hook_second_call_replays_first_output():
     assert op.plan is plan
 
 
+def test_efdmix_hook_replays_its_first_output_and_gradient_from_tau_alone():
+    """The op keeps only each channel's sorting permutation tau, not the
+    ranks, argsort(tau), the size of the activation; a replay forms them
+    again and gives the first call's output and input gradient bit for bit,
+    ties included."""
+    rng = RNG(58)
+    xs = np.round(rng.normal(size=(6, 3, 4, 4)), 1)
+    g = rng.normal(size=xs.shape)
+    op = mn.EfdmixHookOp.draw(6, RNG(59), mn.DEFAULT_LAMBDA_SHAPE)
+    runs = []
+    for _ in range(2):
+        x = Var(xs.copy())
+        out = op(x)
+        out.backward(seed=g)
+        runs.append((out.value.tobytes(), x.grad.tobytes()))
+    assert runs[1] == runs[0]
+    np.testing.assert_array_equal(op._state,
+                                  np.argsort(xs.reshape(6, 3, 16), axis=-1, kind="stable"))
+
+
 # -- tape release -------------------------------------------------------------------
 
 def _reference_sweep(root):
@@ -322,21 +342,30 @@ def _reference_sweep(root):
     return order, leaves
 
 
-def test_backward_frees_the_recorded_graph():
+def test_backward_frees_the_recorded_graph(monkeypatch):
     """After backward no inner node of the step keeps parents or a live vjp,
     every vjp closure is collected, and the leaves hold the grads of a sweep
-    that frees nothing, bit for bit."""
+    that frees nothing, bit for bit. Inner nodes are all the nodes the step
+    made with a vjp, the ones folded into a tape node included."""
     net = mn.MicroNet.init(TINY, seed=80)
     rng = RNG(81)
     x = rng.normal(size=(6, 1, 8, 8))
     y = rng.integers(0, 3, size=6)
     meta = BatchMeta(np.array([0, 0, 0, 1, 1, 2]), y, 3, 3)
     ops = [("block1", mn.SbHookOp(meta, RNG(82))), ("block1", mn.DsuHookOp.draw(6, 3, RNG(83)))]
+    inner, closures, init = [], [], Var.__init__
+
+    def recording_init(var, value, parents=(), vjp=None):
+        init(var, value, parents, vjp)
+        if vjp is not None:
+            inner.append(var)
+            closures.append(weakref.ref(vjp))
+
+    monkeypatch.setattr(Var, "__init__", recording_init)
     res = net.forward(x, ops)
     loss = ad.softmax_cross_entropy(res.logits, y)
+    monkeypatch.undo()
     nodes, want = _reference_sweep(loss)
-    inner = [v for v in nodes if v._vjp is not None]
-    closures = [weakref.ref(v._vjp) for v in inner]
     loss.backward()
     assert len(inner) > 30 and all(v._parents == () for v in inner)
     for v in inner:
@@ -349,6 +378,104 @@ def test_backward_frees_the_recorded_graph():
     for v in leaves:
         if v.grad is not None:
             assert v.grad.tobytes() == want[id(v)].tobytes()
+
+
+HOOK_KINDS = ("sb", "mixstyle", "dsu", "efdmix")
+
+
+def _hook_op(kind, batch, channels, seed):
+    rng = RNG(seed)
+    if kind == "sb":
+        return mn.SbHookOp(BatchMeta(np.arange(batch) % 3, np.arange(batch) % 2, 3, 2), rng)
+    if kind == "dsu":
+        return mn.DsuHookOp.draw(batch, channels, rng)
+    op = mn.MixstyleHookOp if kind == "mixstyle" else mn.EfdmixHookOp
+    return op.draw(batch, rng, mn.DEFAULT_LAMBDA_SHAPE)
+
+
+def _recording(mp, interior):
+    """Wrap the ops whose outputs the fold should free or share, so that
+    ``interior`` gets weakrefs to: each conv and ReLU output, the square
+    of ``x - mu`` and the ``gamma * x_hat`` product; and the arrays of the full
+    ``x - mu`` and of its twins."""
+    divided = set()
+
+    def wrap(name, record):
+        fn = getattr(ad, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            record(*[ad.as_var(a) for a in args[:2]], out)
+            return out
+        mp.setattr(ad, name, wrapper)
+
+    def mul(a, b, out):
+        if a.value is b.value:
+            interior["square"].append(weakref.ref(out.value))
+        if id(b.value) in divided:
+            interior["scaled"].append(weakref.ref(out.value))
+
+    def sub(a, b, out):   # x - mu: a (B, C, H, W) map less its (B, C, 1, 1) means
+        if a.shape[2:] != (1, 1) and b.shape == a.shape[:2] + (1, 1):
+            interior["centred"].append(out.value)
+
+    wrap("conv2d", lambda x, w, out: interior["conv"].append(weakref.ref(out.value)))
+    wrap("relu", lambda a, out, *_: interior["conv"].append(weakref.ref(out.value)))
+    wrap("mul", mul)
+    wrap("div", lambda a, b, out: divided.add(id(out.value)))
+    wrap("sub", sub)
+    twin = ad.twin
+
+    def recorded_twin(v):
+        interior["twins"].append(twin(v))
+        return interior["twins"][-1]
+    mp.setattr(ad, "twin", recorded_twin)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(HOOK_KINDS), constant=st.booleans(), pool=st.booleans(),
+       cin=st.integers(1, 2), cout=st.integers(1, 3), batch=st.integers(2, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_folded_hooked_block_gives_the_bits_of_its_ops_and_frees_what_no_vjp_reads(
+        kind, constant, pool, cin, cout, batch, seed):
+    """A block with a hook op (SB, MixStyle, DSU or EFDMix) is two fold
+    nodes, and gives the value and the input, weight and bias gradients of
+    its unfolded ops byte for byte, for a Var or a constant input, pooled or
+    not. Once the ops' nodes are dropped, the values no vjp reads are freed:
+    the conv and ReLU outputs, and in MixStyle and DSU the square of
+    ``x - mu`` and the ``gamma * x_hat`` product. ``x - mu`` is one array,
+    which its two twins share. A second backward raises."""
+    rng = RNG(seed)
+    x = rng.normal(size=(cin, batch, 8, 8))
+    w, b = rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout)
+    g = rng.normal(size=(cout, batch, 4, 4) if pool else (cout, batch, 8, 8))
+    runs = []
+    for folded in (False, True):
+        leaves = [x if constant else Var(x), Var(w), Var(b)]
+        interior = {key: [] for key in ("conv", "square", "scaled", "centred", "twins")}
+        with pytest.MonkeyPatch.context() as mp:
+            if folded:
+                _recording(mp, interior)
+            else:
+                mp.setattr(ad, "fold", lambda out, inputs: out)
+            out, hook_input = mn._block(*leaves, mn.BlockSpec(cout, pool=pool),
+                                        [_hook_op(kind, batch, cout, seed)])
+        if folded:
+            styled = kind in ("mixstyle", "dsu")
+            assert len(interior["conv"]) == 2
+            assert [len(interior[k]) for k in ("square", "scaled", "centred", "twins")] == \
+                   [int(styled), int(styled), int(styled), 2 * styled]
+            assert all(t.value is interior["centred"][0] for t in interior["twins"])
+            del interior["centred"], interior["twins"]
+            # an unpooled ReLU output with one channel or sample is the hook input's memory
+            assert all(ref() is None or np.shares_memory(ref(), hook_input.value)
+                       for refs in interior.values() for ref in refs)
+        value = out.value.tobytes()
+        out.backward(seed=g)
+        runs.append([value] + [v.grad.tobytes() for v in leaves if isinstance(v, Var)])
+    assert runs[1] == runs[0]
+    with pytest.raises(RuntimeError, match="freed"):
+        out.backward(seed=g)
 
 
 def _dsu_batch(n):
@@ -379,23 +506,45 @@ def test_training_peak_memory_is_one_step_graph():
     assert three <= 1.2 * one, (one, three)
 
 
-def test_a_training_step_tapes_only_what_backward_reads():
-    """One 32 px, batch-63 step with DSU at block1 and block2 peaks near 35 MB
-    of numpy's allocations: each block's one tape node keeps its patch matrix
-    (block1 its constant images instead), its ReLU mask and its output, and
-    frees the conv and ReLU outputs. Keeping them peaked at 53 MB."""
-    x, y, _ = _dsu_batch(63)
+def _traced_step_peak(kind, n=63):
+    """The tracemalloc peak of one 32 px forward + backward of batch ``n``
+    with MixStyle or DSU at block1 and block2, in bytes."""
+    x, y, _ = _dsu_batch(n)
     net = mn.MicroNet.init(mn.NetConfig(), seed=91)
-    ops = [(hook, mn.DsuHookOp.draw(63, net.config.channels_at(hook), RNG(93)))
-           for hook in ("block1", "block2")]
+    if kind == "dsu":
+        ops = [(hook, mn.DsuHookOp.draw(n, net.config.channels_at(hook), RNG(93)))
+               for hook in ("block1", "block2")]
+    else:
+        ops = [(hook, mn.MixstyleHookOp.draw(n, RNG(93), mn.DEFAULT_LAMBDA_SHAPE))
+               for hook in ("block1", "block2")]
     tracemalloc.start()
     try:
         res = net.forward(x, ops)
         ad.softmax_cross_entropy(res.logits, y).backward()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_training_step_tapes_only_what_backward_reads():
+    """One 32 px, batch-63 step with DSU at block1 and block2 peaks near 29 MB
+    of numpy's allocations. Each block's conv node keeps its patch matrix
+    (block1 its constant images instead), its ReLU mask and its output, and
+    frees the conv and ReLU outputs; each hook's node keeps what its vjps
+    read, and one array of ``x - mu``, whose twins share it. Keeping the conv
+    and ReLU outputs peaked at 53 MB, the hook ops' every node at 35 MB,
+    three arrays of ``x - mu`` at 31.6 MB, and the hook ops' nodes unfolded
+    at 31.9 MB."""
+    peak = _traced_step_peak("dsu")
     assert peak < 42e6, peak
+    assert peak < 30e6, peak
+
+
+def test_a_mixstyle_training_step_keeps_one_x_minus_mu():
+    """The same step with MixStyle peaks near 29 MB too; keeping every node
+    of the hook ops peaked at 35 MB."""
+    peak = _traced_step_peak("mixstyle")
+    assert peak < 30e6, peak
 
 
 PAGE_FAULT_PROBE = """

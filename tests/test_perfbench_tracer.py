@@ -52,11 +52,35 @@ def test_traced_sb_training_and_shifted_eval_reach_the_wrapped_names(tracer_modu
         lost = tracer.restore()
     assert lost == []
     m = tracer_module.layer_metrics(tracer)
-    # the three vjps a block's chain node runs are timed under their own names
+    # the vjps a block's fold node runs, the SB hook's among them, are timed under their names
     for key in ("tensor_core.batch_style_vectors_s", "autodiff.conv2d.block1.bwd_s",
-                "autodiff.relu.bwd_s", "autodiff.avg_pool2.bwd_s", "micro_net.evaluate.self_s"):
+                "autodiff.relu.bwd_s", "autodiff.avg_pool2.bwd_s", "style_balance.apply.bwd_s",
+                "micro_net.evaluate.self_s"):
         assert m[key] > 0, key
     _assert_evaluate_reaches_no_per_sample_probe(m)
+
+
+def test_a_traced_dsu_step_times_every_vjp_its_fold_nodes_run(tracer_module):
+    """A one-step DSU training at block1 and block2: each timed op's vjp runs
+    once, inside the fold nodes, and the twins of ``x - mu`` run theirs too,
+    two per firing, so the backward counts one node per elementwise call and
+    per twin, and one per conv, ReLU, pool, head op and loss."""
+    cfg = NetConfig(in_channels=1, image_size=8, n_classes=2,
+                    blocks=(mn.BlockSpec(2), mn.BlockSpec(3), mn.BlockSpec(4)))
+    rng = np.random.Generator(np.random.PCG64(0))
+    x, y = rng.normal(size=(6, 1, 8, 8)), np.tile([0, 1], 3)
+    tracer = tracer_module.Tracer(cfg)
+    try:
+        tracer.install()
+        mn.train(mn.MicroNet.init(cfg, seed=0), x, y, np.zeros(6, dtype=int),
+                 mn.TrainConfig(epochs=1, batch_size=6, aug="dsu", aug_prob=1.0,
+                                aug_hooks=("block1", "block2")))
+    finally:
+        lost = tracer.restore()
+    assert lost == []
+    m = tracer_module.layer_metrics(tracer)
+    assert m["style_ops.dsu.fired"] == 2 and m["autodiff.elementwise.bwd_s"] > 0
+    assert m["autodiff.backward.nodes"] == m["autodiff.elementwise.calls"] + 2 * 2 + 3 * 3 + 3
 
 
 def _assert_evaluate_reaches_no_per_sample_probe(m):
