@@ -15,10 +15,13 @@ So per conv block (``conv2d`` -> ``relu`` [-> ``avg_pool2``]) the tape keeps
 the conv's patch matrix (or its input, where that is a constant), the ReLU
 mask and the block's output, and the pool only a shape; per hooked block
 one more node keeps what the hook ops' vjps read. Values no vjp reads, such
-as the conv and ReLU outputs, are freed as the block's forward ends.
-``twin`` gives a second node of an op over the same array, where the graph
-needs the op twice. ``backward`` hands each gradient to its vjp without
-holding it, so a fold frees each gradient once the vjp it feeds returns.
+as the conv and ReLU outputs, are freed as the block's forward ends. The
+conv's vjp frees its patch matrix once the weight gradient is formed, before
+it forms the patch gradient, which it sums into the input gradient one
+kernel offset at a time. ``twin`` gives a second node of an op over the
+same array, where the graph needs the op twice. ``backward`` hands each
+gradient to its vjp without holding it, so a fold frees each gradient once
+the vjp it feeds returns.
 
 Importing the module pins glibc's mmap and trim thresholds and its arena
 count (see ``_pin_allocator``).
@@ -468,30 +471,35 @@ def conv_cm(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
 def conv2d(x, w, b, stride: int = 1, pad: int = 1) -> Var:
     """2-D convolution, channel-major: (Cin, B, H, W) -> (Cout, B, OH, OW).
 
-    The forward is ``conv_cm``. The backward forms the weight gradient and
-    the patch gradient with one GEMM each over the patch matrix, and sums the
-    patch gradient into the input gradient. An input that is not a Var is a
-    constant: the backward forms no gradient for it.
+    The forward is ``conv_cm``. The backward forms the weight gradient with
+    one GEMM over the patch matrix and then drops the matrix, before it forms
+    the patch gradient with one GEMM over the weights and sums that into the
+    input gradient, one kernel offset at a time. So the patch matrix and the
+    patch gradient, each Cin*kh*kw x B*OH*OW floats, are never live at once.
+    An input that is not a Var is a constant: the backward forms no gradient
+    for it.
 
-    The tape keeps the patch matrix for a Var input. For a constant input,
-    whose patch matrix is kh*kw times its size, it keeps the input instead
-    and the backward rebuilds the patches (``_patches``), the same bits.
+    The tape keeps the patch matrix for a Var input, until the backward's
+    first run takes it. For a constant input, whose patch matrix is kh*kw
+    times its size, it keeps the input instead. A backward that finds no
+    patch matrix, for a constant input or on a second run, rebuilds it from
+    the input (``_patches``), the same bits.
     """
     needs_dx = isinstance(x, Var)
     x, w, b = as_var(x), as_var(w), as_var(b)
-    xv = None if needs_dx else x.value
-    cin, bs, h, wd = x.value.shape
+    xv = x.value   # for a Var input, its node keeps it anyway
+    cin, bs, h, wd = xv.shape
     cout, _, kh, kw = wshape = w.value.shape
-    out, cols = conv_cm(x.value, w.value, b.value, stride, pad)
+    out, cols = conv_cm(xv, w.value, b.value, stride, pad)
     oh, ow = out.shape[2:]
     w2 = w.value.reshape(cout, cin * kh * kw)
-    if not needs_dx:
-        cols = None
+    kept = [cols] if needs_dx else []
 
     def vjp(g):
         g2 = g.reshape(cout, bs * oh * ow)
-        patches = cols if needs_dx else _patches(xv, kh, kw, stride, pad)
+        patches = kept.pop() if kept else _patches(xv, kh, kw, stride, pad)
         dw = (g2 @ patches.T).reshape(wshape)
+        del patches   # freed here, before the patch gradient is formed
         # per-plane sums, then over samples: the bits of the (B, Cout, OH, OW) sum
         db = np.ascontiguousarray(g.sum(axis=(2, 3)).T).sum(axis=0)
         if not needs_dx:

@@ -10,7 +10,10 @@ and order-independent.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import mmap
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -345,18 +348,14 @@ def load_images(manifest: DatasetManifest, root, records=None) -> np.ndarray:
     """(M, 1, H, W) uint8 pixel codes for the given records of ``manifest``
     (all of them by default): an eighth of the bytes the same pixels take as
     float64. ``as_pixels`` scales codes to [0, 1]; the network scales each
-    batch it is given. One read of ``root/images.pgm``, whose rows i·H to
-    (i+1)·H − 1 are the manifest's record i; a strip of another size is a
-    PnmParseError."""
+    batch it is given. One ``read_pnm`` of ``root/images.pgm``, whose rows
+    i·H to (i+1)·H − 1 are the manifest's record i, reading those records'
+    rows alone; a strip of another size is a PnmParseError."""
     size, n = manifest.image_size, len(manifest.samples)
     records = manifest.samples if records is None else records
-    strip = read_pnm(Path(root) / IMAGES_FILE)
-    if strip.shape != (n * size, size):
-        raise PnmParseError(f"{IMAGES_FILE} is {strip.shape[1]}x{strip.shape[0]} pixels, but "
-                            f"{n} records of {size}x{size} need {size}x{n * size}", 0)
     row = {rec.id: i for i, rec in enumerate(manifest.samples)}
     rows = np.fromiter((row[rec.id] for rec in records), dtype=np.intp, count=len(records))
-    return strip.reshape(n, 1, size, size)[rows]
+    return read_pnm(Path(root) / IMAGES_FILE, (n, size, rows))[:, None]
 
 
 def as_pixels(images) -> np.ndarray:
@@ -389,11 +388,42 @@ def write_pnm(path, img: np.ndarray) -> None:
                            + img.tobytes())
 
 
-def read_pnm(path) -> np.ndarray:
+def read_pnm(path, strip=None) -> np.ndarray:
     """Read a binary PGM (P5) file as a uint8 (H, W) array; any other magic,
     P6 included, and every parse failure is a PnmParseError carrying the
-    byte offset."""
-    data = Path(path).read_bytes()
+    byte offset.
+
+    With ``strip=(n, size, rows)`` the image must be ``n`` tiles of size x
+    size pixels stacked top to bottom (another size is a PnmParseError at
+    offset 0), and only the tiles at the indices ``rows`` are read, with one
+    seek and read per run of consecutive indices: a (len(rows), size, size)
+    array. The header is parsed from a map of the file, so the pixels of the
+    other tiles are never read."""
+    path = Path(path)
+    with open(path, "rb") as f:
+        mapped = (mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if os.fstat(f.fileno()).st_size
+                  else contextlib.nullcontext(b""))   # an empty file cannot be mapped
+        with mapped as data:
+            height, width, pos = _pnm_header(data)
+        if strip is None:
+            f.seek(pos)
+            return np.frombuffer(f.read(height * width), dtype=np.uint8).reshape(height, width)
+        n, size, rows = strip
+        if (height, width) != (n * size, size):
+            raise PnmParseError(f"{path.name} is {width}x{height} pixels, but {n} records of "
+                                f"{size}x{size} need {size}x{n * size}", 0)
+        out = np.empty((len(rows), size, size), dtype=np.uint8)
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)   # where each run begins
+        for lo, hi in zip(starts, [*starts[1:], len(rows)]):
+            f.seek(pos + int(rows[lo]) * size * size)
+            f.readinto(out[lo:hi])
+        return out
+
+
+def _pnm_header(data) -> tuple[int, int, int]:
+    """The height and width of the P5 image in ``data``, the whole file's
+    bytes or a map of them, and the offset of its pixel data, which must all
+    be there."""
     pos = 0
 
     def token() -> bytes:
@@ -433,4 +463,4 @@ def read_pnm(path) -> np.ndarray:
     need, got = width * height, min(width * height, len(data) - pos)
     if got < need:
         raise PnmParseError(f"truncated pixel data: expected {need} bytes, got {got}", pos + got)
-    return np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(height, width)
+    return height, width, pos

@@ -121,6 +121,57 @@ def test_conv2d_bias_gradient_has_the_bits_of_the_nchw_sum(cout, batch, h, wd, s
     assert bv.grad.tobytes() == want.tobytes()
 
 
+def conv_backward_reference(x, w, g, stride, pad):
+    """conv2d's backward as one whole patch gradient: the patch matrix and
+    ``dW = g2 @ cols.T``, then ``dcols = W2.T @ g2`` and the col2im that adds
+    each kernel offset's rows of ``dcols`` into the padded input gradient,
+    offsets in row-major order. Returns (dx, dW, db)."""
+    cin, bs, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    oh, ow = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((cin, kh, kw, bs, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    g2 = g.reshape(cout, bs * oh * ow)
+    dw = (g2 @ cols.reshape(cin * kh * kw, -1).T).reshape(w.shape)
+    db = np.ascontiguousarray(g.sum(axis=(2, 3)).T).sum(axis=0)
+    dcols = (w.reshape(cout, -1).T @ g2).reshape(cin, kh, kw, bs, oh, ow)
+    dxp = np.zeros(xp.shape)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
+    return dxp[:, :, pad:pad + h, pad:pad + wd], dw, db
+
+
+@st.composite
+def conv_backward_cases(draw):
+    stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    k = draw(st.sampled_from([1, 3]))
+    cin, cout, batch = draw(st.integers(1, 9)), draw(st.integers(2, 17)), draw(st.integers(1, 64))
+    h = draw(st.integers(max(k - 2 * pad, 1), 20))
+    wd = draw(st.integers(max(k - 2 * pad, 1), 20))
+    return cin, cout, batch, h, wd, k, stride, pad, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_backward_cases())
+def test_conv2d_gradients_have_the_bits_of_one_whole_patch_gradient(case):
+    """conv2d's input, weight and bias gradients are byte for byte those of
+    the whole-patch-gradient backward, and so are those of a second run of
+    its vjp, which rebuilds the patch matrix that the first run freed."""
+    cin, cout, batch, h, wd, k, stride, pad, seed = case
+    rng = RNG(seed)
+    x, w = rng.normal(size=(cin, batch, h, wd)), rng.normal(size=(cout, cin, k, k))
+    b = rng.normal(size=cout)
+    out = ad.conv2d(Var(x), Var(w), Var(b), stride=stride, pad=pad)
+    g = rng.normal(size=out.shape)
+    want = [a.tobytes() for a in conv_backward_reference(x, w, g, stride, pad)]
+    for _ in range(2):
+        assert [a.tobytes() for a in out._vjp(g)] == want
+
+
 def pool_reference(x):
     b, c, h, w = x.shape
     return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))

@@ -36,3 +36,17 @@ def test_the_byte_gate_runs_every_subcommand_mode_and_augmentation(compare_cli):
     assert {ts.ShiftMode(m).kind for m in modes - {None}} == set(ts.MODE_NAMES)
     augs = {doc["train"].get("aug", "none") for doc in configs}
     assert augs - {"none"} == set(mn.AUG_KINDS) - {"none"}
+
+
+def test_the_byte_gate_trains_strided_blocks_with_balancing_and_dsu(compare_cli):
+    """One sweep trains a net with stride-2 blocks under style balancing and
+    DSU, so the input gradients of strided convolutions are under the gate;
+    the list has 61 commands."""
+    commands = compare_cli.commands()
+    strided = [compare_cli.CONFIGS[flag(argv, "--config")] for argv in commands
+               if argv[0] == "sweep" and "net" in compare_cli.CONFIGS[flag(argv, "--config")]]
+    assert len(strided) == 1
+    doc = strided[0]
+    assert any(blk.get("stride", 1) == 2 for blk in doc["net"]["blocks"][1:])
+    assert doc["train"]["sb"] and doc["train"]["aug"] == "dsu"
+    assert len(commands) == 61

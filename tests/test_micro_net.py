@@ -508,12 +508,15 @@ def test_training_peak_memory_is_one_step_graph():
 
 def _traced_step_peak(kind, n=63):
     """The tracemalloc peak of one 32 px forward + backward of batch ``n``
-    with MixStyle or DSU at block1 and block2, in bytes."""
-    x, y, _ = _dsu_batch(n)
+    with MixStyle or DSU at block1 and block2, or style balancing at block1,
+    in bytes."""
+    x, y, d = _dsu_batch(n)
     net = mn.MicroNet.init(mn.NetConfig(), seed=91)
     if kind == "dsu":
         ops = [(hook, mn.DsuHookOp.draw(n, net.config.channels_at(hook), RNG(93)))
                for hook in ("block1", "block2")]
+    elif kind == "sb":
+        ops = [("block1", mn.SbHookOp(BatchMeta(d, y, 3, net.config.n_classes), RNG(94)))]
     else:
         ops = [(hook, mn.MixstyleHookOp.draw(n, RNG(93), mn.DEFAULT_LAMBDA_SHAPE))
                for hook in ("block1", "block2")]
@@ -527,21 +530,30 @@ def _traced_step_peak(kind, n=63):
 
 
 def test_a_training_step_tapes_only_what_backward_reads():
-    """One 32 px, batch-63 step with DSU at block1 and block2 peaks near 29 MB
+    """One 32 px, batch-63 step with DSU at block1 and block2 peaks near 24 MB
     of numpy's allocations. Each block's conv node keeps its patch matrix
     (block1 its constant images instead), its ReLU mask and its output, and
     frees the conv and ReLU outputs; each hook's node keeps what its vjps
     read, and one array of ``x - mu``, whose twins share it. Keeping the conv
     and ReLU outputs peaked at 53 MB, the hook ops' every node at 35 MB,
-    three arrays of ``x - mu`` at 31.6 MB, and the hook ops' nodes unfolded
-    at 31.9 MB."""
+    three arrays of ``x - mu`` at 31.6 MB, the hook ops' nodes unfolded at
+    31.9 MB, and a conv vjp that kept its patch matrix while it formed the
+    patch gradient at 28.8 MB."""
     peak = _traced_step_peak("dsu")
     assert peak < 42e6, peak
     assert peak < 30e6, peak
+    assert peak < 26e6, peak
+
+
+def test_a_style_balancing_step_never_holds_a_patch_matrix_and_its_gradient():
+    """A 32 px, batch-21 step with style balancing at block1, the training
+    shape of tsb-train, peaks near 7.7 MB; keeping each conv's patch matrix
+    while its vjp formed the patch gradient peaked at 9.9 MB."""
+    assert _traced_step_peak("sb", n=21) < 9e6
 
 
 def test_a_mixstyle_training_step_keeps_one_x_minus_mu():
-    """The same step with MixStyle peaks near 29 MB too; keeping every node
+    """The same step with MixStyle peaks near 24 MB too; keeping every node
     of the hook ops peaked at 35 MB."""
     peak = _traced_step_peak("mixstyle")
     assert peak < 30e6, peak

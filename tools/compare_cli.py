@@ -8,15 +8,16 @@ PYTHONPATH, and runs twice: once with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS at 1, and once with them unset. Inference sets BLAS to
 one thread while its workers run, so the runs differ in the BLAS threads of
 the rest, training above all; the unset run checks that they change no byte.
-Its 60 commands write 191 files. They cover gen-data at 16 and 32 px, a
+Its 61 commands write 196 files. They cover gen-data at 16 and 32 px, a
 40-epoch style-balancing train, a 4-epoch train with each augmentation
 (mixstyle, dsu, efdmix), stats at block1 and block2, with pseudo labels and
 with --single-domain, eval in every mode (nearest-sample at two pool sizes
 and two seeds) and on the dsu network, a 3-epoch batch-63 train at 32 px with
 balancing and dsu, the training shape of the benchmark's sweep-aug workload,
 with stats and eval of it, alpha sweeps in every mode
-(one alpha, pseudo labels, the single-domain protocol), a keep_fraction sweep
-and two reports, one with --series-col.
+(one alpha, pseudo labels, the single-domain protocol), a short balancing and
+dsu sweep on a 16 px net whose first and last blocks convolve at stride 2, a
+keep_fraction sweep and two reports, one with --series-col.
 
 Every file the commands write, and a transcript of each command's exit
 status and output, is compared byte for byte; in the ``.log`` sidecars the
@@ -81,6 +82,16 @@ CONFIGS = {
     "sweep_off.json": _sweep(eval={"mode": "off"}),
     "sweep_single.json": _sweep(eval={"mode": "single_domain"}, protocol="single_domain",
                                 train={"epochs": 6, "batch_size": 12, "lr": 0.05}),
+    # stride-2 convs in blocks 1 and 3, so the input gradients of strided
+    # windows are under the gate; batch 9 leaves a last batch of 3
+    "sweep_strided.json": _sweep(
+        net={"image_size": 16, "n_classes": 4,
+             "blocks": [{"out_channels": 8, "stride": 2, "pool": False},
+                        {"out_channels": 16},
+                        {"out_channels": 16, "stride": 2, "pool": False}]},
+        train={"epochs": 4, "batch_size": 9, "lr": 0.05, "sb": True, "aug": "dsu",
+               "aug_prob": 1.0, "aug_hooks": ["block1", "block2"]},
+        seeds=[0]),
 }
 
 REGISTRIES = {"b1": ["--layer", "block1", "--alpha", "3"], "b2": ["--layer", "block2"],
